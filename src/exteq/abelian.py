@@ -9,6 +9,7 @@ normalized in [0, d).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -33,7 +34,10 @@ class FGAGroup:
 
     def pushout(self) -> "FGAGroup":
         """Same rank, every torsion order doubled."""
-        return FGAGroup(self.rank, tuple(2 * d for d in self.torsion))
+        # doubling keeps a valid group valid, so __post_init__ is skipped
+        g = object.__new__(FGAGroup)
+        g.__dict__.update(rank=self.rank, torsion=tuple(2 * d for d in self.torsion))
+        return g
 
     def elements(self, free_range: range = range(0, 1)):
         """All elements, iterating free coordinates over free_range."""
@@ -63,36 +67,54 @@ class FGAElement:
     def __post_init__(self):
         if len(self.free) != self.group.rank or len(self.tors) != len(self.group.torsion):
             raise ValueError("coordinate count mismatch")
-        object.__setattr__(
-            self,
-            "tors",
-            tuple(t % d for t, d in zip(self.tors, self.group.torsion)),
-        )
+        if self.tors:
+            object.__setattr__(
+                self,
+                "tors",
+                tuple(t % d for t, d in zip(self.tors, self.group.torsion)),
+            )
+
+    @classmethod
+    def _of(cls, group: FGAGroup, free: tuple, tors: tuple) -> "FGAElement":
+        """Element from coordinate tuples already of the group's shape;
+        normalizes the torsion residues but skips the shape check."""
+        e = object.__new__(cls)
+        if tors:
+            tors = tuple(t % d for t, d in zip(tors, group.torsion))
+        e.__dict__.update(group=group, free=free, tors=tors)
+        return e
 
     def _check(self, other: "FGAElement"):
         if self.group != other.group:
             raise GroupMismatch(f"{self.group} vs {other.group}")
 
     def __add__(self, other: "FGAElement") -> "FGAElement":
-        self._check(other)
-        return FGAElement(
+        if other.group is not self.group:
+            self._check(other)
+        return FGAElement._of(
             self.group,
-            tuple(x + y for x, y in zip(self.free, other.free)),
-            tuple(x + y for x, y in zip(self.tors, other.tors)),
+            tuple(map(operator.add, self.free, other.free)),
+            tuple(map(operator.add, self.tors, other.tors)),
         )
 
     def __neg__(self) -> "FGAElement":
-        return FGAElement(
+        return FGAElement._of(
             self.group,
-            tuple(-x for x in self.free),
-            tuple(-x for x in self.tors),
+            tuple(map(operator.neg, self.free)),
+            tuple(map(operator.neg, self.tors)),
         )
 
     def __sub__(self, other: "FGAElement") -> "FGAElement":
-        return self + (-other)
+        if other.group is not self.group:
+            self._check(other)
+        return FGAElement._of(
+            self.group,
+            tuple(map(operator.sub, self.free, other.free)),
+            tuple(map(operator.sub, self.tors, other.tors)),
+        )
 
     def __mul__(self, k: int) -> "FGAElement":
-        return FGAElement(
+        return FGAElement._of(
             self.group,
             tuple(k * x for x in self.free),
             tuple(k * x for x in self.tors),
@@ -164,7 +186,7 @@ def pa(a: FGAElement) -> ParityElement:
 
 def iota1(a: FGAElement) -> FGAElement:
     """Doubling embedding of A into its pushout A'."""
-    return FGAElement(
+    return FGAElement._of(
         a.group.pushout(), tuple(2 * x for x in a.free), tuple(2 * t for t in a.tors)
     )
 
@@ -193,7 +215,7 @@ def in_iota1_image(aprime: FGAElement) -> bool:
 def iota3(a: FGAElement) -> FGAElement:
     """Coordinate-wise reinterpretation of A inside A' (not a homomorphism:
     torsion residues in [0, d) are read as residues mod 2d)."""
-    return a.group.pushout().element(a.free, a.tors)
+    return FGAElement._of(a.group.pushout(), a.free, a.tors)
 
 
 def iota4(p: ParityElement) -> FGAElement:

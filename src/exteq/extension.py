@@ -11,6 +11,7 @@ cocycle sigma_q are expressible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .abelian import (
@@ -22,7 +23,7 @@ from .abelian import (
     iota3,
 )
 from .errors import CoordMismatch, NotTrivialInBase
-from .words import Presentation, Word, normal_form, normal_form_with_log
+from .words import CayleyBall, Presentation, Word, normal_form_with_log
 
 RHO = "rho"  # E, kernel A
 RHO_PRIME = "rho-prime"  # E', kernel A'
@@ -41,6 +42,9 @@ class CentralExtension:
         for z in self.relator_lifts:
             if z.group != self.kernel:
                 raise ValueError("relator lift outside the kernel group")
+        object.__setattr__(
+            self, "_lift_coords", tuple(z.coords() for z in self.relator_lifts)
+        )
         object.__setattr__(self, "_sigma_cache", {})
         object.__setattr__(self, "_sigma_q_cache", {})
         object.__setattr__(self, "_q_part_cache", {})
@@ -50,7 +54,7 @@ class CentralExtension:
         return self.kernel.pushout()
 
     def nf(self, w: Word) -> Word:
-        return normal_form(self.base, w)
+        return normal_form_with_log(self.base, w)[0]
 
     def inv_word(self, w: Word) -> Word:
         return self.base.alphabet.inverse_word(w)
@@ -65,50 +69,59 @@ def central_defect(ext: CentralExtension, w: Word) -> FGAElement:
     nf, log = normal_form_with_log(ext.base, w)
     if nf != "":
         raise NotTrivialInBase(f"{w!r} reduces to {nf!r}, not the identity")
-    acc = ext.kernel.zero()
+    acc = [0] * (ext.kernel.rank + len(ext.kernel.torsion))
     for k, sign, _pos in log:
-        acc = acc + sign * ext.relator_lifts[k]
-    return acc
+        for i, v in enumerate(ext._lift_coords[k]):
+            acc[i] += sign * v
+    return ext.kernel.element(acc[: ext.kernel.rank], acc[ext.kernel.rank :])
 
 
 def sigma_rho(ext: CentralExtension, g: Word, h: Word) -> FGAElement:
     """Cocycle of the shortlex section: rho(g) rho(h) = rho(gh) i(value)."""
-    g = ext.nf(g)
-    h = ext.nf(h)
-    key = (g, h)
-    cached = ext._sigma_cache.get(key)
+    # the cache is keyed by normal forms, so a hit on the words as given
+    # needs no normalization
+    cached = ext._sigma_cache.get((g, h))
     if cached is None:
-        gh = ext.nf(g + h)
-        cached = central_defect(ext, g + h + ext.inv_word(gh))
-        ext._sigma_cache[key] = cached
+        g = ext.nf(g)
+        h = ext.nf(h)
+        key = (g, h)
+        cached = ext._sigma_cache.get(key)
+        if cached is None:
+            gh = ext.nf(g + h)
+            cached = central_defect(ext, g + h + ext.inv_word(gh))
+            ext._sigma_cache[key] = cached
     return cached
 
 
 def _q_part(ext: CentralExtension, g: Word) -> FGAElement:
     """A'-part of q(g) in rho-prime coordinates: -iota3(sigma_rho(g, g^-1))."""
-    g = ext.nf(g)
     cached = ext._q_part_cache.get(g)
     if cached is None:
-        cached = -iota3(sigma_rho(ext, g, ext.inv_word(g)))
-        ext._q_part_cache[g] = cached
+        g = ext.nf(g)
+        cached = ext._q_part_cache.get(g)
+        if cached is None:
+            cached = -iota3(sigma_rho(ext, g, ext.inv_word(g)))
+            ext._q_part_cache[g] = cached
     return cached
 
 
 def sigma_q(ext: CentralExtension, g: Word, h: Word) -> FGAElement:
     """Cocycle of the symmetric section, valued in the pushout kernel."""
-    g = ext.nf(g)
-    h = ext.nf(h)
-    key = (g, h)
-    cached = ext._sigma_q_cache.get(key)
+    cached = ext._sigma_q_cache.get((g, h))
     if cached is None:
-        gh = ext.nf(g + h)
-        cached = (
-            _q_part(ext, g)
-            + _q_part(ext, h)
-            + iota1(sigma_rho(ext, g, h))
-            - _q_part(ext, gh)
-        )
-        ext._sigma_q_cache[key] = cached
+        g = ext.nf(g)
+        h = ext.nf(h)
+        key = (g, h)
+        cached = ext._sigma_q_cache.get(key)
+        if cached is None:
+            gh = ext.nf(g + h)
+            cached = (
+                _q_part(ext, g)
+                + _q_part(ext, h)
+                + iota1(sigma_rho(ext, g, h))
+                - _q_part(ext, gh)
+            )
+            ext._sigma_q_cache[key] = cached
     return cached
 
 
@@ -147,6 +160,163 @@ def sigma_q_via_chain(ext: CentralExtension, g: Word, h: Word) -> FGAElement:
             - sigma_q(ext, prefix, x)
         )
     return acc
+
+
+class BallCocycles:
+    """sigma_rho, sigma_q and sigma_rho(x, h) as integer tables over a ball.
+
+    Every edge g --x--> gx of a Cayley ball carries the relator counts
+    logged while reducing nf(g) x; read in the kernel they give the label
+    E(g, x), and rho(g) x = rho(gx) E(g, x) in E.  With normal forms
+    prefix-closed, h = h'y gives rho(h) = rho(h') y, hence
+
+        sigma_rho(g, nf(x)) = E(g, x) - E(1, x)
+        sigma_rho(nf(x), h) = sigma_rho(nf(x), h') + E(x h', y)
+        sigma_rho(h, h^-1)  = sigma_rho(h', h'^-1) + sigma_rho(y, y^-1)
+                              - sigma_rho(h', y) - sigma_rho(y^-1, h'^-1)
+
+    and sigma_q(g, x) = q(g) + q(x) + iota1 sigma_rho(g, x) - q(gx) with
+    q(h) = -iota3 sigma_rho(h, h^-1), the last one evaluated for gx by the
+    third identity, so every lookup stays inside the ball even where gx
+    leaves it.  Kernel values are tuples of coordinates, free ones first,
+    torsion normalized.  Elements whose normal form is not prefix-closed
+    inside the ball read None; callers evaluate those by the string route.
+    Letters are given by their index in the alphabet.
+    """
+
+    def __init__(self, ext: CentralExtension, ball: CayleyBall):
+        if ball.presentation != ext.base:
+            raise ValueError("ball belongs to a different presentation")
+        alpha = ext.base.alphabet
+        kernel = ext.kernel
+        self.ext = ext
+        self.ball = ball
+        self.mods = (0,) * kernel.rank + kernel.torsion
+        self.zero = (0,) * len(self.mods)
+        self.inv_letter = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
+        self.succ = [tuple(row[x] for x in alpha.letters) for row in ball.edges]
+        lifts = ext._lift_coords
+        labels: dict[tuple, tuple] = {}
+
+        def label(counts):
+            v = labels.get(counts)
+            if v is None:
+                v = labels[counts] = self._norm(
+                    [sum(c * z[i] for c, z in zip(counts, lifts))
+                     for i in range(len(self.mods))]
+                )
+            return v
+
+        self.E = [tuple(label(c) for c in row) for row in ball.logs]
+        # rho_left[g][x] = sigma_rho(g, nf(x)) = E(g, x) - E(1, x), where
+        # E(1, x) is nonzero only for letters that are not their own
+        # normal form
+        E1 = self.E[0]
+        self.rho_left = [
+            tuple(self._sub(e, d) for e, d in zip(row, E1)) for row in self.E
+        ] if any(map(any, E1)) else self.E
+
+    def _norm(self, v) -> tuple:
+        return tuple(a % m if m else a for a, m in zip(v, self.mods))
+
+    def _sub(self, u, v) -> tuple:
+        return self._norm([a - b for a, b in zip(u, v)])
+
+    @cached_property
+    def _chain(self):
+        """(last letter, parent) per element on a prefix-closed chain to
+        the identity, else None; and the left multiplications lmul[z][h],
+        the index of nf(z) h or None."""
+        ball = self.ball
+        alpha = self.ext.base.alphabet
+        n = len(ball)
+        links: list = [None] * n
+        for j in range(1, n):
+            p = ball.parents[j]
+            if p is not None and (p == 0 or links[p] is not None):
+                links[j] = (alpha.index(ball.words[j][-1]), p)
+        succ = self.succ
+        lmul = []
+        for z in range(len(alpha.letters)):
+            row: list = [succ[0][z]] + [None] * (n - 1)
+            for j in range(1, n):
+                link = links[j]
+                if link is not None:
+                    k = row[link[1]]
+                    if k is not None:
+                        row[j] = succ[k][link[0]]
+            lmul.append(row)
+        return links, lmul
+
+    @cached_property
+    def inverse(self) -> list:
+        """inverse[h]: the index of h^-1, or None."""
+        links, lmul = self._chain
+        inv: list = [0] + [None] * (len(links) - 1)
+        for j, link in enumerate(links):
+            if link is not None:
+                k = inv[link[1]]
+                if k is not None:
+                    inv[j] = lmul[self.inv_letter[link[0]]][k]
+        return inv
+
+    @cached_property
+    def rho_right(self) -> list:
+        """rho_right[z][h] = sigma_rho(nf(z), h), or None."""
+        links, lmul = self._chain
+        E = self.E
+        out = []
+        for z, mul in enumerate(lmul):
+            row: list = [self.zero] + [None] * (len(links) - 1)
+            for j, link in enumerate(links):
+                if link is not None:
+                    y, p = link
+                    r, k = row[p], mul[p]
+                    if r is not None and k is not None:
+                        row[j] = self._norm([a + b for a, b in zip(r, E[k][y])])
+            out.append(row)
+        return out
+
+    @cached_property
+    def sigma_inverse(self) -> list:
+        """sigma_inverse[h] = sigma_rho(h, h^-1), or None."""
+        links, _ = self._chain
+        rl, inv, rv, ibar = self.rho_left, self.inverse, self.rho_right, self.inv_letter
+        S: list = [self.zero] + [None] * (len(links) - 1)
+        for j, link in enumerate(links):
+            if link is None:
+                continue
+            y, p = link
+            if p == 0:
+                S[j] = rl[j][ibar[y]]
+                continue
+            sp, sy, ip = S[p], S[self.succ[0][y]], inv[p]
+            r = rv[ibar[y]][ip] if ip is not None else None
+            if sp is not None and sy is not None and r is not None:
+                S[j] = self._norm(
+                    [a + b - c - d for a, b, c, d in zip(sp, sy, rl[p][y], r)]
+                )
+        return S
+
+    def q_left(self, g: int, x: int) -> Optional[tuple]:
+        """sigma_q(g, nf(x)) in pushout coordinates, or None."""
+        ig, xe = self.inverse[g], self.succ[0][x]
+        if ig is None or xe is None:
+            return None
+        sg, sx = self.sigma_inverse[g], self.sigma_inverse[xe]
+        if sg is None or sx is None:
+            return None
+        r = self.rho_right[self.inv_letter[x]][ig]
+        if r is None:
+            return None
+        out = []
+        for a, b, l, c, m in zip(sg, sx, self.rho_left[g][x], r, self.mods):
+            if m:
+                sk = (a + b - l - c) % m
+                out.append((2 * l - a - b + sk) % (2 * m))
+            else:
+                out.append(l - c)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,23 @@ the parity construction on a letter-inverted tape).
 
 Synthesis is conjectural by design: states are finite signatures (local
 windows of normal forms, or longest relator-fragment matches) that are
-hypothesized to determine membership and the predicted value.  Every
-built automaton is validated exhaustively against direct cocycle
-evaluation on all words up to a strictly larger radius and rejected on
-any mismatch; the validated radius is recorded on the artifact.
+hypothesized to determine membership and the predicted value, which is
+evaluated by the string route (sigma_q / sigma_rho) at each state's
+representative word.  Every built automaton is then validated against
+all words up to the validation radius and rejected on any mismatch; the
+validated radius is recorded on the artifact.
+
+Validation is one breadth-first walk over the word tree that carries
+the automaton state and the ball indices of the word's suffixes, so a
+child only tests its new suffixes against integer quasi-geodesic
+bounds.  It skips a subtree only where no word can disagree: the root
+is not quasi-geodesic (so no extension is) and the automaton sits in a
+state that reaches no live state.  On every word of L the predicted
+values are compared, for every letter, with values read off the
+Cayley ball's edge labels (BallCocycles), the relator logs its
+construction already computed; elements those tables cannot reach are
+evaluated by the string route.  The mismatches, and their order, are
+those of the exhaustive walk over all words.
 """
 
 from __future__ import annotations
@@ -22,20 +35,21 @@ from typing import Optional
 
 from .abelian import FGAElement
 from .errors import (
+    BallTooSmall,
     ResourceBound,
     SynthesisInconsistent,
     ValueSetUnstable,
 )
-from .automata import FSA
-from .extension import CentralExtension, sigma_q, sigma_rho
+from .automata import FSA, coaccessible
+from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from .words import (
     CayleyBall,
     Presentation,
     QGConstants,
     Word,
     build_ball,
-    is_quasigeodesic,
     normal_form,
+    qg_min_distances,
     state_cap,
 )
 
@@ -75,7 +89,9 @@ class _TailScheme:
         if sig == _DEAD:
             return _DEAD
         out = {}
-        for d, proxy in sig:
+        # sorted: which normal forms get computed before an early exit
+        # must not depend on the string hash seed
+        for d, proxy in sorted(sig):
             nxt = self._nf(proxy + x)
             delta = len(nxt) - len(proxy)
             d2 = d + 1 - delta
@@ -375,22 +391,77 @@ def build_L_automaton(
     return fsa
 
 
-def _validate_L(fsa: FSA, lspec: LanguageSpec, R: int, ball: CayleyBall):
+def _walk(
+    lspec: LanguageSpec,
+    R: int,
+    ball: CayleyBall,
+    graph: FSA,
+    live: frozenset,
+    inverted: bool,
+    tag: tuple = (),
+    on_member=None,
+) -> list:
+    """The validation walk over all words of length <= R, breadth-first.
+
+    Each word w is judged once: w is in L iff every suffix of every
+    prefix passes the quasi-geodesic bound, so a node carries the ball
+    indices of its suffixes and a child tests only its new suffixes, with
+    integer thresholds.  The automaton state is carried along too (read
+    on the letter-inverted tape when `inverted`).  A subtree is skipped
+    only when its root is not in L, so neither is any extension, and the
+    state cannot reach a live state, so no extension is accepted either.
+
+    Returns the mismatches: tag + (w, in_L, got_live) for membership,
+    plus whatever on_member(w, state, element index) returns for the
+    words that are in L and live, in the order of a full breadth-first
+    walk.
+    """
+    if ball.radius < R:
+        n = ball.radius + 1
+        raise BallTooSmall(
+            f"word of length {n} needs a ball of radius >= {n}, have {ball.radius}"
+        )
     alpha = lspec.presentation.alphabet
-    mismatches = []
-    frontier = [("", fsa.initial)]
-    for _ in range(R + 1):
-        nxt = []
-        for w, s in frontier:
-            expected = is_quasigeodesic(ball, w, lspec.lam, Fraction(lspec.nu))
-            got = s in fsa.accepting
-            if expected != got:
-                mismatches.append((w, expected, got))
-            for x in alpha.letters:
-                if len(w) < R:
-                    nxt.append((w + x, fsa.step(s, x)))
+    letters = alpha.letters
+    tape = [alpha.index(alpha.inverse[x]) if inverted else i for i, x in enumerate(letters)]
+    need = qg_min_distances(lspec.lam, lspec.nu, R)
+    dist = ball.distances
+    edges = ball.edges
+    trans = graph.transitions
+    doomed = frozenset(range(graph.n_states)) - coaccessible(
+        FSA(graph.alphabet, trans, graph.initial, live)
+    )
+    mismatches: list = []
+    # (w, state, ball indices of w[i:] for i = 0..|w|) with None for the
+    # indices once w has left L
+    frontier: list = [("", graph.initial, (0,))]
+    for depth in range(R + 1):
+        nxt: list = []
+        for w, s, sfx in frontier:
+            in_L = sfx is not None
+            got = s in live
+            if in_L != got:
+                mismatches.append(tag + (w, in_L, got))
+            elif in_L and on_member is not None:
+                mismatches.extend(on_member(w, s, sfx[0]))
+            if depth == R or (not in_L and s in doomed):
+                continue
+            row = trans[s]
+            for i, x in enumerate(letters):
+                child = None
+                if in_L:
+                    child = tuple(edges[j][x] for j in sfx) + (0,)
+                    for k, j in enumerate(child[:-1]):
+                        if dist[j] < need[depth + 1 - k]:
+                            child = None
+                            break
+                nxt.append((w + x, row[tape[i]], child))
         frontier = nxt
-    return ValidationReport(R, tuple(mismatches))
+    return mismatches
+
+
+def _validate_L(fsa: FSA, lspec: LanguageSpec, R: int, ball: CayleyBall):
+    return ValidationReport(R, tuple(_walk(lspec, R, ball, fsa, fsa.accepting, False)))
 
 
 def build_predictor_family(
@@ -472,31 +543,57 @@ def validate_family(
 
     Checks, for every word w with |w| <= R: membership agreement with the
     quasi-geodesic test, and for members the predicted value against the
-    direct cocycle value for every letter.  For the reversed kind the
+    cocycle value for every letter.  For the reversed kind the
     membership/value pair is checked on the letter-inverted tape.
+    Expected values come from the ball's edge labels (BallCocycles); an
+    element outside their reach is evaluated by the string route.
     """
     lspec = fam.lspec
     alpha = lspec.presentation.alphabet
+    letters = alpha.letters
     ball = ball or build_ball(lspec.presentation, R)
-    mismatches = []
-    frontier = [("", "")]  # (L-word w, tape word)
-    for _ in range(R + 1):
-        nxt = []
-        for w, tape in frontier:
-            in_L = is_quasigeodesic(ball, w, lspec.lam, Fraction(lspec.nu))
-            s = fam.graph.run(tape)
-            got_live = s in fam.live
-            if in_L != got_live:
-                mismatches.append(("membership", w, in_L, got_live))
-            elif in_L:
-                for x in alpha.letters:
-                    expected = _direct_value(ext, fam.kind, tape, x)
-                    got = fam.values[x][s]
-                    if expected != got:
-                        mismatches.append(("value", w, x, expected, got))
-            if len(w) < R:
-                for x in alpha.letters:
-                    t = x if fam.kind != RHO_RIGHT_REVERSED else alpha.inverse[x]
-                    nxt.append((w + x, tape + t))
-        frontier = nxt
+    cocycles = BallCocycles(ext, ball)
+    kind = fam.kind
+    group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
+    if kind == Q_LEFT:
+        def value(g, xi):
+            return cocycles.q_left(g, xi)
+    elif kind == RHO_LEFT:
+        def value(g, xi):
+            return cocycles.rho_left[g][xi]
+    else:
+        def value(g, xi):
+            h = cocycles.inverse[g]
+            return None if h is None else cocycles.rho_right[xi][h]
+    # predicted values as coordinate tuples; a value in the wrong group
+    # never equals an expected one
+    got = [
+        [v.coords() if v is not None and v.group == group else v for v in fam.values[x]]
+        for x in letters
+    ]
+    expected_of: dict[int, tuple] = {}
+
+    def on_member(w, s, g):
+        exp = expected_of.get(g)
+        if exp is None:
+            exp = expected_of[g] = tuple(value(g, xi) for xi in range(len(letters)))
+        out = []
+        for xi, x in enumerate(letters):
+            e = exp[xi]
+            if e is None:
+                tape = w if kind != RHO_RIGHT_REVERSED else "".join(
+                    alpha.inverse[c] for c in w
+                )
+                direct = _direct_value(ext, kind, tape, x)
+                if direct != fam.values[x][s]:
+                    out.append(("value", w, x, direct, fam.values[x][s]))
+            elif e != got[xi][s]:
+                expected = group.element(e[: group.rank], e[group.rank :])
+                out.append(("value", w, x, expected, fam.values[x][s]))
+        return out
+
+    mismatches = _walk(
+        lspec, R, ball, fam.graph, fam.live, kind == RHO_RIGHT_REVERSED,
+        ("membership",), on_member,
+    )
     return ValidationReport(R, tuple(mismatches))

@@ -178,7 +178,8 @@ class Presentation:
                                 bucket.append(entry)
         max_len = max((len(u) for u in shorten), default=0)
         min_len = min((len(u) for u in shorten), default=0)
-        tables = (shorten, swaps, max_len, min_len)
+        swap_max = max((len(u) for u in swaps), default=0)
+        tables = (shorten, swaps, max_len, min_len, swap_max)
         object.__setattr__(self, "_tables", tables)
         return tables
 
@@ -256,7 +257,7 @@ def _reduce_with_log(
     which makes the result a normal form usable as a section of the group.
     """
     alpha = p.alphabet
-    shorten, swaps, max_len, min_len = p.tables
+    shorten, swaps, max_len, min_len, swap_max = p.tables
     w = alpha.free_reduce(w)
     log: RelatorLog = []
     while True:
@@ -273,7 +274,6 @@ def _reduce_with_log(
         visited: dict[Word, RelatorLog] = {w: log}
         queue = [w]
         restart = None
-        swap_max = max(len(u) for u in swaps)
         while queue and restart is None:
             cur = queue.pop(0)
             cur_log = visited[cur]
@@ -305,6 +305,8 @@ def _reduce_with_log(
         if restart is not None:
             w, log = restart
             continue
+        if len(visited) == 1:
+            return w, log
         best = min(visited, key=alpha.shortlex_key)
         return best, visited[best]
 
@@ -327,7 +329,7 @@ def dehn_reduce(
                 f"presentation is not C'(1/6): piece {report.violations[0][0]!r}"
             )
         alpha = p.alphabet
-        shorten, _, max_len, min_len = p.tables
+        shorten, _, max_len, min_len, _ = p.tables
         w = alpha.free_reduce(w)
         log: RelatorLog = []
         while shorten:
@@ -364,7 +366,12 @@ class CayleyBall:
     """All group elements within a given radius, with shortlex normal forms.
 
     `edges[i][x]` is the index of element_i * x when that product stays in
-    the ball, else None.
+    the ball, else None.  `logs[i][k]` holds the signed relator counts
+    logged while reducing words[i] + letters[k] to its normal form, for
+    every element and letter, boundary edges included: the edge's kernel
+    label.  `parents[i]` is the index of words[i][:-1] when that prefix is
+    itself in the ball and its edge by the last letter leads back to i,
+    else None (always None for the identity).
     """
 
     presentation: Presentation
@@ -373,6 +380,8 @@ class CayleyBall:
     index: dict[Word, int]
     distances: list[int]
     edges: list[dict[str, Optional[int]]]
+    logs: list[tuple[tuple[int, ...], ...]]
+    parents: list[Optional[int]]
 
     def __len__(self) -> int:
         return len(self.words)
@@ -399,36 +408,55 @@ class CayleyBall:
 def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall:
     """BFS enumeration of the ball of radius R around the identity."""
     cap = cap if cap is not None else state_cap()
+    nrel = len(p.relators)
+    zero = (0,) * nrel
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def counts(log) -> tuple[int, ...]:
+        if not log:
+            return zero
+        acc = [0] * nrel
+        for k, sign, _pos in log:
+            acc[k] += sign
+        c = tuple(acc)
+        return shared.setdefault(c, c)
+
     words = [""]
     index = {"": 0}
     distances = [0]
-    edges: list[dict[str, Optional[int]]] = [{}]
+    edges: list[dict[str, Optional[int]]] = []
+    logs: list[tuple[tuple[int, ...], ...]] = []
+    # elements are expanded in index order, so edges[i] and logs[i] line
+    # up with words[i]; the last level only looks up its outgoing edges
     frontier = [0]
-    for dist in range(1, R + 1):
+    for dist in range(R + 1):
         nxt_frontier = []
         for i in frontier:
             w = words[i]
+            row: dict[str, Optional[int]] = {}
+            row_logs = []
             for x in p.alphabet.letters:
-                nf = normal_form(p, w + x)
+                nf, log = normal_form_with_log(p, w + x)
+                row_logs.append(counts(log))
                 j = index.get(nf)
-                if j is None:
+                if j is None and dist < R:
                     if len(words) >= cap:
                         raise ResourceBound(f"ball exceeds cap {cap}")
                     j = len(words)
                     index[nf] = j
                     words.append(nf)
-                    distances.append(dist)
-                    edges.append({})
+                    distances.append(dist + 1)
                     nxt_frontier.append(j)
-                edges[i][x] = j
+                row[x] = j
+            edges.append(row)
+            logs.append(tuple(row_logs))
         frontier = nxt_frontier
-    # boundary elements: products may leave the ball
-    for i in frontier:
-        w = words[i]
-        for x in p.alphabet.letters:
-            nf = normal_form(p, w + x)
-            edges[i][x] = index.get(nf)
-    return CayleyBall(p, R, words, index, distances, edges)
+    parents: list[Optional[int]] = [None] * len(words)
+    for j in range(1, len(words)):
+        i = index.get(words[j][:-1])
+        if i is not None and i < j and edges[i][words[j][-1]] == j:
+            parents[j] = i
+    return CayleyBall(p, R, words, index, distances, edges, logs, parents)
 
 
 @dataclass(frozen=True)
@@ -481,26 +509,38 @@ def derive_qg_constants(
     )
 
 
+def qg_min_distances(lam: Fraction, nu: Fraction, n: int) -> list[int]:
+    """need[m] for m <= n: the least d(1, w') a subword w' of length m may
+    have, ceil(m/lam - nu), computed with integers cross-multiplied from
+    lam = a/b and nu = c/e: d >= m/lam - nu iff a*e*d >= b*e*m - a*c."""
+    lam = Fraction(lam)
+    nu = Fraction(nu)
+    a, b = lam.numerator, lam.denominator
+    c, e = nu.numerator, nu.denominator
+    return [-((a * c - b * e * m) // (a * e)) for m in range(n + 1)]
+
+
 def is_quasigeodesic(
     ball: CayleyBall, w: Word, lam: Fraction, nu: Fraction
 ) -> bool:
     """True iff every subword w' of w satisfies d(1, w') >= |w'|/lam - nu."""
     if lam < 1:
         raise ValueError("lam must be >= 1")
-    lam = Fraction(lam)
-    nu = Fraction(nu)
     n = len(w)
     if n > ball.radius:
         raise BallTooSmall(
             f"word of length {n} needs a ball of radius >= {n}, have {ball.radius}"
         )
+    need = qg_min_distances(lam, nu, n)
+    edges = ball.edges
+    distances = ball.distances
     for i in range(n):
         cur = 0
         for j in range(i + 1, n + 1):
-            nxt = ball.edges[cur].get(w[j - 1])
+            nxt = edges[cur].get(w[j - 1])
             if nxt is None:
                 raise BallTooSmall("subword walk left the ball")
             cur = nxt
-            if ball.distances[cur] < Fraction(j - i) / lam - nu:
+            if distances[cur] < need[j - i]:
                 return False
     return True
