@@ -1,6 +1,6 @@
 """Deterministic finite automata and the constructions the pipeline needs:
-reachable products with bespoke accepting predicates, re-rooting, reversal,
-inverse images under monoid morphisms, minimization and bounded enumeration.
+reachable products with bespoke accepting predicates, restricted accepting
+sets, co-accessibility and bounded enumeration.
 
 All automata are complete DFAs; partiality is encoded by an ordinary state
 whose language happens to be empty (a sink).
@@ -53,20 +53,6 @@ class FSA:
         return self.run(w) in self.accepting
 
 
-def run(M: FSA, w: Word) -> int:
-    return M.run(w)
-
-
-def accepts(M: FSA, w: Word) -> bool:
-    return M.accepts(w)
-
-
-def reroot(M: FSA, s: int) -> FSA:
-    if not 0 <= s < M.n_states:
-        raise UnknownState(f"state {s} out of range")
-    return FSA(M.alphabet, M.transitions, s, M.accepting)
-
-
 def restrict_accepting(M: FSA, states: Iterable[int]) -> FSA:
     states = frozenset(states)
     if not states <= set(range(M.n_states)):
@@ -113,139 +99,6 @@ def product(
     )
     fsa = FSA(alpha, tuple(tuple(r) for r in rows), 0, accepting)
     return fsa, tuples
-
-
-def reverse(M: FSA, cap: Optional[int] = None) -> FSA:
-    """DFA for the reversed language, via reversal plus subset construction."""
-    cap = cap if cap is not None else state_cap()
-    nletters = len(M.alphabet.letters)
-    back: list[list[list[int]]] = [
-        [[] for _ in range(nletters)] for _ in range(M.n_states)
-    ]
-    for s, row in enumerate(M.transitions):
-        for xi, t in enumerate(row):
-            back[t][xi].append(s)
-    start = frozenset(M.accepting)
-    index = {start: 0}
-    subsets = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        row = []
-        for xi in range(nletters):
-            nxt = frozenset(p for s in cur for p in back[s][xi])
-            j = index.get(nxt)
-            if j is None:
-                if len(subsets) >= cap:
-                    raise ResourceBound(f"reversal exceeds cap {cap}")
-                j = len(subsets)
-                index[nxt] = j
-                subsets.append(nxt)
-                queue.append(nxt)
-            row.append(j)
-        rows.append(row)
-    accepting = frozenset(i for i, sub in enumerate(subsets) if M.initial in sub)
-    return FSA(M.alphabet, tuple(tuple(r) for r in rows), 0, accepting)
-
-
-@dataclass(frozen=True)
-class MonoidMorphism:
-    """Letter-to-word substitution Y* -> X*."""
-
-    source: Alphabet
-    target: Alphabet
-    image: dict[str, Word]
-
-    def __post_init__(self):
-        for y in self.source.letters:
-            w = self.image.get(y)
-            if w is None:
-                raise ValueError(f"morphism undefined on {y!r}")
-            self.target.check_word(w)
-            yi = self.source.inverse[y]
-            if yi in self.image and self.image[yi] != self.target.inverse_word(w):
-                raise ValueError(f"morphism not involution-compatible at {y!r}")
-
-    @classmethod
-    def identity(cls, alphabet: Alphabet) -> "MonoidMorphism":
-        return cls(alphabet, alphabet, {x: x for x in alphabet.letters})
-
-    def __call__(self, w: Word) -> Word:
-        return "".join(self.image[y] for y in w)
-
-
-def inverse_morphism(M: FSA, phi: MonoidMorphism) -> FSA:
-    """Automaton over Y accepting {w : M accepts phi(w)}; same state set."""
-    if phi.target != M.alphabet:
-        raise AlphabetMismatch("morphism target differs from automaton alphabet")
-    rows = []
-    for s in range(M.n_states):
-        rows.append(tuple(M.run(phi.image[y], start=s) for y in phi.source.letters))
-    return FSA(phi.source, tuple(rows), M.initial, M.accepting)
-
-
-def reachable(M: FSA) -> FSA:
-    """Restriction to reachable states, renumbered in BFS order."""
-    order = [M.initial]
-    index = {M.initial: 0}
-    queue = deque([M.initial])
-    while queue:
-        s = queue.popleft()
-        for t in M.transitions[s]:
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-                queue.append(t)
-    rows = tuple(
-        tuple(index[M.transitions[s][xi]] for xi in range(len(M.alphabet.letters)))
-        for s in order
-    )
-    accepting = frozenset(index[s] for s in M.accepting if s in index)
-    return FSA(M.alphabet, rows, 0, accepting)
-
-
-def minimize(M: FSA) -> FSA:
-    """Unique minimal complete DFA (Moore refinement, canonical numbering)."""
-    M = reachable(M)
-    n = M.n_states
-    nletters = len(M.alphabet.letters)
-    block = [1 if s in M.accepting else 0 for s in range(n)]
-    while True:
-        sig = {}
-        new = [0] * n
-        for s in range(n):
-            key = (block[s],) + tuple(block[M.transitions[s][xi]] for xi in range(nletters))
-            if key not in sig:
-                sig[key] = len(sig)
-            new[s] = sig[key]
-        if new == block:
-            break
-        block = new
-    # canonical order: BFS over blocks from the initial block
-    nblocks = max(block) + 1
-    rep = [None] * nblocks
-    for s in range(n):
-        if rep[block[s]] is None:
-            rep[block[s]] = s
-    order = [block[M.initial]]
-    index = {block[M.initial]: 0}
-    queue = deque(order)
-    while queue:
-        b = queue.popleft()
-        s = rep[b]
-        for xi in range(nletters):
-            tb = block[M.transitions[s][xi]]
-            if tb not in index:
-                index[tb] = len(order)
-                order.append(tb)
-                queue.append(tb)
-    rows = tuple(
-        tuple(index[block[M.transitions[rep[b]][xi]]] for xi in range(nletters))
-        for b in order
-    )
-    accepting = frozenset(index[block[s]] for s in M.accepting)
-    return FSA(M.alphabet, rows, 0, accepting)
 
 
 def is_empty(M: FSA) -> bool:

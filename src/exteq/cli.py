@@ -308,8 +308,11 @@ def _load_hints(path: Optional[str]):
     if not path:
         return ()
     obj = files.load_json(path)
-    if not isinstance(obj, list) or not all(isinstance(h, dict) for h in obj):
+    if not isinstance(obj, list):
         raise ExtEqError(f"{path}: expected a list of assignment objects")
+    for i, hint in enumerate(obj):
+        if not isinstance(hint, dict) or not all(isinstance(w, str) for w in hint.values()):
+            raise ExtEqError(f"{path}[{i}]: expected an object mapping variables to words")
     return tuple(obj)
 
 
@@ -328,12 +331,13 @@ def cmd_solve(args) -> int:
         theta_cap=args.theta_cap,
         cap=args.cap,
     )
+    hints = _load_hints(args.hints)
     pipe = _build_pipeline(ext, cfg)
     out = solve(sys_, pipe, SolveConfig(
         oracle_bound=cfg.oracle_bound,
         mode=cfg.mode,
         theta_cap=cfg.theta_cap,
-        gamma_hints=_load_hints(args.hints),
+        gamma_hints=hints,
     ))
     payload = {"status": out.status, "report": out.report}
     lines = [f"verdict: {out.status}"]
@@ -370,9 +374,19 @@ def cmd_solve(args) -> int:
 
 def cmd_lift(args) -> int:
     cert = files.load_json(args.certificate)
+    if not isinstance(cert, dict):
+        raise ExtEqError(f"{args.certificate}: expected an object")
     for key in ("assignment", "extension_digest", "equations_digest"):
         if key not in cert:
             raise ExtEqError(f"{args.certificate}: missing {key}")
+    if not isinstance(cert["assignment"], dict):
+        raise ExtEqError(f"{args.certificate}.assignment: expected an object")
+    for x, v in cert["assignment"].items():
+        if not (isinstance(v, dict) and isinstance(v.get("g"), str)
+                and isinstance(v.get("a"), list)
+                and all(isinstance(k, int) for k in v["a"])):
+            raise ExtEqError(f'{args.certificate}.assignment.{x}: expected '
+                             '{"g": word, "a": list of integers}')
     if not args.verify:
         _emit(args, {"assignment": cert["assignment"]},
               [f"{x} = ({v['g'] or '1'}, {v['a']})"
@@ -467,6 +481,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def radius(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"radius must be >= 0, got {value}")
+    return value
+
+
 def _add_build_args(p):
     p.add_argument("--r-learn", type=int, default=4)
     p.add_argument("--r-validate", type=int, default=6)
@@ -488,13 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball")
     p.add_argument("input")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=radius, required=True)
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=cmd_ball)
 
     p = sub.add_parser("cocycle-table")
     p.add_argument("input")
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=radius, default=2)
     p.set_defaults(fn=cmd_cocycle_table)
 
     for name, fn in (("build-automata", cmd_build_automata),
@@ -508,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-invariants")
     p.add_argument("input")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=radius, required=True)
     _add_build_args(p)
     p.set_defaults(fn=cmd_verify_invariants)
 
@@ -525,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("sound", "finite-complete"),
                    default="sound")
     p.add_argument("--theta-cap", type=int, default=1000)
-    p.add_argument("--ball-radius", type=int, default=None)
+    p.add_argument("--ball-radius", type=radius, default=None)
     p.add_argument("--hints", default=None,
                    help="JSON list of base-group assignments to try first")
     p.add_argument("--cert", default=None,

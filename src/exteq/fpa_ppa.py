@@ -144,15 +144,11 @@ def fpa_branch(F: FPA, s: int) -> FSA:
     return restrict_accepting(F.product, [s])
 
 
-def fpa_reroot(F: FPA, s: int) -> FSA:
-    """M_{s̄}: same automaton started at s̄."""
+def is_compatible(F: FPA, s: int, v: Word) -> bool:
+    """Whether v read from s̄ stays in L, i.e. wv is in L for w in L(s̄)."""
     if s not in F.T:
         raise NotAcceptingState(f"state {s} not in T")
-    return FSA(F.product.alphabet, F.product.transitions, s, F.product.accepting)
-
-
-def is_compatible(F: FPA, s: int, v: Word) -> bool:
-    return fpa_reroot(F, s).accepts(v)
+    return F.product.run(v, start=s) in F.product.accepting
 
 
 def shortest_witness(F: FPA, s: int) -> Word:
@@ -175,38 +171,17 @@ def shortest_witness(F: FPA, s: int) -> Word:
     raise EmptyBranch(f"state {s} unreachable")
 
 
-def sigma_q_of_state(
-    F: FPA, s: int, v: Word, route: str = "state", ext: Optional[CentralExtension] = None
-) -> FGAElement:
-    """sigma_q(s̄, v) = sigma_q(w, v) for any w in L(s̄).
-
-    route "state" accumulates a(cur, x) - a(initial-walk, x) along v using
-    only automaton readouts; route "witness" evaluates the cocycle at the
-    shortest witness word; route "check" runs both and asserts agreement.
-    """
-    ext = ext or F.ext
-    if s not in F.T:
-        raise NotAcceptingState(f"state {s} not in T")
+def sigma_q_of_state(F: FPA, s: int, v: Word) -> FGAElement:
+    """sigma_q(s̄, v) = sigma_q(w, v) for any w in L(s̄), accumulated as
+    a(cur, x) - a(initial-walk, x) along v from automaton readouts only."""
     if not is_compatible(F, s, v):
         raise Incompatible(f"{v!r} is not compatible with state {s}")
-    if route in ("witness", "check"):
-        w = shortest_witness(F, s)
-        witness_value = sigma_q(ext, w, v)
-        if route == "witness":
-            return witness_value
-    acc = ext.pushout_kernel.zero()
+    acc = F.ext.pushout_kernel.zero()
     cur, icur = s, F.product.initial
     for x in v:
         acc = acc + F.a_of(cur, x) - F.a_of(icur, x)
         cur = F.product.step(cur, x)
         icur = F.product.step(icur, x)
-    if route == "check" and acc != witness_value:
-        raise AssertionError(
-            f"state route {acc.coords()} != witness route "
-            f"{witness_value.coords()} at state {s}, v={v!r}"
-        )
-    if route not in ("state", "check"):
-        raise ValueError(f"unknown route {route!r}")
     return acc
 
 
@@ -326,36 +301,33 @@ def _language_by_state(F: FPA, R: int):
     return groups
 
 
-def check_fpa_key_property(
-    F: FPA, R: int, R_v: Optional[int] = None, ext: Optional[CentralExtension] = None
-) -> CheckReport:
+def check_fpa_key_property(F: FPA, R: int, R_v: Optional[int] = None) -> CheckReport:
     """sigma_q(w1, v) = sigma_q(w2, v) for all w1, w2 in the same L(s̄)
     and every compatible v, exhaustively to |w| <= R, |v| <= R_v.
 
     Also cross-checks the state-route evaluation against the direct
     cocycle value.
     """
-    ext = ext or F.ext
+    ext = F.ext
     R_v = R if R_v is None else R_v
     counterexamples = []
     groups = _language_by_state(F, R)
     for s, ws in groups.items():
-        rerooted = fpa_reroot(F, s)
         vs = [("", s)]
         compatible: list[Word] = []
         for _ in range(R_v + 1):
             nxt = []
             for v, cur in vs:
-                if cur in rerooted.accepting:
+                if cur in F.product.accepting:
                     compatible.append(v)
                 if len(v) < R_v:
                     for x in F.product.alphabet.letters:
-                        nxt.append((v + x, rerooted.step(cur, x)))
+                        nxt.append((v + x, F.product.step(cur, x)))
             vs = nxt
         baseline = ws[0]
         for v in compatible:
             expect = sigma_q(ext, baseline, v)
-            state_value = sigma_q_of_state(F, s, v, ext=ext)
+            state_value = sigma_q_of_state(F, s, v)
             if state_value != expect:
                 counterexamples.append(("state-route", s, baseline, v))
             for w in ws[1:]:
@@ -364,12 +336,10 @@ def check_fpa_key_property(
     return CheckReport(R, tuple(counterexamples))
 
 
-def check_ppa_key_property(
-    D: PPA, ext: Optional[CentralExtension] = None, R: int = 6
-) -> CheckReport:
+def check_ppa_key_property(D: PPA, R: int = 6) -> CheckReport:
     """Pa(sigma_rho(w, w^-1)) equals the accumulator branch of every
     accepted w with |w| <= R; L-prefixes never reach the sink."""
-    ext = ext or D.ext
+    ext = D.ext
     alpha = D.fsa.alphabet
     counterexamples = []
     frontier = [("", D.fsa.initial)]

@@ -1,16 +1,18 @@
 """Reduction of equation systems over a central extension to constrained
-systems over a free lift group and over the abelian kernel.
+systems over the free group on the base generators and over the abelian
+kernel.
 
 A system over E is triangularized into three-symbol rows, projected to
 the base group, and fanned out over the finite index set Theta of tuples
-(c, sbar, b, d).  Each index yields a tripod system V_t over Y-words
-with rational constraints and an abelian linear system W_t; the source
-system is solvable iff some V_t and W_t both are, and a joint solution
-lifts back to E through the symmetric section with every step of the
-lift re-verified by direct multiplication.
+(c, sbar, b, d).  Each index yields a tripod system V_t over words in
+the base generators X, with rational constraints read straight off the
+L-side automata, and an abelian linear system W_t; the source system is
+solvable iff some V_t and W_t both are, and a joint solution lifts back
+to E through the symmetric section with every step of the lift
+re-verified by direct multiplication.
 
-The stand-in for the lift group is the free group on Y = X with the
-identity morphism.  On a finite base group this suffices for
+V_t is solved in the free group on X, whose words map to the base group
+by taking normal forms.  On a finite base group this suffices for
 completeness: every base-group solution admits the trivial tripod
 decomposition p = 1, c = nf(g), whose index tuple ("witness tuple") the
 driver constructs directly instead of scanning the full Theta stream.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from .abelian import (
     AbelianLinearSystem,
@@ -38,7 +40,7 @@ from .abelian import (
     smith_normal_form,
     solve_linear_system,
 )
-from .automata import FSA, MonoidMorphism, inverse_morphism, words_up_to
+from .automata import FSA, words_up_to
 from .errors import (
     AccumulatorBound,
     BallTooSmall,
@@ -72,7 +74,6 @@ from .fpa_ppa import (
     sigma_q_of_state,
 )
 from .words import (
-    Alphabet,
     CayleyBall,
     Presentation,
     Word,
@@ -341,41 +342,30 @@ def extend_to_fresh(
     return {v: values[v] for v in tri.variables if v in values}
 
 
-# -- the lift-group context ---------------------------------------------
+# -- the V-group context ------------------------------------------------
 
 
 @dataclass(frozen=True)
 class VGroupContext:
-    """Free group on Y with a monoid morphism onto X-words.
+    """The free group on the base generators, in which V_t is solved.
 
-    Group arithmetic is free reduction over Y; the projection to the
-    base group factors through phi, giving the commutative square the
-    constraint lemmas rely on.  kappa2 bounds the c-words of Theta.
+    Group arithmetic is free reduction over base.alphabet; a V-word's
+    base-group element is its normal form.  kappa2 bounds the c-words of
+    Theta.
     """
 
-    alphabet: Alphabet
-    phi: MonoidMorphism
     base: Presentation
     kappa2: int
 
     def __post_init__(self):
         if self.kappa2 < 0:
             raise ValueError("kappa2 must be >= 0")
-        if self.phi.source != self.alphabet or self.phi.target != self.base.alphabet:
-            raise ValueError("morphism does not map Y-words to base words")
-
-    @classmethod
-    def free(cls, base: Presentation, kappa2: int) -> "VGroupContext":
-        return cls(base.alphabet, MonoidMorphism.identity(base.alphabet), base, kappa2)
 
     def reduce(self, w: Word) -> Word:
-        return self.alphabet.free_reduce(w)
+        return self.base.alphabet.free_reduce(w)
 
     def inverse(self, w: Word) -> Word:
-        return self.alphabet.inverse_word(w)
-
-    def project(self, w: Word) -> Word:
-        return normal_form(self.base, self.phi(w))
+        return self.base.alphabet.inverse_word(w)
 
 
 # -- Theta --------------------------------------------------------------
@@ -384,7 +374,7 @@ class VGroupContext:
 @dataclass(frozen=True)
 class ThetaIndex:
     """One index tuple (c, sbar, b, d) with the derived end states and
-    cocycle constants a = sigma_q(sbar, phi(c))."""
+    cocycle constants a = sigma_q(sbar, c)."""
 
     c: tuple[tuple[Word, Word, Word], ...]
     s: tuple[tuple[int, int, int], ...]
@@ -402,18 +392,16 @@ class ThetaIndex:
         }
 
 
-def make_theta(F: FPA, ctx: VGroupContext, c, s, b, d) -> ThetaIndex:
+def make_theta(F: FPA, c, s, b, d) -> ThetaIndex:
     sp = []
     a = []
     for i in range(len(c)):
         sp_row = []
         a_row = []
         for j in range(3):
-            cx = ctx.phi(c[i][j])
-            if not is_compatible(F, s[i][j], cx):
-                raise Incompatible(f"state {s[i][j]} incompatible with {cx!r}")
-            sp_row.append(F.product.run(cx, start=s[i][j]))
-            a_row.append(sigma_q_of_state(F, s[i][j], cx))
+            # sigma_q_of_state raises unless s̄ is in T and c compatible
+            a_row.append(sigma_q_of_state(F, s[i][j], c[i][j]))
+            sp_row.append(F.product.run(c[i][j], start=s[i][j]))
         sp.append(tuple(sp_row))
         a.append(tuple(a_row))
     return ThetaIndex(
@@ -455,18 +443,18 @@ def enumerate_theta(
     n = len(tri.rows)
     words = [
         w
-        for w in words_up_to(ctx.alphabet, ctx.kappa2)
-        if ctx.alphabet.is_freely_reduced(w)
+        for w in words_up_to(base.alphabet, ctx.kappa2)
+        if base.alphabet.is_freely_reduced(w)
     ]
     bucket: dict[Word, list[Word]] = {}
     for w in words:
-        bucket.setdefault(ctx.project(w), []).append(w)
+        bucket.setdefault(normal_form(base, w), []).append(w)
 
     def gen_c_rows():
         # third component bucketed by its base-group value, so only
         # triples with trivial row product are ever formed
         for c1, c2 in itertools.product(words, repeat=2):
-            g12 = ctx.project(c1 + c2)
+            g12 = normal_form(base, c1 + c2)
             for c3 in bucket.get(normal_form(base, base.alphabet.inverse_word(g12)), ()):
                 yield (c1, c2, c3)
 
@@ -486,11 +474,11 @@ def enumerate_theta(
                 pinned[sym] = pa(sigma_rho(ext, g, base.alphabet.inverse_word(g)))
     a_cache: dict = {}
 
-    def A_of(sbar: int, cx: Word):
-        key = (sbar, cx)
+    def A_of(sbar: int, c: Word):
+        key = (sbar, c)
         if key not in a_cache:
             a_cache[key] = sorted(
-                compute_A_set(F, sbar, cx), key=lambda x: x.coords()
+                compute_A_set(F, sbar, c), key=lambda x: x.coords()
             )
         return a_cache[key]
 
@@ -500,8 +488,7 @@ def enumerate_theta(
         viable = True
         for i in range(n):
             for j in range(3):
-                cx = ctx.phi(c_mat[i][j])
-                opts = [sb for sb in T if is_compatible(F, sb, cx)]
+                opts = [sb for sb in T if is_compatible(F, sb, c_mat[i][j])]
                 if not opts:
                     viable = False
                     break
@@ -512,8 +499,7 @@ def enumerate_theta(
             continue
         for s_flat in itertools.product(*s_opts):
             b_opts = [
-                A_of(s_flat[k], ctx.phi(c_mat[k // 3][k % 3]))
-                for k in range(3 * n)
+                A_of(s_flat[k], c_mat[k // 3][k % 3]) for k in range(3 * n)
             ]
             if any(not opts for opts in b_opts):
                 continue
@@ -532,7 +518,7 @@ def enumerate_theta(
                     d_mat = tuple(
                         tuple(dmap[sym] for sym in row) for row in tri.rows
                     )
-                    yield make_theta(F, ctx, c_mat, s_mat, b_mat, d_mat)
+                    yield make_theta(F, c_mat, s_mat, b_mat, d_mat)
                     count += 1
                     if cap is not None and count >= cap:
                         raise ResourceBound(f"theta stream exceeded cap {cap}")
@@ -550,12 +536,9 @@ def witness_theta(
     tripod decomposition p = 1, c = nf(g), plus the matching V-solution.
 
     With that decomposition every sbar is the initial state and every a
-    and b vanishes; d is the parity of each cell's element.  Requires
-    the identity morphism (c-words are normal forms re-read over Y).
+    and b vanishes; d is the parity of each cell's element.
     """
     base = ctx.base
-    if any(ctx.phi(y) != y for y in ctx.alphabet.letters):
-        raise ValueError("witness construction needs the identity morphism")
     init = F.product.initial
     if init not in F.T:
         raise NotAcceptingState("initial state not accepting; empty word not in L")
@@ -586,7 +569,6 @@ def witness_theta(
     n = len(tri.rows)
     t = make_theta(
         F,
-        ctx,
         c_rows,
         [(init,) * 3] * n,
         [(zero_b,) * 3] * n,
@@ -598,12 +580,14 @@ def witness_theta(
 # -- the A sets and their level automata --------------------------------
 
 
-def _ab_graph(F: FPA, sbar: int, cx: Word, cap: Optional[int]):
+def _ab_graph(F: FPA, sbar: int, c: Word, cap: Optional[int]):
     """BFS graph over (state-from-s', state-from-initial, accumulator)
     triples; the accumulator is the chain-rule value sigma_q(s', w)."""
-    if not is_compatible(F, sbar, cx):
-        raise Incompatible(f"{cx!r} not compatible with state {sbar}")
-    sprime = F.product.run(cx, start=sbar)
+    if sbar not in F.T:
+        raise NotAcceptingState(f"state {sbar} not in T")
+    sprime = F.product.run(c, start=sbar)
+    if sprime not in F.product.accepting:
+        raise Incompatible(f"{c!r} not compatible with state {sbar}")
     cap = cap if cap is not None else state_cap()
     letters = F.product.alphabet.letters
     zero = F.ext.pushout_kernel.zero()
@@ -643,32 +627,21 @@ def _ab_graph(F: FPA, sbar: int, cx: Word, cap: Optional[int]):
 
 
 def compute_A_set(
-    F: FPA,
-    sbar: int,
-    c: Word,
-    phi: Optional[MonoidMorphism] = None,
-    cap: Optional[int] = None,
+    F: FPA, sbar: int, c: Word, cap: Optional[int] = None
 ) -> frozenset:
     """The finite value set A(sbar, c) = {sigma_q(s', w) : w compatible
     with the end state s' of c read from sbar}."""
-    cx = phi(c) if phi else c
-    _, _, values = _ab_graph(F, sbar, cx, cap)
+    _, _, values = _ab_graph(F, sbar, c, cap)
     return frozenset(values)
 
 
 def build_Lb_automaton(
-    F: FPA,
-    sbar: int,
-    c: Word,
-    b: FGAElement,
-    phi: Optional[MonoidMorphism] = None,
-    cap: Optional[int] = None,
+    F: FPA, sbar: int, c: Word, b: FGAElement, cap: Optional[int] = None
 ) -> FSA:
     """DFA for L(b) = {w compatible with s' : sigma_q(s', w) = b}."""
-    cx = phi(c) if phi else c
-    states, rows, values = _ab_graph(F, sbar, cx, cap)
+    states, rows, values = _ab_graph(F, sbar, c, cap)
     if b not in values:
-        raise ValueNotInASet(f"{b.coords()} not in A(sbar={sbar}, c={cx!r})")
+        raise ValueNotInASet(f"{b.coords()} not in A(sbar={sbar}, c={c!r})")
     accepting = frozenset(
         i
         for i, st in enumerate(states)
@@ -749,10 +722,10 @@ def _w_name(sym: str) -> str:
 @dataclass
 class VSystem:
     """Tripod equations p_j c_j p_{j+1}^-1 = v_j with rational
-    constraints, all over Y-words.
+    constraints, all over words in the base generators.
 
     Constraints are (automaton, inverted) pairs; an inverted constraint
-    holds when the automaton accepts the Y-inverse of the assigned word.
+    holds when the automaton accepts the inverse of the assigned word.
     Cells sharing an equation symbol share their v variable; all p
     variables are distinct.
     """
@@ -808,15 +781,11 @@ def build_Vt(
     cap: Optional[int] = None,
 ) -> VSystem:
     """Attach all four constraint families of the index tuple:
-    p in phi^-1(L(sbar)), p_next^-1 in phi^-1(L(b)),
-    v in phi^-1(L(d)), and v in phi^-1(L(e))."""
-    phi = ctx.phi
+    p in L(sbar), p_next^-1 in L(b), v in L(d), and v in L(e)."""
     constraints: dict[str, list] = {}
 
     def add(name, fsa, inverted=False):
-        constraints.setdefault(name, []).append(
-            (inverse_morphism(fsa, phi), inverted)
-        )
+        constraints.setdefault(name, []).append((fsa, inverted))
 
     L_full = F.product
     p_names = []
@@ -826,7 +795,7 @@ def build_Vt(
         v_names.append(tuple(_v_name(sym) for sym in row))
         for j, sym in enumerate(row):
             add(_p_name(i, j), fpa_branch(F, t.s[i][j]))
-            Lb = build_Lb_automaton(F, t.s[i][j], phi(t.c[i][j]), t.b[i][j], cap=cap)
+            Lb = build_Lb_automaton(F, t.s[i][j], t.c[i][j], t.b[i][j], cap=cap)
             add(_p_name(i, (j + 1) % 3), Lb, inverted=True)
             add(_v_name(sym), ppa_branch(D, t.d[i][j]))
             if sym in tri.constants:
@@ -908,19 +877,13 @@ class WSystem:
         return None
 
 
-def build_Wt(
-    t: ThetaIndex,
-    tri: TriangularSystem,
-    ext: CentralExtension,
-    ctx: Optional[VGroupContext] = None,
-) -> WSystem:
+def build_Wt(t: ThetaIndex, tri: TriangularSystem, ext: CentralExtension) -> WSystem:
     """One kernel equation per row: the w-variables of the row sum to
     iota1^-1(sum(a + b + iota4(d)) - sigma_q(pi(c1), pi(c2))), with
     constant cells contributing iota1^-1(iota2(e) q(p(e))^-1 iota4(d))
     moved to the right-hand side.  Any missing iota1-preimage makes the
     whole system the no-solution marker."""
     A = ext.kernel
-    phi = (lambda w: w) if ctx is None else ctx.phi
     d_of: dict[str, ParityElement] = {}
     for i, j, sym in tri.cells():
         if sym in d_of and d_of[sym] != t.d[i][j]:
@@ -948,7 +911,7 @@ def build_Wt(
         total = ext.pushout_kernel.zero()
         for j in range(3):
             total = total + t.a[i][j] + t.b[i][j] + iota4(t.d[i][j])
-        total = total - sigma_q(ext, phi(t.c[i][0]), phi(t.c[i][1]))
+        total = total - sigma_q(ext, t.c[i][0], t.c[i][1])
         try:
             rhs = iota1_inverse(total)
         except NotInImage:
@@ -978,15 +941,14 @@ class OracleOutcome:
 
 
 def vf_oracle_solve(V: VSystem, bound: int) -> OracleOutcome:
-    """Bounded brute force: p-variables range over constrained Y-words of
+    """Bounded brute force: p-variables range over constrained words of
     length <= bound, v-words are derived from the tripod equations (so
     may be up to 2*bound + kappa2 long), and constraint membership is
     tested on the searched words themselves.  Deterministic shortlex
     order; exhaustion is not a nonexistence proof."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    Y = V.ctx.alphabet
-    candidates = [w for w in words_up_to(Y, bound)]
+    candidates = list(words_up_to(V.ctx.base.alphabet, bound))
     domains = {}
     for names in V.p_names:
         for name in names:
@@ -1049,15 +1011,15 @@ def check_constraint_lemma(V: VSystem, vsol: dict[str, Word]) -> LemmaReport:
     V-solution: (1) sigma_q(pi(p), pi(c)) = a; (2) sigma_q(pi(p c),
     pi(p_next^-1)) = b; (3) Pa(sigma_rho(pi(v), pi(v)^-1)) = d;
     (4) pi(v) = p(e) for constant cells."""
-    ext, ctx, t = V.ext, V.ctx, V.t
-    base = ctx.base
+    ext, t = V.ext, V.t
+    base = V.ctx.base
     failures = []
     for i, row in enumerate(V.tri.rows):
         for j, sym in enumerate(row):
-            pw = ctx.phi(vsol[V.p_names[i][j]])
-            pnext = ctx.phi(vsol[V.p_names[i][(j + 1) % 3]])
-            cw = ctx.phi(t.c[i][j])
-            vw = ctx.phi(vsol[V.v_names[i][j]])
+            pw = vsol[V.p_names[i][j]]
+            pnext = vsol[V.p_names[i][(j + 1) % 3]]
+            cw = t.c[i][j]
+            vw = vsol[V.v_names[i][j]]
             if sigma_q(ext, pw, cw) != t.a[i][j]:
                 failures.append((1, i, j))
             if sigma_q(ext, pw + cw, base.alphabet.inverse_word(pnext)) != t.b[i][j]:
@@ -1094,7 +1056,7 @@ def lift_solution(
     for i, row in enumerate(tri.rows):
         row_elts = []
         for j, sym in enumerate(row):
-            gword = ctx.project(vsol[V.v_names[i][j]])
+            gword = normal_form(ctx.base, vsol[V.v_names[i][j]])
             if sym in tri.constants:
                 wval = W.constant_values[sym]
             else:
@@ -1219,7 +1181,7 @@ class Pipeline:
             ext,
             cap=cap,
         )
-        return cls(ext, VGroupContext.free(ext.base, kappa2), L, F, D, ball)
+        return cls(ext, VGroupContext(ext.base, kappa2), L, F, D, ball)
 
 
 def finite_diameter(ball: CayleyBall) -> Optional[int]:
@@ -1259,7 +1221,7 @@ def solve(
 
     def attempt(t: ThetaIndex, vsol_hint=None) -> Optional[SolveOutcome]:
         report["thetas_tried"] += 1
-        W = build_Wt(t, tri, ext, ctx)
+        W = build_Wt(t, tri, ext)
         wsol = W.solve()
         if wsol is None:
             report["w_unsolvable"] += 1

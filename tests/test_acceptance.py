@@ -58,7 +58,7 @@ def _sigma_cache(fn, ext):
 def _pipeline_from(stack, kappa2):
     return Pipeline(
         ext=stack.ext,
-        ctx=VGroupContext.free(stack.ext.base, kappa2),
+        ctx=VGroupContext(stack.ext.base, kappa2),
         L=stack.L,
         F=stack.fpa,
         D=stack.ppa,

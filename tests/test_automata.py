@@ -4,16 +4,11 @@ import pytest
 
 from exteq.automata import (
     FSA,
-    MonoidMorphism,
     enumerate_language,
-    inverse_morphism,
     is_empty,
     language_equal,
-    minimize,
     product,
-    reroot,
     restrict_accepting,
-    reverse,
     words_up_to,
 )
 from exteq.errors import AlphabetMismatch, UnknownState
@@ -77,11 +72,14 @@ def test_product_single_and_intersection():
 
 def test_reroot_restrict():
     M = parity_dfa()
-    assert lang(reroot(M, M.initial), 5) == lang(M, 5)
     assert lang(restrict_accepting(M, M.accepting), 5) == lang(M, 5)
-    assert lang(reroot(M, 1), 3) == {w for w in words_up_to(AB, 3) if len(w) % 2 == 1}
+    # running from another start state reads the language rooted there
+    odd = {w for w in words_up_to(AB, 3) if M.run(w, start=1) in M.accepting}
+    assert odd == {w for w in words_up_to(AB, 3) if len(w) % 2 == 1}
     with pytest.raises(UnknownState):
-        reroot(M, 7)
+        M.run("", start=7)
+    with pytest.raises(UnknownState):
+        restrict_accepting(M, [7])
 
 
 def test_branches_partition_language():
@@ -97,67 +95,6 @@ def test_branches_partition_language():
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
                 assert not (parts[i] & parts[j])
-
-
-def test_reverse():
-    alpha = Alphabet.from_generators(["a", "b"])
-    # language {ab}
-    sink = 3
-    rows = [[1, sink, sink, sink], [sink, sink, 2, sink], [sink] * 4, [sink] * 4]
-    M = FSA(alpha, tuple(tuple(r) for r in rows), 0, frozenset([2]))
-    R = reverse(M)
-    assert lang(R, 3) == {"ba"}
-    rng = random.Random(22)
-    for _ in range(30):
-        M = random_dfa(rng, AB)
-        R = reverse(M)
-        assert lang(R, 6) == {w[::-1] for w in lang(M, 6)}
-        assert lang(reverse(R), 6) == lang(M, 6)
-
-
-def test_inverse_morphism():
-    alpha = Alphabet.from_generators(["a", "b"])
-    ident = MonoidMorphism.identity(alpha)
-    rng = random.Random(23)
-    for _ in range(20):
-        M = random_dfa(rng, alpha)
-        assert lang(inverse_morphism(M, ident), 5) == lang(M, 5)
-    # phi mapping everything to the empty word
-    eps = MonoidMorphism(alpha, alpha, {x: "" for x in alpha.letters})
-    M = random_dfa(rng, alpha)
-    pre = inverse_morphism(M, eps)
-    expect = set(words_up_to(alpha, 4)) if M.accepts("") else set()
-    assert lang(pre, 4) == expect
-    # random short images, definitional oracle
-    for _ in range(20):
-        M = random_dfa(rng, alpha)
-        image = {}
-        for g in ("a", "b"):
-            w = "".join(rng.choice(alpha.letters) for _ in range(rng.randrange(4)))
-            image[g] = w
-            image[g.upper()] = alpha.inverse_word(w)
-        phi = MonoidMorphism(alpha, alpha, image)
-        pre = inverse_morphism(M, phi)
-        for w in words_up_to(alpha, 5):
-            assert pre.accepts(w) == M.accepts(phi(w))
-
-
-def test_minimize():
-    rng = random.Random(24)
-    for _ in range(40):
-        M = random_dfa(rng, AB)
-        m = minimize(M)
-        assert lang(m, 8) == lang(M, 8)
-        assert minimize(m) == m
-        assert m.n_states <= M.n_states
-
-
-def test_minimize_canonical_across_isomorphs():
-    M = parity_dfa()
-    # same language with redundant states
-    rows = ((1, 2), (0, 0), (0, 0))
-    M2 = FSA(AB, rows, 0, frozenset([0]))
-    assert minimize(M) == minimize(M2)
 
 
 def test_is_empty_and_language_equal():

@@ -196,6 +196,43 @@ def test_usage_errors_exit_above_two(capsys):
     with pytest.raises(SystemExit) as e:
         cmd_dispatch(["lift", "--verify", "nonexistent.json"])
     assert e.value.code == 3
+    ext_path = str(DATA / "quaternion8.json")
+    for argv in (
+        ["ball", ext_path, "--radius", "-1"],
+        ["verify-invariants", ext_path, "--radius", "-1"],
+        ["cocycle-table", ext_path, "--radius", "-1"],
+        ["solve", ext_path, "eqs.json", "--ball-radius", "-3"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            cmd_dispatch(argv)
+        assert e.value.code == 3, argv
+        assert "radius must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("assignment", [
+    [{"g": "s", "a": [0]}],
+    {"x": "s"},
+    {"x": {"g": "s"}},
+    {"x": {"g": 5, "a": [0]}},
+    {"x": {"g": "s", "a": ["0"]}},
+])
+def test_lift_rejects_malformed_assignment(tmp_path, capsys, assignment):
+    cert = {"assignment": assignment, "extension_digest": "",
+            "equations_digest": ""}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run_cli("lift", str(path)) == (3, "")
+    assert f"{path}.assignment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hints", [{"x": "s"}, [{"x": 5}], ["s"]])
+def test_solve_rejects_malformed_hints(q8_eqs, tmp_path, capsys, hints):
+    path = tmp_path / "hints.json"
+    path.write_text(json.dumps(hints))
+    code, _ = run_cli("solve", str(DATA / "quaternion8.json"), q8_eqs(["x x Z"]),
+                      "--hints", str(path))
+    assert code == 3
+    assert str(path) in capsys.readouterr().err
 
 
 def test_schema_error_exit(tmp_path, capsys):

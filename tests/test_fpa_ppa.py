@@ -12,7 +12,6 @@ from exteq.fpa_ppa import (
     check_fpa_key_property,
     check_ppa_key_property,
     fpa_branch,
-    fpa_reroot,
     is_compatible,
     ppa_branch,
     shortest_witness,
@@ -83,39 +82,44 @@ def test_compatibility(dihedral_stack):
     F = dihedral_stack.fpa
     some = next(iter(F.T))
     assert is_compatible(F, some, "")
+    outside_T = next(s for s in range(F.product.n_states) if s not in F.T)
     with pytest.raises(NotAcceptingState):
-        fpa_branch(F, next(s for s in range(F.product.n_states) if s not in F.T))
+        fpa_branch(F, outside_T)
+    with pytest.raises(NotAcceptingState):
+        is_compatible(F, outside_T, "")
     with pytest.raises(AlphabetMismatch):
         is_compatible(F, some, "q")
     # w in L(s̄) and v compatible imply wv in L, exhaustively
     for s in F.T:
         ws = [w for w in enumerate_language(fpa_branch(F, s), 4)]
-        rerooted = fpa_reroot(F, s)
         for v in words_up_to(F.product.alphabet, 4):
-            ok = rerooted.accepts(v)
+            ok = is_compatible(F, s, v)
             for w in ws[:3]:
                 assert F.product.accepts(w + v) == ok, (w, v)
 
 
 def test_sigma_q_of_state_routes(dihedral_stack):
+    # the automaton readout against the cocycle at the shortest witness
     F = dihedral_stack.fpa
     ext = dihedral_stack.ext
     for s in F.T:
         assert sigma_q_of_state(F, s, "").is_zero()
-        rerooted = fpa_reroot(F, s)
+        w = shortest_witness(F, s)
         for v in words_up_to(F.product.alphabet, 5):
-            if not rerooted.accepts(v):
+            if not is_compatible(F, s, v):
                 continue
-            a = sigma_q_of_state(F, s, v, route="check")
-            assert a == sigma_q_of_state(F, s, v, route="witness")
+            assert sigma_q_of_state(F, s, v) == sigma_q(ext, w, v), (s, v)
     with pytest.raises(Incompatible):
         s = next(iter(F.T))
         v = next(
             v
             for v in words_up_to(F.product.alphabet, 2)
-            if not fpa_reroot(F, s).accepts(v)
+            if not is_compatible(F, s, v)
         )
         sigma_q_of_state(F, s, v)
+    outside_T = next(s for s in range(F.product.n_states) if s not in F.T)
+    with pytest.raises(NotAcceptingState):
+        sigma_q_of_state(F, outside_T, "")
 
 
 def test_fpa_key_property_dihedral(dihedral_stack):

@@ -8,11 +8,12 @@ from exteq.errors import (
     EmptyEquation,
     Incompatible,
     LiftVerificationFailed,
+    NotAcceptingState,
     ResourceBound,
     ValueNotInASet,
 )
-from exteq.extension import RHO, ExtElement, identity, iota2, q_of, sigma_rho
-from exteq.fpa_ppa import fpa_reroot, is_compatible, sigma_q_of_state
+from exteq.extension import RHO, ExtElement, identity, iota2, q_of, sigma_q, sigma_rho
+from exteq.fpa_ppa import is_compatible, shortest_witness, sigma_q_of_state
 from exteq.instances import central_constant, letter_constant, quaternion8
 from exteq.reduction import (
     EquationSystem,
@@ -45,7 +46,7 @@ def q8_pipe(q8_stack):
     s = q8_stack
     return Pipeline(
         ext=s.ext,
-        ctx=VGroupContext.free(s.ext.base, 2),
+        ctx=VGroupContext(s.ext.base, 2),
         L=s.L,
         F=s.fpa,
         D=s.ppa,
@@ -143,6 +144,14 @@ def test_project_to_base(q8_stack):
 # -- A sets and level automata ------------------------------------------
 
 
+def _checked_sigma_q(F, s, v):
+    """sigma_q_of_state, asserted equal to the cocycle evaluated at the
+    shortest word reaching s."""
+    value = sigma_q_of_state(F, s, v)
+    assert value == sigma_q(F.ext, shortest_witness(F, s), v), (s, v)
+    return value
+
+
 def test_A_set_matches_enumeration(dihedral_stack):
     # oracle: collect sigma_q(s', w) over explicitly enumerated
     # compatible words, via the independently checked witness route
@@ -152,11 +161,10 @@ def test_A_set_matches_enumeration(dihedral_stack):
             if not is_compatible(F, sbar, c):
                 continue
             sprime = F.product.run(c, start=sbar)
-            rerooted = fpa_reroot(F, sprime)
             oracle = {
-                sigma_q_of_state(F, sprime, w, route="check")
+                _checked_sigma_q(F, sprime, w)
                 for w in words_up_to(F.product.alphabet, 8)
-                if rerooted.accepts(w)
+                if is_compatible(F, sprime, w)
             }
             assert compute_A_set(F, sbar, c) == oracle
 
@@ -169,6 +177,9 @@ def test_A_set_incompatible_raises(dihedral_stack):
     )
     with pytest.raises(Incompatible):
         compute_A_set(F, sbar, bad)
+    outside_T = next(s for s in range(F.product.n_states) if s not in F.T)
+    with pytest.raises(NotAcceptingState):
+        compute_A_set(F, outside_T, "")
 
 
 def test_Lb_automata_partition_by_value(dihedral_stack):
@@ -178,12 +189,11 @@ def test_Lb_automata_partition_by_value(dihedral_stack):
     if not is_compatible(F, sbar, c):
         c = ""
     sprime = F.product.run(c, start=sbar)
-    rerooted = fpa_reroot(F, sprime)
     values = compute_A_set(F, sbar, c)
     automata = {b: build_Lb_automaton(F, sbar, c, b) for b in values}
     for w in words_up_to(F.product.alphabet, 6):
-        if rerooted.accepts(w):
-            v = sigma_q_of_state(F, sprime, w, route="check")
+        if is_compatible(F, sprime, w):
+            v = _checked_sigma_q(F, sprime, w)
             for b, M in automata.items():
                 assert M.accepts(w) == (v == b), (w, b.coords())
         else:
@@ -223,7 +233,7 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
     # cross-check tractable: rebuild the stream from the four defining
     # conditions checked one by one
     ext, F, D = dihedral_stack.ext, dihedral_stack.fpa, dihedral_stack.ppa
-    ctx = VGroupContext.free(ext.base, 1)
+    ctx = VGroupContext(ext.base, 1)
     sys = _dihedral_system(ext)
     tri = triangularize(sys, identity(ext))
     got = list(enumerate_theta(tri, ctx, F, D, ext))
@@ -235,8 +245,8 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
     syms = tri.row_symbols()
     words = [
         w
-        for w in words_up_to(ctx.alphabet, 1)
-        if ctx.alphabet.is_freely_reduced(w)
+        for w in words_up_to(ext.base.alphabet, 1)
+        if ext.base.alphabet.is_freely_reduced(w)
     ]
     count = 0
     for cs in itertools.product(words, repeat=3):
@@ -258,7 +268,7 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
 
 def test_witness_tuple_is_in_stream(dihedral_stack):
     ext, F, D = dihedral_stack.ext, dihedral_stack.fpa, dihedral_stack.ppa
-    ctx = VGroupContext.free(ext.base, 1)
+    ctx = VGroupContext(ext.base, 1)
     tri = triangularize(_dihedral_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": "s"})
     t, _ = witness_theta(tri, ctx, F, D, ext, gamma)
@@ -267,7 +277,7 @@ def test_witness_tuple_is_in_stream(dihedral_stack):
 
 def test_enumerate_theta_cap(dihedral_stack):
     ext, F, D = dihedral_stack.ext, dihedral_stack.fpa, dihedral_stack.ppa
-    ctx = VGroupContext.free(ext.base, 1)
+    ctx = VGroupContext(ext.base, 1)
     tri = triangularize(_dihedral_system(ext), identity(ext))
     with pytest.raises(ResourceBound):
         list(enumerate_theta(tri, ctx, F, D, ext, cap=3))
@@ -295,7 +305,7 @@ def test_witness_theta_solves_Vt(q8_pipe):
 
 def test_witness_theta_kappa_too_small(q8_pipe):
     ext = q8_pipe.ext
-    ctx = VGroupContext.free(ext.base, 0)
+    ctx = VGroupContext(ext.base, 0)
     tri = triangularize(_twisted_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": "s"})
     with pytest.raises(ResourceBound):
@@ -321,7 +331,7 @@ def test_lift_roundtrip_and_converse_formula(q8_pipe):
     tri = triangularize(sys, identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
     t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, gamma)
-    W = build_Wt(t, tri, ext, q8_pipe.ctx)
+    W = build_Wt(t, tri, ext)
     assert W.no_solution is None
     wsol = W.solve()
     assert wsol is not None
@@ -351,7 +361,7 @@ def test_Wt_obstruction_certificate(q8_pipe):
     tri = triangularize(sys, identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
     t, _ = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, gamma)
-    W = build_Wt(t, tri, ext, q8_pipe.ctx)
+    W = build_Wt(t, tri, ext)
     assert W.solve() is None
     ob = W.obstruction()
     assert ob is not None and ob["modulus"] == 2 and ob["value"] % 2 == 1
@@ -421,7 +431,7 @@ def test_finite_complete_guards(q8_pipe):
             sys,
             Pipeline(
                 ext=q8_pipe.ext,
-                ctx=VGroupContext.free(q8_pipe.ext.base, 1),
+                ctx=VGroupContext(q8_pipe.ext.base, 1),
                 L=q8_pipe.L,
                 F=q8_pipe.F,
                 D=q8_pipe.D,

@@ -1,0 +1,139 @@
+"""Regression lock on the sound-mode Theta stream over the frozen corpus.
+
+Each corpus system is solved in sound mode with theta_cap=20 and no
+hints, on pipelines built at the `exteq solve` defaults.  The report
+counters and a sha256 of every Theta tuple the stream yielded (its
+`to_jsonable()` plus the derived end states s' and constants a) must stay
+exactly as recorded, so a change to how the tuples or their automata are
+computed cannot shift a verdict, a counter or a tuple unnoticed.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from exteq import files, reduction
+from exteq.instances import modular16, quaternion8
+from exteq.reduction import Pipeline, SolveConfig, solve
+
+# (status, thetas_tried, w_unsolvable, oracle_exhausted, theta_truncated,
+#  tuples yielded, obstructions, sha256 of the yielded tuples), in corpus order
+FROZEN = [
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}],
+     "1fe38facbdae207178a3e2316a92c1dcc414bea3dceee7964889ca5eca3d8e9c"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}],
+     "4449bdbae2477afc114fe758fc5ff1c40e9b412e0ccb9ff44fd44c3205cfd2d6"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}, {"reason": "row 1 right-hand side has no kernel preimage"}],
+     "0d6c60342b2e3f5f55539db93e7a1349e1916cf28a9c49f70fe5ca780c9a38c1"),
+    ("no-solution-within-bounds", 20, 14, 6, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}, {"coordinate": 0, "combination": [1], "value": 1, "modulus": 2}],
+     "a754223105c143ccbeff07dc1b6db715600ace9a3b1d6a42ee8aca370d14d935"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"coordinate": 0, "combination": [1, 1, -1], "value": 1, "modulus": 2}, {"reason": "row 1 right-hand side has no kernel preimage"}, {"reason": "row 0 right-hand side has no kernel preimage"}, {"reason": "row 2 right-hand side has no kernel preimage"}],
+     "1ff3c6544718981ceb13c47a46ca70ce923420b83bf6ec3592709a0d218b62b0"),
+    ("no-solution-within-bounds", 20, 15, 5, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}, {"coordinate": 0, "combination": [1], "value": 1, "modulus": 2}],
+     "be47d12ff24cf1a5b513991a7be074e1cfc519601b5d7d615b8cdbec37f00aeb"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}, {"reason": "row 4 right-hand side has no kernel preimage"}, {"reason": "row 3 right-hand side has no kernel preimage"}, {"reason": "row 1 right-hand side has no kernel preimage"}, {"coordinate": 0, "combination": [0, 0, 1, 0, 0], "value": 1, "modulus": 2}],
+     "f3480e1ce8bce1d022929da22800a31c14a08f31817258178da6884ee8936a60"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 1 right-hand side has no kernel preimage"}, {"reason": "row 6 right-hand side has no kernel preimage"}, {"reason": "row 3 right-hand side has no kernel preimage"}],
+     "baf33058f8828650b3d45e862265bd5702e215b006460147f859d2ac44d04808"),
+    ("no-solution-within-bounds", 20, 19, 1, True, 21,
+     [{"reason": "row 1 right-hand side has no kernel preimage"}, {"reason": "row 2 right-hand side has no kernel preimage"}, {"reason": "row 3 right-hand side has no kernel preimage"}, {"reason": "row 5 right-hand side has no kernel preimage"}, {"reason": "row 4 right-hand side has no kernel preimage"}],
+     "b66afbc08d157e13d041e8d2661286d3800df5a2c93b2e7b6d8d5625563c4d05"),
+    ("no-solution-within-bounds", 20, 19, 1, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}, {"reason": "row 3 right-hand side has no kernel preimage"}, {"reason": "row 2 right-hand side has no kernel preimage"}, {"reason": "row 1 right-hand side has no kernel preimage"}],
+     "6d62aa6d3040ff8d1c6f1e2c8c9af5158233054a5825d82c9747622fb1050dbf"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}],
+     "165fe87e0c860e067a2bf1eb67444f7c05f023663ade1eb2f40ce0909ed35b02"),
+    ("no-solution-within-bounds", 20, 16, 4, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}, {"reason": "row 1 right-hand side has no kernel preimage"}],
+     "1c3d350d993e31aa4b636bef91ca43f77d5506a75108f292b2f9323e9a457373"),
+    ("no-solution-within-bounds", 20, 14, 6, True, 21,
+     [{"coordinate": 0, "combination": [1], "value": 3, "modulus": 4}, {"coordinate": 0, "combination": [1], "value": 2, "modulus": 4}],
+     "f2ac46b79b5542adff82917aedefa7408c3c549df608418d4a481b728c81dacd"),
+    ("no-solution-within-bounds", 20, 18, 2, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}, {"coordinate": 0, "combination": [1, -1], "value": -1, "modulus": 4}, {"coordinate": 0, "combination": [1, -1], "value": -2, "modulus": 4}, {"coordinate": 0, "combination": [1, -1], "value": 2, "modulus": 4}],
+     "7ca7f8437ef64608782d5fe814f1a9047b1e73fd02fa7de0f539c02766fc328f"),
+    ("solved", 1, 0, 0, None, 1,
+     [],
+     "1351e0a85f5a22ca5613598902720e2b8e5724d056b625178d96ee543239ea09"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}],
+     "47f623eed6e6f978b70346d7a3bff5323db5bd92190cb0136141e7b72e65615d"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 1 right-hand side has no kernel preimage"}],
+     "2e4a041a9326b9dfeec8709cc12c391301241b8a369e0d7d6b8bfcf82fb154c2"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}],
+     "ce02a092e365b559b00ddc1fa464168ae420df61a5c95a2d57d625e578bb47a6"),
+    ("no-solution-within-bounds", 20, 20, 0, True, 21,
+     [{"reason": "row 0 right-hand side has no kernel preimage"}],
+     "fa8d1956d73a23e357444064346ca7deebdd832cb2c0646f0c953d69875693f5"),
+    ("no-solution-within-bounds", 20, 11, 9, True, 21,
+     [{"coordinate": 0, "combination": [1], "value": 1, "modulus": 4}, {"coordinate": 0, "combination": [1], "value": 3, "modulus": 4}],
+     "f2ac46b79b5542adff82917aedefa7408c3c549df608418d4a481b728c81dacd"),
+]
+
+
+def _digest(thetas) -> str:
+    blob = json.dumps(
+        [
+            [
+                t.to_jsonable(),
+                [list(row) for row in t.s_prime],
+                [[list(a.coords()) for a in row] for row in t.a],
+            ]
+            for t in thetas
+        ],
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus_pipes():
+    return {
+        "quaternion8": Pipeline.build(quaternion8(), kappa2=2),
+        "modular16": Pipeline.build(modular16(), kappa2=2),
+    }
+
+
+def test_sound_theta_stream_frozen(corpus_pipes, monkeypatch):
+    data = Path(__file__).resolve().parent.parent / "data"
+    corpus = files.load_json(str(data / "corpus.json"))["systems"]
+    assert len(corpus) == len(FROZEN)
+    yielded = []
+    original = reduction.enumerate_theta
+
+    def recording(*args, **kwargs):
+        for t in original(*args, **kwargs):
+            yielded.append(t)
+            yield t
+
+    monkeypatch.setattr(reduction, "enumerate_theta", recording)
+    for i, (entry, frozen) in enumerate(zip(corpus, FROZEN)):
+        pipe = corpus_pipes[entry["extension"]]
+        sys_ = files.equation_system_from_json(entry["system"], pipe.ext)
+        yielded.clear()
+        out = solve(sys_, pipe, SolveConfig(mode="sound", theta_cap=20))
+        r = out.report
+        got = (
+            out.status,
+            r["thetas_tried"],
+            r["w_unsolvable"],
+            r["oracle_exhausted"],
+            r.get("theta_truncated"),
+            len(yielded),
+            r["obstructions"],
+            _digest(yielded),
+        )
+        assert got == frozen, f"corpus[{i}]"
