@@ -27,7 +27,7 @@ class FSA:
         n = len(self.transitions)
         width = len(self.alphabet.letters)
         for row in self.transitions:
-            if len(row) != width or any(not 0 <= s < n for s in row):
+            if len(row) != width or (row and (min(row) < 0 or max(row) >= n)):
                 raise ValueError("transition table not total over the states")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")

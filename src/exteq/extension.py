@@ -135,33 +135,6 @@ def eval_word(ext: CentralExtension, w: Word, coords: str = RHO) -> "ExtElement"
     return acc
 
 
-def sigma_q_letter(ext: CentralExtension, g: Word, x: str) -> FGAElement:
-    """Single-letter evaluation iota3 sigma_rho(g,x) - iota3 sigma_rho(x^-1, g^-1).
-
-    Agrees with sigma_q exactly when the kernel is torsion-free, and modulo
-    the undoubled torsion orders in general (the coordinate reinterpretation
-    into the pushout does not commute with addition on torsion residues).
-    """
-    xinv = ext.base.alphabet.inverse[x]
-    return iota3(sigma_rho(ext, g, x)) - iota3(
-        sigma_rho(ext, xinv, ext.inv_word(ext.nf(g)))
-    )
-
-
-def sigma_q_via_chain(ext: CentralExtension, g: Word, h: Word) -> FGAElement:
-    """Chain-rule evaluation of sigma_q letter by letter (cross-check route)."""
-    h = ext.nf(h)
-    acc = ext.pushout_kernel.zero()
-    for l in range(1, len(h) + 1):
-        prefix, x = h[: l - 1], h[l - 1]
-        acc = (
-            acc
-            + sigma_q(ext, ext.nf(g + prefix), x)
-            - sigma_q(ext, prefix, x)
-        )
-    return acc
-
-
 class BallCocycles:
     """sigma_rho, sigma_q and sigma_rho(x, h) as integer tables over a ball.
 

@@ -15,7 +15,7 @@ counterexample.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import FGAElement, ParityElement, pa
@@ -49,13 +49,20 @@ class CheckReport:
 
 @dataclass
 class FPA:
-    """Reachable product of a predictor family with its value readout."""
+    """Reachable product of a predictor family with its value readout.
+
+    `memo` holds the constraint automata the reduction reads off this
+    product: the branches M(s̄), the accumulator graphs keyed by s', L(b)
+    and L(e).  Each depends only on its key, so it is built on first use
+    and shared, immutable, by every index tuple and solve of the pipeline.
+    """
 
     fam: PredictorFamily
     product: FSA
     tuples: list[tuple[int, ...]]
     components: tuple[tuple[str, FGAElement, FSA], ...]  # (x, a, M_{x,a})
     T: frozenset[int]
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ext(self) -> CentralExtension:
@@ -141,7 +148,10 @@ def fpa_branch(F: FPA, s: int) -> FSA:
     """M(s̄): same automaton with s̄ as the only accepting state."""
     if s not in F.T:
         raise NotAcceptingState(f"state {s} not in T")
-    return restrict_accepting(F.product, [s])
+    M = F.memo.get(("M", s))
+    if M is None:
+        M = F.memo[("M", s)] = restrict_accepting(F.product, [s])
+    return M
 
 
 def is_compatible(F: FPA, s: int, v: Word) -> bool:
@@ -193,7 +203,9 @@ class PPA:
     """Composite of LFPA and RFPA with the parity accumulator.
 
     fsa's states index `states`, whose entries are (LFPA state, RFPA
-    state, accumulator) or None for the absorbing sink.
+    state, accumulator) or None for the absorbing sink.  `memo` holds the
+    branches D(d) by d, built on first use and shared, immutable, by every
+    index tuple and solve of the pipeline.
     """
 
     M1: FPA
@@ -201,6 +213,7 @@ class PPA:
     ext: CentralExtension
     fsa: FSA
     states: list[Optional[tuple[int, int, ParityElement]]]
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def branch_values(self):
         return sorted(
@@ -274,12 +287,15 @@ def build_ppa(
 
 def ppa_branch(D: PPA, d: ParityElement) -> FSA:
     """D(d): accepting states restricted to accumulator value d."""
-    keep = [
-        i
-        for i in D.fsa.accepting
-        if D.states[i] is not None and D.states[i][2] == d
-    ]
-    return restrict_accepting(D.fsa, keep)
+    M = D.memo.get(d)
+    if M is None:
+        keep = [
+            i
+            for i in D.fsa.accepting
+            if D.states[i] is not None and D.states[i][2] == d
+        ]
+        M = D.memo[d] = restrict_accepting(D.fsa, keep)
+    return M
 
 
 # -- brute-force harnesses ----------------------------------------------

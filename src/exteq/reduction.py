@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .abelian import (
     AbelianLinearSystem,
@@ -472,16 +472,6 @@ def enumerate_theta(
             if sym in tri.constants:
                 g = _constant_base_word(tri.constants[sym], base)
                 pinned[sym] = pa(sigma_rho(ext, g, base.alphabet.inverse_word(g)))
-    a_cache: dict = {}
-
-    def A_of(sbar: int, c: Word):
-        key = (sbar, c)
-        if key not in a_cache:
-            a_cache[key] = sorted(
-                compute_A_set(F, sbar, c), key=lambda x: x.coords()
-            )
-        return a_cache[key]
-
     count = 0
     for c_mat in c_mats:
         s_opts = []
@@ -499,10 +489,9 @@ def enumerate_theta(
             continue
         for s_flat in itertools.product(*s_opts):
             b_opts = [
-                A_of(s_flat[k], c_mat[k // 3][k % 3]) for k in range(3 * n)
+                _accumulator(F, s_flat[k], c_mat[k // 3][k % 3], cap=None).values
+                for k in range(3 * n)
             ]
-            if any(not opts for opts in b_opts):
-                continue
             s_mat = tuple(
                 tuple(s_flat[3 * i : 3 * i + 3]) for i in range(n)
             )
@@ -580,15 +569,16 @@ def witness_theta(
 # -- the A sets and their level automata --------------------------------
 
 
-def _ab_graph(F: FPA, sbar: int, c: Word, cap: Optional[int]):
+class _AbGraph(NamedTuple):
+    sprime: int
+    states: tuple
+    rows: tuple
+    values: tuple  # the A-set, sorted by coordinates
+
+
+def _ab_graph(F: FPA, sprime: int, cap: int) -> _AbGraph:
     """BFS graph over (state-from-s', state-from-initial, accumulator)
     triples; the accumulator is the chain-rule value sigma_q(s', w)."""
-    if sbar not in F.T:
-        raise NotAcceptingState(f"state {sbar} not in T")
-    sprime = F.product.run(c, start=sbar)
-    if sprime not in F.product.accepting:
-        raise Incompatible(f"{c!r} not compatible with state {sbar}")
-    cap = cap if cap is not None else state_cap()
     letters = F.product.alphabet.letters
     zero = F.ext.pushout_kernel.zero()
     start = (sprime, F.product.initial, zero)
@@ -623,7 +613,30 @@ def _ab_graph(F: FPA, sbar: int, c: Word, cap: Optional[int]):
                 queue.append(j)
             row.append(j)
         rows[i] = row
-    return states, rows, values
+    return _AbGraph(
+        sprime,
+        tuple(states),
+        tuple(tuple(r) for r in rows),
+        tuple(sorted(values, key=lambda a: a.coords())),
+    )
+
+
+def _accumulator(F: FPA, sbar: int, c: Word, cap: Optional[int]) -> _AbGraph:
+    """The accumulator graph of s' = c read from sbar, built on the first
+    call for that s' and kept on F; a kept graph larger than the cap in
+    force now raises as building it would."""
+    if sbar not in F.T:
+        raise NotAcceptingState(f"state {sbar} not in T")
+    sprime = F.product.run(c, start=sbar)
+    if sprime not in F.product.accepting:
+        raise Incompatible(f"{c!r} not compatible with state {sbar}")
+    cap = cap if cap is not None else state_cap()
+    graph = F.memo.get(("ab", sprime))
+    if graph is None:
+        graph = F.memo[("ab", sprime)] = _ab_graph(F, sprime, cap)
+    elif len(graph.states) > max(cap, 2):
+        raise AccumulatorBound(f"accumulator graph exceeds cap {cap}")
+    return graph
 
 
 def compute_A_set(
@@ -631,25 +644,28 @@ def compute_A_set(
 ) -> frozenset:
     """The finite value set A(sbar, c) = {sigma_q(s', w) : w compatible
     with the end state s' of c read from sbar}."""
-    _, _, values = _ab_graph(F, sbar, c, cap)
-    return frozenset(values)
+    return frozenset(_accumulator(F, sbar, c, cap).values)
 
 
 def build_Lb_automaton(
     F: FPA, sbar: int, c: Word, b: FGAElement, cap: Optional[int] = None
 ) -> FSA:
-    """DFA for L(b) = {w compatible with s' : sigma_q(s', w) = b}."""
-    states, rows, values = _ab_graph(F, sbar, c, cap)
-    if b not in values:
-        raise ValueNotInASet(f"{b.coords()} not in A(sbar={sbar}, c={c!r})")
-    accepting = frozenset(
-        i
-        for i, st in enumerate(states)
-        if st is not None and st[0] in F.product.accepting and st[2] == b
-    )
-    return FSA(
-        F.product.alphabet, tuple(tuple(r) for r in rows), 0, accepting
-    )
+    """DFA for L(b) = {w compatible with s' : sigma_q(s', w) = b}, kept
+    on F by (s', b)."""
+    graph = _accumulator(F, sbar, c, cap)
+    Lb = F.memo.get(("Lb", graph.sprime, b))
+    if Lb is None:
+        if b not in graph.values:
+            raise ValueNotInASet(f"{b.coords()} not in A(sbar={sbar}, c={c!r})")
+        accepting = frozenset(
+            i
+            for i, st in enumerate(graph.states)
+            if st is not None and st[0] in F.product.accepting and st[2] == b
+        )
+        Lb = F.memo[("Lb", graph.sprime, b)] = FSA(
+            F.product.alphabet, graph.rows, 0, accepting
+        )
+    return Lb
 
 
 def build_Le_automaton(
@@ -659,7 +675,8 @@ def build_Le_automaton(
 
     Tracks the walked element through the ball; L-words representing g
     have length at most d(g) + nu, so a ball of that radius sees every
-    prefix and anything escaping it is dead.
+    prefix and anything escaping it is dead.  Kept on F by nf(g) together
+    with the ball it was built over.
     """
     gnf = normal_form(ext.base, g)
     nu = F.fam.lspec.nu
@@ -668,6 +685,9 @@ def build_Le_automaton(
             f"representative automaton for {gnf!r} needs radius >= "
             f"{len(gnf) + nu}, ball has {ball.radius}"
         )
+    kept = F.memo.get(("Le", gnf))
+    if kept is not None and kept[0] is ball:
+        return kept[1]
     target = ball.index[gnf]
     letters = F.product.alphabet.letters
     start = (F.product.initial, 0)
@@ -699,9 +719,9 @@ def build_Le_automaton(
         for i, st in enumerate(states)
         if st is not None and st[0] in F.product.accepting and st[1] == target
     )
-    return FSA(
-        F.product.alphabet, tuple(tuple(r) for r in rows), 0, accepting
-    )
+    Le = FSA(F.product.alphabet, tuple(tuple(r) for r in rows), 0, accepting)
+    F.memo[("Le", gnf)] = (ball, Le)
+    return Le
 
 
 # -- V_t and W_t --------------------------------------------------------
@@ -726,8 +746,9 @@ class VSystem:
 
     Constraints are (automaton, inverted) pairs; an inverted constraint
     holds when the automaton accepts the inverse of the assigned word.
-    Cells sharing an equation symbol share their v variable; all p
-    variables are distinct.
+    The automata are immutable and shared with every other index tuple
+    and solve of the same pipeline.  Cells sharing an equation symbol
+    share their v variable; all p variables are distinct.
     """
 
     t: ThetaIndex
@@ -781,7 +802,11 @@ def build_Vt(
     cap: Optional[int] = None,
 ) -> VSystem:
     """Attach all four constraint families of the index tuple:
-    p in L(sbar), p_next^-1 in L(b), v in L(d), and v in L(e)."""
+    p in L(sbar), p_next^-1 in L(b), v in L(d), and v in L(e).
+
+    Each automaton is built on its first use and kept on F or D, so the
+    index tuples and solves of one pipeline share it; it is immutable.
+    """
     constraints: dict[str, list] = {}
 
     def add(name, fsa, inverted=False):

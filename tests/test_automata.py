@@ -47,6 +47,32 @@ def test_run_and_accepts():
         M.accepts("b")
 
 
+@pytest.mark.parametrize(
+    "rows, initial, accepting, message",
+    [
+        (((1, 1), (0, -1)), 0, {0}, "transition table"),
+        (((1, 1), (2, 0)), 0, {0}, "transition table"),
+        (((1, 1), (0,)), 0, {0}, "transition table"),
+        (((1, 1), (0, 0, 0)), 0, {0}, "transition table"),
+        (((1, 1), (0, 0)), 2, {0}, "initial state"),
+        (((1, 1), (0, 0)), -1, {0}, "initial state"),
+        (((1, 1), (0, 0)), 0, {2}, "accepting set"),
+        (((1, 1), (0, 0)), 0, {-1}, "accepting set"),
+    ],
+)
+def test_fsa_rejects_malformed_tables(rows, initial, accepting, message):
+    with pytest.raises(ValueError, match=message):
+        FSA(AB, rows, initial, frozenset(accepting))
+
+
+def test_fsa_over_empty_alphabet():
+    empty = Alphabet.from_generators([])
+    M = FSA(empty, ((), ()), 1, frozenset([1]))
+    assert M.accepts("")
+    with pytest.raises(ValueError, match="transition table"):
+        FSA(empty, ((), (0,)), 0, frozenset())
+
+
 def test_enumerate_small():
     got = enumerate_language(parity_dfa(), 4)
     assert got[0] == ""

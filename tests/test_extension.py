@@ -17,8 +17,6 @@ from exteq.extension import (
     iota2_inverse,
     q_of,
     sigma_q,
-    sigma_q_letter,
-    sigma_q_via_chain,
     sigma_rho,
     to_q_coords,
     to_rho_prime,
@@ -243,6 +241,36 @@ def test_q_symmetric():
         for g in ball_words(ext.base, R):
             prod = q_of(ext, g) * q_of(ext, ext.inv_word(g))
             assert prod.is_identity(), (ext.kernel, g)
+
+
+# cross-check routes for sigma_q
+
+
+def sigma_q_letter(ext, g, x):
+    """Single-letter evaluation iota3 sigma_rho(g,x) - iota3 sigma_rho(x^-1, g^-1).
+
+    Agrees with sigma_q exactly when the kernel is torsion-free, and modulo
+    the undoubled torsion orders in general (the coordinate reinterpretation
+    into the pushout does not commute with addition on torsion residues).
+    """
+    xinv = ext.base.alphabet.inverse[x]
+    return iota3(sigma_rho(ext, g, x)) - iota3(
+        sigma_rho(ext, xinv, ext.inv_word(ext.nf(g)))
+    )
+
+
+def sigma_q_via_chain(ext, g, h):
+    """Chain-rule evaluation of sigma_q letter by letter."""
+    h = ext.nf(h)
+    acc = ext.pushout_kernel.zero()
+    for l in range(1, len(h) + 1):
+        prefix, x = h[: l - 1], h[l - 1]
+        acc = (
+            acc
+            + sigma_q(ext, ext.nf(g + prefix), x)
+            - sigma_q(ext, prefix, x)
+        )
+    return acc
 
 
 def test_sigma_q_letter_identity_torsion_free():

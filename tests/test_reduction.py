@@ -1,10 +1,14 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from exteq import reduction
 from exteq.abelian import iota1_inverse, iota4, pa, parity_elements
 from exteq.automata import enumerate_language, words_up_to
 from exteq.errors import (
+    AccumulatorBound,
+    BallTooSmall,
     EmptyEquation,
     Incompatible,
     LiftVerificationFailed,
@@ -13,7 +17,13 @@ from exteq.errors import (
     ValueNotInASet,
 )
 from exteq.extension import RHO, ExtElement, identity, iota2, q_of, sigma_q, sigma_rho
-from exteq.fpa_ppa import is_compatible, shortest_witness, sigma_q_of_state
+from exteq.fpa_ppa import (
+    fpa_branch,
+    is_compatible,
+    ppa_branch,
+    shortest_witness,
+    sigma_q_of_state,
+)
 from exteq.instances import central_constant, letter_constant, quaternion8
 from exteq.reduction import (
     EquationSystem,
@@ -38,7 +48,7 @@ from exteq.reduction import (
     vf_oracle_solve,
     witness_theta,
 )
-from exteq.words import normal_form
+from exteq.words import build_ball, normal_form
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +228,142 @@ def test_Le_accepts_exactly_representatives(q8_stack):
         for w in words_up_to(ext.base.alphabet, 5):
             expect = F.product.accepts(w) and normal_form(ext.base, w) == g
             assert M.accepts(w) == expect, (g, w)
+
+
+# -- constraint automata kept on F and D ----------------------------------
+
+
+def _fsa_key(M):
+    return M.transitions, M.initial, M.accepting
+
+
+def _cells(F, kappa2=2):
+    return [
+        (sbar, c)
+        for sbar in sorted(F.T)
+        for c in words_up_to(F.product.alphabet, kappa2)
+        if is_compatible(F, sbar, c)
+    ]
+
+
+@pytest.mark.parametrize("name", ["q8_stack", "modular16_stack", "dihedral_stack"])
+def test_kept_automata_equal_fresh_builds(name, request, monkeypatch):
+    stack = request.getfixturevalue(name)
+    F, D, ext, ball = stack.fpa, stack.ppa, stack.ext, stack.ball
+    cells = _cells(F)
+    # warm every cell first, so later calls read graphs built for other
+    # cells with the same end state s'
+    for sbar, c in cells:
+        compute_A_set(F, sbar, c)
+    sprimes = {F.product.run(c, start=sbar) for sbar, c in cells}
+    assert len(sprimes) < len(cells)
+    assert all(("ab", sp) in F.memo for sp in sprimes)
+    builds = []
+    original = reduction._ab_graph
+
+    def counting(F_, *args):
+        if F_ is F:
+            builds.append(args)
+        return original(F_, *args)
+
+    monkeypatch.setattr(reduction, "_ab_graph", counting)
+    for sbar, c in cells:
+        fresh = replace(F, memo={})
+        A = compute_A_set(F, sbar, c)
+        assert A == compute_A_set(fresh, sbar, c), (sbar, c)
+        for b in A:
+            Lb = build_Lb_automaton(F, sbar, c, b)
+            assert Lb is build_Lb_automaton(F, sbar, c, b)
+            assert _fsa_key(Lb) == _fsa_key(build_Lb_automaton(fresh, sbar, c, b))
+        M = fpa_branch(F, sbar)
+        assert M is fpa_branch(F, sbar)
+        assert _fsa_key(M) == _fsa_key(fpa_branch(fresh, sbar))
+    assert builds == []
+    for d in parity_elements(ext.kernel):
+        Dd = ppa_branch(D, d)
+        assert Dd is ppa_branch(D, d)
+        assert _fsa_key(Dd) == _fsa_key(ppa_branch(replace(D, memo={}), d))
+    nu = F.fam.lspec.nu
+    for c in {normal_form(ext.base, c) for _, c in cells}:
+        if len(c) + nu > ball.radius:
+            continue
+        Le = build_Le_automaton(F, ext, c, ball)
+        # a word with the same normal form reads the same automaton
+        x = ext.base.alphabet.letters[0]
+        padded = c + x + ext.base.alphabet.inverse[x]
+        assert build_Le_automaton(F, ext, padded, ball) is Le
+        fresh_Le = build_Le_automaton(replace(F, memo={}), ext, padded, ball)
+        assert _fsa_key(fresh_Le) == _fsa_key(Le)
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def test_kept_automata_raise_as_fresh_builds(dihedral_stack):
+    F, ext, ball = dihedral_stack.fpa, dihedral_stack.ext, dihedral_stack.ball
+    sbar = sorted(F.T)[0]
+    A = compute_A_set(F, sbar, "")
+    fpa_branch(F, sbar)
+    build_Le_automaton(F, ext, "s", ball)
+    fresh = replace(F, memo={})
+    outside_T = next(s for s in range(F.product.n_states) if s not in F.T)
+    bad = next(
+        w for w in words_up_to(F.product.alphabet, 2) if not is_compatible(F, sbar, w)
+    )
+    outside_b = ext.pushout_kernel.element([99])
+    assert outside_b not in A
+    small = build_ball(ext.base, 0)
+    calls = [
+        (NotAcceptingState, lambda G: fpa_branch(G, outside_T)),
+        (NotAcceptingState, lambda G: compute_A_set(G, outside_T, "")),
+        (NotAcceptingState, lambda G: build_Lb_automaton(G, outside_T, "", outside_b)),
+        (Incompatible, lambda G: compute_A_set(G, sbar, bad)),
+        (Incompatible, lambda G: build_Lb_automaton(G, sbar, bad, next(iter(A)))),
+        (ValueNotInASet, lambda G: build_Lb_automaton(G, sbar, "", outside_b)),
+        (BallTooSmall, lambda G: build_Le_automaton(G, ext, "s", small)),
+    ]
+    for err, call in calls:
+        hit = _raised(lambda: call(F))
+        assert hit[0] is err
+        assert hit == _raised(lambda: call(fresh))
+        assert hit == _raised(lambda: call(F))
+
+
+def test_kept_accumulator_graph_obeys_cap_in_force(dihedral_stack, monkeypatch):
+    F = dihedral_stack.fpa
+    sbar = sorted(F.T)[0]
+    compute_A_set(F, sbar, "")
+    sprime = F.product.run("", start=sbar)
+    n = len(F.memo[("ab", sprime)].states)
+    assert n > 2
+    b = next(iter(compute_A_set(F, sbar, "")))
+    fresh = replace(F, memo={})
+    monkeypatch.setenv("EXTEQ_CAP_STATES", str(n - 1))
+    for call in (
+        lambda G: compute_A_set(G, sbar, ""),
+        lambda G: build_Lb_automaton(G, sbar, "", b),
+    ):
+        hit = _raised(lambda: call(F))
+        assert hit[0] is AccumulatorBound
+        assert hit == _raised(lambda: call(fresh))
+    # a failed build is not kept
+    assert ("ab", sprime) not in fresh.memo
+    monkeypatch.setenv("EXTEQ_CAP_STATES", str(n))
+    assert compute_A_set(F, sbar, "") == compute_A_set(fresh, sbar, "")
+    assert _raised(lambda: compute_A_set(F, sbar, "", cap=n - 1))[0] is AccumulatorBound
+
+
+def test_Le_rebuilt_over_another_ball(q8_stack):
+    F, ext = q8_stack.fpa, q8_stack.ext
+    Le = build_Le_automaton(F, ext, "st", q8_stack.ball)
+    other = build_ball(ext.base, q8_stack.ball.radius)
+    again = build_Le_automaton(F, ext, "st", other)
+    assert again is not Le
+    assert _fsa_key(again) == _fsa_key(Le)
+    assert build_Le_automaton(F, ext, "st", other) is again
 
 
 # -- Theta enumeration --------------------------------------------------

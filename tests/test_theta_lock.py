@@ -137,3 +137,90 @@ def test_sound_theta_stream_frozen(corpus_pipes, monkeypatch):
             _digest(yielded),
         )
         assert got == frozen, f"corpus[{i}]"
+
+
+# -- finite-complete verdicts ---------------------------------------------
+#
+# The README system (x^2 = z over Q8) and the 20 corpus systems, solved in
+# finite-complete mode with oracle bound 2 on the same pipelines.  Each
+# entry is (status, gamma_solutions, thetas_tried, w_unsolvable,
+# oracle_exhausted, sha256 of the solved assignment's section coordinates
+# or None).
+
+README_SYSTEM = {
+    "format_version": 1,
+    "variables": ["x"],
+    "constants": {"z": {"g": "", "a": {"free": [], "torsion": [1]}}},
+    "equations": ["x x Z"],
+}
+
+FROZEN_FINITE_COMPLETE = [
+    ('solved', None, 2, 1, 0, 'a67650652dda73206fc22656181ecbf3598d6209182986ca473b027eaa5693c4'),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('solved', None, 1, 0, 0, '92119bd0a6d7ac4c5f6647019aa7978b90e4aae6bd7eaa291d28184249ecf045'),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('unsolvable', 1, 1, 1, 0, None),
+    ('solved', None, 1, 0, 0, '2cd8264a2f10cab70e207b247bbd4795ff0f9bb0288b214531266bc453289957'),
+    ('solved', None, 1, 0, 0, '128197b45e7dcdcd7c2e2c73b657e69e7eb77a91739d2918514088c13e952459'),
+    ('solved', None, 1, 0, 0, '92119bd0a6d7ac4c5f6647019aa7978b90e4aae6bd7eaa291d28184249ecf045'),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('solved', None, 1, 0, 0, '8885bfc8cfb10c4291bf08186c99ce41b67cee6595e0c2c78b6b589e1356ded4'),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('solved', None, 1, 0, 0, 'ac147f5d44d1cb81a95c1f9cb51a4f071604072e1d5df1c682e04917a539a27f'),
+    ('solved', None, 1, 0, 0, 'bd7230e07a3c54a2da830960a269b00d58216b6e45cdf0f6fb633c813e66742f'),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('unsolvable', 0, 0, 0, 0, None),
+    ('solved', None, 1, 0, 0, 'ac147f5d44d1cb81a95c1f9cb51a4f071604072e1d5df1c682e04917a539a27f'),
+]
+
+
+def _assignment_digest(assignment):
+    if assignment is None:
+        return None
+    blob = json.dumps(
+        sorted(
+            [var, el.coords, el.g, list(el.a.coords())]
+            for var, el in assignment.items()
+        )
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _finite_complete_cases():
+    data = Path(__file__).resolve().parent.parent / "data"
+    corpus = files.load_json(str(data / "corpus.json"))["systems"]
+    return [("quaternion8", README_SYSTEM)] + [
+        (entry["extension"], entry["system"]) for entry in corpus
+    ]
+
+
+def _finite_complete_verdicts(corpus_pipes):
+    rows = []
+    for ext_name, system in _finite_complete_cases():
+        pipe = corpus_pipes[ext_name]
+        sys_ = files.equation_system_from_json(system, pipe.ext)
+        out = solve(
+            sys_, pipe, SolveConfig(mode="finite-complete", oracle_bound=2)
+        )
+        r = out.report
+        rows.append((
+            out.status,
+            r.get("gamma_solutions"),
+            r["thetas_tried"],
+            r["w_unsolvable"],
+            r["oracle_exhausted"],
+            _assignment_digest(out.assignment),
+        ))
+    return rows
+
+
+def test_finite_complete_verdicts_frozen(corpus_pipes):
+    got = _finite_complete_verdicts(corpus_pipes)
+    assert len(got) == len(FROZEN_FINITE_COMPLETE)
+    for i, (row, frozen) in enumerate(zip(got, FROZEN_FINITE_COMPLETE)):
+        assert row == frozen, f"case {i}"
