@@ -163,9 +163,12 @@ def cmd_ball(args) -> int:
         sum(1 for dd in ball.distances if dd <= r) for r in range(args.radius + 1)
     ]
     closed = all(t is not None for e in ball.edges for t in e.values())
-    payload = {"radius": args.radius, "sizes": sizes, "closed": closed}
+    payload = {"radius": args.radius, "sizes": sizes,
+               "reduced_edges": ball.reduced_edges, "closed": closed}
     _emit(args, payload, [
         f"ball sizes by radius: {sizes}",
+        f"edges sent to the reducer: {ball.reduced_edges} of "
+        f"{len(ball) * len(p.alphabet.letters)}",
         f"closed (finite group seen whole): {closed}",
     ])
     return EXIT_OK

@@ -27,14 +27,14 @@ from .errors import (
     ResourceBound,
     SinkOnPrefix,
 )
-from .extension import CentralExtension, sigma_q, sigma_rho
+from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from .lrational import (
     Q_LEFT,
     RHO_LEFT,
     RHO_RIGHT_REVERSED,
     PredictorFamily,
 )
-from .words import Word, state_cap
+from .words import Word, build_ball, state_cap
 
 
 @dataclass(frozen=True)
@@ -354,24 +354,36 @@ def check_fpa_key_property(F: FPA, R: int, R_v: Optional[int] = None) -> CheckRe
 
 def check_ppa_key_property(D: PPA, R: int = 6) -> CheckReport:
     """Pa(sigma_rho(w, w^-1)) equals the accumulator branch of every
-    accepted w with |w| <= R; L-prefixes never reach the sink."""
+    accepted w with |w| <= R; L-prefixes never reach the sink.
+
+    sigma_rho(w, w^-1) is read from the cocycle tables over the radius-R
+    ball, and evaluated by the string route where they read None."""
     ext = D.ext
+    kernel = ext.kernel
     alpha = D.fsa.alphabet
+    ball = build_ball(ext.base, R)
+    table = BallCocycles(ext, ball).sigma_inverse
     counterexamples = []
-    frontier = [("", D.fsa.initial)]
+    # (w, state, ball index of w)
+    frontier = [("", D.fsa.initial, 0)]
     for _ in range(R + 1):
         nxt = []
-        for w, s in frontier:
+        for w, s, g in frontier:
             if s in D.fsa.accepting:
                 if D.states[s] is None:
                     counterexamples.append(("sink-accepting", w))
                 else:
                     d = D.states[s][2]
-                    direct = pa(sigma_rho(ext, w, alpha.inverse_word(w)))
+                    v = table[g]
+                    direct = (
+                        pa(sigma_rho(ext, w, alpha.inverse_word(w)))
+                        if v is None
+                        else ParityElement(kernel, v[: kernel.rank], v[kernel.rank :])
+                    )
                     if direct != d:
                         counterexamples.append(("branch", w, direct, d))
             if len(w) < R:
                 for x in alpha.letters:
-                    nxt.append((w + x, D.fsa.step(s, x)))
+                    nxt.append((w + x, D.fsa.step(s, x), ball.edges[g][x]))
         frontier = nxt
     return CheckReport(R, tuple(counterexamples))

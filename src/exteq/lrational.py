@@ -45,7 +45,6 @@ from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from .words import (
     CayleyBall,
     Presentation,
-    QGConstants,
     Word,
     build_ball,
     normal_form,
@@ -235,9 +234,6 @@ class LanguageSpec:
                     _TailScheme(self.presentation, self.nu, self.window)
                 )
         return self._scheme_cache[0]
-
-    def qg_constants(self) -> QGConstants:
-        return QGConstants(lam=self.lam, nu=Fraction(self.nu))
 
 
 @dataclass(frozen=True)
@@ -472,8 +468,12 @@ def build_predictor_family(
     R_validate: int,
     ball: Optional[CayleyBall] = None,
     cap: Optional[int] = None,
+    cocycles: Optional[BallCocycles] = None,
 ) -> PredictorFamily:
-    """Synthesize and validate the predictor family of the given kind."""
+    """Synthesize and validate the predictor family of the given kind.
+
+    `cocycles`, the tables of ext over the ball, may be shared by the
+    families validated over one ball."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if lspec.presentation != ext.base:
@@ -506,7 +506,7 @@ def build_predictor_family(
         reps=reps,
     )
     ball = ball or build_ball(ext.base, R_validate)
-    report = validate_family(fam, ext, R_validate, ball)
+    report = validate_family(fam, ext, R_validate, ball, cocycles)
     if not report.passed:
         first = report.mismatches[0]
         if first[0] == "value":
@@ -537,7 +537,11 @@ def _direct_value(ext: CentralExtension, kind: str, tape: Word, x: str):
 
 
 def validate_family(
-    fam: PredictorFamily, ext: CentralExtension, R: int, ball: Optional[CayleyBall] = None
+    fam: PredictorFamily,
+    ext: CentralExtension,
+    R: int,
+    ball: Optional[CayleyBall] = None,
+    cocycles: Optional[BallCocycles] = None,
 ) -> ValidationReport:
     """Exhaustively compare the family against direct evaluation.
 
@@ -545,14 +549,18 @@ def validate_family(
     quasi-geodesic test, and for members the predicted value against the
     cocycle value for every letter.  For the reversed kind the
     membership/value pair is checked on the letter-inverted tape.
-    Expected values come from the ball's edge labels (BallCocycles); an
-    element outside their reach is evaluated by the string route.
+    Expected values come from the ball's edge labels (`cocycles`, built
+    here unless given); an element outside their reach is evaluated by
+    the string route.
     """
     lspec = fam.lspec
     alpha = lspec.presentation.alphabet
     letters = alpha.letters
     ball = ball or build_ball(lspec.presentation, R)
-    cocycles = BallCocycles(ext, ball)
+    if cocycles is None:
+        cocycles = BallCocycles(ext, ball)
+    elif cocycles.ball is not ball or cocycles.ext is not ext:
+        raise ValueError("cocycle tables belong to another ball or extension")
     kind = fam.kind
     group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
     if kind == Q_LEFT:

@@ -55,6 +55,7 @@ from .errors import (
 from .extension import (
     RHO,
     RHO_PRIME,
+    BallCocycles,
     CentralExtension,
     ExtElement,
     identity,
@@ -1193,9 +1194,11 @@ class Pipeline:
         radius = max(R_validate, ball_radius or 0)
         ball = build_ball(ext.base, radius, cap=cap)
         L = build_L_automaton(ext.base, lspec, R_learn, R_validate, ball=ball, cap=cap)
+        cocycles = BallCocycles(ext, ball)
         fams = {
             kind: build_predictor_family(
-                ext, kind, lspec, R_learn, R_validate, ball=ball, cap=cap
+                ext, kind, lspec, R_learn, R_validate, ball=ball, cap=cap,
+                cocycles=cocycles,
             )
             for kind in (Q_LEFT, RHO_LEFT, RHO_RIGHT_REVERSED)
         }

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import (
-    AlphabetMismatch,
-    BallTooSmall,
-    NotSmallCancellation,
-    ResourceBound,
-)
+from .errors import AlphabetMismatch, BallTooSmall, ResourceBound
 
 Word = str
 
@@ -311,38 +306,6 @@ def _reduce_with_log(
         return best, visited[best]
 
 
-def dehn_reduce(
-    p: Presentation, w: Word, policy: str = "leftmost", search: Optional[bool] = None
-) -> tuple[Word, RelatorLog]:
-    """Reduce w, returning the reduced word and the relator-application log.
-
-    With search enabled (the default) the result is the canonical normal
-    form; with search=False only greedy shortening runs, which is complete
-    for C'(1/6) presentations and rejected otherwise.
-    """
-    if search is None:
-        search = True
-    if not search:
-        report = check_small_cancellation(p, Fraction(1, 6))
-        if not report.passed:
-            raise NotSmallCancellation(
-                f"presentation is not C'(1/6): piece {report.violations[0][0]!r}"
-            )
-        alpha = p.alphabet
-        shorten, _, max_len, min_len, _ = p.tables
-        w = alpha.free_reduce(w)
-        log: RelatorLog = []
-        while shorten:
-            hit = _find_shorten(shorten, max_len, min_len, w, policy)
-            if hit is None:
-                break
-            i, u, (v, k, sign) = hit
-            w = alpha.free_reduce(w[:i] + v + w[i + len(u) :])
-            log.append((k, sign, i))
-        return w, log
-    return _reduce_with_log(p, w, policy)
-
-
 def normal_form_with_log(p: Presentation, w: Word) -> tuple[Word, tuple]:
     cached = p._nf_cache.get(w)
     if cached is None:
@@ -357,10 +320,6 @@ def normal_form(p: Presentation, w: Word) -> Word:
     return normal_form_with_log(p, w)[0]
 
 
-def is_trivial(p: Presentation, w: Word) -> bool:
-    return normal_form(p, w) == ""
-
-
 @dataclass
 class CayleyBall:
     """All group elements within a given radius, with shortlex normal forms.
@@ -371,7 +330,8 @@ class CayleyBall:
     every element and letter, boundary edges included: the edge's kernel
     label.  `parents[i]` is the index of words[i][:-1] when that prefix is
     itself in the ball and its edge by the last letter leads back to i,
-    else None (always None for the identity).
+    else None (always None for the identity).  `reduced_edges` counts
+    the edges whose normal form went through the reducer.
     """
 
     presentation: Presentation
@@ -382,6 +342,7 @@ class CayleyBall:
     edges: list[dict[str, Optional[int]]]
     logs: list[tuple[tuple[int, ...], ...]]
     parents: list[Optional[int]]
+    reduced_edges: int
 
     def __len__(self) -> int:
         return len(self.words)
@@ -406,7 +367,17 @@ class CayleyBall:
 
 
 def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall:
-    """BFS enumeration of the ball of radius R around the identity."""
+    """BFS enumeration of the ball of radius R around the identity.
+
+    A normal form with no subword among the rewrite tables' keys reduces
+    to itself with an empty log.  So an edge out of such a key-free word
+    w by a letter x needs no reduction when x cancels w's last letter
+    (the result is w minus that letter) or when no suffix of wx is a
+    key (wx is then its own normal form, and key-free).  Every other
+    edge goes through the reducer.  Either way the edge's normal form,
+    its relator counts and the presentation's normal-form cache are the
+    ones the reducer would have produced.
+    """
     cap = cap if cap is not None else state_cap()
     nrel = len(p.relators)
     zero = (0,) * nrel
@@ -421,11 +392,25 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
         c = tuple(acc)
         return shared.setdefault(c, c)
 
+    shorten, swaps, *_ = p.tables
+    keys = shorten.keys() | swaps.keys()
+    key_lengths = sorted({len(u) for u in keys})
+
+    def is_key_free(w: Word) -> bool:
+        return not any(
+            w[i : i + n] in keys for n in key_lengths for i in range(len(w) - n + 1)
+        )
+
+    letters = p.alphabet.letters
+    inverse = p.alphabet.inverse
+    nf_cache = p._nf_cache
     words = [""]
     index = {"": 0}
     distances = [0]
+    key_free = [is_key_free("")]
     edges: list[dict[str, Optional[int]]] = []
     logs: list[tuple[tuple[int, ...], ...]] = []
+    reduced = 0
     # elements are expanded in index order, so edges[i] and logs[i] line
     # up with words[i]; the last level only looks up its outgoing edges
     frontier = [0]
@@ -433,11 +418,30 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
         nxt_frontier = []
         for i in frontier:
             w = words[i]
+            free = key_free[i]
+            back = inverse[w[-1]] if w else None
             row: dict[str, Optional[int]] = {}
             row_logs = []
-            for x in p.alphabet.letters:
-                nf, log = normal_form_with_log(p, w + x)
-                row_logs.append(counts(log))
+            for x in letters:
+                wx = w + x
+                fast = free
+                if free and x == back:
+                    nf = w[:-1]
+                elif free:
+                    nf = wx
+                    for n in key_lengths:
+                        if n > len(wx):
+                            break
+                        if wx[-n:] in keys:
+                            fast = False
+                            break
+                if fast:
+                    nf_cache[wx] = (nf, ())
+                    row_logs.append(zero)
+                else:
+                    nf, log = normal_form_with_log(p, wx)
+                    row_logs.append(counts(log))
+                    reduced += 1
                 j = index.get(nf)
                 if j is None and dist < R:
                     if len(words) >= cap:
@@ -446,6 +450,7 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
                     index[nf] = j
                     words.append(nf)
                     distances.append(dist + 1)
+                    key_free.append(fast or is_key_free(nf))
                     nxt_frontier.append(j)
                 row[x] = j
             edges.append(row)
@@ -456,57 +461,7 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
         i = index.get(words[j][:-1])
         if i is not None and i < j and edges[i][words[j][-1]] == j:
             parents[j] = i
-    return CayleyBall(p, R, words, index, distances, edges, logs, parents)
-
-
-@dataclass(frozen=True)
-class QGConstants:
-    """Quasi-geodesic constants (lam, nu) plus their derivation trail."""
-
-    lam: Fraction
-    nu: Fraction
-    mu0: Optional[Fraction] = None
-    lambda0: Optional[Fraction] = None
-    lambda1: Optional[Fraction] = None
-    mu1: Optional[Fraction] = None
-    m0: Optional[int] = None
-
-    def __post_init__(self):
-        if self.lam < 1 or self.nu < 0:
-            raise ValueError("need lam >= 1 and nu >= 0")
-
-
-def derive_qg_constants(
-    delta: Fraction,
-    m0: int,
-    K0: Fraction = Fraction(1),
-    K1: Fraction = Fraction(1),
-    K2: Fraction = Fraction(1),
-    C: Fraction = Fraction(0),
-    nu1: Optional[Fraction] = None,
-) -> QGConstants:
-    """Evaluate the standard constant chain exactly.
-
-    mu0 = 8, lambda0 = 400*delta*m0, mu1 = mu0 + 2 + 2/lambda0,
-    lambda1 = lambda0, lam = K0*K1*K2*lambda1, nu = nu1 + C with nu1
-    defaulting to mu1.
-    """
-    delta = Fraction(delta)
-    if delta <= 0 or m0 < 1:
-        raise ValueError("need delta > 0 and m0 >= 1")
-    if any(Fraction(K) < 1 for K in (K0, K1, K2)) or Fraction(C) < 0:
-        raise ValueError("need K0, K1, K2 >= 1 and C >= 0")
-    mu0 = Fraction(8)
-    lambda0 = Fraction(400) * delta * m0
-    mu1 = mu0 + 2 + Fraction(2) / lambda0
-    lambda1 = lambda0
-    lam = Fraction(K0) * Fraction(K1) * Fraction(K2) * lambda1
-    if nu1 is None:
-        nu1 = mu1
-    nu = Fraction(nu1) + Fraction(C)
-    return QGConstants(
-        lam=lam, nu=nu, mu0=mu0, lambda0=lambda0, lambda1=lambda1, mu1=mu1, m0=m0
-    )
+    return CayleyBall(p, R, words, index, distances, edges, logs, parents, reduced)
 
 
 def qg_min_distances(lam: Fraction, nu: Fraction, n: int) -> list[int]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from exteq.extension import CentralExtension
+from exteq.extension import BallCocycles, CentralExtension
 from exteq.fpa_ppa import FPA, PPA, build_fpa, build_lfpa, build_ppa, build_rfpa
 from exteq.instances import (
     default_language_spec,
@@ -46,8 +46,11 @@ def _build_stack(ext: CentralExtension, R_validate: int, ball_radius=None) -> St
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, ball_radius or R_validate)
     L = build_L_automaton(ext.base, lspec, 4, R_validate, ball=ball)
+    cocycles = BallCocycles(ext, ball)
     fams = {
-        kind: build_predictor_family(ext, kind, lspec, 4, R_validate, ball=ball)
+        kind: build_predictor_family(
+            ext, kind, lspec, 4, R_validate, ball=ball, cocycles=cocycles
+        )
         for kind in KINDS
     }
     fpa = build_fpa(fams["q-left"])

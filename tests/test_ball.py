@@ -1,0 +1,203 @@
+"""The Cayley ball against the reduce-every-edge construction.
+
+`build_ball` reduces only the edges where a rewrite key can apply; the
+reference below sends every edge through the reducer.  Both must give
+the same ball, field for field, and leave the same normal-form cache.
+"""
+
+from typing import Optional
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from exteq import words
+from exteq.errors import ResourceBound
+from exteq.instances import (
+    dihedral_z,
+    free_presentation,
+    genus2_presentation,
+    klein_presentation,
+    modular16,
+    quaternion8,
+    t1s,
+)
+from exteq.words import (
+    Alphabet,
+    CayleyBall,
+    Presentation,
+    build_ball,
+    normal_form_with_log,
+    state_cap,
+)
+
+
+def reference_build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall:
+    """BFS enumeration of the ball, every edge through the reducer."""
+    cap = cap if cap is not None else state_cap()
+    nrel = len(p.relators)
+    zero = (0,) * nrel
+
+    def counts(log) -> tuple[int, ...]:
+        if not log:
+            return zero
+        acc = [0] * nrel
+        for k, sign, _pos in log:
+            acc[k] += sign
+        return tuple(acc)
+
+    words_ = [""]
+    index = {"": 0}
+    distances = [0]
+    edges: list[dict[str, Optional[int]]] = []
+    logs: list[tuple[tuple[int, ...], ...]] = []
+    frontier = [0]
+    for dist in range(R + 1):
+        nxt_frontier = []
+        for i in frontier:
+            w = words_[i]
+            row: dict[str, Optional[int]] = {}
+            row_logs = []
+            for x in p.alphabet.letters:
+                nf, log = normal_form_with_log(p, w + x)
+                row_logs.append(counts(log))
+                j = index.get(nf)
+                if j is None and dist < R:
+                    if len(words_) >= cap:
+                        raise ResourceBound(f"ball exceeds cap {cap}")
+                    j = len(words_)
+                    index[nf] = j
+                    words_.append(nf)
+                    distances.append(dist + 1)
+                    nxt_frontier.append(j)
+                row[x] = j
+            edges.append(row)
+            logs.append(tuple(row_logs))
+        frontier = nxt_frontier
+    parents: list[Optional[int]] = [None] * len(words_)
+    for j in range(1, len(words_)):
+        i = index.get(words_[j][:-1])
+        if i is not None and i < j and edges[i][words_[j][-1]] == j:
+            parents[j] = i
+    n_edges = len(edges) * len(p.alphabet.letters)
+    return CayleyBall(p, R, words_, index, distances, edges, logs, parents, n_edges)
+
+
+def _fields(ball: CayleyBall) -> tuple:
+    return (
+        ball.radius,
+        ball.words,
+        ball.index,
+        ball.distances,
+        ball.edges,
+        ball.logs,
+        ball.parents,
+    )
+
+
+def _fresh(p: Presentation) -> Presentation:
+    """The same presentation with an empty normal-form cache."""
+    return Presentation(p.alphabet, p.relators, p.delta, p.sc_fraction)
+
+
+def _outcome(build, p: Presentation, R: int, cap=None):
+    """The ball's fields and the cache's items in insertion order, or the
+    ResourceBound raised on the way."""
+    try:
+        ball = build(p, R, cap=cap)
+    except ResourceBound as e:
+        return ("raised", str(e))
+    return _fields(ball), list(p._nf_cache.items())
+
+
+def _assert_same_as_reference(p: Presentation, R: int, cap=None):
+    got = _outcome(build_ball, _fresh(p), R, cap)
+    want = _outcome(reference_build_ball, _fresh(p), R, cap)
+    assert got == want
+
+
+BUNDLED = {
+    "t1s-R5": (lambda: t1s().base, 5),
+    "quaternion8-R7": (lambda: quaternion8().base, 7),
+    "modular16-R7": (lambda: modular16().base, 7),
+    "dihedral_z-R8": (lambda: dihedral_z().base, 8),
+    "klein-R4": (klein_presentation, 4),
+    "genus2-R4": (genus2_presentation, 4),
+    "free2-R4": (free_presentation, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_ball_and_cache_equal_reference_on_bundled(name):
+    make, R = BUNDLED[name]
+    _assert_same_as_reference(make(), R)
+
+
+def test_ball_on_warm_cache_equals_reference():
+    # a cache already filled by the reference is left as it was
+    p = genus2_presentation()
+    want = _fields(reference_build_ball(p, 3))
+    cache = list(p._nf_cache.items())
+    assert _fields(build_ball(p, 3)) == want
+    assert list(p._nf_cache.items()) == cache
+
+
+@st.composite
+def presentations(draw):
+    n = draw(st.integers(2, 3))
+    gens = "abc"[:n]
+    involutive = draw(st.sets(st.sampled_from(gens), max_size=1))
+    alpha = Alphabet.from_generators(list(gens), involutive)
+    relators = []
+    for _ in range(draw(st.integers(0, 3))):
+        w = alpha.free_reduce(
+            "".join(draw(st.lists(st.sampled_from(alpha.letters), min_size=1, max_size=8)))
+        )
+        while w and w[0] == alpha.inverse[w[-1]]:
+            w = w[1:-1]
+        if w and w not in relators:
+            relators.append(w)
+    return Presentation(alpha, tuple(relators))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(presentations(), st.integers(0, 4))
+def test_ball_and_cache_equal_reference_on_generated(p, R):
+    _assert_same_as_reference(p, R, cap=3_000)
+
+
+def test_ball_cap_raises_as_reference():
+    p = genus2_presentation()
+    n = len(build_ball(p, 3))
+    for cap in (1, 2, 9, n - 1, n):
+        _assert_same_as_reference(p, 3, cap)
+    with pytest.raises(ResourceBound):
+        build_ball(_fresh(p), 3, cap=n - 1)
+    build_ball(_fresh(p), 3, cap=n)
+
+
+def test_swap_closure_cap_raises_as_reference(monkeypatch):
+    monkeypatch.setattr(words, "_SWAP_CLOSURE_CAP", 0)
+    p = genus2_presentation()
+    _assert_same_as_reference(p, 5)
+    with pytest.raises(ResourceBound, match="swap closure"):
+        build_ball(_fresh(p), 5)
+
+
+def test_t1s_ball_reduces_few_edges(monkeypatch):
+    calls = []
+    reduce = words._reduce_with_log
+
+    def counted(p, w, policy="leftmost"):
+        calls.append(w)
+        return reduce(p, w, policy)
+
+    monkeypatch.setattr(words, "_reduce_with_log", counted)
+    ball = build_ball(t1s().base, 5)
+    assert len(ball) * len(ball.presentation.alphabet.letters) == 178_312
+    assert len(calls) <= 1_700
+    assert ball.reduced_edges == len(calls)

@@ -109,6 +109,24 @@ def test_ball_json_output(capsys):
     payload = json.loads(out)
     assert payload["sizes"] == [1, 3, 4, 4]
     assert payload["closed"] is True
+    # every word but the identity holds a rewrite key of the Klein
+    # presentation, so each of the 4 x 4 edges is reduced
+    assert payload["reduced_edges"] == 16
+
+
+def test_ball_reports_reduced_edges(capsys):
+    code, out = run_cli(
+        "--json", "ball", str(DATA / "genus2.json"), "--radius", "4",
+        capsys=capsys,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    n_edges = payload["sizes"][-1] * 8
+    assert 0 < payload["reduced_edges"] < n_edges // 10
+    code, out = run_cli(
+        "ball", str(DATA / "genus2.json"), "--radius", "4", capsys=capsys
+    )
+    assert f"edges sent to the reducer: {payload['reduced_edges']} of {n_edges}" in out
 
 
 def test_cocycle_table(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from exteq.abelian import FGAGroup, ParityElement, pa, parity_elements
@@ -227,6 +229,48 @@ def test_ppa_key_property_q8(q8_stack):
 
 def test_ppa_key_property_t1s(t1s_stack):
     assert check_ppa_key_property(t1s_stack.ppa, R=4).passed
+
+
+def _string_route_ppa_check(D, R):
+    """check_ppa_key_property with sigma_rho(w, w^-1) by the string route."""
+    alpha = D.fsa.alphabet
+    counterexamples = []
+    frontier = [("", D.fsa.initial)]
+    for _ in range(R + 1):
+        nxt = []
+        for w, s in frontier:
+            if s in D.fsa.accepting:
+                if D.states[s] is None:
+                    counterexamples.append(("sink-accepting", w))
+                else:
+                    d = D.states[s][2]
+                    direct = pa(sigma_rho(D.ext, w, alpha.inverse_word(w)))
+                    if direct != d:
+                        counterexamples.append(("branch", w, direct, d))
+            if len(w) < R:
+                for x in alpha.letters:
+                    nxt.append((w + x, D.fsa.step(s, x)))
+        frontier = nxt
+    return counterexamples
+
+
+@pytest.mark.parametrize("R", [0, 1, 4, 6])
+def test_ppa_key_property_tables_match_string_route(dihedral_stack, R):
+    # the same counterexamples, in the same order, on a PPA with one
+    # branch flipped and one accepting state sent to the sink
+    D = dihedral_stack.ppa
+    kernel = D.ext.kernel
+    one = ParityElement(kernel, (1,), ())
+    states = list(D.states)
+    flipped, sunk = sorted(D.fsa.accepting)[-2:]
+    m1, m2, d = states[flipped]
+    states[flipped] = (m1, m2, d + one)
+    states[sunk] = None
+    for ppa in (D, replace(D, states=states, memo={})):
+        report = check_ppa_key_property(ppa, R=R)
+        assert list(report.counterexamples) == _string_route_ppa_check(ppa, R)
+    if R == 6:
+        assert {c[0] for c in report.counterexamples} == {"branch", "sink-accepting"}
 
 
 def test_mutated_family_breaks_key_property(dihedral_stack):

@@ -29,7 +29,7 @@ from exteq.lrational import (
     validate_family,
 )
 from exteq.automata import FSA
-from exteq.extension import sigma_q, sigma_rho
+from exteq.extension import BallCocycles, sigma_q, sigma_rho
 from exteq.words import build_ball, normal_form
 
 
@@ -248,6 +248,23 @@ def test_mutated_values_fail_validation(q8_families):
     )
     report = validate_family(broken, ext, 3)
     assert any(m[0] == "value" for m in report.mismatches)
+
+
+def test_shared_cocycle_tables(q8_stack):
+    # tables built once serve every family; tables of another ball or
+    # extension are refused
+    ext, ball = q8_stack.ext, q8_stack.ball
+    cocycles = BallCocycles(ext, ball)
+    for fam in q8_stack.fams.values():
+        R = fam.validated_radius
+        assert validate_family(fam, ext, R, ball, cocycles) == validate_family(
+            fam, ext, R, ball
+        )
+    other = build_ball(ext.base, ball.radius)
+    with pytest.raises(ValueError):
+        validate_family(q8_stack.fams[Q_LEFT], ext, 3, other, cocycles)
+    with pytest.raises(ValueError):
+        validate_family(q8_stack.fams[Q_LEFT], modular16(), 3, ball, cocycles)
 
 
 def test_unknown_value_rejected(q8_families):

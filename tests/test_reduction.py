@@ -16,7 +16,16 @@ from exteq.errors import (
     ResourceBound,
     ValueNotInASet,
 )
-from exteq.extension import RHO, ExtElement, identity, iota2, q_of, sigma_q, sigma_rho
+from exteq.extension import (
+    RHO,
+    BallCocycles,
+    ExtElement,
+    identity,
+    iota2,
+    q_of,
+    sigma_q,
+    sigma_rho,
+)
 from exteq.fpa_ppa import (
     fpa_branch,
     is_compatible,
@@ -49,6 +58,19 @@ from exteq.reduction import (
     witness_theta,
 )
 from exteq.words import build_ball, normal_form
+
+
+def test_pipeline_builds_one_cocycle_table(monkeypatch):
+    built = []
+    init = BallCocycles.__init__
+
+    def counted(self, ext, ball):
+        built.append(ball)
+        init(self, ext, ball)
+
+    monkeypatch.setattr(BallCocycles, "__init__", counted)
+    pipe = Pipeline.build(quaternion8(), kappa2=2)
+    assert len(built) == 1 and built[0] is pipe.ball
 
 
 @pytest.fixture(scope="module")

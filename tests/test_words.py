@@ -1,6 +1,8 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -8,16 +10,101 @@ from exteq.errors import AlphabetMismatch, BallTooSmall, NotSmallCancellation
 from exteq.words import (
     Alphabet,
     Presentation,
+    RelatorLog,
+    Word,
+    _find_shorten,
+    _reduce_with_log,
     build_ball,
     check_small_cancellation,
-    dehn_reduce,
-    derive_qg_constants,
     free_reduce,
     is_quasigeodesic,
-    is_trivial,
     normal_form,
     normal_form_with_log,
 )
+
+
+def dehn_reduce(
+    p: Presentation, w: Word, policy: str = "leftmost", search: bool = True
+) -> tuple[Word, RelatorLog]:
+    """Reduce w, returning the reduced word and the relator-application log.
+
+    With search enabled (the default) the result is the canonical normal
+    form; with search=False only greedy shortening runs, which is complete
+    for C'(1/6) presentations and rejected otherwise.
+    """
+    if search:
+        return _reduce_with_log(p, w, policy)
+    report = check_small_cancellation(p, Fraction(1, 6))
+    if not report.passed:
+        raise NotSmallCancellation(
+            f"presentation is not C'(1/6): piece {report.violations[0][0]!r}"
+        )
+    alpha = p.alphabet
+    shorten, _, max_len, min_len, _ = p.tables
+    w = alpha.free_reduce(w)
+    log: RelatorLog = []
+    while shorten:
+        hit = _find_shorten(shorten, max_len, min_len, w, policy)
+        if hit is None:
+            break
+        i, u, (v, k, sign) = hit
+        w = alpha.free_reduce(w[:i] + v + w[i + len(u) :])
+        log.append((k, sign, i))
+    return w, log
+
+
+def is_trivial(p: Presentation, w: Word) -> bool:
+    return normal_form(p, w) == ""
+
+
+@dataclass(frozen=True)
+class QGConstants:
+    """Quasi-geodesic constants (lam, nu) plus their derivation trail."""
+
+    lam: Fraction
+    nu: Fraction
+    mu0: Optional[Fraction] = None
+    lambda0: Optional[Fraction] = None
+    lambda1: Optional[Fraction] = None
+    mu1: Optional[Fraction] = None
+    m0: Optional[int] = None
+
+    def __post_init__(self):
+        if self.lam < 1 or self.nu < 0:
+            raise ValueError("need lam >= 1 and nu >= 0")
+
+
+def derive_qg_constants(
+    delta: Fraction,
+    m0: int,
+    K0: Fraction = Fraction(1),
+    K1: Fraction = Fraction(1),
+    K2: Fraction = Fraction(1),
+    C: Fraction = Fraction(0),
+    nu1: Optional[Fraction] = None,
+) -> QGConstants:
+    """Evaluate the standard constant chain exactly.
+
+    mu0 = 8, lambda0 = 400*delta*m0, mu1 = mu0 + 2 + 2/lambda0,
+    lambda1 = lambda0, lam = K0*K1*K2*lambda1, nu = nu1 + C with nu1
+    defaulting to mu1.
+    """
+    delta = Fraction(delta)
+    if delta <= 0 or m0 < 1:
+        raise ValueError("need delta > 0 and m0 >= 1")
+    if any(Fraction(K) < 1 for K in (K0, K1, K2)) or Fraction(C) < 0:
+        raise ValueError("need K0, K1, K2 >= 1 and C >= 0")
+    mu0 = Fraction(8)
+    lambda0 = Fraction(400) * delta * m0
+    mu1 = mu0 + 2 + Fraction(2) / lambda0
+    lambda1 = lambda0
+    lam = Fraction(K0) * Fraction(K1) * Fraction(K2) * lambda1
+    if nu1 is None:
+        nu1 = mu1
+    nu = Fraction(nu1) + Fraction(C)
+    return QGConstants(
+        lam=lam, nu=nu, mu0=mu0, lambda0=lambda0, lambda1=lambda1, mu1=mu1, m0=m0
+    )
 
 
 def genus2():
