@@ -33,10 +33,14 @@ class FGAGroup:
         return self.element([0] * self.rank, [0] * len(self.torsion))
 
     def pushout(self) -> "FGAGroup":
-        """Same rank, every torsion order doubled."""
-        # doubling keeps a valid group valid, so __post_init__ is skipped
-        g = object.__new__(FGAGroup)
-        g.__dict__.update(rank=self.rank, torsion=tuple(2 * d for d in self.torsion))
+        """Same rank, every torsion order doubled; built on the first call
+        and kept in one slot on the group, outside its fields."""
+        g = self.__dict__.get("_pushout")
+        if g is None:
+            # doubling keeps a valid group valid, so __post_init__ is skipped
+            g = object.__new__(FGAGroup)
+            g.__dict__.update(rank=self.rank, torsion=tuple(2 * d for d in self.torsion))
+            self.__dict__["_pushout"] = g
         return g
 
     def elements(self, free_range: range = range(0, 1)):
@@ -229,14 +233,6 @@ def iota4(p: ParityElement) -> FGAElement:
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
 
 
 def smith_normal_form(M: Sequence[Sequence[int]]):

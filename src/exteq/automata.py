@@ -101,28 +101,6 @@ def product(
     return fsa, tuples
 
 
-def is_empty(M: FSA) -> bool:
-    seen = {M.initial}
-    queue = deque([M.initial])
-    while queue:
-        s = queue.popleft()
-        if s in M.accepting:
-            return False
-        for t in M.transitions[s]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return True
-
-
-def language_equal(M1: FSA, M2: FSA) -> bool:
-    prod, _ = product(
-        [M1, M2],
-        lambda tup: (tup[0] in M1.accepting) != (tup[1] in M2.accepting),
-    )
-    return is_empty(prod)
-
-
 def coaccessible(M: FSA) -> set[int]:
     """States from which some accepting state is reachable."""
     back = [[] for _ in range(M.n_states)]
@@ -138,25 +116,6 @@ def coaccessible(M: FSA) -> set[int]:
                 alive.add(p)
                 queue.append(p)
     return alive
-
-
-def enumerate_language(M: FSA, maxlen: int) -> list[Word]:
-    """All accepted words of length <= maxlen, in shortlex order."""
-    alive = coaccessible(M)
-    out: list[Word] = []
-    frontier = [("", M.initial)] if M.initial in alive else []
-    for _ in range(maxlen + 1):
-        nxt = []
-        for w, s in frontier:
-            if s in M.accepting:
-                out.append(w)
-            for x in M.alphabet.letters:
-                t = M.step(s, x)
-                if t in alive:
-                    nxt.append((w + x, t))
-        frontier = nxt
-    # trim words that exceeded maxlen in the last expansion
-    return [w for w in out if len(w) <= maxlen]
 
 
 def words_up_to(alphabet: Alphabet, maxlen: int):

@@ -14,18 +14,17 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import files
-from .errors import ExtEqError, LiftVerificationFailed
+from .errors import ExtEqError
 from .extension import RHO, ExtElement, sigma_q, sigma_rho
 from .fpa_ppa import check_fpa_key_property, check_ppa_key_property
 from .reduction import (
     NO_SOLUTION_WITHIN_BOUNDS,
     SOLVED,
     UNSOLVABLE,
-    EquationSystem,
     Pipeline,
     SolveConfig,
     check_in_extension,

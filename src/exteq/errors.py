@@ -46,10 +46,6 @@ class SchemaError(ExtEqError):
     """A JSON artifact failed schema validation; message names the path."""
 
 
-class EmptyBranch(ExtEqError):
-    """A branch language L(s) is empty where a witness word was required."""
-
-
 class Incompatible(ExtEqError):
     """A word is not compatible with the given accepting state."""
 

@@ -125,16 +125,6 @@ def sigma_q(ext: CentralExtension, g: Word, h: Word) -> FGAElement:
     return cached
 
 
-def eval_word(ext: CentralExtension, w: Word, coords: str = RHO) -> "ExtElement":
-    """Evaluate a word letter by letter in E (or E'), lifting each letter
-    through the section with kernel part zero."""
-    acc = identity(ext, coords)
-    group = acc.a.group
-    for x in w:
-        acc = acc * ExtElement(ext, coords, x, group.zero())
-    return acc
-
-
 class BallCocycles:
     """sigma_rho, sigma_q and sigma_rho(x, h) as integer tables over a ball.
 
@@ -385,8 +375,3 @@ def to_rho_prime(e: ExtElement) -> ExtElement:
     if e.coords == RHO_PRIME:
         return e
     return ExtElement(e.ext, RHO_PRIME, e.g, e.a + _q_part(e.ext, e.g))
-
-
-def to_q_coords(e: ExtElement) -> ExtElement:
-    e = to_rho_prime(e)
-    return ExtElement(e.ext, Q, e.g, e.a - _q_part(e.ext, e.g))

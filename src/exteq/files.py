@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from .abelian import FGAElement, FGAGroup
 from .automata import FSA

@@ -21,7 +21,6 @@ from typing import Optional
 from .abelian import FGAElement, ParityElement, pa
 from .automata import FSA, product, restrict_accepting
 from .errors import (
-    EmptyBranch,
     Incompatible,
     NotAcceptingState,
     ResourceBound,
@@ -159,26 +158,6 @@ def is_compatible(F: FPA, s: int, v: Word) -> bool:
     if s not in F.T:
         raise NotAcceptingState(f"state {s} not in T")
     return F.product.run(v, start=s) in F.product.accepting
-
-
-def shortest_witness(F: FPA, s: int) -> Word:
-    """Shortlex-least word reaching s from the initial state."""
-    if F.product.initial == s:
-        return ""
-    seen = {F.product.initial}
-    frontier = [("", F.product.initial)]
-    while frontier:
-        nxt = []
-        for w, cur in frontier:
-            for x in F.product.alphabet.letters:
-                t = F.product.step(cur, x)
-                if t == s:
-                    return w + x
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append((w + x, t))
-        frontier = nxt
-    raise EmptyBranch(f"state {s} unreachable")
 
 
 def sigma_q_of_state(F: FPA, s: int, v: Word) -> FGAElement:

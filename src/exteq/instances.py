@@ -29,10 +29,6 @@ def klein_presentation() -> Presentation:
     return Presentation(alpha, ("ss", "tt", "stST"))
 
 
-def free_presentation(generators=("a", "b")) -> Presentation:
-    return Presentation(Alphabet.from_generators(list(generators)), ())
-
-
 def t1s() -> CentralExtension:
     """Unit tangent bundle of the genus-2 surface: kernel Z, the surface
     relator lifts to the central element of exponent -2 (Euler class)."""

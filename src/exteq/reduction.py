@@ -53,7 +53,6 @@ from .errors import (
     ValueNotInASet,
 )
 from .extension import (
-    RHO,
     RHO_PRIME,
     BallCocycles,
     CentralExtension,
@@ -640,14 +639,6 @@ def _accumulator(F: FPA, sbar: int, c: Word, cap: Optional[int]) -> _AbGraph:
     return graph
 
 
-def compute_A_set(
-    F: FPA, sbar: int, c: Word, cap: Optional[int] = None
-) -> frozenset:
-    """The finite value set A(sbar, c) = {sigma_q(s', w) : w compatible
-    with the end state s' of c read from sbar}."""
-    return frozenset(_accumulator(F, sbar, c, cap).values)
-
-
 def build_Lb_automaton(
     F: FPA, sbar: int, c: Word, b: FGAElement, cap: Optional[int] = None
 ) -> FSA:
@@ -674,22 +665,43 @@ def build_Le_automaton(
 ) -> FSA:
     """DFA for the L-representatives of a base-group element.
 
-    Tracks the walked element through the ball; L-words representing g
-    have length at most d(g) + nu, so a ball of that radius sees every
-    prefix and anything escaping it is dead.  Kept on F by nf(g) together
+    Tracks the walked element through the slack set S(g) of the ball
+    elements u with d(u) + d(u, g) <= d(g) + nu, d(u, g) measured inside
+    the ball; a walk leaving S(g) is dead.  If a word w reaches g inside
+    the ball, each prefix u has d(u) <= |u| and d(u, g) <= |w| - |u|, so
+    all of them lie in S(g) when |w| <= d(g) + nu.  Hence the automaton
+    accepts every word of F of that length that reaches g inside the
+    ball, and only words of F that do.  It is exact, the same language
+    as F's product with the whole ball, whenever no longer word of F
+    reaches g inside the ball; that holds where F recognizes L, since an
+    L-word w for g has |w| <= d(g) + nu.  Kept on F by nf(g) together
     with the ball it was built over.
     """
     gnf = normal_form(ext.base, g)
     nu = F.fam.lspec.nu
-    if ball.radius < len(gnf) + nu:
+    slack = len(gnf) + nu
+    if ball.radius < slack:
         raise BallTooSmall(
             f"representative automaton for {gnf!r} needs radius >= "
-            f"{len(gnf) + nu}, ball has {ball.radius}"
+            f"{slack}, ball has {ball.radius}"
         )
     kept = F.memo.get(("Le", gnf))
     if kept is not None and kept[0] is ball:
         return kept[1]
     target = ball.index[gnf]
+    # S(g) by BFS out of g, layer k at d(u, g) = k: a ball geodesic from
+    # u in S(g) to g stays in S(g), so the BFS need never leave it
+    dist = ball.distances
+    within = {target}
+    frontier = [target]
+    for depth in range(1, slack + 1):
+        nxt = []
+        for i in frontier:
+            for j in ball.edges[i].values():
+                if j is not None and j not in within and dist[j] + depth <= slack:
+                    within.add(j)
+                    nxt.append(j)
+        frontier = nxt
     letters = F.product.alphabet.letters
     start = (F.product.initial, 0)
     states: list[Optional[tuple[int, int]]] = [start, None]
@@ -702,7 +714,7 @@ def build_Le_automaton(
         row = []
         for x in letters:
             e2 = ball.edges[ei].get(x)
-            if e2 is None:
+            if e2 not in within:
                 row.append(1)
                 continue
             nxt = (F.product.step(fs, x), e2)

@@ -2,13 +2,17 @@
 
 Synthesis plus validation is the expensive part of the suite; building
 each instance's language automaton, predictor families and products once
-keeps the suite fast without weakening any test.
+keeps the suite fast without weakening any test.  Also holds the
+cross-check helpers that several test files share and the program does
+not use.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
 
+from exteq.automata import FSA, coaccessible, product
 from exteq.extension import BallCocycles, CentralExtension
 from exteq.fpa_ppa import FPA, PPA, build_fpa, build_lfpa, build_ppa, build_rfpa
 from exteq.instances import (
@@ -25,8 +29,75 @@ from exteq.lrational import (
     build_L_automaton,
     build_predictor_family,
 )
-from exteq.words import CayleyBall, build_ball
-from exteq.automata import FSA
+from exteq.words import Alphabet, CayleyBall, Presentation, Word, build_ball
+
+
+# -- cross-check helpers shared by several test files ---------------------
+
+
+def free_presentation(generators=("a", "b")) -> Presentation:
+    return Presentation(Alphabet.from_generators(list(generators)), ())
+
+
+def is_empty(M: FSA) -> bool:
+    seen = {M.initial}
+    queue = deque([M.initial])
+    while queue:
+        s = queue.popleft()
+        if s in M.accepting:
+            return False
+        for t in M.transitions[s]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return True
+
+
+def language_equal(M1: FSA, M2: FSA) -> bool:
+    prod, _ = product(
+        [M1, M2],
+        lambda tup: (tup[0] in M1.accepting) != (tup[1] in M2.accepting),
+    )
+    return is_empty(prod)
+
+
+def enumerate_language(M: FSA, maxlen: int) -> list[Word]:
+    """All accepted words of length <= maxlen, in shortlex order."""
+    alive = coaccessible(M)
+    out: list[Word] = []
+    frontier = [("", M.initial)] if M.initial in alive else []
+    for _ in range(maxlen + 1):
+        nxt = []
+        for w, s in frontier:
+            if s in M.accepting:
+                out.append(w)
+            for x in M.alphabet.letters:
+                t = M.step(s, x)
+                if t in alive:
+                    nxt.append((w + x, t))
+        frontier = nxt
+    # trim words that exceeded maxlen in the last expansion
+    return [w for w in out if len(w) <= maxlen]
+
+
+def shortest_witness(F: FPA, s: int) -> Word:
+    """Shortlex-least word reaching s from the initial state."""
+    if F.product.initial == s:
+        return ""
+    seen = {F.product.initial}
+    frontier = [("", F.product.initial)]
+    while frontier:
+        nxt = []
+        for w, cur in frontier:
+            for x in F.product.alphabet.letters:
+                t = F.product.step(cur, x)
+                if t == s:
+                    return w + x
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append((w + x, t))
+        frontier = nxt
+    raise AssertionError(f"state {s} unreachable")
 
 
 @dataclass

@@ -21,6 +21,7 @@ from exteq.abelian import (
     solve_linear_system,
 )
 from exteq.errors import GroupMismatch, NotInImage
+from exteq.instances import modular16
 
 Z_Z3 = FGAGroup(1, (3,))
 
@@ -86,6 +87,22 @@ def test_iota1_examples():
     assert iota1_inverse(img) == a
     with pytest.raises(NotInImage):
         iota1_inverse(FGAGroup(1, (6,)).element([1], [0]))
+
+
+def test_pushout_built_once_per_group():
+    g = FGAGroup(1, (3, 4))
+    p = g.pushout()
+    assert p is g.pushout()
+    assert p == FGAGroup(1, (6, 8)) and hash(p) == hash(FGAGroup(1, (6, 8)))
+    # the kept pushout is no field: equality, hashing and repr are unchanged
+    twin = FGAGroup(1, (3, 4))
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert twin.pushout() is not p and twin.pushout() == p
+    assert p.pushout() == FGAGroup(1, (12, 16))
+    total = iota1(g.element([1], [1, 1])) + iota1(twin.element([0], [2, 3]))
+    assert total == p.element([2], [0, 0])
+    ext = modular16()
+    assert ext.pushout_kernel is ext.pushout_kernel is ext.kernel.pushout()
 
 
 def test_iota3_iota4_examples():

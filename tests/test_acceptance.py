@@ -24,7 +24,8 @@ from exteq.abelian import (
     smith_normal_form,
     solve_linear_system,
 )
-from exteq.automata import enumerate_language, words_up_to
+from conftest import enumerate_language
+from exteq.automata import words_up_to
 from exteq.extension import central_defect, q_of, sigma_q, sigma_rho
 from exteq.fpa_ppa import (
     check_fpa_key_property,

@@ -2,11 +2,9 @@ import random
 
 import pytest
 
+from conftest import enumerate_language, is_empty, language_equal
 from exteq.automata import (
     FSA,
-    enumerate_language,
-    is_empty,
-    language_equal,
     product,
     restrict_accepting,
     words_up_to,

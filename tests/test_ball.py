@@ -11,11 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import free_presentation
 from exteq import words
 from exteq.errors import ResourceBound
 from exteq.instances import (
     dihedral_z,
-    free_presentation,
     genus2_presentation,
     klein_presentation,
     modular16,

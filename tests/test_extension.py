@@ -7,10 +7,11 @@ from exteq.abelian import FGAGroup, iota1, iota1_inverse, iota3
 from exteq.errors import CoordMismatch, NotTrivialInBase
 from exteq.extension import (
     ExtElement,
+    Q,
     RHO,
     RHO_PRIME,
+    _q_part,
     central_defect,
-    eval_word,
     identity,
     in_E,
     iota2,
@@ -18,7 +19,6 @@ from exteq.extension import (
     q_of,
     sigma_q,
     sigma_rho,
-    to_q_coords,
     to_rho_prime,
 )
 from exteq.instances import (
@@ -191,6 +191,16 @@ def test_modular16_matches_hand_table():
 # -- extension element arithmetic --------------------------------------
 
 
+def eval_word(ext, w, coords=RHO):
+    """Evaluate a word letter by letter in E (or E'), lifting each letter
+    through the section with kernel part zero."""
+    acc = identity(ext, coords)
+    group = acc.a.group
+    for x in w:
+        acc = acc * ExtElement(ext, coords, x, group.zero())
+    return acc
+
+
 def test_mult_t1s_commutators():
     # the word [a,b][c,d] evaluates to the kernel element -2 in E
     ext = t1s()
@@ -334,6 +344,11 @@ def test_iota2_homomorphism():
         e1 = ExtElement(ext, RHO, g1, ext.kernel.zero())
         e2 = ExtElement(ext, RHO, g2, ext.kernel.element([], [1]))
         assert iota2(e1 * e2) == iota2(e1) * iota2(e2)
+
+
+def to_q_coords(e):
+    e = to_rho_prime(e)
+    return ExtElement(e.ext, Q, e.g, e.a - _q_part(e.ext, e.g))
 
 
 def test_coordinate_roundtrips():

@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 
 from exteq.abelian import FGAGroup, ParityElement, pa, parity_elements
-from exteq.automata import enumerate_language, language_equal, words_up_to
+from conftest import enumerate_language, language_equal, shortest_witness
+from exteq.automata import words_up_to
 from exteq.errors import AlphabetMismatch, Incompatible, NotAcceptingState
 from exteq.extension import sigma_q, sigma_rho
 from exteq.fpa_ppa import (
@@ -16,7 +17,6 @@ from exteq.fpa_ppa import (
     fpa_branch,
     is_compatible,
     ppa_branch,
-    shortest_witness,
     sigma_q_of_state,
 )
 from exteq.instances import default_language_spec, klein_presentation, split

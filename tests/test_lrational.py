@@ -3,13 +3,13 @@ import random
 import pytest
 
 from exteq.abelian import FGAGroup
-from exteq.automata import enumerate_language, language_equal, words_up_to
+from conftest import enumerate_language, free_presentation, language_equal
+from exteq.automata import words_up_to
 from exteq.errors import SynthesisInconsistent
 from exteq.instances import (
     default_language_spec,
     dihedral_presentation,
     dihedral_z,
-    free_presentation,
     genus2_presentation,
     klein_presentation,
     modular16,

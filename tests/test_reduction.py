@@ -1,11 +1,13 @@
 import itertools
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
 from exteq import reduction
 from exteq.abelian import iota1_inverse, iota4, pa, parity_elements
-from exteq.automata import enumerate_language, words_up_to
+from conftest import enumerate_language, language_equal, shortest_witness
+from exteq.automata import FSA, words_up_to
 from exteq.errors import (
     AccumulatorBound,
     BallTooSmall,
@@ -30,10 +32,14 @@ from exteq.fpa_ppa import (
     fpa_branch,
     is_compatible,
     ppa_branch,
-    shortest_witness,
     sigma_q_of_state,
 )
-from exteq.instances import central_constant, letter_constant, quaternion8
+from exteq.instances import (
+    central_constant,
+    letter_constant,
+    quaternion8,
+    t1s_commutator_system,
+)
 from exteq.reduction import (
     EquationSystem,
     Pipeline,
@@ -46,7 +52,6 @@ from exteq.reduction import (
     check_constraint_lemma,
     check_in_base,
     check_in_extension,
-    compute_A_set,
     enumerate_theta,
     extend_to_fresh,
     finite_diameter,
@@ -176,6 +181,12 @@ def test_project_to_base(q8_stack):
 # -- A sets and level automata ------------------------------------------
 
 
+def compute_A_set(F, sbar, c, cap=None):
+    """The finite value set A(sbar, c) = {sigma_q(s', w) : w compatible
+    with the end state s' of c read from sbar}."""
+    return frozenset(reduction._accumulator(F, sbar, c, cap).values)
+
+
 def _checked_sigma_q(F, s, v):
     """sigma_q_of_state, asserted equal to the cocycle evaluated at the
     shortest word reaching s."""
@@ -250,6 +261,99 @@ def test_Le_accepts_exactly_representatives(q8_stack):
         for w in words_up_to(ext.base.alphabet, 5):
             expect = F.product.accepts(w) and normal_form(ext.base, w) == g
             assert M.accepts(w) == expect, (g, w)
+
+
+def reference_Le(F, ext, gs, ball):
+    """L(e) for each g of gs as the product of F with the whole ball:
+    every walk that stays in the ball is kept alive.  Only the accepting
+    states depend on g."""
+    letters = F.product.alphabet.letters
+    start = (F.product.initial, 0)
+    states = [start, None]
+    index = {start: 0}
+    rows = [[], [1] * len(letters)]
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        fs, ei = states[i]
+        row = []
+        for x in letters:
+            e2 = ball.edges[ei].get(x)
+            if e2 is None:
+                row.append(1)
+                continue
+            nxt = (F.product.step(fs, x), e2)
+            j = index.get(nxt)
+            if j is None:
+                j = len(states)
+                index[nxt] = j
+                states.append(nxt)
+                rows.append([])
+                queue.append(j)
+            row.append(j)
+        rows[i] = row
+    rows = tuple(tuple(r) for r in rows)
+    ends: dict[int, list[int]] = {}
+    for i, st in enumerate(states):
+        if st is not None and st[0] in F.product.accepting:
+            ends.setdefault(st[1], []).append(i)
+    return {
+        g: FSA(
+            F.product.alphabet,
+            rows,
+            0,
+            frozenset(ends.get(ball.index[normal_form(ext.base, g)], ())),
+        )
+        for g in gs
+    }
+
+
+def _assert_Le_equals_reference(stack, gs):
+    """Builds L(e) for each g afresh, asserts it has the reference's
+    language and returns the number of states of each."""
+    F, ext, ball = stack.fpa, stack.ext, stack.ball
+    sizes = {}
+    for g, ref in reference_Le(F, ext, gs, ball).items():
+        Le = build_Le_automaton(replace(F, memo={}), ext, g, ball)
+        assert language_equal(Le, ref), g
+        sizes[g] = Le.n_states
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["q8_stack", "modular16_stack", "dihedral_stack"])
+def test_Le_equals_whole_ball_product(name, request):
+    stack = request.getfixturevalue(name)
+    ball, nu = stack.ball, stack.fpa.fam.lspec.nu
+    gs = [w for w, d in zip(ball.words, ball.distances) if d + nu <= ball.radius]
+    assert len(gs) > 1
+    _assert_Le_equals_reference(stack, gs)
+
+
+def test_Le_equals_whole_ball_product_t1s(t1s_stack):
+    ball = t1s_stack.ball
+    short = [w for w, d in zip(ball.words, ball.distances) if d <= 1]
+    assert len(short) == 9
+    sizes = _assert_Le_equals_reference(t1s_stack, short + ["ab", "dA", "abC"])
+    # under nu = 0 the walk stays on geodesics from 1 to g, not in the
+    # radius-(d(g) + nu) ball around g
+    assert max(sizes.values()) <= 20, sizes
+
+
+def test_Le_of_demo_constants_is_small(t1s_stack):
+    # the slack set of a letter or of 1 under nu = 0 is a geodesic
+    # interval of at most two elements, not the 22,289-element ball
+    F, ext, ball = t1s_stack.fpa, t1s_stack.ext, t1s_stack.ball
+    gs = set()
+    for k in (0, 2):
+        tri = triangularize(t1s_commutator_system(ext, k), identity(ext))
+        gs |= {
+            reduction._constant_base_word(v, ext.base)
+            for v in tri.constants.values()
+        }
+    assert "" in gs and "a" in gs
+    for g in sorted(gs):
+        Le = build_Le_automaton(replace(F, memo={}), ext, g, ball)
+        assert Le.n_states <= 20, (g, Le.n_states)
 
 
 # -- constraint automata kept on F and D ----------------------------------
