@@ -5,11 +5,6 @@ class ExtEqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotSmallCancellation(ExtEqError):
-    """Presentation fails the required small-cancellation bound and no
-    fallback reduction strategy was enabled."""
-
-
 class ResourceBound(ExtEqError):
     """A configured cap (ball size, state count, stream length) was hit."""
 

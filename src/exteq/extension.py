@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 from typing import Optional
 
 from .abelian import (
@@ -171,6 +172,7 @@ class BallCocycles:
             return v
 
         self.E = [tuple(label(c) for c in row) for row in ball.logs]
+        self._q_rows: dict = {}  # q_left_row by the triple it depends on
         # rho_left[g][x] = sigma_rho(g, nf(x)) = E(g, x) - E(1, x), where
         # E(1, x) is nonzero only for letters that are not their own
         # normal form
@@ -261,25 +263,40 @@ class BallCocycles:
                 )
         return S
 
-    def q_left(self, g: int, x: int) -> Optional[tuple]:
-        """sigma_q(g, nf(x)) in pushout coordinates, or None."""
-        ig, xe = self.inverse[g], self.succ[0][x]
-        if ig is None or xe is None:
-            return None
-        sg, sx = self.sigma_inverse[g], self.sigma_inverse[xe]
-        if sg is None or sx is None:
-            return None
-        r = self.rho_right[self.inv_letter[x]][ig]
-        if r is None:
-            return None
+    def q_left_row(self, g: int) -> tuple:
+        """sigma_q(g, nf(x)) in pushout coordinates for every letter x,
+        None where the tables do not reach.
+
+        The row is a function of rho_left[g], sigma_rho(g, g^-1) and the
+        column sigma_rho(nf(x^-1), g^-1) of rho_right, a triple that few
+        elements do not share (25 distinct on the t1s ball of radius 5),
+        so it is computed once per triple and the row is shared.
+        """
+        ig = self.inverse[g]
+        sg = None if ig is None else self.sigma_inverse[g]
+        if sg is None:
+            return (None,) * len(self.inv_letter)
+        rr = self.rho_right
+        rl, column = self.rho_left[g], tuple([rr[ix][ig] for ix in self.inv_letter])
+        row = self._q_rows.get((rl, sg, column))
+        if row is not None:
+            return row
+        S, mods = self.sigma_inverse, self.mods
+        torsion = any(mods)
         out = []
-        for a, b, l, c, m in zip(sg, sx, self.rho_left[g][x], r, self.mods):
-            if m:
-                sk = (a + b - l - c) % m
-                out.append((2 * l - a - b + sk) % (2 * m))
+        for xe, l, r in zip(self.succ[0], rl, column):
+            sx = None if xe is None else S[xe]
+            if sx is None or r is None:
+                out.append(None)
+            elif not torsion:
+                out.append(tuple(map(sub, l, r)))
             else:
-                out.append(l - c)
-        return tuple(out)
+                out.append(tuple([
+                    (2 * lc - a - b + (a + b - lc - c) % m) % (2 * m) if m else lc - c
+                    for a, b, lc, c, m in zip(sg, sx, l, r, mods)
+                ]))
+        row = self._q_rows[rl, sg, column] = tuple(out)
+        return row
 
 
 @dataclass(frozen=True)

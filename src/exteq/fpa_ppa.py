@@ -62,6 +62,22 @@ class FPA:
     components: tuple[tuple[str, FGAElement, FSA], ...]  # (x, a, M_{x,a})
     T: frozenset[int]
     memo: dict = field(default_factory=dict, repr=False, compare=False)
+    # a(s, x) by letter, for s in T: the value of the one (x, a)-component
+    # accepting at s
+    _values: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.product.n_states
+        self._values = {x: [None] * n for x, _, _ in self.components}
+        for i, (x, a, M) in enumerate(self.components):
+            col = self._values[x]
+            for s in self.T:
+                if self.tuples[s][i] in M.accepting:
+                    if col[s] is not None:
+                        raise NotAcceptingState(
+                            f"state {s} has several values for {x!r}"
+                        )
+                    col[s] = a
 
     @property
     def ext(self) -> CentralExtension:
@@ -71,15 +87,10 @@ class FPA:
         """The unique value a with the (x, a)-component accepting at s."""
         if s not in self.T:
             raise NotAcceptingState(f"state {s} not in T")
-        tup = self.tuples[s]
-        hits = [
-            a
-            for i, (xc, a, M) in enumerate(self.components)
-            if xc == x and tup[i] in M.accepting
-        ]
-        if len(hits) != 1:
-            raise NotAcceptingState(f"state {s} has {len(hits)} values for {x!r}")
-        return hits[0]
+        a = self._values[x][s] if x in self._values else None
+        if a is None:
+            raise NotAcceptingState(f"state {s} has no value for {x!r}")
+        return a
 
 
 def _accepting_tuple(components, letters):

@@ -14,17 +14,21 @@ representative word.  Every built automaton is then validated against
 all words up to the validation radius and rejected on any mismatch; the
 validated radius is recorded on the artifact.
 
-Validation is one breadth-first walk over the word tree that carries
-the automaton state and the ball indices of the word's suffixes, so a
-child only tests its new suffixes against integer quasi-geodesic
-bounds.  It skips a subtree only where no word can disagree: the root
-is not quasi-geodesic (so no extension is) and the automaton sits in a
-state that reaches no live state.  On every word of L the predicted
-values are compared, for every letter, with values read off the
-Cayley ball's edge labels (BallCocycles), the relator logs its
-construction already computed; elements those tables cannot reach are
-evaluated by the string route.  The mismatches, and their order, are
-those of the exhaustive walk over all words.
+Validation is one breadth-first walk over the word tree that serves L
+and the three families together (`build_automata`; the single-automaton
+entry points walk it with one machine).  Each word's membership in L is
+decided once, from the ball indices of its suffixes, so a child only
+tests its new suffixes against integer quasi-geodesic bounds; the walk
+carries every automaton's state as one joint state.  It skips a subtree
+only where no word can disagree: the root is not quasi-geodesic (so no
+extension is) and every automaton sits in a state that reaches no live
+state.  On every word of L each family's predicted row, one value per
+letter, is compared with the row of values read off the Cayley ball's
+edge labels (BallCocycles), the relator logs its construction already
+computed; only a row that differs, or holds an element those tables
+cannot reach, is checked letter by letter, by the string route where
+the tables read nothing.  Each automaton's mismatches, and their order,
+are those of an exhaustive walk over all words for it alone.
 """
 
 from __future__ import annotations
@@ -376,88 +380,8 @@ def build_L_automaton(
     if lspec.presentation != p:
         raise ValueError("language spec belongs to a different presentation")
     fsa, _ = _synthesize_graph(lspec, None, cap)
-    ball = ball or build_ball(p, R_validate)
-    report = _validate_L(fsa, lspec, R_validate, ball)
-    if not report.passed:
-        raise SynthesisInconsistent(
-            f"membership mismatch at radius {R_validate}: "
-            f"{report.mismatches[0]}",
-            report,
-        )
+    _raise_for_L(_validate_L(fsa, lspec, R_validate, ball or build_ball(p, R_validate)))
     return fsa
-
-
-def _walk(
-    lspec: LanguageSpec,
-    R: int,
-    ball: CayleyBall,
-    graph: FSA,
-    live: frozenset,
-    inverted: bool,
-    tag: tuple = (),
-    on_member=None,
-) -> list:
-    """The validation walk over all words of length <= R, breadth-first.
-
-    Each word w is judged once: w is in L iff every suffix of every
-    prefix passes the quasi-geodesic bound, so a node carries the ball
-    indices of its suffixes and a child tests only its new suffixes, with
-    integer thresholds.  The automaton state is carried along too (read
-    on the letter-inverted tape when `inverted`).  A subtree is skipped
-    only when its root is not in L, so neither is any extension, and the
-    state cannot reach a live state, so no extension is accepted either.
-
-    Returns the mismatches: tag + (w, in_L, got_live) for membership,
-    plus whatever on_member(w, state, element index) returns for the
-    words that are in L and live, in the order of a full breadth-first
-    walk.
-    """
-    if ball.radius < R:
-        n = ball.radius + 1
-        raise BallTooSmall(
-            f"word of length {n} needs a ball of radius >= {n}, have {ball.radius}"
-        )
-    alpha = lspec.presentation.alphabet
-    letters = alpha.letters
-    tape = [alpha.index(alpha.inverse[x]) if inverted else i for i, x in enumerate(letters)]
-    need = qg_min_distances(lspec.lam, lspec.nu, R)
-    dist = ball.distances
-    edges = ball.edges
-    trans = graph.transitions
-    doomed = frozenset(range(graph.n_states)) - coaccessible(
-        FSA(graph.alphabet, trans, graph.initial, live)
-    )
-    mismatches: list = []
-    # (w, state, ball indices of w[i:] for i = 0..|w|) with None for the
-    # indices once w has left L
-    frontier: list = [("", graph.initial, (0,))]
-    for depth in range(R + 1):
-        nxt: list = []
-        for w, s, sfx in frontier:
-            in_L = sfx is not None
-            got = s in live
-            if in_L != got:
-                mismatches.append(tag + (w, in_L, got))
-            elif in_L and on_member is not None:
-                mismatches.extend(on_member(w, s, sfx[0]))
-            if depth == R or (not in_L and s in doomed):
-                continue
-            row = trans[s]
-            for i, x in enumerate(letters):
-                child = None
-                if in_L:
-                    child = tuple(edges[j][x] for j in sfx) + (0,)
-                    for k, j in enumerate(child[:-1]):
-                        if dist[j] < need[depth + 1 - k]:
-                            child = None
-                            break
-                nxt.append((w + x, row[tape[i]], child))
-        frontier = nxt
-    return mismatches
-
-
-def _validate_L(fsa: FSA, lspec: LanguageSpec, R: int, ball: CayleyBall):
-    return ValidationReport(R, tuple(_walk(lspec, R, ball, fsa, fsa.accepting, False)))
 
 
 def build_predictor_family(
@@ -478,6 +402,84 @@ def build_predictor_family(
         raise ValueError(f"unknown kind {kind!r}")
     if lspec.presentation != ext.base:
         raise ValueError("language spec belongs to a different presentation")
+    fam = _synthesize_family(ext, kind, lspec, cap)
+    ball = ball or build_ball(ext.base, R_validate)
+    _raise_for_family(fam, validate_family(fam, ext, R_validate, ball, cocycles))
+    return fam
+
+
+def build_automata(
+    ext: CentralExtension,
+    lspec: LanguageSpec,
+    R_learn: int,
+    R_validate: int,
+    ball: Optional[CayleyBall] = None,
+    cap: Optional[int] = None,
+) -> tuple[FSA, dict[str, PredictorFamily]]:
+    """L and the three predictor families, validated in one walk.
+
+    Returns what build_L_automaton and build_predictor_family of each
+    kind in KINDS would, and raises what the first of those calls to fail
+    would raise: L's mismatch first, then the families in KINDS order.
+    """
+    if lspec.presentation != ext.base:
+        raise ValueError("language spec belongs to a different presentation")
+    L, _ = _synthesize_graph(lspec, None, cap)
+    # a family whose synthesis exceeds a cap fails after L and the
+    # families before it, as it would when each is built and validated
+    # in turn
+    fams, failures = {}, {}
+    for kind in KINDS:
+        try:
+            fams[kind] = _synthesize_family(ext, kind, lspec, cap)
+        except ResourceBound as exc:
+            failures[kind] = exc
+    ball = ball or build_ball(ext.base, R_validate)
+    cocycles = BallCocycles(ext, ball)
+    machines = [(L, L.accepting, False, (), None)]
+    machines += [_family_machine(f, ext, cocycles) for f in fams.values()]
+    reports = _walk(lspec, R_validate, ball, machines)
+    _raise_for_L(reports[0])
+    report_of = dict(zip(fams, reports[1:]))
+    for kind in KINDS:
+        if kind in failures:
+            raise failures[kind]
+        _raise_for_family(fams[kind], report_of[kind])
+    return L, fams
+
+
+def _raise_for_L(report: ValidationReport) -> None:
+    if not report.passed:
+        raise SynthesisInconsistent(
+            f"membership mismatch at radius {report.radius}: "
+            f"{report.mismatches[0]}",
+            report,
+        )
+
+
+def _raise_for_family(fam: PredictorFamily, report: ValidationReport) -> None:
+    """Raise on a failed report, else record the validated radius."""
+    if not report.passed:
+        first = report.mismatches[0]
+        if first[0] == "value":
+            _, w, x, expected, got = first
+            if expected not in fam.value_sets[x]:
+                raise ValueSetUnstable(
+                    f"value {expected} of {w!r} against {x!r} "
+                    "not observed during synthesis",
+                )
+        raise SynthesisInconsistent(
+            f"{fam.kind} family mismatch at radius {report.radius}: {first}",
+            report,
+        )
+    fam.validated_radius = report.radius
+
+
+def _synthesize_family(
+    ext: CentralExtension, kind: str, lspec: LanguageSpec, cap: Optional[int]
+) -> PredictorFamily:
+    """The family's graph, with each live state's values evaluated by the
+    string route at its representative word; not yet validated."""
     graph, reps = _synthesize_graph(lspec, kind, cap)
     alpha = ext.base.alphabet
     values: dict[str, list[Optional[FGAElement]]] = {
@@ -496,7 +498,7 @@ def build_predictor_family(
         )
         for x in alpha.letters
     }
-    fam = PredictorFamily(
+    return PredictorFamily(
         kind=kind,
         ext=ext,
         lspec=lspec,
@@ -505,24 +507,104 @@ def build_predictor_family(
         value_sets=value_sets,
         reps=reps,
     )
-    ball = ball or build_ball(ext.base, R_validate)
-    report = validate_family(fam, ext, R_validate, ball, cocycles)
-    if not report.passed:
-        first = report.mismatches[0]
-        if first[0] == "value":
-            _, w, x, expected, got = first
-            if expected not in fam.value_sets[x]:
-                raise ValueSetUnstable(
-                    f"value {expected} of {w!r} against {x!r} "
-                    "not observed during synthesis",
-                )
-        raise SynthesisInconsistent(
-            f"{kind} family mismatch at radius {R_validate}: "
-            f"{report.mismatches[0]}",
-            report,
+
+
+def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list:
+    """The validation walk over all words of length <= R, breadth-first.
+
+    Each machine is (graph, live, inverted, tag, check): an automaton
+    whose live states should be exactly the words of L, read on the
+    letter-inverted tape when `inverted`, the prefix of its membership
+    mismatches, and None or check(w, state, element index), which
+    returns the mismatches of a word that is in L and live.
+
+    Each word w is judged once for all machines: w is in L iff every
+    suffix of every prefix passes the quasi-geodesic bound, so a node
+    carries the ball indices of its suffixes and a child tests only its
+    new suffixes, with integer thresholds.  The machines' states are
+    carried along as one joint state.  A subtree is skipped only when
+    its root is not in L, so neither is any extension, and no machine's
+    state can reach a live state, so no extension is accepted either.
+
+    Returns one report per machine, listing tag + (w, in_L, got_live)
+    for a membership mismatch, plus whatever check returns, in the order
+    of a full breadth-first walk.  A machine walked with others reports
+    what it reports alone: below a state that reaches no live state it
+    meets only words that are neither in L nor live.
+    """
+    if ball.radius < R:
+        n = ball.radius + 1
+        raise BallTooSmall(
+            f"word of length {n} needs a ball of radius >= {n}, have {ball.radius}"
         )
-    fam.validated_radius = R_validate
-    return fam
+    alpha = lspec.presentation.alphabet
+    letters = alpha.letters
+    inverse_tape = [alpha.index(alpha.inverse[x]) for x in letters]
+    need = qg_min_distances(lspec.lam, lspec.nu, R)
+    dist = ball.distances
+    edges = ball.edges
+    rows, dooms = [], []
+    for graph, live, inverted, _, _ in machines:
+        trans = graph.transitions
+        rows.append(
+            [tuple(r[j] for j in inverse_tape) for r in trans] if inverted else trans
+        )
+        dooms.append(
+            frozenset(range(graph.n_states))
+            - coaccessible(FSA(graph.alphabet, trans, graph.initial, live))
+        )
+    out: list = [[] for _ in machines]
+    # joint states, interned, each with whether every machine is doomed
+    # there and its children, listed on first expansion
+    joint: dict = {}
+    states, doomed, kids = [], [], []
+
+    def intern(st):
+        p = joint.get(st)
+        if p is None:
+            p = joint[st] = len(states)
+            states.append(st)
+            doomed.append(all(s in d for s, d in zip(st, dooms)))
+            kids.append(None)
+        return p
+
+    # (w, joint state, ball indices of w[i:] for i = 0..|w|) with None for
+    # the indices once w has left L
+    frontier: list = [("", intern(tuple(m[0].initial for m in machines)), (0,))]
+    for depth in range(R + 1):
+        nxt: list = []
+        for w, p, sfx in frontier:
+            in_L = sfx is not None
+            for k, s in enumerate(states[p]):
+                _, live, _, tag, check = machines[k]
+                got = s in live
+                if in_L != got:
+                    out[k].append(tag + (w, in_L, got))
+                elif got and check is not None:
+                    out[k].extend(check(w, s, sfx[0]))
+            if depth == R or (not in_L and doomed[p]):
+                continue
+            ks = kids[p]
+            if ks is None:
+                ks = kids[p] = [
+                    intern(tuple(rw[s][i] for rw, s in zip(rows, states[p])))
+                    for i in range(len(letters))
+                ]
+            for i, x in enumerate(letters):
+                child = None
+                if in_L:
+                    child = (*[edges[j][x] for j in sfx], 0)
+                    for k, j in enumerate(child[:-1]):
+                        if dist[j] < need[depth + 1 - k]:
+                            child = None
+                            break
+                nxt.append((w + x, ks[i], child))
+        frontier = nxt
+    return [ValidationReport(R, tuple(m)) for m in out]
+
+
+def _validate_L(fsa: FSA, lspec: LanguageSpec, R: int, ball: CayleyBall):
+    return _walk(lspec, R, ball, [(fsa, fsa.accepting, False, (), None)])[0]
 
 
 def _direct_value(ext: CentralExtension, kind: str, tape: Word, x: str):
@@ -534,6 +616,68 @@ def _direct_value(ext: CentralExtension, kind: str, tape: Word, x: str):
     # reversed kind: the tape carries inverted letters; the predicted
     # value is sigma_rho(x, g) for g the element of the reversed tape
     return sigma_rho(ext, x, tape[::-1])
+
+
+def _family_machine(
+    fam: PredictorFamily, ext: CentralExtension, cocycles: BallCocycles
+) -> tuple:
+    """The family as a machine of _walk, its check comparing predicted
+    and expected values for every letter.
+
+    A word's predicted row (one value per letter, read at its state) is
+    compared whole with the expected row at its ball element; only when
+    they differ, or the expected row holds an element the tables cannot
+    reach, are the letters checked one by one, by the string route where
+    the row reads None.
+    """
+    kind = fam.kind
+    alpha = ext.base.alphabet
+    letters = alpha.letters
+    group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
+    if kind == Q_LEFT:
+        q_rows: list = [None] * len(cocycles.ball)
+
+        def expected_row(g):
+            row = q_rows[g]
+            if row is None:
+                row = q_rows[g] = cocycles.q_left_row(g)
+            return row
+    elif kind == RHO_LEFT:
+        expected_row = cocycles.rho_left.__getitem__
+    else:
+        inverse, rho_right = cocycles.inverse, cocycles.rho_right
+        unreached = (None,) * len(letters)
+
+        def expected_row(g):
+            h = inverse[g]
+            return unreached if h is None else tuple([col[h] for col in rho_right])
+    # predicted values as coordinate tuples; a value in the wrong group
+    # never equals an expected one
+    predicted = [
+        tuple(v.coords() if v is not None and v.group == group else v for v in row)
+        for row in zip(*(fam.values[x] for x in letters))
+    ]
+
+    def check(w, s, g):
+        exp = expected_row(g)
+        if exp == predicted[s] and None not in exp:
+            return ()
+        out = []
+        for xi, x in enumerate(letters):
+            e = exp[xi]
+            if e is None:
+                tape = w if kind != RHO_RIGHT_REVERSED else "".join(
+                    alpha.inverse[c] for c in w
+                )
+                direct = _direct_value(ext, kind, tape, x)
+                if direct != fam.values[x][s]:
+                    out.append(("value", w, x, direct, fam.values[x][s]))
+            elif e != predicted[s][xi]:
+                expected = group.element(e[: group.rank], e[group.rank :])
+                out.append(("value", w, x, expected, fam.values[x][s]))
+        return out
+
+    return (fam.graph, fam.live, kind == RHO_RIGHT_REVERSED, ("membership",), check)
 
 
 def validate_family(
@@ -553,55 +697,9 @@ def validate_family(
     here unless given); an element outside their reach is evaluated by
     the string route.
     """
-    lspec = fam.lspec
-    alpha = lspec.presentation.alphabet
-    letters = alpha.letters
-    ball = ball or build_ball(lspec.presentation, R)
+    ball = ball or build_ball(fam.lspec.presentation, R)
     if cocycles is None:
         cocycles = BallCocycles(ext, ball)
     elif cocycles.ball is not ball or cocycles.ext is not ext:
         raise ValueError("cocycle tables belong to another ball or extension")
-    kind = fam.kind
-    group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
-    if kind == Q_LEFT:
-        def value(g, xi):
-            return cocycles.q_left(g, xi)
-    elif kind == RHO_LEFT:
-        def value(g, xi):
-            return cocycles.rho_left[g][xi]
-    else:
-        def value(g, xi):
-            h = cocycles.inverse[g]
-            return None if h is None else cocycles.rho_right[xi][h]
-    # predicted values as coordinate tuples; a value in the wrong group
-    # never equals an expected one
-    got = [
-        [v.coords() if v is not None and v.group == group else v for v in fam.values[x]]
-        for x in letters
-    ]
-    expected_of: dict[int, tuple] = {}
-
-    def on_member(w, s, g):
-        exp = expected_of.get(g)
-        if exp is None:
-            exp = expected_of[g] = tuple(value(g, xi) for xi in range(len(letters)))
-        out = []
-        for xi, x in enumerate(letters):
-            e = exp[xi]
-            if e is None:
-                tape = w if kind != RHO_RIGHT_REVERSED else "".join(
-                    alpha.inverse[c] for c in w
-                )
-                direct = _direct_value(ext, kind, tape, x)
-                if direct != fam.values[x][s]:
-                    out.append(("value", w, x, direct, fam.values[x][s]))
-            elif e != got[xi][s]:
-                expected = group.element(e[: group.rank], e[group.rank :])
-                out.append(("value", w, x, expected, fam.values[x][s]))
-        return out
-
-    mismatches = _walk(
-        lspec, R, ball, fam.graph, fam.live, kind == RHO_RIGHT_REVERSED,
-        ("membership",), on_member,
-    )
-    return ValidationReport(R, tuple(mismatches))
+    return _walk(fam.lspec, R, ball, [_family_machine(fam, ext, cocycles)])[0]

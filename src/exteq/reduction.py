@@ -54,7 +54,6 @@ from .errors import (
 )
 from .extension import (
     RHO_PRIME,
-    BallCocycles,
     CentralExtension,
     ExtElement,
     identity,
@@ -1194,26 +1193,12 @@ class Pipeline:
     ) -> "Pipeline":
         from .fpa_ppa import build_fpa, build_lfpa, build_ppa, build_rfpa
         from .instances import default_language_spec
-        from .lrational import (
-            Q_LEFT,
-            RHO_LEFT,
-            RHO_RIGHT_REVERSED,
-            build_L_automaton,
-            build_predictor_family,
-        )
+        from .lrational import Q_LEFT, RHO_LEFT, RHO_RIGHT_REVERSED, build_automata
 
         lspec = lspec or default_language_spec(ext.base)
         radius = max(R_validate, ball_radius or 0)
         ball = build_ball(ext.base, radius, cap=cap)
-        L = build_L_automaton(ext.base, lspec, R_learn, R_validate, ball=ball, cap=cap)
-        cocycles = BallCocycles(ext, ball)
-        fams = {
-            kind: build_predictor_family(
-                ext, kind, lspec, R_learn, R_validate, ball=ball, cap=cap,
-                cocycles=cocycles,
-            )
-            for kind in (Q_LEFT, RHO_LEFT, RHO_RIGHT_REVERSED)
-        }
+        L, fams = build_automata(ext, lspec, R_learn, R_validate, ball=ball, cap=cap)
         F = build_fpa(fams[Q_LEFT], cap=cap)
         D = build_ppa(
             build_lfpa(fams[RHO_LEFT], cap=cap),

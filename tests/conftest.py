@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import pytest
 
 from exteq.automata import FSA, coaccessible, product
-from exteq.extension import BallCocycles, CentralExtension
+from exteq.extension import CentralExtension
 from exteq.fpa_ppa import FPA, PPA, build_fpa, build_lfpa, build_ppa, build_rfpa
 from exteq.instances import (
     default_language_spec,
@@ -22,13 +22,7 @@ from exteq.instances import (
     quaternion8,
     t1s,
 )
-from exteq.lrational import (
-    KINDS,
-    LanguageSpec,
-    PredictorFamily,
-    build_L_automaton,
-    build_predictor_family,
-)
+from exteq.lrational import LanguageSpec, PredictorFamily, build_automata
 from exteq.words import Alphabet, CayleyBall, Presentation, Word, build_ball
 
 
@@ -116,14 +110,7 @@ class Stack:
 def _build_stack(ext: CentralExtension, R_validate: int, ball_radius=None) -> Stack:
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, ball_radius or R_validate)
-    L = build_L_automaton(ext.base, lspec, 4, R_validate, ball=ball)
-    cocycles = BallCocycles(ext, ball)
-    fams = {
-        kind: build_predictor_family(
-            ext, kind, lspec, 4, R_validate, ball=ball, cocycles=cocycles
-        )
-        for kind in KINDS
-    }
+    L, fams = build_automata(ext, lspec, 4, R_validate, ball=ball)
     fpa = build_fpa(fams["q-left"])
     lfpa = build_lfpa(fams["rho-left"])
     rfpa = build_rfpa(fams["rho-right-reversed"])

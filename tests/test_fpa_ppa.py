@@ -134,6 +134,34 @@ def test_fpa_key_property_q8(q8_stack):
     assert check_fpa_key_property(q8_stack.fpa, 5, 3).passed
 
 
+def scan_a_of(F, s, x):
+    """Every value a whose (x, a)-component accepts at s, by a scan of
+    all components."""
+    tup = F.tuples[s]
+    return [
+        a
+        for i, (xc, a, M) in enumerate(F.components)
+        if xc == x and tup[i] in M.accepting
+    ]
+
+
+@pytest.mark.parametrize("stack_name", ["q8_stack", "t1s_stack"])
+def test_a_of_table_matches_component_scan(request, stack_name):
+    stack = request.getfixturevalue(stack_name)
+    for F in (stack.fpa, stack.lfpa, stack.rfpa):
+        letters = F.product.alphabet.letters
+        assert F.T
+        for s in F.T:
+            for x in letters:
+                assert [F.a_of(s, x)] == scan_a_of(F, s, x), (s, x)
+        outside = set(range(F.product.n_states)) - F.T
+        assert outside
+        for s in outside:
+            for x in letters:
+                with pytest.raises(NotAcceptingState):
+                    F.a_of(s, x)
+
+
 def test_witness_words_land_in_branch(q8_stack):
     F = q8_stack.fpa
     for s in F.T:

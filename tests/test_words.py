@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from exteq.errors import AlphabetMismatch, BallTooSmall, NotSmallCancellation
+from exteq.errors import AlphabetMismatch, BallTooSmall, ExtEqError
 from exteq.words import (
     Alphabet,
     Presentation,
@@ -21,6 +21,11 @@ from exteq.words import (
     normal_form,
     normal_form_with_log,
 )
+
+
+class NotSmallCancellation(ExtEqError):
+    """Presentation fails the small-cancellation bound greedy shortening
+    needs."""
 
 
 def dehn_reduce(
