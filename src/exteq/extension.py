@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import sub
+from operator import add, sub
 from typing import Optional
 
 from .abelian import (
@@ -146,6 +146,11 @@ class BallCocycles:
     torsion normalized.  Elements whose normal form is not prefix-closed
     inside the ball read None; callers evaluate those by the string route.
     Letters are given by their index in the alphabet.
+
+    The tables hold few distinct values (3 on the t1s ball of radius 5),
+    so each is interned: equal values are one tuple object.  A sum or
+    difference of two values is normalized once per operand pair and
+    memoized on the instance; the tables are filled by memo lookups.
     """
 
     def __init__(self, ext: CentralExtension, ball: CayleyBall):
@@ -156,36 +161,42 @@ class BallCocycles:
         self.ext = ext
         self.ball = ball
         self.mods = (0,) * kernel.rank + kernel.torsion
-        self.zero = (0,) * len(self.mods)
+        self._values: dict[tuple, tuple] = {}  # each distinct value, interned
+        self._memo: dict = {}  # (operator, u, v) -> u op v, normalized
+        self.zero = self._intern((0,) * len(self.mods))
         self.inv_letter = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
-        self.succ = [tuple(row[x] for x in alpha.letters) for row in ball.edges]
-        lifts = ext._lift_coords
-        labels: dict[tuple, tuple] = {}
-
-        def label(counts):
-            v = labels.get(counts)
-            if v is None:
-                v = labels[counts] = self._norm(
-                    [sum(c * z[i] for c, z in zip(counts, lifts))
-                     for i in range(len(self.mods))]
-                )
-            return v
-
-        self.E = [tuple(label(c) for c in row) for row in ball.logs]
+        self.succ = [tuple(map(row.__getitem__, alpha.letters)) for row in ball.edges]
+        # each distinct relator-count tuple and row is labelled once
+        rows = dict.fromkeys(ball.logs)
+        lifts, coords = ext._lift_coords, range(len(self.mods))
+        label = {
+            counts: self._norm([sum(c * z[i] for c, z in zip(counts, lifts)) for i in coords])
+            for counts in {c for row in rows for c in row}
+        }
+        for row in rows:
+            rows[row] = tuple(map(label.__getitem__, row))
+        self.E = list(map(rows.__getitem__, ball.logs))
         self._q_rows: dict = {}  # q_left_row by the triple it depends on
-        # rho_left[g][x] = sigma_rho(g, nf(x)) = E(g, x) - E(1, x), where
-        # E(1, x) is nonzero only for letters that are not their own
-        # normal form
+        # rho_left[g][x] = sigma_rho(g, nf(x)) = E(g, x) - E(1, x)
         E1 = self.E[0]
-        self.rho_left = [
-            tuple(self._sub(e, d) for e, d in zip(row, E1)) for row in self.E
-        ] if any(map(any, E1)) else self.E
+        left = {
+            row: tuple([self._op(sub, e, d) for e, d in zip(row, E1)])
+            for row in rows.values()
+        }
+        self.rho_left = list(map(left.__getitem__, self.E))
+
+    def _intern(self, v: tuple) -> tuple:
+        return self._values.setdefault(v, v)
 
     def _norm(self, v) -> tuple:
-        return tuple(a % m if m else a for a, m in zip(v, self.mods))
+        return self._intern(tuple([a % m if m else a for a, m in zip(v, self.mods)]))
 
-    def _sub(self, u, v) -> tuple:
-        return self._norm([a - b for a, b in zip(u, v)])
+    def _op(self, op, u: tuple, v: tuple) -> tuple:
+        """u op v for op add or sub, normalized once per operand pair."""
+        s = self._memo.get((op, u, v))
+        if s is None:
+            s = self._memo[op, u, v] = self._norm(map(op, u, v))
+        return s
 
     @cached_property
     def _chain(self):
@@ -229,7 +240,7 @@ class BallCocycles:
     def rho_right(self) -> list:
         """rho_right[z][h] = sigma_rho(nf(z), h), or None."""
         links, lmul = self._chain
-        E = self.E
+        E, op, memo = self.E, self._op, self._memo
         out = []
         for z, mul in enumerate(lmul):
             row: list = [self.zero] + [None] * (len(links) - 1)
@@ -238,7 +249,7 @@ class BallCocycles:
                     y, p = link
                     r, k = row[p], mul[p]
                     if r is not None and k is not None:
-                        row[j] = self._norm([a + b for a, b in zip(r, E[k][y])])
+                        row[j] = memo.get((add, r, E[k][y])) or op(add, r, E[k][y])
             out.append(row)
         return out
 
@@ -247,6 +258,7 @@ class BallCocycles:
         """sigma_inverse[h] = sigma_rho(h, h^-1), or None."""
         links, _ = self._chain
         rl, inv, rv, ibar = self.rho_left, self.inverse, self.rho_right, self.inv_letter
+        op = self._op
         S: list = [self.zero] + [None] * (len(links) - 1)
         for j, link in enumerate(links):
             if link is None:
@@ -258,9 +270,7 @@ class BallCocycles:
             sp, sy, ip = S[p], S[self.succ[0][y]], inv[p]
             r = rv[ibar[y]][ip] if ip is not None else None
             if sp is not None and sy is not None and r is not None:
-                S[j] = self._norm(
-                    [a + b - c - d for a, b, c, d in zip(sp, sy, rl[p][y], r)]
-                )
+                S[j] = op(sub, op(add, sp, sy), op(add, rl[p][y], r))
         return S
 
     def q_left_row(self, g: int) -> tuple:
@@ -270,7 +280,8 @@ class BallCocycles:
         The row is a function of rho_left[g], sigma_rho(g, g^-1) and the
         column sigma_rho(nf(x^-1), g^-1) of rho_right, a triple that few
         elements do not share (25 distinct on the t1s ball of radius 5),
-        so it is computed once per triple and the row is shared.
+        so it is computed once per triple and the row is shared.  The
+        values are interned, so a key that hits compares equal by identity.
         """
         ig = self.inverse[g]
         sg = None if ig is None else self.sigma_inverse[g]
@@ -289,12 +300,12 @@ class BallCocycles:
             if sx is None or r is None:
                 out.append(None)
             elif not torsion:
-                out.append(tuple(map(sub, l, r)))
+                out.append(self._intern(tuple(map(sub, l, r))))
             else:
-                out.append(tuple([
+                out.append(self._intern(tuple([
                     (2 * lc - a - b + (a + b - lc - c) % m) % (2 * m) if m else lc - c
                     for a, b, lc, c, m in zip(sg, sx, l, r, mods)
-                ]))
+                ])))
         row = self._q_rows[rl, sg, column] = tuple(out)
         return row
 
