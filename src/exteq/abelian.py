@@ -366,17 +366,15 @@ class AbelianLinearSystem:
         return True
 
 
-def solve_linear_system(sys: AbelianLinearSystem) -> Optional[dict[str, FGAElement]]:
-    """One satisfying assignment, or None.
-
-    Each coordinate of the group splits off an independent integer system;
-    torsion coordinates get one slack variable per equation (d * y terms).
-    """
+def coordinate_systems(sys: AbelianLinearSystem):
+    """(coordinate, M, b) per coordinate of the group: the integer system
+    M x = b that coordinate splits off.  A torsion coordinate of order d
+    gets one slack column per equation, d times the identity, after the
+    variables' columns."""
     g = sys.group
     nvars = len(sys.variables)
     var_index = {v: i for i, v in enumerate(sys.variables)}
     neq = len(sys.equations)
-    values: list[list[int]] = [[0] * (g.rank + len(g.torsion)) for _ in range(nvars)]
     for c in range(g.rank + len(g.torsion)):
         torsion_d = None if c < g.rank else g.torsion[c - g.rank]
         ncols = nvars + (neq if torsion_d else 0)
@@ -390,6 +388,19 @@ def solve_linear_system(sys: AbelianLinearSystem) -> Optional[dict[str, FGAEleme
                 row[nvars + e] = torsion_d
             M.append(row)
             b.append(rhs.coords()[c])
+        yield c, M, b
+
+
+def solve_linear_system(sys: AbelianLinearSystem) -> Optional[dict[str, FGAElement]]:
+    """One satisfying assignment, or None.
+
+    Each coordinate of the group splits off an independent integer system
+    (coordinate_systems).
+    """
+    g = sys.group
+    nvars = len(sys.variables)
+    values: list[list[int]] = [[0] * (g.rank + len(g.torsion)) for _ in range(nvars)]
+    for c, M, b in coordinate_systems(sys):
         x = solve_integer_system(M, b)
         if x is None:
             return None
@@ -397,5 +408,5 @@ def solve_linear_system(sys: AbelianLinearSystem) -> Optional[dict[str, FGAEleme
             values[i][c] = x[i]
     return {
         v: g.element(values[i][: g.rank], values[i][g.rank :])
-        for v, i in var_index.items()
+        for i, v in enumerate(sys.variables)
     }

@@ -51,7 +51,6 @@ _STATUS_EXIT = {
 class RunConfig:
     """Bounds and radii shared by the building subcommands."""
 
-    r_learn: int = 4
     r_validate: int = 6
     ball_radius: Optional[int] = None
     kappa2: int = 2
@@ -59,10 +58,9 @@ class RunConfig:
     mode: str = "sound"
     theta_cap: int = 1000
     cap: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("r_learn", "r_validate", "kappa2", "oracle_bound", "theta_cap"):
+        for name in ("r_validate", "kappa2", "oracle_bound", "theta_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.mode not in ("sound", "finite-complete"):
@@ -118,7 +116,6 @@ def _build_pipeline(ext, cfg: RunConfig) -> Pipeline:
     return Pipeline.build(
         ext,
         kappa2=cfg.kappa2,
-        R_learn=cfg.r_learn,
         R_validate=cfg.r_validate,
         ball_radius=cfg.ball_radius,
         cap=cfg.cap,
@@ -196,7 +193,7 @@ def cmd_cocycle_table(args) -> int:
 
 def cmd_build_automata(args) -> int:
     ext = _load_extension(args.input)
-    cfg = RunConfig(r_learn=args.r_learn, r_validate=args.r_validate, cap=args.cap)
+    cfg = RunConfig(r_validate=args.r_validate, cap=args.cap)
     pipe = _build_pipeline(ext, cfg)
     if args.out:
         files.save_json(args.out, files.automaton_to_json(pipe.L))
@@ -215,7 +212,7 @@ def cmd_build_automata(args) -> int:
 
 def cmd_build_fpa(args) -> int:
     ext = _load_extension(args.input)
-    cfg = RunConfig(r_learn=args.r_learn, r_validate=args.r_validate, cap=args.cap)
+    cfg = RunConfig(r_validate=args.r_validate, cap=args.cap)
     pipe = _build_pipeline(ext, cfg)
     F = pipe.F
     out = {
@@ -241,7 +238,7 @@ def cmd_build_fpa(args) -> int:
 
 def cmd_build_ppa(args) -> int:
     ext = _load_extension(args.input)
-    cfg = RunConfig(r_learn=args.r_learn, r_validate=args.r_validate, cap=args.cap)
+    cfg = RunConfig(r_validate=args.r_validate, cap=args.cap)
     pipe = _build_pipeline(ext, cfg)
     D = pipe.D
     out = {
@@ -263,7 +260,7 @@ def cmd_build_ppa(args) -> int:
 
 def cmd_verify_invariants(args) -> int:
     ext = _load_extension(args.input)
-    cfg = RunConfig(r_learn=args.r_learn, r_validate=args.r_validate, cap=args.cap)
+    cfg = RunConfig(r_validate=args.r_validate, cap=args.cap)
     pipe = _build_pipeline(ext, cfg)
     R = args.radius
     fpa_report = check_fpa_key_property(pipe.F, R, max(R - 2, 0))
@@ -324,7 +321,6 @@ def cmd_solve(args) -> int:
     eqs_obj = files.load_json(args.equations)
     sys_ = files.equation_system_from_json(eqs_obj, ext, args.equations)
     cfg = RunConfig(
-        r_learn=args.r_learn,
         r_validate=args.r_validate,
         ball_radius=args.ball_radius,
         kappa2=args.kappa2,
@@ -491,7 +487,6 @@ def radius(text: str) -> int:
 
 
 def _add_build_args(p):
-    p.add_argument("--r-learn", type=int, default=4)
     p.add_argument("--r-validate", type=int, default=6)
     p.add_argument("--cap", type=int, default=None,
                    help="state cap (default: EXTEQ_CAP_STATES)")

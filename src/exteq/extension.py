@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
-from typing import Optional
 
 from .abelian import (
     FGAElement,
@@ -28,7 +27,6 @@ from .words import CayleyBall, Presentation, Word, normal_form_with_log
 
 RHO = "rho"  # E, kernel A
 RHO_PRIME = "rho-prime"  # E', kernel A'
-Q = "q"  # E', kernel A', q-section coordinates
 
 
 @dataclass(frozen=True)
@@ -320,7 +318,7 @@ class ExtElement:
     a: FGAElement
 
     def __post_init__(self):
-        if self.coords not in (RHO, RHO_PRIME, Q):
+        if self.coords not in (RHO, RHO_PRIME):
             raise CoordMismatch(f"unknown coordinate system {self.coords!r}")
         expected = (
             self.ext.kernel if self.coords == RHO else self.ext.pushout_kernel
@@ -340,9 +338,7 @@ class ExtElement:
     def _twist(self, g1: Word, g2: Word) -> FGAElement:
         if self.coords == RHO:
             return sigma_rho(self.ext, g1, g2)
-        if self.coords == RHO_PRIME:
-            return iota1(sigma_rho(self.ext, g1, g2))
-        return sigma_q(self.ext, g1, g2)
+        return iota1(sigma_rho(self.ext, g1, g2))
 
     def __mul__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
@@ -396,10 +392,3 @@ def in_E(e: ExtElement) -> bool:
         raise CoordMismatch("in_E expects rho-prime coordinates")
     return in_iota1_image(e.a)
 
-
-def to_rho_prime(e: ExtElement) -> ExtElement:
-    if e.coords == RHO:
-        return iota2(e)
-    if e.coords == RHO_PRIME:
-        return e
-    return ExtElement(e.ext, RHO_PRIME, e.g, e.a + _q_part(e.ext, e.g))

@@ -15,14 +15,13 @@ all words up to the validation radius and rejected on any mismatch; the
 validated radius is recorded on the artifact.
 
 Validation is one breadth-first walk over the word tree that serves L
-and the three families together (`build_automata`; the single-automaton
-entry points walk it with one machine).  Each word's membership in L is
-decided once, from the ball indices of its suffixes, so a child only
-tests its new suffixes against integer quasi-geodesic bounds; the walk
-carries every automaton's state as one joint state.  It skips a subtree
-only where no word can disagree: the root is not quasi-geodesic (so no
-extension is) and every automaton sits in a state that reaches no live
-state.  On every word of L each family's predicted row, one value per
+and the three families together (`build_automata`, the only entry
+point).  Each word's membership in L is decided once, from the ball
+indices of its suffixes, so a child only tests its new suffixes against
+integer quasi-geodesic bounds; the walk carries every automaton's
+state as one joint state.  It skips a subtree only where no word can
+disagree: the root is not quasi-geodesic (so no extension is) and every
+automaton sits in a state that reaches no live state.  On every word of L each family's predicted row, one value per
 letter, is compared with the row of values read off the Cayley ball's
 edge labels (BallCocycles), the relator logs its construction already
 computed; only a row that differs, or holds an element those tables
@@ -34,7 +33,6 @@ are those of an exhaustive walk over all words for it alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .abelian import FGAElement
@@ -50,7 +48,6 @@ from .words import (
     CayleyBall,
     Presentation,
     Word,
-    build_ball,
     normal_form,
     qg_min_distances,
     state_cap,
@@ -80,7 +77,6 @@ class _TailScheme:
         self.p = p
         self.nu = nu
         self.window = window
-        self.lam = Fraction(1)
 
     def _nf(self, w: Word) -> Word:
         return normal_form(self.p, w)
@@ -140,7 +136,6 @@ class _MatchScheme:
     def __init__(self, p: Presentation):
         self.p = p
         self.nu = 0
-        self.lam = Fraction(1)
         prefixes = set()
         suffixes = set()
         forbidden_pref = set()
@@ -225,10 +220,6 @@ class LanguageSpec:
             raise ValueError("need nu >= 0 and window >= 1")
         object.__setattr__(self, "_scheme_cache", [])
 
-    @property
-    def lam(self) -> Fraction:
-        return Fraction(1)
-
     def scheme(self):
         if not self._scheme_cache:
             if self.window is None:
@@ -280,14 +271,6 @@ class PredictorFamily:
             s for s in self.live if self.values[x][s] == a
         )
         return FSA(self.graph.alphabet, self.graph.transitions, self.graph.initial, acc)
-
-    @property
-    def automata(self) -> dict:
-        return {
-            (x, a): self.automaton(x, a)
-            for x in self.graph.alphabet.letters
-            for a in self.value_sets[x]
-        }
 
 
 def _synthesize_graph(lspec: LanguageSpec, kind: Optional[str], cap: Optional[int]):
@@ -363,78 +346,32 @@ def _synthesize_graph(lspec: LanguageSpec, kind: Optional[str], cap: Optional[in
     return fsa, tuple(reps)
 
 
-def build_L_automaton(
-    p: Presentation,
-    lspec: LanguageSpec,
-    R_learn: int,
-    R_validate: int,
-    ball: Optional[CayleyBall] = None,
-    cap: Optional[int] = None,
-) -> FSA:
-    """DFA for the quasi-geodesic language, validated exhaustively.
-
-    R_learn only documents the exploration depth expectation; the
-    signature space is always closed.  Validation compares against the
-    ball-based quasi-geodesic test on every word of length <= R_validate.
-    """
-    if lspec.presentation != p:
-        raise ValueError("language spec belongs to a different presentation")
-    fsa, _ = _synthesize_graph(lspec, None, cap)
-    _raise_for_L(_validate_L(fsa, lspec, R_validate, ball or build_ball(p, R_validate)))
-    return fsa
-
-
-def build_predictor_family(
-    ext: CentralExtension,
-    kind: str,
-    lspec: LanguageSpec,
-    R_learn: int,
-    R_validate: int,
-    ball: Optional[CayleyBall] = None,
-    cap: Optional[int] = None,
-    cocycles: Optional[BallCocycles] = None,
-) -> PredictorFamily:
-    """Synthesize and validate the predictor family of the given kind.
-
-    `cocycles`, the tables of ext over the ball, may be shared by the
-    families validated over one ball."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if lspec.presentation != ext.base:
-        raise ValueError("language spec belongs to a different presentation")
-    fam = _synthesize_family(ext, kind, lspec, cap)
-    ball = ball or build_ball(ext.base, R_validate)
-    _raise_for_family(fam, validate_family(fam, ext, R_validate, ball, cocycles))
-    return fam
-
-
 def build_automata(
     ext: CentralExtension,
     lspec: LanguageSpec,
-    R_learn: int,
     R_validate: int,
-    ball: Optional[CayleyBall] = None,
+    ball: CayleyBall,
     cap: Optional[int] = None,
 ) -> tuple[FSA, dict[str, PredictorFamily]]:
-    """L and the three predictor families, validated in one walk.
+    """L and the three predictor families, validated in one walk over
+    every word of length <= R_validate, which the ball must reach.
 
-    Returns what build_L_automaton and build_predictor_family of each
-    kind in KINDS would, and raises what the first of those calls to fail
-    would raise: L's mismatch first, then the families in KINDS order.
+    Raises on the first failure in this order: L's membership mismatch,
+    then each family in KINDS order, where a family fails by the cap
+    its synthesis exceeded (ResourceBound), a value its synthesis never
+    observed (ValueSetUnstable) or another mismatch (SynthesisInconsistent).
     """
     if lspec.presentation != ext.base:
         raise ValueError("language spec belongs to a different presentation")
     L, _ = _synthesize_graph(lspec, None, cap)
-    # a family whose synthesis exceeds a cap fails after L and the
-    # families before it, as it would when each is built and validated
-    # in turn
+    # a family whose synthesis exceeds a cap fails in its KINDS place,
+    # after L and the families before it
     fams, failures = {}, {}
     for kind in KINDS:
         try:
             fams[kind] = _synthesize_family(ext, kind, lspec, cap)
         except ResourceBound as exc:
             failures[kind] = exc
-    ball = ball or build_ball(ext.base, R_validate)
     cocycles = BallCocycles(ext, ball)
     machines = [(L, L.accepting, False, (), None)]
     machines += [_family_machine(f, ext, cocycles) for f in fams.values()]
@@ -540,7 +477,7 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
     alpha = lspec.presentation.alphabet
     letters = alpha.letters
     inverse_tape = [alpha.index(alpha.inverse[x]) for x in letters]
-    need = qg_min_distances(lspec.lam, lspec.nu, R)
+    need = qg_min_distances(lspec.nu, R)
     dist = ball.distances
     edges = ball.edges
     rows, dooms = [], []
@@ -601,10 +538,6 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
                 nxt.append((w + x, ks[i], child))
         frontier = nxt
     return [ValidationReport(R, tuple(m)) for m in out]
-
-
-def _validate_L(fsa: FSA, lspec: LanguageSpec, R: int, ball: CayleyBall):
-    return _walk(lspec, R, ball, [(fsa, fsa.accepting, False, (), None)])[0]
 
 
 def _direct_value(ext: CentralExtension, kind: str, tape: Word, x: str):
@@ -679,27 +612,3 @@ def _family_machine(
 
     return (fam.graph, fam.live, kind == RHO_RIGHT_REVERSED, ("membership",), check)
 
-
-def validate_family(
-    fam: PredictorFamily,
-    ext: CentralExtension,
-    R: int,
-    ball: Optional[CayleyBall] = None,
-    cocycles: Optional[BallCocycles] = None,
-) -> ValidationReport:
-    """Exhaustively compare the family against direct evaluation.
-
-    Checks, for every word w with |w| <= R: membership agreement with the
-    quasi-geodesic test, and for members the predicted value against the
-    cocycle value for every letter.  For the reversed kind the
-    membership/value pair is checked on the letter-inverted tape.
-    Expected values come from the ball's edge labels (`cocycles`, built
-    here unless given); an element outside their reach is evaluated by
-    the string route.
-    """
-    ball = ball or build_ball(fam.lspec.presentation, R)
-    if cocycles is None:
-        cocycles = BallCocycles(ext, ball)
-    elif cocycles.ball is not ball or cocycles.ext is not ext:
-        raise ValueError("cocycle tables belong to another ball or extension")
-    return _walk(fam.lspec, R, ball, [_family_machine(fam, ext, cocycles)])[0]

@@ -32,6 +32,7 @@ from .abelian import (
     AbelianLinearSystem,
     FGAElement,
     ParityElement,
+    coordinate_systems,
     iota1,
     iota1_inverse,
     iota4,
@@ -423,20 +424,14 @@ def enumerate_theta(
     tri: TriangularSystem,
     ctx: VGroupContext,
     F: FPA,
-    D: PPA,
     ext: CentralExtension,
-    prune_constants: bool = False,
-    cap: Optional[int] = None,
 ):
     """Deterministic stream of every tuple satisfying the four Theta
-    conditions, with one identification rule: cells sharing an equation
-    symbol share their parity datum d (the parity of a cell is a
-    function of the cell's group element, so differing choices leave
-    V_t unsatisfiable).
-
-    With prune_constants, constant cells are further pinned to their
-    element's true parity for the same reason.  Raises ResourceBound
-    after cap tuples have been yielded.
+    conditions, with two identification rules, since differing choices
+    leave V_t unsatisfiable: cells sharing an equation symbol share
+    their parity datum d (the parity of a cell is a function of the
+    cell's group element), and a constant's cells carry its element's
+    true parity.
     """
     base = ctx.base
     n = len(tri.rows)
@@ -466,12 +461,10 @@ def enumerate_theta(
     d_values = list(parity_elements(ext.kernel))
     syms = tri.row_symbols()
     pinned: dict[str, ParityElement] = {}
-    if prune_constants:
-        for sym in syms:
-            if sym in tri.constants:
-                g = _constant_base_word(tri.constants[sym], base)
-                pinned[sym] = pa(sigma_rho(ext, g, base.alphabet.inverse_word(g)))
-    count = 0
+    for sym in syms:
+        if sym in tri.constants:
+            g = _constant_base_word(tri.constants[sym], base)
+            pinned[sym] = pa(sigma_rho(ext, g, base.alphabet.inverse_word(g)))
     for c_mat in c_mats:
         s_opts = []
         viable = True
@@ -507,16 +500,12 @@ def enumerate_theta(
                         tuple(dmap[sym] for sym in row) for row in tri.rows
                     )
                     yield make_theta(F, c_mat, s_mat, b_mat, d_mat)
-                    count += 1
-                    if cap is not None and count >= cap:
-                        raise ResourceBound(f"theta stream exceeded cap {cap}")
 
 
 def witness_theta(
     tri: TriangularSystem,
     ctx: VGroupContext,
     F: FPA,
-    D: PPA,
     ext: CentralExtension,
     gamma: dict[str, Word],
 ) -> tuple[ThetaIndex, dict[str, Word]]:
@@ -786,8 +775,7 @@ class VSystem:
                 return False
         return True
 
-    def check(self, assignment: dict[str, Word], explain: bool = False):
-        failures = []
+    def check(self, assignment: dict[str, Word]) -> bool:
         for i in range(len(self.tri.rows)):
             for j in range(3):
                 lhs = self.ctx.reduce(
@@ -796,11 +784,10 @@ class VSystem:
                     + self.ctx.inverse(assignment[self.p_names[i][(j + 1) % 3]])
                 )
                 if lhs != self.ctx.reduce(assignment[self.v_names[i][j]]):
-                    failures.append(("equation", i, j))
-        for name in self.variables():
-            if not self._constraint_ok(name, assignment[name]):
-                failures.append(("constraint", name))
-        return failures if explain else not failures
+                    return False
+        return all(
+            self._constraint_ok(name, assignment[name]) for name in self.variables()
+        )
 
 
 def build_Vt(
@@ -872,24 +859,11 @@ class WSystem:
         on a torsion coordinate."""
         if self.no_solution is not None:
             return {"reason": self.no_solution}
-        g = self.system.group
-        nvars = len(self.system.variables)
-        var_index = {v: i for i, v in enumerate(self.system.variables)}
         neq = len(self.system.equations)
-        for coord in range(g.rank + len(g.torsion)):
-            torsion_d = None if coord < g.rank else g.torsion[coord - g.rank]
-            ncols = nvars + (neq if torsion_d else 0)
-            M, bvec = [], []
-            for e, (coeffs, rhs) in enumerate(self.system.equations):
-                row = [0] * ncols
-                for v, k in coeffs.items():
-                    row[var_index[v]] = k
-                if torsion_d:
-                    row[nvars + e] = torsion_d
-                M.append(row)
-                bvec.append(rhs.coords()[coord])
+        for coord, M, bvec in coordinate_systems(self.system):
             if not M:
                 continue
+            ncols = len(M[0])
             U, Dg, _ = smith_normal_form(M)
             c = [sum(U[i][k] * bvec[k] for k in range(neq)) for i in range(neq)]
             for i in range(neq):
@@ -1188,17 +1162,20 @@ class Pipeline:
         R_learn: int = 4,
         R_validate: int = 6,
         ball_radius: Optional[int] = None,
-        lspec=None,
         cap: Optional[int] = None,
     ) -> "Pipeline":
+        """Build and validate the stack over the bundled language choice
+        (instances.default_language_spec) on one ball of radius
+        max(R_validate, ball_radius).  R_learn is accepted and ignored:
+        synthesis always closes the signature space."""
         from .fpa_ppa import build_fpa, build_lfpa, build_ppa, build_rfpa
         from .instances import default_language_spec
         from .lrational import Q_LEFT, RHO_LEFT, RHO_RIGHT_REVERSED, build_automata
 
-        lspec = lspec or default_language_spec(ext.base)
+        lspec = default_language_spec(ext.base)
         radius = max(R_validate, ball_radius or 0)
         ball = build_ball(ext.base, radius, cap=cap)
-        L, fams = build_automata(ext, lspec, R_learn, R_validate, ball=ball, cap=cap)
+        L, fams = build_automata(ext, lspec, R_validate, ball, cap=cap)
         F = build_fpa(fams[Q_LEFT], cap=cap)
         D = build_ppa(
             build_lfpa(fams[RHO_LEFT], cap=cap),
@@ -1295,7 +1272,7 @@ def solve(
             report["anomalies"].append(f"hint {gamma} does not solve the base system")
             continue
         gfull = extend_to_fresh(tri, ext.base, gnf)
-        t, vsol = witness_theta(tri, ctx, F, D, ext, gfull)
+        t, vsol = witness_theta(tri, ctx, F, ext, gfull)
         out = attempt(t, vsol)
         if out is not None:
             return out
@@ -1321,7 +1298,7 @@ def solve(
                 continue
             nsol += 1
             gfull = extend_to_fresh(tri, ext.base, gamma)
-            t, vsol = witness_theta(tri, ctx, F, D, ext, gfull)
+            t, vsol = witness_theta(tri, ctx, F, ext, gfull)
             out = attempt(t, vsol)
             if out is not None:
                 return out
@@ -1341,7 +1318,7 @@ def solve(
         report["theta_truncated"] = False
         return SolveOutcome(NO_SOLUTION_WITHIN_BOUNDS, report=report)
 
-    stream = enumerate_theta(tri, ctx, F, D, ext, prune_constants=True)
+    stream = enumerate_theta(tri, ctx, F, ext)
     truncated = False
     try:
         for t in itertools.islice(stream, config.theta_cap):

@@ -12,6 +12,7 @@ swaps for presentations where pure shortening is not confluent.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -268,10 +269,10 @@ def _reduce_with_log(
             return w, log
         # swap closure at the current length
         visited: dict[Word, RelatorLog] = {w: log}
-        queue = [w]
+        queue = deque([w])
         restart = None
         while queue and restart is None:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             cur_log = visited[cur]
             for i in range(len(cur)):
                 top = min(swap_max, len(cur) - i)
@@ -472,38 +473,7 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
     return CayleyBall(p, R, words, index, distances, edges, logs, parents, reduced)
 
 
-def qg_min_distances(lam: Fraction, nu: Fraction, n: int) -> list[int]:
+def qg_min_distances(nu: int, n: int) -> list[int]:
     """need[m] for m <= n: the least d(1, w') a subword w' of length m may
-    have, ceil(m/lam - nu), computed with integers cross-multiplied from
-    lam = a/b and nu = c/e: d >= m/lam - nu iff a*e*d >= b*e*m - a*c."""
-    lam = Fraction(lam)
-    nu = Fraction(nu)
-    a, b = lam.numerator, lam.denominator
-    c, e = nu.numerator, nu.denominator
-    return [-((a * c - b * e * m) // (a * e)) for m in range(n + 1)]
-
-
-def is_quasigeodesic(
-    ball: CayleyBall, w: Word, lam: Fraction, nu: Fraction
-) -> bool:
-    """True iff every subword w' of w satisfies d(1, w') >= |w'|/lam - nu."""
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
-    n = len(w)
-    if n > ball.radius:
-        raise BallTooSmall(
-            f"word of length {n} needs a ball of radius >= {n}, have {ball.radius}"
-        )
-    need = qg_min_distances(lam, nu, n)
-    edges = ball.edges
-    distances = ball.distances
-    for i in range(n):
-        cur = 0
-        for j in range(i + 1, n + 1):
-            nxt = edges[cur].get(w[j - 1])
-            if nxt is None:
-                raise BallTooSmall("subword walk left the ball")
-            cur = nxt
-            if distances[cur] < need[j - i]:
-                return False
-    return True
+    have in a word of L, m - nu."""
+    return [m - nu for m in range(n + 1)]

@@ -12,17 +12,25 @@ from dataclasses import dataclass
 
 import pytest
 
+from exteq.abelian import FGAGroup
 from exteq.automata import FSA, coaccessible, product
-from exteq.extension import CentralExtension
+from exteq.extension import BallCocycles, CentralExtension
 from exteq.fpa_ppa import FPA, PPA, build_fpa, build_lfpa, build_ppa, build_rfpa
 from exteq.instances import (
     default_language_spec,
     dihedral_z,
     modular16,
     quaternion8,
+    split,
     t1s,
 )
-from exteq.lrational import LanguageSpec, PredictorFamily, build_automata
+from exteq.lrational import (
+    LanguageSpec,
+    PredictorFamily,
+    _family_machine,
+    _walk,
+    build_automata,
+)
 from exteq.words import Alphabet, CayleyBall, Presentation, Word, build_ball
 
 
@@ -94,6 +102,28 @@ def shortest_witness(F: FPA, s: int) -> Word:
     raise AssertionError(f"state {s} unreachable")
 
 
+def walk_alone(automaton, R: int, ball: CayleyBall, lspec=None, cocycles=None):
+    """The validation report of one automaton walked alone to radius R:
+    a language automaton (an FSA, judged against lspec's L) or a
+    predictor family, its expected values read from `cocycles` (the
+    family's extension over the ball, built here unless given)."""
+    if isinstance(automaton, PredictorFamily):
+        lspec, ext = automaton.lspec, automaton.ext
+        cocycles = cocycles or BallCocycles(ext, ball)
+        machine = _family_machine(automaton, ext, cocycles)
+    else:
+        machine = (automaton, automaton.accepting, False, (), None)
+    return _walk(lspec, R, ball, [machine])[0]
+
+
+def validated_L(p: Presentation, R: int, lspec=None) -> FSA:
+    """L of the split extension of p by Z, built by build_automata and
+    validated to radius R (default_language_spec(p) unless given)."""
+    ext = split(p, FGAGroup(1))
+    L, _ = build_automata(ext, lspec or default_language_spec(p), R, build_ball(p, R))
+    return L
+
+
 @dataclass
 class Stack:
     ext: CentralExtension
@@ -110,7 +140,7 @@ class Stack:
 def _build_stack(ext: CentralExtension, R_validate: int, ball_radius=None) -> Stack:
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, ball_radius or R_validate)
-    L, fams = build_automata(ext, lspec, 4, R_validate, ball=ball)
+    L, fams = build_automata(ext, lspec, R_validate, ball)
     fpa = build_fpa(fams["q-left"])
     lfpa = build_lfpa(fams["rho-left"])
     rfpa = build_rfpa(fams["rho-right-reversed"])

@@ -207,6 +207,36 @@ def test_certificate_roundtrip(q8_eqs, tmp_path, capsys):
     assert code == 4 and "FAILED" in out
 
 
+def test_certificate_with_retired_config_keys_verifies(q8_eqs, tmp_path, capsys):
+    # certificates written while `solve` still took --r-learn record
+    # r_learn and seed in their config; verification reads neither
+    ext_path = str(DATA / "quaternion8.json")
+    eqs_path = q8_eqs(["x x Z"])
+    cert_path = tmp_path / "cert.json"
+    code, _ = run_cli(
+        "solve", ext_path, eqs_path, "--mode", "finite-complete",
+        "--cert", str(cert_path), capsys=capsys,
+    )
+    assert code == 0
+    cert = json.loads(cert_path.read_text())
+    assert "r_learn" not in cert["config"] and "seed" not in cert["config"]
+    cert["config"].update(r_learn=4, seed=0)
+    cert_path.write_text(json.dumps(cert))
+    code, out = run_cli(
+        "lift", "--verify", "--extension", ext_path,
+        "--equations", eqs_path, str(cert_path), capsys=capsys,
+    )
+    assert code == 0 and "verified" in out
+
+
+def test_retired_r_learn_option_exits_3(capsys):
+    with pytest.raises(SystemExit) as e:
+        cmd_dispatch(["solve", str(DATA / "quaternion8.json"), "eqs.json",
+                      "--r-learn", "4"])
+    assert e.value.code == 3
+    assert "--r-learn" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_above_two(capsys):
     with pytest.raises(SystemExit) as e:
         cmd_dispatch(["solve"])

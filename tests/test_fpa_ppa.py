@@ -25,18 +25,16 @@ from exteq.lrational import (
     RHO_LEFT,
     RHO_RIGHT_REVERSED,
     PredictorFamily,
-    build_predictor_family,
+    build_automata,
 )
+from exteq.words import build_ball
 
 
 @pytest.fixture(scope="module")
 def split_stack():
     ext = split(klein_presentation(), FGAGroup(1))
     lspec = default_language_spec(ext.base)
-    fams = {
-        kind: build_predictor_family(ext, kind, lspec, 4, 6)
-        for kind in (Q_LEFT, RHO_LEFT, RHO_RIGHT_REVERSED)
-    }
+    _, fams = build_automata(ext, lspec, 6, build_ball(ext.base, 6))
     return ext, fams
 
 

@@ -3,19 +3,21 @@ import random
 import pytest
 
 from exteq.abelian import FGAGroup
-from conftest import enumerate_language, free_presentation, language_equal
+from conftest import (
+    enumerate_language,
+    free_presentation,
+    language_equal,
+    validated_L,
+    walk_alone,
+)
 from exteq.automata import words_up_to
 from exteq.errors import SynthesisInconsistent
 from exteq.instances import (
     default_language_spec,
     dihedral_presentation,
-    dihedral_z,
     genus2_presentation,
     klein_presentation,
-    modular16,
-    quaternion8,
     split,
-    t1s,
 )
 from exteq.lrational import (
     KINDS,
@@ -24,9 +26,7 @@ from exteq.lrational import (
     RHO_RIGHT_REVERSED,
     LanguageSpec,
     PredictorFamily,
-    build_L_automaton,
-    build_predictor_family,
-    validate_family,
+    build_automata,
 )
 from exteq.automata import FSA
 from exteq.extension import BallCocycles, sigma_q, sigma_rho
@@ -53,19 +53,24 @@ def test_spec_parameter_validation():
     with pytest.raises(ValueError):
         LanguageSpec(p, nu=0, window=0)
     with pytest.raises(ValueError):
-        build_L_automaton(p, default_language_spec(klein_presentation()), 4, 5)
+        build_automata(
+            split(p, FGAGroup(1)),
+            default_language_spec(klein_presentation()),
+            5,
+            build_ball(p, 5),
+        )
 
 
 def test_free_group_L_is_freely_reduced_words():
     p = free_presentation()
-    L = build_L_automaton(p, default_language_spec(p), 4, 6)
+    L = validated_L(p, 6)
     for w in words_up_to(p.alphabet, 5):
         assert L.accepts(w) == p.alphabet.is_freely_reduced(w)
 
 
 def test_dihedral_L_is_alternating_words():
     p = dihedral_presentation()
-    L = build_L_automaton(p, default_language_spec(p), 4, 8)
+    L = validated_L(p, 8)
 
     def alternating(w):
         classes = ["st"[c in "tT"] for c in w]
@@ -75,10 +80,9 @@ def test_dihedral_L_is_alternating_words():
         assert L.accepts(w) == alternating(w), w
 
 
-def test_dihedral_branches_partition_L():
-    ext = dihedral_z()
-    spec = default_language_spec(ext.base)
-    fam = build_predictor_family(ext, RHO_LEFT, spec, 4, 7)
+def test_dihedral_branches_partition_L(dihedral_stack):
+    ext = dihedral_stack.ext
+    fam = dihedral_stack.fams[RHO_LEFT]
     live = FSA(fam.graph.alphabet, fam.graph.transitions, fam.graph.initial, fam.live)
     full = set(enumerate_language(live, 6))
     for x in ext.base.alphabet.letters:
@@ -95,8 +99,8 @@ def test_dihedral_branches_partition_L():
 def test_split_extension_has_single_trivial_branch():
     ext = split(klein_presentation(), FGAGroup(1))
     spec = default_language_spec(ext.base)
-    L = build_L_automaton(ext.base, spec, 4, 7)
-    fam = build_predictor_family(ext, Q_LEFT, spec, 4, 7)
+    L, fams = build_automata(ext, spec, 7, build_ball(ext.base, 7))
+    fam = fams[Q_LEFT]
     zero = ext.pushout_kernel.zero()
     for x in ext.base.alphabet.letters:
         assert fam.value_sets[x] == (zero,)
@@ -151,10 +155,9 @@ def test_q8_reversed_kind_reads_inverted_tape(q8_families):
                 assert fam.values[x][s] == sigma_rho(ext, x, alpha.inverse_word(w))
 
 
-def test_modular16_families_validate():
-    ext = modular16()
-    spec = default_language_spec(ext.base)
-    fam = build_predictor_family(ext, Q_LEFT, spec, 4, 6)
+def test_modular16_families_validate(modular16_stack):
+    ext = modular16_stack.ext
+    fam = modular16_stack.fams[Q_LEFT]
     assert fam.validated_radius == 6
     A8 = ext.pushout_kernel
     for x in ext.base.alphabet.letters:
@@ -222,7 +225,7 @@ def test_mutated_family_fails_validation(q8_families):
         value_sets=fam.value_sets,
         reps=fam.reps,
     )
-    report = validate_family(broken, ext, 3)
+    report = walk_alone(broken, 3, build_ball(ext.base, 3))
     assert not report.passed
     assert any(m[0] == "membership" for m in report.mismatches)
 
@@ -246,25 +249,19 @@ def test_mutated_values_fail_validation(q8_families):
         value_sets=fam.value_sets,
         reps=fam.reps,
     )
-    report = validate_family(broken, ext, 3)
+    report = walk_alone(broken, 3, build_ball(ext.base, 3))
     assert any(m[0] == "value" for m in report.mismatches)
 
 
 def test_shared_cocycle_tables(q8_stack):
-    # tables built once serve every family; tables of another ball or
-    # extension are refused
+    # tables built once serve every family
     ext, ball = q8_stack.ext, q8_stack.ball
     cocycles = BallCocycles(ext, ball)
     for fam in q8_stack.fams.values():
         R = fam.validated_radius
-        assert validate_family(fam, ext, R, ball, cocycles) == validate_family(
-            fam, ext, R, ball
+        assert walk_alone(fam, R, ball, cocycles=cocycles) == walk_alone(
+            fam, R, ball
         )
-    other = build_ball(ext.base, ball.radius)
-    with pytest.raises(ValueError):
-        validate_family(q8_stack.fams[Q_LEFT], ext, 3, other, cocycles)
-    with pytest.raises(ValueError):
-        validate_family(q8_stack.fams[Q_LEFT], modular16(), 3, ball, cocycles)
 
 
 def test_unknown_value_rejected(q8_families):
@@ -278,6 +275,6 @@ def test_bad_scheme_is_rejected():
     # (where free reduction is the only relation) but not radius 5, where
     # over-half relator fragments become non-geodesic
     p = genus2_presentation()
-    build_L_automaton(p, LanguageSpec(p, nu=0, window=1), 4, 4)
+    validated_L(p, 4, LanguageSpec(p, nu=0, window=1))
     with pytest.raises(SynthesisInconsistent):
-        build_L_automaton(p, LanguageSpec(p, nu=0, window=1), 4, 5)
+        validated_L(p, 5, LanguageSpec(p, nu=0, window=1))

@@ -503,14 +503,15 @@ def _dihedral_system(ext):
 def test_enumerate_theta_matches_direct_filter(dihedral_stack):
     # kappa2 = 1 on the dihedral instance keeps the brute-force
     # cross-check tractable: rebuild the stream from the four defining
-    # conditions checked one by one
-    ext, F, D = dihedral_stack.ext, dihedral_stack.fpa, dihedral_stack.ppa
+    # conditions checked one by one, each constant's d pinned to the
+    # parity of its element
+    ext, F = dihedral_stack.ext, dihedral_stack.fpa
     ctx = VGroupContext(ext.base, 1)
     sys = _dihedral_system(ext)
     tri = triangularize(sys, identity(ext))
-    got = list(enumerate_theta(tri, ctx, F, D, ext))
+    got = list(enumerate_theta(tri, ctx, F, ext))
     # deterministic stream
-    again = list(enumerate_theta(tri, ctx, F, D, ext))
+    again = list(enumerate_theta(tri, ctx, F, ext))
     assert [t.c for t in got] == [t.c for t in again]
     assert [t.b for t in got] == [t.b for t in again]
 
@@ -534,25 +535,23 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
             n_b = 1
             for opts in b_opts:
                 n_b *= len(opts)
-            count += n_b * len(list(parity_elements(ext.kernel))) ** len(syms)
+            free = [sym for sym in syms if sym not in tri.constants]
+            count += n_b * len(list(parity_elements(ext.kernel))) ** len(free)
     assert len(got) == count
+    for t in got:
+        for i, j, sym in tri.cells():
+            if sym in tri.constants:
+                g = ext.nf(tri.constants[sym].g)
+                assert t.d[i][j] == pa(sigma_rho(ext, g, ext.inv_word(g)))
 
 
 def test_witness_tuple_is_in_stream(dihedral_stack):
-    ext, F, D = dihedral_stack.ext, dihedral_stack.fpa, dihedral_stack.ppa
+    ext, F = dihedral_stack.ext, dihedral_stack.fpa
     ctx = VGroupContext(ext.base, 1)
     tri = triangularize(_dihedral_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": "s"})
-    t, _ = witness_theta(tri, ctx, F, D, ext, gamma)
-    assert t in enumerate_theta(tri, ctx, F, D, ext)
-
-
-def test_enumerate_theta_cap(dihedral_stack):
-    ext, F, D = dihedral_stack.ext, dihedral_stack.fpa, dihedral_stack.ppa
-    ctx = VGroupContext(ext.base, 1)
-    tri = triangularize(_dihedral_system(ext), identity(ext))
-    with pytest.raises(ResourceBound):
-        list(enumerate_theta(tri, ctx, F, D, ext, cap=3))
+    t, _ = witness_theta(tri, ctx, F, ext, gamma)
+    assert t in enumerate_theta(tri, ctx, F, ext)
 
 
 # -- witness tuples, V_t, W_t, lifting ----------------------------------
@@ -567,7 +566,7 @@ def test_witness_theta_solves_Vt(q8_pipe):
     ext = q8_pipe.ext
     tri = triangularize(_twisted_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
-    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, gamma)
+    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
     assert all(a.is_zero() for row in t.a for a in row)
     assert all(b.is_zero() for row in t.b for b in row)
     V = build_Vt(t, tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, q8_pipe.ball)
@@ -581,14 +580,14 @@ def test_witness_theta_kappa_too_small(q8_pipe):
     tri = triangularize(_twisted_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": "s"})
     with pytest.raises(ResourceBound):
-        witness_theta(tri, ctx, q8_pipe.F, q8_pipe.D, ext, gamma)
+        witness_theta(tri, ctx, q8_pipe.F, ext, gamma)
 
 
 def test_oracle_finds_witness_solution(q8_pipe):
     ext = q8_pipe.ext
     tri = triangularize(_twisted_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
-    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, gamma)
+    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
     V = build_Vt(t, tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, q8_pipe.ball)
     res = vf_oracle_solve(V, 2)
     assert res.found
@@ -602,7 +601,7 @@ def test_lift_roundtrip_and_converse_formula(q8_pipe):
     sys = _twisted_system(ext)
     tri = triangularize(sys, identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
-    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, gamma)
+    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
     W = build_Wt(t, tri, ext)
     assert W.no_solution is None
     wsol = W.solve()
@@ -632,7 +631,7 @@ def test_Wt_obstruction_certificate(q8_pipe):
     sys = EquationSystem(("x",), {"z": z}, ("x x x x Z",))
     tri = triangularize(sys, identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
-    t, _ = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, gamma)
+    t, _ = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
     W = build_Wt(t, tri, ext)
     assert W.solve() is None
     ob = W.obstruction()

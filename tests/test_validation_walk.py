@@ -1,8 +1,8 @@
 """The pruned validation walk against the exhaustive reference walkers.
 
 The reference walkers below enumerate every word of length <= R, test
-each one for quasi-geodesicity with Fraction arithmetic and evaluate
-every expected cocycle value by the string route.  The walk in
+each one for quasi-geodesicity by walking every subword on the ball and
+evaluate every expected cocycle value by the string route.  The walk in
 `lrational` must report exactly the same mismatches in the same order,
 for each automaton whether it is walked alone or together with L and
 the other families, and the integer cocycle tables it reads must agree
@@ -15,7 +15,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,9 +30,7 @@ from exteq.errors import (
 from exteq.extension import BallCocycles, sigma_q, sigma_rho
 from exteq.instances import (
     default_language_spec,
-    dihedral_presentation,
     genus2_presentation,
-    klein_presentation,
     quaternion8,
 )
 from exteq.lrational import (
@@ -47,14 +44,12 @@ from exteq.lrational import (
     _direct_value,
     _family_machine,
     _synthesize_graph,
-    _validate_L,
     _walk,
-    build_L_automaton,
-    build_predictor_family,
-    validate_family,
 )
 from exteq.reduction import Pipeline
-from exteq.words import build_ball, is_quasigeodesic
+from exteq.words import build_ball
+
+from conftest import walk_alone
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -62,14 +57,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # -- the exhaustive reference -------------------------------------------
 
 
-def qg_fraction(ball, w, lam, nu):
-    """d(1, w') >= |w'|/lam - nu for every subword, in Fractions."""
-    lam, nu = Fraction(lam), Fraction(nu)
+def qg_reference(ball, w, nu):
+    """d(1, w') >= |w'| - nu for every subword w', each walked on the
+    ball from the identity."""
     for i in range(len(w)):
         cur = 0
         for j in range(i + 1, len(w) + 1):
             cur = ball.edges[cur][w[j - 1]]
-            if ball.distances[cur] < Fraction(j - i) / lam - nu:
+            if ball.distances[cur] < (j - i) - nu:
                 return False
     return True
 
@@ -81,7 +76,7 @@ def reference_validate_L(fsa, lspec, R, ball):
     for _ in range(R + 1):
         nxt = []
         for w, s in frontier:
-            expected = qg_fraction(ball, w, lspec.lam, lspec.nu)
+            expected = qg_reference(ball, w, lspec.nu)
             got = s in fsa.accepting
             if expected != got:
                 mismatches.append((w, expected, got))
@@ -100,7 +95,7 @@ def reference_validate_family(fam, ext, R, ball):
     for _ in range(R + 1):
         nxt = []
         for w, tape in frontier:
-            in_L = qg_fraction(ball, w, lspec.lam, lspec.nu)
+            in_L = qg_reference(ball, w, lspec.nu)
             s = fam.graph.run(tape)
             got_live = s in fam.live
             if in_L != got_live:
@@ -162,12 +157,12 @@ def clean_references(stack_name, stack, R):
 def test_good_stacks_match_reference(request, stack_name, R):
     stack = request.getfixturevalue(stack_name)
     ref_L, ref_fams = clean_references(stack_name, stack, R)
-    new = _validate_L(stack.L, stack.lspec, R, stack.ball)
+    new = walk_alone(stack.L, R, stack.ball, stack.lspec)
     assert new == ref_L
     assert new.passed
     for kind in KINDS:
         fam = stack.fams[kind]
-        new = validate_family(fam, stack.ext, R, stack.ball)
+        new = walk_alone(fam, R, stack.ball)
         assert new == ref_fams[kind]
         assert new.passed
 
@@ -250,13 +245,18 @@ def test_fused_walk_matches_reference(request, stack_name, R):
 
 
 def _sequential_build(ext, R):
-    """Pipeline.build's automata built and validated one at a time."""
+    """Pipeline.build's automata built and validated one at a time: L,
+    then each family in KINDS order, each synthesized, walked alone and
+    judged before the next is synthesized."""
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, R)
-    build_L_automaton(ext.base, lspec, 4, R, ball=ball)
+    L, _ = lrational._synthesize_graph(lspec, None, None)
+    lrational._raise_for_L(walk_alone(L, R, ball, lspec))
     cocycles = BallCocycles(ext, ball)
     for kind in KINDS:
-        build_predictor_family(ext, kind, lspec, 4, R, ball=ball, cocycles=cocycles)
+        fam = lrational._synthesize_family(ext, kind, lspec, None)
+        report = walk_alone(fam, R, ball, cocycles=cocycles)
+        lrational._raise_for_family(fam, report)
 
 
 def _first_error(build):
@@ -319,11 +319,11 @@ def test_small_radii_match_reference(dihedral_stack, q8_stack):
     for stack in (dihedral_stack, q8_stack):
         for R in range(4):
             ball = build_ball(stack.ext.base, R)
-            assert _validate_L(stack.L, stack.lspec, R, ball) == (
+            assert walk_alone(stack.L, R, ball, stack.lspec) == (
                 reference_validate_L(stack.L, stack.lspec, R, ball)
             )
             for fam in stack.fams.values():
-                new = validate_family(fam, stack.ext, R, ball)
+                new = walk_alone(fam, R, ball)
                 assert new == reference_validate_family(fam, stack.ext, R, ball)
                 assert new.passed
 
@@ -335,7 +335,7 @@ def test_unchained_elements_fall_back_to_string_route(q8_stack, dihedral_stack):
         ball = build_ball(stack.ext.base, 5)
         unchained = dataclasses.replace(ball, parents=[None] * len(ball))
         for fam in stack.fams.values():
-            new = validate_family(fam, stack.ext, 5, unchained)
+            new = walk_alone(fam, 5, unchained)
             assert new.passed
         fam = stack.fams[Q_LEFT]
         s = fam.graph.run("s")
@@ -345,14 +345,14 @@ def test_unchained_elements_fall_back_to_string_route(q8_stack, dihedral_stack):
             [1] * stack.ext.kernel.rank, [1] * len(stack.ext.kernel.torsion)
         )
         broken = _replace(fam, values=dict(fam.values, **{x: tuple(row)}))
-        new = validate_family(broken, stack.ext, 5, unchained)
+        new = walk_alone(broken, 5, unchained)
         assert new.mismatches
         assert new == reference_validate_family(broken, stack.ext, 5, ball)
         # a state predicting None for every letter equals the row of an
         # element the tables cannot reach, yet every value is wrong
         blank = {x: v[:s] + (None,) + v[s + 1 :] for x, v in fam.values.items()}
         broken = _replace(fam, values=blank)
-        new = validate_family(broken, stack.ext, 5, unchained)
+        new = walk_alone(broken, 5, unchained)
         assert new.mismatches
         assert new == reference_validate_family(broken, stack.ext, 5, ball)
 
@@ -374,10 +374,10 @@ def test_non_closed_dead_set_matches_reference(q8_stack, kind):
     broken = _replace(fam, graph=graph)
     ball = q8_stack.ball
     for R in (3, 7):
-        new = validate_family(broken, q8_stack.ext, R, ball)
+        new = walk_alone(broken, R, ball)
         assert new.mismatches
         assert new == reference_validate_family(broken, q8_stack.ext, R, ball)
-        new_L = _validate_L(graph, fam.lspec, R, ball)
+        new_L = walk_alone(graph, R, ball, fam.lspec)
         assert new_L == reference_validate_L(graph, fam.lspec, R, ball)
 
 
@@ -397,7 +397,7 @@ def test_mutated_values_match_reference(request, stack_name):
                 [1] * group.rank, [1] * len(group.torsion)
             )
         broken = _replace(fam, values={x: tuple(v) for x, v in values.items()})
-        new = validate_family(broken, stack.ext, 5, stack.ball)
+        new = walk_alone(broken, 5, stack.ball)
         assert any(m[0] == "value" for m in new.mismatches)
         assert new == reference_validate_family(broken, stack.ext, 5, stack.ball)
 
@@ -409,7 +409,7 @@ def test_narrow_genus2_window_matches_reference():
     lspec = LanguageSpec(p, nu=0, window=1)
     fsa, _ = _synthesize_graph(lspec, None, None)
     ball = build_ball(p, 5)
-    new = _validate_L(fsa, lspec, 5, ball)
+    new = walk_alone(fsa, 5, ball, lspec)
     assert new.mismatches
     assert new == reference_validate_L(fsa, lspec, 5, ball)
 
@@ -444,22 +444,6 @@ def test_ball_labels_match_string_route_t1s_sample(t1s_stack):
     _check_tables(t1s_stack.ext, ball, pairs)
 
 
-# -- integer quasi-geodesic bounds ----------------------------------------
-
-
-@pytest.mark.parametrize("presentation", [klein_presentation, dihedral_presentation])
-def test_integer_qg_matches_fraction_formula(presentation):
-    p = presentation()
-    ball = build_ball(p, 6)
-    for lam, nu in [(1, 0), (1, 4), (Fraction(3, 2), Fraction(1, 3))]:
-        for n in range(7):
-            for tup in itertools.product(p.alphabet.letters, repeat=n):
-                w = "".join(tup)
-                assert is_quasigeodesic(ball, w, Fraction(lam), Fraction(nu)) == (
-                    qg_fraction(ball, w, lam, nu)
-                ), (w, lam, nu)
-
-
 # -- normal-form counts do not depend on the hash seed ------------------
 
 
@@ -469,16 +453,17 @@ def test_klein_L_normal_form_count_ignores_hash_seed():
     # the hash seed while lsig_step left a frozenset loop early
     script = (
         "import exteq.words as words\n"
-        "from exteq.instances import default_language_spec, klein_presentation\n"
-        "from exteq.lrational import build_L_automaton\n"
+        "from exteq.instances import default_language_spec, quaternion8\n"
+        "from exteq.lrational import build_automata\n"
         "calls = []\n"
         "original = words.normal_form_with_log\n"
         "def counted(p, w):\n"
         "    calls.append(w)\n"
         "    return original(p, w)\n"
         "words.normal_form_with_log = counted\n"
-        "p = klein_presentation()\n"
-        "build_L_automaton(p, default_language_spec(p), 4, 6)\n"
+        "ext = quaternion8()\n"
+        "p = ext.base\n"
+        "build_automata(ext, default_language_spec(p), 6, words.build_ball(p, 6))\n"
         "print(len(calls), len(p._nf_cache))\n"
     )
     counts = []

@@ -6,6 +6,7 @@ from typing import Optional
 
 import pytest
 
+from conftest import validated_L
 from exteq.errors import AlphabetMismatch, BallTooSmall, ExtEqError
 from exteq.words import (
     Alphabet,
@@ -17,7 +18,6 @@ from exteq.words import (
     build_ball,
     check_small_cancellation,
     free_reduce,
-    is_quasigeodesic,
     normal_form,
     normal_form_with_log,
 )
@@ -331,33 +331,33 @@ def test_ball_walk_and_bounds():
 
 
 # -- quasi-geodesics ----------------------------------------------------
+#
+# read off the language L of quasi-geodesic words, validated against
+# the ball's distances by build_automata
 
 
 def test_qg_geodesics_and_backtracks():
-    p = free2()
-    ball = build_ball(p, 4)
+    L = validated_L(free2(), 4)
     for w in ["", "a", "ab", "abab"]:
-        assert is_quasigeodesic(ball, w, Fraction(1), Fraction(0))
-    assert not is_quasigeodesic(ball, "aA", Fraction(1), Fraction(0))
+        assert L.accepts(w)
+    assert not L.accepts("aA")
 
 
 def test_qg_dihedral_alternating():
-    p = dihedral_inf()
-    ball = build_ball(p, 8)
-    assert is_quasigeodesic(ball, "stst", Fraction(1), Fraction(0))
-    assert not is_quasigeodesic(ball, "ss", Fraction(1), Fraction(0))
+    L = validated_L(dihedral_inf(), 8)
+    assert L.accepts("stst")
+    assert not L.accepts("ss")
 
 
 def test_qg_language_closures_dihedral():
     # closed under subwords and inversion, exhaustively to length 6
     p = dihedral_inf()
-    ball = build_ball(p, 8)
-    lam, nu = Fraction(1), Fraction(0)
+    L = validated_L(p, 8)
     member = {}
     for n in range(7):
         for tup in itertools.product(p.alphabet.letters, repeat=n):
             w = "".join(tup)
-            member[w] = is_quasigeodesic(ball, w, lam, nu)
+            member[w] = L.accepts(w)
     for w, ok in member.items():
         if ok:
             inv = p.alphabet.inverse_word(w)
