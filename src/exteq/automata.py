@@ -1,6 +1,5 @@
 """Deterministic finite automata and the constructions the pipeline needs:
-reachable products with bespoke accepting predicates, restricted accepting
-sets, co-accessibility and bounded enumeration.
+restricted accepting sets, co-accessibility and bounded enumeration.
 
 All automata are complete DFAs; partiality is encoded by an ordinary state
 whose language happens to be empty (a sink).
@@ -10,10 +9,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .errors import AlphabetMismatch, ResourceBound, UnknownState
-from .words import Alphabet, Word, state_cap
+from .errors import UnknownState
+from .words import Alphabet, Word
 
 
 @dataclass(frozen=True)
@@ -58,47 +57,6 @@ def restrict_accepting(M: FSA, states: Iterable[int]) -> FSA:
     if not states <= set(range(M.n_states)):
         raise UnknownState("accepting restriction outside the state set")
     return FSA(M.alphabet, M.transitions, M.initial, states)
-
-
-def product(
-    Ms: Sequence[FSA],
-    accept_predicate: Callable[[tuple[int, ...]], bool],
-    cap: Optional[int] = None,
-) -> tuple[FSA, list[tuple[int, ...]]]:
-    """Reachable product automaton; returns (FSA, state tuples by index)."""
-    if not Ms:
-        raise ValueError("need at least one automaton")
-    alpha = Ms[0].alphabet
-    for M in Ms:
-        if M.alphabet != alpha:
-            raise AlphabetMismatch("product components over different alphabets")
-    cap = cap if cap is not None else state_cap()
-    start = tuple(M.initial for M in Ms)
-    index = {start: 0}
-    tuples = [start]
-    rows: list[list[int]] = []
-    queue = deque([start])
-    nletters = len(alpha.letters)
-    while queue:
-        cur = queue.popleft()
-        row = []
-        for xi in range(nletters):
-            nxt = tuple(M.transitions[s][xi] for M, s in zip(Ms, cur))
-            j = index.get(nxt)
-            if j is None:
-                if len(tuples) >= cap:
-                    raise ResourceBound(f"product exceeds cap {cap}")
-                j = len(tuples)
-                index[nxt] = j
-                tuples.append(nxt)
-                queue.append(nxt)
-            row.append(j)
-        rows.append(row)
-    accepting = frozenset(
-        i for i, tup in enumerate(tuples) if accept_predicate(tup)
-    )
-    fsa = FSA(alpha, tuple(tuple(r) for r in rows), 0, accepting)
-    return fsa, tuples
 
 
 def coaccessible(M: FSA) -> set[int]:

@@ -92,12 +92,25 @@ def presentation_to_json(p: Presentation) -> dict:
     return out
 
 
+def _fraction(obj, key: str, path: str):
+    if obj.get(key) is None:
+        return None
+    text = _expect(obj, key, str, path)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        _fail(f"{path}.{key}", f"expected a fraction, got {text!r}")
+
+
 def presentation_from_json(obj, path: str = "presentation") -> Presentation:
     _check_version(obj, path)
     gens = _expect(obj, "generators", list, path)
-    if not gens or not all(isinstance(x, str) and len(x) == 1 for x in gens):
-        _fail(f"{path}.generators", "expected a nonempty list of single letters")
-    alpha = Alphabet.from_generators(gens)
+    if not gens or not all(isinstance(x, str) for x in gens):
+        _fail(f"{path}.generators", "expected a nonempty list of letters")
+    try:
+        alpha = Alphabet.from_generators(gens)
+    except ValueError as e:
+        _fail(f"{path}.generators", str(e))
     relators = _expect(obj, "relators", list, path)
     for i, r in enumerate(relators):
         if not isinstance(r, str):
@@ -105,13 +118,13 @@ def presentation_from_json(obj, path: str = "presentation") -> Presentation:
         for ch in r:
             if ch not in alpha.letters:
                 _fail(f"{path}.relators[{i}]", f"letter {ch!r} not in alphabet")
-    delta = obj.get("delta")
-    sc = obj.get("sc_fraction")
+        if not r or not alpha.is_freely_reduced(r) or r[0] == alpha.inverse[r[-1]]:
+            _fail(f"{path}.relators[{i}]", "expected a nonempty cyclically reduced word")
     return Presentation(
         alpha,
         tuple(relators),
-        delta=Fraction(delta) if delta is not None else None,
-        sc_fraction=Fraction(sc) if sc is not None else None,
+        delta=_fraction(obj, "delta", path),
+        sc_fraction=_fraction(obj, "sc_fraction", path),
     )
 
 

@@ -1,11 +1,16 @@
-"""Product automata over the predictor families.
+"""Predicting automata over the validated predictor families.
 
-The future predicting automaton (FPA) is the reachable product of the
-per-letter, per-value predictor automata; its accepting set T consists of
-the product states that pin down, for every letter x, a unique cocycle
-value a(s̄, x).  The left/right variants (LFPA/RFPA) do the same for the
-section cocycle; the parity predicting automaton (PPA) runs both and
-accumulates the parity of sigma_rho(w, w^-1) letter by letter.
+In the paper the future predicting automaton (FPA) is the product of one
+predictor automaton per letter x and value a, and its accepting set T
+holds the states that pin down a unique cocycle value a(s̄, x) for every
+letter.  All predictors of a family share the family's graph and differ
+only in their accepting sets, so that product is the graph itself: the
+FPA is a validated q-left family's graph, T its live states and a(s̄, x)
+its values.  The left/right variants (LFPA/RFPA) read the section-cocycle
+families the same way, the RFPA through the letter inversion.  The
+parity predicting automaton (PPA) is the one real product: it runs the
+LFPA and RFPA in lockstep and accumulates the parity of
+sigma_rho(w, w^-1) letter by letter.
 
 Each construction comes with a brute-force harness that re-derives its
 key property from direct cocycle evaluation and reports every
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import FGAElement, ParityElement, pa
-from .automata import FSA, product, restrict_accepting
+from .automata import FSA, restrict_accepting
 from .errors import (
     Incompatible,
     NotAcceptingState,
@@ -48,110 +53,65 @@ class CheckReport:
 
 @dataclass
 class FPA:
-    """Reachable product of a predictor family with its value readout.
+    """A validated predictor family read as a future predicting automaton.
 
+    `product` is the family's graph (rows flipped for the RFPA), T its
+    live states, and a(s, x) the family's value at s against x.
     `memo` holds the constraint automata the reduction reads off this
-    product: the branches M(s̄), the accumulator graphs keyed by s', L(b)
-    and L(e).  Each depends only on its key, so it is built on first use
-    and shared, immutable, by every index tuple and solve of the pipeline.
+    automaton: the branches M(s̄), the accumulator graphs keyed by s',
+    L(b) and L(e).  Each depends only on its key, so it is built on first
+    use and shared, immutable, by every index tuple and solve of the
+    pipeline.
     """
 
     fam: PredictorFamily
     product: FSA
-    tuples: list[tuple[int, ...]]
-    components: tuple[tuple[str, FGAElement, FSA], ...]  # (x, a, M_{x,a})
-    T: frozenset[int]
+    T: frozenset[int] = field(init=False)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
-    # a(s, x) by letter, for s in T: the value of the one (x, a)-component
-    # accepting at s
     _values: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.product.n_states
-        self._values = {x: [None] * n for x, _, _ in self.components}
-        for i, (x, a, M) in enumerate(self.components):
-            col = self._values[x]
-            for s in self.T:
-                if self.tuples[s][i] in M.accepting:
-                    if col[s] is not None:
-                        raise NotAcceptingState(
-                            f"state {s} has several values for {x!r}"
-                        )
-                    col[s] = a
+        self.T = self.fam.live
+        self._values = self.fam.values
 
     @property
     def ext(self) -> CentralExtension:
         return self.fam.ext
 
     def a_of(self, s: int, x: str) -> FGAElement:
-        """The unique value a with the (x, a)-component accepting at s."""
+        """The predicted value a(s̄, x), for s in T."""
         if s not in self.T:
             raise NotAcceptingState(f"state {s} not in T")
-        a = self._values[x][s] if x in self._values else None
-        if a is None:
-            raise NotAcceptingState(f"state {s} has no value for {x!r}")
-        return a
+        return self._values[x][s]
 
 
-def _accepting_tuple(components, letters):
-    def is_T(tup):
-        for x in letters:
-            hits = sum(
-                1
-                for i, (xc, _, M) in enumerate(components)
-                if xc == x and tup[i] in M.accepting
-            )
-            if hits != 1:
-                return False
-        return True
-
-    return is_T
-
-
-def _build_product(fam: PredictorFamily, cap: Optional[int]) -> FPA:
-    letters = fam.graph.alphabet.letters
-    components = tuple(
-        (x, a, fam.automaton(x, a)) for x in letters for a in fam.value_sets[x]
-    )
-    prod, tuples = product(
-        [M for _, _, M in components],
-        _accepting_tuple(components, letters),
-        cap,
-    )
-    return FPA(fam, prod, tuples, components, prod.accepting)
-
-
-def build_fpa(fam: PredictorFamily, cap: Optional[int] = None) -> FPA:
+def build_fpa(fam: PredictorFamily) -> FPA:
     """Future predicting automaton from a validated q-left family."""
     if fam.kind != Q_LEFT:
         raise ValueError(f"FPA needs a {Q_LEFT} family, got {fam.kind}")
-    return _build_product(fam, cap)
+    return FPA(fam, fam.graph)
 
 
-def build_lfpa(fam: PredictorFamily, cap: Optional[int] = None) -> FPA:
+def build_lfpa(fam: PredictorFamily) -> FPA:
     if fam.kind != RHO_LEFT:
         raise ValueError(f"LFPA needs a {RHO_LEFT} family, got {fam.kind}")
-    return _build_product(fam, cap)
+    return FPA(fam, fam.graph)
 
 
-def build_rfpa(fam: PredictorFamily, cap: Optional[int] = None) -> FPA:
+def build_rfpa(fam: PredictorFamily) -> FPA:
     """Right future predicting automaton.
 
-    The component automata read the letter-inverted tape; the composite
-    transition feeds each the inverse of the consumed letter, so the
-    result reads plain words and its readout at the end of w is
-    sigma_rho(x, w^-1).
+    The family's graph reads the letter-inverted tape; the RFPA feeds it
+    the inverse of each consumed letter, so it reads plain words and its
+    readout at the end of w is sigma_rho(x, w^-1).
     """
     if fam.kind != RHO_RIGHT_REVERSED:
         raise ValueError(f"RFPA needs a {RHO_RIGHT_REVERSED} family, got {fam.kind}")
-    F = _build_product(fam, cap)
-    alpha = F.product.alphabet
+    G = fam.graph
+    alpha = G.alphabet
     perm = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
-    rows = tuple(
-        tuple(row[j] for j in perm) for row in F.product.transitions
-    )
-    flipped = FSA(alpha, rows, F.product.initial, F.product.accepting)
-    return FPA(fam, flipped, F.tuples, F.components, F.T)
+    rows = tuple(tuple(row[j] for j in perm) for row in G.transitions)
+    return FPA(fam, FSA(alpha, rows, G.initial, G.accepting))
 
 
 def fpa_branch(F: FPA, s: int) -> FSA:

@@ -246,9 +246,10 @@ class PredictorFamily:
     """A family of predictor automata sharing one transition graph.
 
     graph's accepting set marks the live (L-member) states; values[x][s]
-    is the predicted cocycle value at live state s against letter x.  For
-    the reversed kind the graph reads the letter-inverted tape fed by the
-    parity construction.
+    is the predicted cocycle value at live state s against letter x, so
+    the (x, a) predictor is the graph accepting the live s with
+    values[x][s] = a.  For the reversed kind the graph reads the
+    letter-inverted tape fed by the parity construction.
     """
 
     kind: str
@@ -257,24 +258,24 @@ class PredictorFamily:
     graph: FSA
     values: dict[str, tuple[Optional[FGAElement], ...]]
     value_sets: dict[str, tuple[FGAElement, ...]]
-    reps: tuple[Word, ...]
     validated_radius: int = 0
 
     @property
     def live(self):
         return self.graph.accepting
 
-    def automaton(self, x: str, a: FGAElement) -> FSA:
-        if a not in self.value_sets[x]:
-            raise KeyError(f"value {a} not observed for letter {x!r}")
-        acc = frozenset(
-            s for s in self.live if self.values[x][s] == a
-        )
-        return FSA(self.graph.alphabet, self.graph.transitions, self.graph.initial, acc)
-
 
 def _synthesize_graph(lspec: LanguageSpec, kind: Optional[str], cap: Optional[int]):
-    """BFS over signatures; returns (FSA with live accepting, reps)."""
+    """BFS over signatures; returns (FSA with live accepting, reps), where
+    reps[s] is the first word found to reach s.
+
+    States are numbered in breadth-first discovery order from the
+    initial state, letters in alphabet order, and the dead sink (which
+    steps to itself) where the search first reaches it.  A family's
+    graph is therefore, state for state, the reachable product of its
+    (x, a) predictors, and as the FPA its numbering fixes the order of
+    the Theta stream and the states s that certificates record.
+    """
     p = lspec.presentation
     scheme = lspec.scheme()
     alpha = p.alphabet
@@ -308,18 +309,12 @@ def _synthesize_graph(lspec: LanguageSpec, kind: Optional[str], cap: Optional[in
             return None
         return (l2, scheme.vsig_step(vsig, letter))
 
-    index = {start: 0, None: 1}
-    states = [start, None]
-    reps = ["", ""]
-    rows: list[list[int]] = []
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        while len(rows) <= i:
-            rows.append([])
-        cur = states[i]
+    # states grows as the loop runs: each is expanded in discovery order
+    index = {start: 0}
+    states = [start]
+    reps = [""]
+    rows = []
+    for i, cur in enumerate(states):
         row = []
         for x in alpha.letters:
             nxt = step(cur, x)
@@ -327,23 +322,13 @@ def _synthesize_graph(lspec: LanguageSpec, kind: Optional[str], cap: Optional[in
             if j is None:
                 if len(states) >= cap:
                     raise ResourceBound(f"signature space exceeds cap {cap}")
-                j = len(states)
-                index[nxt] = j
+                j = index[nxt] = len(states)
                 states.append(nxt)
                 reps.append(reps[i] + x)
-                queue.append(j)
             row.append(j)
-        rows[i] = row
-    # the dead sink self-loops
-    nletters = len(alpha.letters)
-    for i, cur in enumerate(states):
-        if cur is None:
-            while len(rows) <= i:
-                rows.append([])
-            rows[i] = [i] * nletters
+        rows.append(tuple(row))
     live = frozenset(i for i, s in enumerate(states) if s is not None)
-    fsa = FSA(alpha, tuple(tuple(r) for r in rows), 0, live)
-    return fsa, tuple(reps)
+    return FSA(alpha, tuple(rows), 0, live), tuple(reps)
 
 
 def build_automata(
@@ -442,7 +427,6 @@ def _synthesize_family(
         graph=graph,
         values={x: tuple(v) for x, v in values.items()},
         value_sets=value_sets,
-        reps=reps,
     )
 
 

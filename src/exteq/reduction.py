@@ -1176,10 +1176,10 @@ class Pipeline:
         radius = max(R_validate, ball_radius or 0)
         ball = build_ball(ext.base, radius, cap=cap)
         L, fams = build_automata(ext, lspec, R_validate, ball, cap=cap)
-        F = build_fpa(fams[Q_LEFT], cap=cap)
+        F = build_fpa(fams[Q_LEFT])
         D = build_ppa(
-            build_lfpa(fams[RHO_LEFT], cap=cap),
-            build_rfpa(fams[RHO_RIGHT_REVERSED], cap=cap),
+            build_lfpa(fams[RHO_LEFT]),
+            build_rfpa(fams[RHO_RIGHT_REVERSED]),
             ext,
             cap=cap,
         )

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import pytest
 
 from exteq.abelian import FGAGroup
-from exteq.automata import FSA, coaccessible, product
+from exteq.automata import FSA, coaccessible
+from exteq.errors import AlphabetMismatch
 from exteq.extension import BallCocycles, CentralExtension
 from exteq.fpa_ppa import FPA, PPA, build_fpa, build_lfpa, build_ppa, build_rfpa
 from exteq.instances import (
@@ -53,6 +54,56 @@ def is_empty(M: FSA) -> bool:
                 seen.add(t)
                 queue.append(t)
     return True
+
+
+def product(Ms, accept_predicate) -> tuple[FSA, list[tuple[int, ...]]]:
+    """Reachable product automaton, states numbered in breadth-first
+    discovery order; returns (FSA, state tuples by index)."""
+    alpha = Ms[0].alphabet
+    if any(M.alphabet != alpha for M in Ms):
+        raise AlphabetMismatch("product components over different alphabets")
+    start = tuple(M.initial for M in Ms)
+    index = {start: 0}
+    tuples = [start]
+    rows = []
+    for cur in tuples:  # grows as the loop runs
+        row = []
+        for xi in range(len(alpha.letters)):
+            nxt = tuple(M.transitions[s][xi] for M, s in zip(Ms, cur))
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(tuples)
+                tuples.append(nxt)
+            row.append(j)
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, tup in enumerate(tuples) if accept_predicate(tup))
+    return FSA(alpha, tuple(rows), 0, accepting), tuples
+
+
+def predictor(fam: PredictorFamily, x: str, a) -> FSA:
+    """The family's (x, a) predictor: its graph accepting the live states
+    whose value against x is a."""
+    G = fam.graph
+    acc = frozenset(s for s in fam.live if fam.values[x][s] == a)
+    return FSA(G.alphabet, G.transitions, G.initial, acc)
+
+
+def reference_fpa(fam: PredictorFamily):
+    """The FPA as the paper builds it: the reachable product of every
+    (x, a) predictor, accepting where exactly one value per letter is
+    accepted.  Returns (product, scan) with scan[x][s] the values whose
+    component accepts at product state s."""
+    letters = fam.graph.alphabet.letters
+    comps = [(x, a, predictor(fam, x, a)) for x in letters for a in fam.value_sets[x]]
+
+    def hits(tup, x):
+        return [a for (xc, a, M), s in zip(comps, tup) if xc == x and s in M.accepting]
+
+    prod, tuples = product(
+        [M for _, _, M in comps],
+        lambda tup: all(len(hits(tup, x)) == 1 for x in letters),
+    )
+    return prod, {x: [hits(tup, x) for tup in tuples] for x in letters}
 
 
 def language_equal(M1: FSA, M2: FSA) -> bool:

@@ -2,13 +2,8 @@ import random
 
 import pytest
 
-from conftest import enumerate_language, is_empty, language_equal
-from exteq.automata import (
-    FSA,
-    product,
-    restrict_accepting,
-    words_up_to,
-)
+from conftest import enumerate_language, is_empty, language_equal, product
+from exteq.automata import FSA, restrict_accepting, words_up_to
 from exteq.errors import AlphabetMismatch, UnknownState
 from exteq.words import Alphabet
 

@@ -283,6 +283,31 @@ def test_solve_rejects_malformed_hints(q8_eqs, tmp_path, capsys, hints):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, where", [
+    ("delta", [1], "delta"),
+    ("delta", {}, "delta"),
+    ("delta", "x", "delta"),
+    ("sc_fraction", [1], "sc_fraction"),
+    ("sc_fraction", {}, "sc_fraction"),
+    ("sc_fraction", "1/0", "sc_fraction"),
+    ("generators", ["a", "B", "c", "d"], "generators"),
+    ("generators", ["a", "b", "c", "c", "d"], "generators"),
+    ("generators", ["a", "b", "c", "d", "\u00df"], "generators"),
+    ("relators", ["abABcdCD", ""], "relators[1]"),
+    ("relators", ["aAbBcdCD"], "relators[0]"),
+    ("relators", ["abABcdCDA"], "relators[0]"),
+])
+def test_check_presentation_rejects_malformed_fields(
+    tmp_path, capsys, field, value, where
+):
+    obj = files.load_json(str(DATA / "t1s.json"))
+    obj["presentation"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("check-presentation", str(path)) == (3, "")
+    assert f"{path}.presentation.{where}" in capsys.readouterr().err
+
+
 def test_schema_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"format_version\": 1}")

@@ -3,8 +3,13 @@ from dataclasses import replace
 import pytest
 
 from exteq.abelian import FGAGroup, ParityElement, pa, parity_elements
-from conftest import enumerate_language, language_equal, shortest_witness
-from exteq.automata import words_up_to
+from conftest import (
+    enumerate_language,
+    language_equal,
+    reference_fpa,
+    shortest_witness,
+)
+from exteq.automata import FSA, words_up_to
 from exteq.errors import AlphabetMismatch, Incompatible, NotAcceptingState
 from exteq.extension import sigma_q, sigma_rho
 from exteq.fpa_ppa import (
@@ -132,26 +137,32 @@ def test_fpa_key_property_q8(q8_stack):
     assert check_fpa_key_property(q8_stack.fpa, 5, 3).passed
 
 
-def scan_a_of(F, s, x):
-    """Every value a whose (x, a)-component accepts at s, by a scan of
-    all components."""
-    tup = F.tuples[s]
-    return [
-        a
-        for i, (xc, a, M) in enumerate(F.components)
-        if xc == x and tup[i] in M.accepting
-    ]
+def flip_letters(M):
+    """M reading each letter as its inverse."""
+    alpha = M.alphabet
+    perm = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
+    rows = tuple(tuple(row[j] for j in perm) for row in M.transitions)
+    return FSA(alpha, rows, M.initial, M.accepting)
 
 
-@pytest.mark.parametrize("stack_name", ["q8_stack", "t1s_stack"])
-def test_a_of_table_matches_component_scan(request, stack_name):
+@pytest.mark.parametrize(
+    "stack_name", ["q8_stack", "modular16_stack", "t1s_stack", "dihedral_stack"]
+)
+def test_fpa_matches_reference_product(request, stack_name):
     stack = request.getfixturevalue(stack_name)
     for F in (stack.fpa, stack.lfpa, stack.rfpa):
-        letters = F.product.alphabet.letters
+        ref, scan = reference_fpa(F.fam)
+        if F is stack.rfpa:
+            ref = flip_letters(ref)
+        assert F.product.transitions == ref.transitions
+        assert F.product.initial == ref.initial
+        assert F.product.accepting == ref.accepting
+        assert F.T == ref.accepting
         assert F.T
+        letters = F.product.alphabet.letters
         for s in F.T:
             for x in letters:
-                assert [F.a_of(s, x)] == scan_a_of(F, s, x), (s, x)
+                assert [F.a_of(s, x)] == scan[x][s], (s, x)
         outside = set(range(F.product.n_states)) - F.T
         assert outside
         for s in outside:
@@ -318,7 +329,6 @@ def test_mutated_family_breaks_key_property(dihedral_stack):
             x: tuple(sorted({values[x][s] for s in fam.live}, key=lambda a: a.coords()))
             for x in fam.graph.alphabet.letters
         },
-        reps=fam.reps,
     )
     F = build_fpa(broken)
     report = check_fpa_key_property(F, 4, 3)

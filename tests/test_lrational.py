@@ -7,6 +7,7 @@ from conftest import (
     enumerate_language,
     free_presentation,
     language_equal,
+    predictor,
     validated_L,
     walk_alone,
 )
@@ -87,7 +88,7 @@ def test_dihedral_branches_partition_L(dihedral_stack):
     full = set(enumerate_language(live, 6))
     for x in ext.base.alphabet.letters:
         parts = [
-            set(enumerate_language(fam.automaton(x, a), 6))
+            set(enumerate_language(predictor(fam, x, a), 6))
             for a in fam.value_sets[x]
         ]
         assert set().union(*parts) == full
@@ -104,7 +105,7 @@ def test_split_extension_has_single_trivial_branch():
     zero = ext.pushout_kernel.zero()
     for x in ext.base.alphabet.letters:
         assert fam.value_sets[x] == (zero,)
-        assert language_equal(fam.automaton(x, zero), L)
+        assert language_equal(predictor(fam, x, zero), L)
 
 
 # -- predictor families on the finite extensions ------------------------
@@ -223,7 +224,6 @@ def test_mutated_family_fails_validation(q8_families):
         ),
         values=fam.values,
         value_sets=fam.value_sets,
-        reps=fam.reps,
     )
     report = walk_alone(broken, 3, build_ball(ext.base, 3))
     assert not report.passed
@@ -247,7 +247,6 @@ def test_mutated_values_fail_validation(q8_families):
         graph=fam.graph,
         values=values,
         value_sets=fam.value_sets,
-        reps=fam.reps,
     )
     report = walk_alone(broken, 3, build_ball(ext.base, 3))
     assert any(m[0] == "value" for m in report.mismatches)
@@ -262,12 +261,6 @@ def test_shared_cocycle_tables(q8_stack):
         assert walk_alone(fam, R, ball, cocycles=cocycles) == walk_alone(
             fam, R, ball
         )
-
-
-def test_unknown_value_rejected(q8_families):
-    ext, fams = q8_families
-    with pytest.raises(KeyError):
-        fams[Q_LEFT].automaton("s", ext.pushout_kernel.element([], [2]))
 
 
 def test_bad_scheme_is_rejected():

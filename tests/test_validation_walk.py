@@ -117,7 +117,7 @@ def reference_validate_family(fam, ext, R, ball):
 def _replace(fam, **changes):
     fields = dict(
         kind=fam.kind, ext=fam.ext, lspec=fam.lspec, graph=fam.graph,
-        values=fam.values, value_sets=fam.value_sets, reps=fam.reps,
+        values=fam.values, value_sets=fam.value_sets,
     )
     fields.update(changes)
     return PredictorFamily(**fields)
