@@ -1,5 +1,6 @@
 """Deterministic finite automata and the constructions the pipeline needs:
-restricted accepting sets, co-accessibility and bounded enumeration.
+breadth-first exploration of a reachable state set, restricted accepting
+sets, co-accessibility and bounded enumeration.
 
 All automata are complete DFAs; partiality is encoded by an ordinary state
 whose language happens to be empty (a sink).
@@ -11,8 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import UnknownState
-from .words import Alphabet, Word
+from .errors import ResourceBound, UnknownState
+from .words import Alphabet, Word, state_cap
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,41 @@ class FSA:
 
     def accepts(self, w: Word) -> bool:
         return self.run(w) in self.accepting
+
+
+def explore(
+    alphabet: Alphabet, start, step, cap=None, error=ResourceBound, what="automaton"
+) -> tuple[list, tuple[tuple[int, ...], ...]]:
+    """The states reachable from `start` under step(state, letter).
+
+    Returns (states, rows): states in breadth-first discovery order,
+    letters taken in alphabet order, and rows[i][k] the index of the
+    state reached from states[i] by the k-th letter.  None is an ordinary
+    state, the sink: it is numbered where first reached and steps to
+    itself without calling `step`.  Discovering a state beyond `cap`
+    (default: state_cap()) raises `error`, "{what} exceeds cap {cap}".
+    """
+    cap = state_cap() if cap is None else cap
+    letters = alphabet.letters
+    index = {start: 0}
+    states = [start]
+    rows = []
+    for cur in states:  # grows as the loop runs
+        if cur is None:
+            rows.append((index[None],) * len(letters))
+            continue
+        row = []
+        for x in letters:
+            nxt = step(cur, x)
+            j = index.get(nxt)
+            if j is None:
+                if len(states) >= cap:
+                    raise error(f"{what} exceeds cap {cap}")
+                j = index[nxt] = len(states)
+                states.append(nxt)
+            row.append(j)
+        rows.append(tuple(row))
+    return states, tuple(rows)
 
 
 def restrict_accepting(M: FSA, states: Iterable[int]) -> FSA:

@@ -303,15 +303,20 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _load_hints(path: Optional[str]):
+def _load_hints(path: Optional[str], alphabet):
     if not path:
         return ()
     obj = files.load_json(path)
     if not isinstance(obj, list):
         raise ExtEqError(f"{path}: expected a list of assignment objects")
+    letters = set(alphabet.letters)
     for i, hint in enumerate(obj):
         if not isinstance(hint, dict) or not all(isinstance(w, str) for w in hint.values()):
             raise ExtEqError(f"{path}[{i}]: expected an object mapping variables to words")
+        for var, w in hint.items():
+            bad = next((c for c in w if c not in letters), None)
+            if bad is not None:
+                raise ExtEqError(f"{path}[{i}].{var}: letter {bad!r} not in alphabet")
     return tuple(obj)
 
 
@@ -329,7 +334,7 @@ def cmd_solve(args) -> int:
         theta_cap=args.theta_cap,
         cap=args.cap,
     )
-    hints = _load_hints(args.hints)
+    hints = _load_hints(args.hints, ext.base.alphabet)
     pipe = _build_pipeline(ext, cfg)
     out = solve(sys_, pipe, SolveConfig(
         oracle_bound=cfg.oracle_bound,
@@ -581,3 +586,7 @@ def cmd_dispatch(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cmd_dispatch())
+
+
+if __name__ == "__main__":
+    main()

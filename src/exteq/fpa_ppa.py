@@ -7,10 +7,10 @@ letter.  All predictors of a family share the family's graph and differ
 only in their accepting sets, so that product is the graph itself: the
 FPA is a validated q-left family's graph, T its live states and a(s̄, x)
 its values.  The left/right variants (LFPA/RFPA) read the section-cocycle
-families the same way, the RFPA through the letter inversion.  The
-parity predicting automaton (PPA) is the one real product: it runs the
-LFPA and RFPA in lockstep and accumulates the parity of
-sigma_rho(w, w^-1) letter by letter.
+families the same way; all three read the plain word w.  The parity
+predicting automaton (PPA) is the one real product: it runs the LFPA
+and RFPA in lockstep and accumulates the parity of sigma_rho(w, w^-1)
+letter by letter.
 
 Each construction comes with a brute-force harness that re-derives its
 key property from direct cocycle evaluation and reports every
@@ -19,16 +19,14 @@ counterexample.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import FGAElement, ParityElement, pa
-from .automata import FSA, restrict_accepting
+from .automata import FSA, explore, restrict_accepting
 from .errors import (
     Incompatible,
     NotAcceptingState,
-    ResourceBound,
     SinkOnPrefix,
 )
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
@@ -38,7 +36,7 @@ from .lrational import (
     RHO_RIGHT_REVERSED,
     PredictorFamily,
 )
-from .words import Word, build_ball, state_cap
+from .words import Word, build_ball
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,8 @@ class CheckReport:
 class FPA:
     """A validated predictor family read as a future predicting automaton.
 
-    `product` is the family's graph (rows flipped for the RFPA), T its
-    live states, and a(s, x) the family's value at s against x.
+    `product` is the family's graph, T its live states, and a(s, x) the
+    family's value at s against x.
     `memo` holds the constraint automata the reduction reads off this
     automaton: the branches M(s̄), the accumulator graphs keyed by s',
     L(b) and L(e).  Each depends only on its key, so it is built on first
@@ -99,19 +97,11 @@ def build_lfpa(fam: PredictorFamily) -> FPA:
 
 
 def build_rfpa(fam: PredictorFamily) -> FPA:
-    """Right future predicting automaton.
-
-    The family's graph reads the letter-inverted tape; the RFPA feeds it
-    the inverse of each consumed letter, so it reads plain words and its
-    readout at the end of w is sigma_rho(x, w^-1).
-    """
+    """Right future predicting automaton: its readout at the end of w is
+    sigma_rho(x, w^-1)."""
     if fam.kind != RHO_RIGHT_REVERSED:
         raise ValueError(f"RFPA needs a {RHO_RIGHT_REVERSED} family, got {fam.kind}")
-    G = fam.graph
-    alpha = G.alphabet
-    perm = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
-    rows = tuple(tuple(row[j] for j in perm) for row in G.transitions)
-    return FPA(fam, FSA(alpha, rows, G.initial, G.accepting))
+    return FPA(fam, fam.graph)
 
 
 def fpa_branch(F: FPA, s: int) -> FSA:
@@ -183,56 +173,33 @@ def build_ppa(
     component is accepting the input families disagree about L and the
     construction aborts.
     """
-    cap = cap if cap is not None else state_cap()
     alpha = M1.product.alphabet
     if alpha != M2.product.alphabet:
         raise ValueError("LFPA and RFPA over different alphabets")
-    sigma_xx = {
-        x: pa(sigma_rho(ext, x, alpha.inverse[x])) for x in alpha.letters
-    }
-    start = (M1.product.initial, M2.product.initial, ParityElement.zero(ext.kernel))
-    states: list[Optional[tuple[int, int, ParityElement]]] = [start, None]
-    index = {start: 0}
-    rows: list[list[int]] = [[], []]
-    sink_index = 1
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        s1, s2, b = states[i]
-        live = s1 in M1.T and s2 in M2.T
-        if not live:
-            if (s1 in M1.T) != (s2 in M2.T):
+    inverse = alpha.inverse
+    sigma_xx = {x: pa(sigma_rho(ext, x, inverse[x])) for x in alpha.letters}
+    T1, T2, step1, step2 = M1.T, M2.T, M1.product.step, M2.product.step
+    a1, a2 = M1.a_of, M2.a_of
+
+    def step(state, x):
+        s1, s2, b = state
+        if s1 not in T1 or s2 not in T2:
+            if (s1 in T1) != (s2 in T2):
                 raise SinkOnPrefix(
-                    f"predictors disagree about membership at state {i}"
+                    f"predictors disagree about membership at ({s1}, {s2})"
                 )
-        row = []
-        for x in alpha.letters:
-            if not live:
-                row.append(sink_index)
-                continue
-            b2 = b + sigma_xx[x] + pa(
-                -M1.a_of(s1, x) - M2.a_of(s2, alpha.inverse[x])
-            )
-            nxt = (M1.product.step(s1, x), M2.product.step(s2, x), b2)
-            j = index.get(nxt)
-            if j is None:
-                if len(states) >= cap:
-                    raise ResourceBound(f"parity automaton exceeds cap {cap}")
-                j = len(states)
-                index[nxt] = j
-                states.append(nxt)
-                rows.append([])
-                queue.append(j)
-            row.append(j)
-        rows[i] = row
-    rows[sink_index] = [sink_index] * len(alpha.letters)
+            return None
+        b2 = b + sigma_xx[x] + pa(-a1(s1, x) - a2(s2, inverse[x]))
+        return (step1(s1, x), step2(s2, x), b2)
+
+    start = (M1.product.initial, M2.product.initial, ParityElement.zero(ext.kernel))
+    states, rows = explore(alpha, start, step, cap, what="parity automaton")
     accepting = frozenset(
         i
         for i, st in enumerate(states)
-        if st is not None and st[0] in M1.T and st[1] in M2.T
+        if st is not None and st[0] in T1 and st[1] in T2
     )
-    fsa = FSA(alpha, tuple(tuple(r) for r in rows), 0, accepting)
-    return PPA(M1, M2, ext, fsa, states)
+    return PPA(M1, M2, ext, FSA(alpha, rows, 0, accepting), states)
 
 
 def ppa_branch(D: PPA, d: ParityElement) -> FSA:

@@ -4,7 +4,7 @@ The pipeline consumes a regular language L of quasi-geodesic words and,
 per letter x and cocycle value a, predictor automata that recognize the
 L-words w with sigma(w, x) = a (three kinds: for sigma_q(w,x), for
 sigma_rho(w,x), and a reversed kind for sigma_rho(x, w^-1) consumed by
-the parity construction on a letter-inverted tape).
+the parity construction).  Every automaton reads the plain word w.
 
 Synthesis is conjectural by design: states are finite signatures (local
 windows of normal forms, or longest relator-fragment matches) that are
@@ -42,7 +42,7 @@ from .errors import (
     SynthesisInconsistent,
     ValueSetUnstable,
 )
-from .automata import FSA, coaccessible
+from .automata import FSA, coaccessible, explore, restrict_accepting
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from .words import (
     CayleyBall,
@@ -50,7 +50,6 @@ from .words import (
     Word,
     normal_form,
     qg_min_distances,
-    state_cap,
 )
 
 Q_LEFT = "q-left"
@@ -248,8 +247,8 @@ class PredictorFamily:
     graph's accepting set marks the live (L-member) states; values[x][s]
     is the predicted cocycle value at live state s against letter x, so
     the (x, a) predictor is the graph accepting the live s with
-    values[x][s] = a.  For the reversed kind the graph reads the
-    letter-inverted tape fed by the parity construction.
+    values[x][s] = a.  Every kind's graph reads the plain word w; the
+    reversed kind's values are sigma_rho(x, w^-1).
     """
 
     kind: str
@@ -270,65 +269,43 @@ def _synthesize_graph(lspec: LanguageSpec, kind: Optional[str], cap: Optional[in
     reps[s] is the first word found to reach s.
 
     States are numbered in breadth-first discovery order from the
-    initial state, letters in alphabet order, and the dead sink (which
-    steps to itself) where the search first reaches it.  A family's
+    initial state, letters in alphabet order, and the dead sink (None)
+    where the search first reaches it (`automata.explore`).  A family's
     graph is therefore, state for state, the reachable product of its
     (x, a) predictors, and as the FPA its numbering fixes the order of
     the Theta stream and the states s that certificates record.
+
+    The membership signature reads w; the value signature of the
+    reversed kind reads w^-1, its letters inverted and prepended.
     """
-    p = lspec.presentation
     scheme = lspec.scheme()
-    alpha = p.alphabet
-    cap = cap if cap is not None else state_cap()
+    alpha = lspec.presentation.alphabet
+    lstep, start = scheme.lsig_step, (scheme.lsig_initial(),)
+    if kind == RHO_RIGHT_REVERSED:
+        inverse, rstep = alpha.inverse, scheme.rsig_step
+        start += (scheme.rsig_initial(),)
 
-    if kind is None or kind in (Q_LEFT, RHO_LEFT):
-        if isinstance(scheme, _MatchScheme) or kind is None:
-            start = (scheme.lsig_initial(),)
-        else:
-            start = (scheme.lsig_initial(), scheme.vsig_initial())
-    else:
-        start = (scheme.lsig_initial(), scheme.rsig_initial())
+        def vstep(sig, x):
+            return rstep(sig, inverse[x])
+    elif kind is not None and not isinstance(scheme, _MatchScheme):
+        vstep = scheme.vsig_step
+        start += (scheme.vsig_initial(),)
 
-    def step(state, letter):
-        if state is None:
-            return None
-        if kind == RHO_RIGHT_REVERSED:
-            lsig, rsig = state
-            # tape letters are inverted; the underlying L-word letter is
-            # the inverse of what the tape carries
-            l2 = scheme.lsig_step(lsig, alpha.inverse[letter])
-            if l2 == _DEAD:
-                return None
-            return (l2, scheme.rsig_step(rsig, letter))
-        if len(state) == 1:
-            l2 = scheme.lsig_step(state[0], letter)
-            return None if l2 == _DEAD else (l2,)
-        lsig, vsig = state
-        l2 = scheme.lsig_step(lsig, letter)
+    def step(state, x):
+        l2 = lstep(state[0], x)
         if l2 == _DEAD:
             return None
-        return (l2, scheme.vsig_step(vsig, letter))
+        return (l2,) if len(state) == 1 else (l2, vstep(state[1], x))
 
-    # states grows as the loop runs: each is expanded in discovery order
-    index = {start: 0}
-    states = [start]
-    reps = [""]
-    rows = []
-    for i, cur in enumerate(states):
-        row = []
-        for x in alpha.letters:
-            nxt = step(cur, x)
-            j = index.get(nxt)
-            if j is None:
-                if len(states) >= cap:
-                    raise ResourceBound(f"signature space exceeds cap {cap}")
-                j = index[nxt] = len(states)
-                states.append(nxt)
-                reps.append(reps[i] + x)
-            row.append(j)
-        rows.append(tuple(row))
-    live = frozenset(i for i, s in enumerate(states) if s is not None)
-    return FSA(alpha, tuple(rows), 0, live), tuple(reps)
+    states, rows = explore(alpha, start, step, cap, what="signature space")
+    # the first word to reach each state: reps[i] + x where i first steps to it
+    reps: list = [""] + [None] * (len(states) - 1)
+    for i, row in enumerate(rows):
+        for x, j in zip(alpha.letters, row):
+            if reps[j] is None:
+                reps[j] = reps[i] + x
+    live = frozenset(i for i, st in enumerate(states) if st is not None)
+    return FSA(alpha, rows, 0, live), tuple(reps)
 
 
 def build_automata(
@@ -358,7 +335,7 @@ def build_automata(
         except ResourceBound as exc:
             failures[kind] = exc
     cocycles = BallCocycles(ext, ball)
-    machines = [(L, L.accepting, False, (), None)]
+    machines = [(L, L.accepting, (), None)]
     machines += [_family_machine(f, ext, cocycles) for f in fams.values()]
     reports = _walk(lspec, R_validate, ball, machines)
     _raise_for_L(reports[0])
@@ -433,11 +410,10 @@ def _synthesize_family(
 def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list:
     """The validation walk over all words of length <= R, breadth-first.
 
-    Each machine is (graph, live, inverted, tag, check): an automaton
-    whose live states should be exactly the words of L, read on the
-    letter-inverted tape when `inverted`, the prefix of its membership
-    mismatches, and None or check(w, state, element index), which
-    returns the mismatches of a word that is in L and live.
+    Each machine is (graph, live, tag, check): an automaton whose live
+    states should be exactly the words of L, the prefix of its
+    membership mismatches, and None or check(w, state, element index),
+    which returns the mismatches of a word that is in L and live.
 
     Each word w is judged once for all machines: w is in L iff every
     suffix of every prefix passes the quasi-geodesic bound, so a node
@@ -458,22 +434,15 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
         raise BallTooSmall(
             f"word of length {n} needs a ball of radius >= {n}, have {ball.radius}"
         )
-    alpha = lspec.presentation.alphabet
-    letters = alpha.letters
-    inverse_tape = [alpha.index(alpha.inverse[x]) for x in letters]
+    letters = lspec.presentation.alphabet.letters
     need = qg_min_distances(lspec.nu, R)
     dist = ball.distances
     edges = ball.edges
-    rows, dooms = [], []
-    for graph, live, inverted, _, _ in machines:
-        trans = graph.transitions
-        rows.append(
-            [tuple(r[j] for j in inverse_tape) for r in trans] if inverted else trans
-        )
-        dooms.append(
-            frozenset(range(graph.n_states))
-            - coaccessible(FSA(graph.alphabet, trans, graph.initial, live))
-        )
+    rows = [graph.transitions for graph, *_ in machines]
+    dooms = [
+        frozenset(range(graph.n_states)) - coaccessible(restrict_accepting(graph, live))
+        for graph, live, *_ in machines
+    ]
     out: list = [[] for _ in machines]
     # joint states, interned, each with whether every machine is doomed
     # there and its children, listed on first expansion
@@ -497,7 +466,7 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
         for w, p, sfx in frontier:
             in_L = sfx is not None
             for k, s in enumerate(states[p]):
-                _, live, _, tag, check = machines[k]
+                _, live, tag, check = machines[k]
                 got = s in live
                 if in_L != got:
                     out[k].append(tag + (w, in_L, got))
@@ -524,15 +493,13 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
     return [ValidationReport(R, tuple(m)) for m in out]
 
 
-def _direct_value(ext: CentralExtension, kind: str, tape: Word, x: str):
+def _direct_value(ext: CentralExtension, kind: str, w: Word, x: str):
     """Ground-truth cocycle value for the word that reached a state."""
     if kind == Q_LEFT:
-        return sigma_q(ext, tape, x)
+        return sigma_q(ext, w, x)
     if kind == RHO_LEFT:
-        return sigma_rho(ext, tape, x)
-    # reversed kind: the tape carries inverted letters; the predicted
-    # value is sigma_rho(x, g) for g the element of the reversed tape
-    return sigma_rho(ext, x, tape[::-1])
+        return sigma_rho(ext, w, x)
+    return sigma_rho(ext, x, ext.base.alphabet.inverse_word(w))
 
 
 def _family_machine(
@@ -548,8 +515,7 @@ def _family_machine(
     the row reads None.
     """
     kind = fam.kind
-    alpha = ext.base.alphabet
-    letters = alpha.letters
+    letters = ext.base.alphabet.letters
     group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
     if kind == Q_LEFT:
         q_rows: list = [None] * len(cocycles.ball)
@@ -583,10 +549,7 @@ def _family_machine(
         for xi, x in enumerate(letters):
             e = exp[xi]
             if e is None:
-                tape = w if kind != RHO_RIGHT_REVERSED else "".join(
-                    alpha.inverse[c] for c in w
-                )
-                direct = _direct_value(ext, kind, tape, x)
+                direct = _direct_value(ext, kind, w, x)
                 if direct != fam.values[x][s]:
                     out.append(("value", w, x, direct, fam.values[x][s]))
             elif e != predicted[s][xi]:
@@ -594,5 +557,5 @@ def _family_machine(
                 out.append(("value", w, x, expected, fam.values[x][s]))
         return out
 
-    return (fam.graph, fam.live, kind == RHO_RIGHT_REVERSED, ("membership",), check)
+    return (fam.graph, fam.live, ("membership",), check)
 

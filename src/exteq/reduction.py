@@ -24,7 +24,6 @@ no-solution-within-bounds report.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -41,7 +40,7 @@ from .abelian import (
     smith_normal_form,
     solve_linear_system,
 )
-from .automata import FSA, words_up_to
+from .automata import FSA, explore, words_up_to
 from .errors import (
     AccumulatorBound,
     BallTooSmall,
@@ -564,48 +563,25 @@ class _AbGraph(NamedTuple):
     values: tuple  # the A-set, sorted by coordinates
 
 
-def _ab_graph(F: FPA, sprime: int, cap: int) -> _AbGraph:
+def _ab_graph(F: FPA, sprime: int, cap: Optional[int]) -> _AbGraph:
     """BFS graph over (state-from-s', state-from-initial, accumulator)
     triples; the accumulator is the chain-rule value sigma_q(s', w)."""
-    letters = F.product.alphabet.letters
-    zero = F.ext.pushout_kernel.zero()
-    start = (sprime, F.product.initial, zero)
-    states: list[Optional[tuple]] = [start, None]
-    index = {start: 0}
-    rows: list[list[int]] = [[], [1] * len(letters)]
-    values = set()
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        cur, icur, acc = states[i]
-        if cur in F.product.accepting:
-            values.add(acc)
-        dead = cur not in F.T or icur not in F.T
-        row = []
-        for x in letters:
-            if dead:
-                row.append(1)
-                continue
-            acc2 = acc + F.a_of(cur, x) - F.a_of(icur, x)
-            nxt = (F.product.step(cur, x), F.product.step(icur, x), acc2)
-            j = index.get(nxt)
-            if j is None:
-                if len(states) >= cap:
-                    raise AccumulatorBound(
-                        f"accumulator graph exceeds cap {cap}"
-                    )
-                j = len(states)
-                index[nxt] = j
-                states.append(nxt)
-                rows.append([])
-                queue.append(j)
-            row.append(j)
-        rows[i] = row
+    M, T, a_of, step_M = F.product, F.T, F.a_of, F.product.step
+
+    def step(state, x):
+        cur, icur, acc = state
+        if cur not in T or icur not in T:
+            return None
+        a, b = a_of(cur, x), a_of(icur, x)
+        return (step_M(cur, x), step_M(icur, x), acc if a == b else acc + a - b)
+
+    start = (sprime, M.initial, F.ext.pushout_kernel.zero())
+    states, rows = explore(
+        M.alphabet, start, step, cap, AccumulatorBound, "accumulator graph"
+    )
+    values = {st[2] for st in states if st is not None and st[0] in M.accepting}
     return _AbGraph(
-        sprime,
-        tuple(states),
-        tuple(tuple(r) for r in rows),
-        tuple(sorted(values, key=lambda a: a.coords())),
+        sprime, tuple(states), rows, tuple(sorted(values, key=lambda a: a.coords()))
     )
 
 
@@ -618,11 +594,11 @@ def _accumulator(F: FPA, sbar: int, c: Word, cap: Optional[int]) -> _AbGraph:
     sprime = F.product.run(c, start=sbar)
     if sprime not in F.product.accepting:
         raise Incompatible(f"{c!r} not compatible with state {sbar}")
-    cap = cap if cap is not None else state_cap()
+    cap = state_cap() if cap is None else cap
     graph = F.memo.get(("ab", sprime))
     if graph is None:
         graph = F.memo[("ab", sprime)] = _ab_graph(F, sprime, cap)
-    elif len(graph.states) > max(cap, 2):
+    elif len(graph.states) > cap:
         raise AccumulatorBound(f"accumulator graph exceeds cap {cap}")
     return graph
 
@@ -690,37 +666,21 @@ def build_Le_automaton(
                     within.add(j)
                     nxt.append(j)
         frontier = nxt
-    letters = F.product.alphabet.letters
-    start = (F.product.initial, 0)
-    states: list[Optional[tuple[int, int]]] = [start, None]
-    index = {start: 0}
-    rows: list[list[int]] = [[], [1] * len(letters)]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        fs, ei = states[i]
-        row = []
-        for x in letters:
-            e2 = ball.edges[ei].get(x)
-            if e2 not in within:
-                row.append(1)
-                continue
-            nxt = (F.product.step(fs, x), e2)
-            j = index.get(nxt)
-            if j is None:
-                j = len(states)
-                index[nxt] = j
-                states.append(nxt)
-                rows.append([])
-                queue.append(j)
-            row.append(j)
-        rows[i] = row
+    M, edges = F.product, ball.edges
+
+    def step(state, x):
+        e2 = edges[state[1]].get(x)
+        return (M.step(state[0], x), e2) if e2 in within else None
+
+    states, rows = explore(
+        M.alphabet, (M.initial, 0), step, what="representative automaton"
+    )
     accepting = frozenset(
         i
         for i, st in enumerate(states)
-        if st is not None and st[0] in F.product.accepting and st[1] == target
+        if st is not None and st[0] in M.accepting and st[1] == target
     )
-    Le = FSA(F.product.alphabet, tuple(tuple(r) for r in rows), 0, accepting)
+    Le = FSA(M.alphabet, rows, 0, accepting)
     F.memo[("Le", gnf)] = (ball, Le)
     return Le
 

@@ -17,17 +17,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import AlphabetMismatch, BallTooSmall, ResourceBound
+from .errors import AlphabetMismatch, BallTooSmall, ExtEqError, ResourceBound
 
 Word = str
 
 DEFAULT_STATE_CAP = 200_000
 
 
-def state_cap(default: int = DEFAULT_STATE_CAP) -> int:
-    """Global cap on enumerated states/elements, overridable via env var."""
+def state_cap() -> int:
+    """Global cap on enumerated states/elements: EXTEQ_CAP_STATES, an
+    integer >= 1, or the default when it is unset or empty."""
     raw = os.environ.get("EXTEQ_CAP_STATES")
-    return int(raw) if raw else default
+    if not raw:
+        return DEFAULT_STATE_CAP
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ExtEqError(f"EXTEQ_CAP_STATES must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def walk_alone(automaton, R: int, ball: CayleyBall, lspec=None, cocycles=None):
         cocycles = cocycles or BallCocycles(ext, ball)
         machine = _family_machine(automaton, ext, cocycles)
     else:
-        machine = (automaton, automaton.accepting, False, (), None)
+        machine = (automaton, automaton.accepting, (), None)
     return _walk(lspec, R, ball, [machine])[0]
 
 

@@ -1,16 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from exteq import files
+from exteq import cli, files
+from exteq.automata import words_up_to
 from exteq.cli import cmd_dispatch
 from exteq.errors import SchemaError
 from exteq.instances import quaternion8
+from exteq.reduction import Pipeline
+from exteq.words import DEFAULT_STATE_CAP, state_cap
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv, capsys=None):
@@ -160,6 +165,78 @@ def test_build_automata_writes_file(tmp_path, capsys):
     M, report = files.automaton_from_json(files.load_json(str(out_path)))
     assert not report["completed_with_sink"]
     assert M.accepts("")
+
+
+@pytest.mark.parametrize("command", ["build-fpa", "build-ppa"])
+def test_build_fpa_and_ppa_write_their_automata(tmp_path, capsys, command):
+    # languages, not numbering: the same stack as Pipeline.build, compared
+    # by state count, accepting set or branches, and words up to length 4
+    out_path = tmp_path / "out.json"
+    code, _ = run_cli(command, str(DATA / "quaternion8.json"),
+                      "--out", str(out_path), capsys=capsys)
+    assert code == 0
+    written = files.load_json(str(out_path))
+    M, report = files.automaton_from_json(written["automaton"])
+    assert not report["completed_with_sink"]
+    pipe = Pipeline.build(quaternion8(), kappa2=2, R_validate=6)
+    if command == "build-fpa":
+        want = pipe.F.product
+        assert written["accepting"] == sorted(pipe.F.T)
+        assert written["readout"] == {
+            str(s): {x: files.kernel_element_to_json(pipe.F.a_of(s, x))
+                     for x in want.alphabet.letters}
+            for s in sorted(pipe.F.T)
+        }
+    else:
+        want = pipe.D.fsa
+        assert written["branches"] == [
+            {"bits": list(d.bits), "torsion": list(d.tors)}
+            for d in pipe.D.branch_values()
+        ]
+    assert M.n_states == want.n_states
+    assert M.accepting == want.accepting
+    for w in words_up_to(want.alphabet, 4):
+        assert M.accepts(w) == want.accepts(w), w
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-m", "exteq.cli", "--json", "ball",
+         str(DATA / "quaternion8.json"), "--radius", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["sizes"] == [1, 3]
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-1"])
+def test_bad_state_cap_variable_exits_3(monkeypatch, capsys, value):
+    monkeypatch.setenv("EXTEQ_CAP_STATES", value)
+    assert run_cli("ball", str(DATA / "quaternion8.json"), "--radius", "1") == (3, "")
+    assert "EXTEQ_CAP_STATES" in capsys.readouterr().err
+
+
+def test_empty_state_cap_variable_means_default(monkeypatch):
+    monkeypatch.setenv("EXTEQ_CAP_STATES", "")
+    assert state_cap() == DEFAULT_STATE_CAP
+    monkeypatch.setenv("EXTEQ_CAP_STATES", "7")
+    assert state_cap() == 7
+
+
+def test_solve_rejects_hint_letters_outside_alphabet(
+    q8_eqs, tmp_path, capsys, monkeypatch
+):
+    def no_build(*args):
+        raise AssertionError("hints must be checked before the build")
+
+    monkeypatch.setattr(cli, "_build_pipeline", no_build)
+    path = tmp_path / "hints.json"
+    path.write_text(json.dumps([{"x": "st"}, {"x": "sq"}]))
+    code, _ = run_cli("solve", str(DATA / "quaternion8.json"), q8_eqs(["x x Z"]),
+                      "--hints", str(path))
+    assert code == 3
+    assert f"{path}[1].x: letter 'q' not in alphabet" in capsys.readouterr().err
 
 
 def test_solve_exit_codes(q8_eqs, capsys):

@@ -142,18 +142,22 @@ def test_q8_forward_predictions_match_direct(q8_families):
             assert fams[RHO_LEFT].values[x][t] == sigma_rho(ext, w, x)
 
 
-def test_q8_reversed_kind_reads_inverted_tape(q8_families):
-    ext, fams = q8_families
-    fam = fams[RHO_RIGHT_REVERSED]
-    alpha = ext.base.alphabet
-    for w in words_up_to(alpha, 4):
-        tape = "".join(alpha.inverse[c] for c in w)
-        s = fam.graph.run(tape)
-        in_L = fams[Q_LEFT].graph.run(w) in fams[Q_LEFT].live
-        assert (s in fam.live) == in_L
-        if in_L:
-            for x in alpha.letters:
-                assert fam.values[x][s] == sigma_rho(ext, x, alpha.inverse_word(w))
+def test_reversed_kind_reads_plain_tape(q8_stack, t1s_stack):
+    # the reversed family reads w itself and predicts sigma_rho(x, w^-1);
+    # on Q8 every letter and its inverse name the same base element, so
+    # only t1s tells the plain tape from the letter-inverted one
+    for stack, n in ((q8_stack, 4), (t1s_stack, 3)):
+        ext, fams = stack.ext, stack.fams
+        fam = fams[RHO_RIGHT_REVERSED]
+        alpha = ext.base.alphabet
+        for w in words_up_to(alpha, n):
+            s = fam.graph.run(w)
+            in_L = fams[Q_LEFT].graph.run(w) in fams[Q_LEFT].live
+            assert (s in fam.live) == in_L
+            if in_L:
+                for x in alpha.letters:
+                    want = sigma_rho(ext, x, alpha.inverse_word(w))
+                    assert fam.values[x][s] == want, (w, x)
 
 
 def test_modular16_families_validate(modular16_stack):

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from exteq import lrational
-from exteq.automata import FSA
+from exteq.automata import FSA, words_up_to
 from exteq.errors import (
     ExtEqError,
     ResourceBound,
@@ -41,7 +41,6 @@ from exteq.lrational import (
     LanguageSpec,
     PredictorFamily,
     ValidationReport,
-    _direct_value,
     _family_machine,
     _synthesize_graph,
     _walk,
@@ -87,30 +86,31 @@ def reference_validate_L(fsa, lspec, R, ball):
     return ValidationReport(R, tuple(mismatches))
 
 
+def string_route_value(ext, kind, w, x):
+    """sigma_q(w, x), sigma_rho(w, x) or sigma_rho(x, w^-1), by kind."""
+    if kind == Q_LEFT:
+        return sigma_q(ext, w, x)
+    if kind == RHO_LEFT:
+        return sigma_rho(ext, w, x)
+    return sigma_rho(ext, x, ext.base.alphabet.inverse_word(w))
+
+
 def reference_validate_family(fam, ext, R, ball):
     lspec = fam.lspec
     alpha = lspec.presentation.alphabet
     mismatches = []
-    frontier = [("", "")]  # (L-word w, tape word)
-    for _ in range(R + 1):
-        nxt = []
-        for w, tape in frontier:
-            in_L = qg_reference(ball, w, lspec.nu)
-            s = fam.graph.run(tape)
-            got_live = s in fam.live
-            if in_L != got_live:
-                mismatches.append(("membership", w, in_L, got_live))
-            elif in_L:
-                for x in alpha.letters:
-                    expected = _direct_value(ext, fam.kind, tape, x)
-                    got = fam.values[x][s]
-                    if expected != got:
-                        mismatches.append(("value", w, x, expected, got))
-            if len(w) < R:
-                for x in alpha.letters:
-                    t = x if fam.kind != RHO_RIGHT_REVERSED else alpha.inverse[x]
-                    nxt.append((w + x, tape + t))
-        frontier = nxt
+    for w in words_up_to(alpha, R):
+        in_L = qg_reference(ball, w, lspec.nu)
+        s = fam.graph.run(w)
+        got_live = s in fam.live
+        if in_L != got_live:
+            mismatches.append(("membership", w, in_L, got_live))
+        elif in_L:
+            for x in alpha.letters:
+                expected = string_route_value(ext, fam.kind, w, x)
+                got = fam.values[x][s]
+                if expected != got:
+                    mismatches.append(("value", w, x, expected, got))
     return ValidationReport(R, tuple(mismatches))
 
 
@@ -173,7 +173,7 @@ def test_good_stacks_match_reference(request, stack_name, R):
 def fused_reports(stack, R, L, fams):
     """The reports of L and of each family in KINDS, from one walk."""
     cocycles = BallCocycles(stack.ext, stack.ball)
-    machines = [(L, L.accepting, False, (), None)] + [
+    machines = [(L, L.accepting, (), None)] + [
         _family_machine(fams[kind], stack.ext, cocycles) for kind in KINDS
     ]
     reports = _walk(stack.lspec, R, stack.ball, machines)
@@ -198,9 +198,7 @@ def drop_live_state(fsa, w):
 def flip_value(fam, w, x):
     """The family with the value at w's state against x moved off by one
     in every coordinate, and the value it had."""
-    alpha = fam.graph.alphabet
-    tape = w if fam.kind != RHO_RIGHT_REVERSED else alpha.inverse_word(w)
-    s = fam.graph.run(tape)
+    s = fam.graph.run(w)
     assert s in fam.live
     row = list(fam.values[x])
     old, group = row[s], row[s].group
@@ -362,8 +360,7 @@ def test_non_closed_dead_set_matches_reference(q8_stack, kind):
     # a live state turned non-live still reaches live states, so the walk
     # must not prune below it
     fam = q8_stack.fams[kind]
-    tape = "st" if kind != RHO_RIGHT_REVERSED else "ST"
-    victim = fam.graph.run(tape)
+    victim = fam.graph.run("st")
     assert victim in fam.live
     graph = FSA(
         fam.graph.alphabet,
