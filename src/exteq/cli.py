@@ -57,7 +57,6 @@ class RunConfig:
     oracle_bound: int = 2
     mode: str = "sound"
     theta_cap: int = 1000
-    cap: Optional[int] = None
 
     def __post_init__(self):
         for name in ("r_validate", "kappa2", "oracle_bound", "theta_cap"):
@@ -118,7 +117,6 @@ def _build_pipeline(ext, cfg: RunConfig) -> Pipeline:
         kappa2=cfg.kappa2,
         R_validate=cfg.r_validate,
         ball_radius=cfg.ball_radius,
-        cap=cfg.cap,
     )
 
 
@@ -154,7 +152,7 @@ def cmd_check_presentation(args) -> int:
 
 def cmd_ball(args) -> int:
     p = _load_presentation(args.input)
-    ball = build_ball(p, args.radius, cap=args.cap)
+    ball = build_ball(p, args.radius)
     sizes = [
         sum(1 for dd in ball.distances if dd <= r) for r in range(args.radius + 1)
     ]
@@ -193,17 +191,18 @@ def cmd_cocycle_table(args) -> int:
 
 def cmd_build_automata(args) -> int:
     ext = _load_extension(args.input)
-    cfg = RunConfig(r_validate=args.r_validate, cap=args.cap)
+    cfg = RunConfig(r_validate=args.r_validate)
     pipe = _build_pipeline(ext, cfg)
+    L = pipe.F.graph
     if args.out:
-        files.save_json(args.out, files.automaton_to_json(pipe.L))
+        files.save_json(args.out, files.automaton_to_json(L))
     payload = {
-        "L_states": pipe.L.n_states,
+        "L_states": L.n_states,
         "validated_radius": cfg.r_validate,
         "out": args.out,
     }
     _emit(args, payload, [
-        f"language automaton: {pipe.L.n_states} states, "
+        f"language automaton: {L.n_states} states, "
         f"validated to radius {cfg.r_validate}"
         + (f", written to {args.out}" if args.out else ""),
     ])
@@ -212,33 +211,33 @@ def cmd_build_automata(args) -> int:
 
 def cmd_build_fpa(args) -> int:
     ext = _load_extension(args.input)
-    cfg = RunConfig(r_validate=args.r_validate, cap=args.cap)
+    cfg = RunConfig(r_validate=args.r_validate)
     pipe = _build_pipeline(ext, cfg)
     F = pipe.F
     out = {
         "format_version": files.FORMAT_VERSION,
-        "automaton": files.automaton_to_json(F.product),
-        "accepting": sorted(F.T),
+        "automaton": files.automaton_to_json(F.graph),
+        "accepting": sorted(F.live),
         "readout": {
             str(s): {
                 x: files.kernel_element_to_json(F.a_of(s, x))
                 for x in ext.base.alphabet.letters
             }
-            for s in sorted(F.T)
+            for s in sorted(F.live)
         },
     }
     if args.out:
         files.save_json(args.out, out)
-    _emit(args, {"states": F.product.n_states, "accepting": len(F.T),
+    _emit(args, {"states": F.graph.n_states, "accepting": len(F.live),
                  "out": args.out},
-          [f"FPA: {F.product.n_states} states, {len(F.T)} accepting"
+          [f"FPA: {F.graph.n_states} states, {len(F.live)} accepting"
            + (f", written to {args.out}" if args.out else "")])
     return EXIT_OK
 
 
 def cmd_build_ppa(args) -> int:
     ext = _load_extension(args.input)
-    cfg = RunConfig(r_validate=args.r_validate, cap=args.cap)
+    cfg = RunConfig(r_validate=args.r_validate)
     pipe = _build_pipeline(ext, cfg)
     D = pipe.D
     out = {
@@ -260,7 +259,7 @@ def cmd_build_ppa(args) -> int:
 
 def cmd_verify_invariants(args) -> int:
     ext = _load_extension(args.input)
-    cfg = RunConfig(r_validate=args.r_validate, cap=args.cap)
+    cfg = RunConfig(r_validate=args.r_validate)
     pipe = _build_pipeline(ext, cfg)
     R = args.radius
     fpa_report = check_fpa_key_property(pipe.F, R, max(R - 2, 0))
@@ -332,7 +331,6 @@ def cmd_solve(args) -> int:
         oracle_bound=args.oracle_bound,
         mode=args.mode,
         theta_cap=args.theta_cap,
-        cap=args.cap,
     )
     hints = _load_hints(args.hints, ext.base.alphabet)
     pipe = _build_pipeline(ext, cfg)
@@ -493,8 +491,6 @@ def radius(text: str) -> int:
 
 def _add_build_args(p):
     p.add_argument("--r-validate", type=int, default=6)
-    p.add_argument("--cap", type=int, default=None,
-                   help="state cap (default: EXTEQ_CAP_STATES)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball")
     p.add_argument("input")
     p.add_argument("--radius", type=radius, required=True)
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(fn=cmd_ball)
 
     p = sub.add_parser("cocycle-table")

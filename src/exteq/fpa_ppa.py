@@ -5,12 +5,12 @@ predictor automaton per letter x and value a, and its accepting set T
 holds the states that pin down a unique cocycle value a(s̄, x) for every
 letter.  All predictors of a family share the family's graph and differ
 only in their accepting sets, so that product is the graph itself: the
-FPA is a validated q-left family's graph, T its live states and a(s̄, x)
-its values.  The left/right variants (LFPA/RFPA) read the section-cocycle
-families the same way; all three read the plain word w.  The parity
-predicting automaton (PPA) is the one real product: it runs the LFPA
-and RFPA in lockstep and accumulates the parity of sigma_rho(w, w^-1)
-letter by letter.
+FPA F is the validated q-left family (`lrational.PredictorFamily`), T
+its live states and a(s̄, x) its values.  The rho-left and reversed
+families are the LFPA and RFPA; all three read the plain word w.  The
+parity predicting automaton (PPA) is the one real product: it runs the
+LFPA and RFPA in lockstep and accumulates the parity of
+sigma_rho(w, w^-1) letter by letter.
 
 Each construction comes with a brute-force harness that re-derives its
 key property from direct cocycle evaluation and reports every
@@ -30,12 +30,7 @@ from .errors import (
     SinkOnPrefix,
 )
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
-from .lrational import (
-    Q_LEFT,
-    RHO_LEFT,
-    RHO_RIGHT_REVERSED,
-    PredictorFamily,
-)
+from .lrational import PredictorFamily
 from .words import Word, build_ball
 
 
@@ -49,89 +44,34 @@ class CheckReport:
         return not self.counterexamples
 
 
-@dataclass
-class FPA:
-    """A validated predictor family read as a future predicting automaton.
-
-    `product` is the family's graph, T its live states, and a(s, x) the
-    family's value at s against x.
-    `memo` holds the constraint automata the reduction reads off this
-    automaton: the branches M(s̄), the accumulator graphs keyed by s',
-    L(b) and L(e).  Each depends only on its key, so it is built on first
-    use and shared, immutable, by every index tuple and solve of the
-    pipeline.
-    """
-
-    fam: PredictorFamily
-    product: FSA
-    T: frozenset[int] = field(init=False)
-    memo: dict = field(default_factory=dict, repr=False, compare=False)
-    _values: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.T = self.fam.live
-        self._values = self.fam.values
-
-    @property
-    def ext(self) -> CentralExtension:
-        return self.fam.ext
-
-    def a_of(self, s: int, x: str) -> FGAElement:
-        """The predicted value a(s̄, x), for s in T."""
-        if s not in self.T:
-            raise NotAcceptingState(f"state {s} not in T")
-        return self._values[x][s]
-
-
-def build_fpa(fam: PredictorFamily) -> FPA:
-    """Future predicting automaton from a validated q-left family."""
-    if fam.kind != Q_LEFT:
-        raise ValueError(f"FPA needs a {Q_LEFT} family, got {fam.kind}")
-    return FPA(fam, fam.graph)
-
-
-def build_lfpa(fam: PredictorFamily) -> FPA:
-    if fam.kind != RHO_LEFT:
-        raise ValueError(f"LFPA needs a {RHO_LEFT} family, got {fam.kind}")
-    return FPA(fam, fam.graph)
-
-
-def build_rfpa(fam: PredictorFamily) -> FPA:
-    """Right future predicting automaton: its readout at the end of w is
-    sigma_rho(x, w^-1)."""
-    if fam.kind != RHO_RIGHT_REVERSED:
-        raise ValueError(f"RFPA needs a {RHO_RIGHT_REVERSED} family, got {fam.kind}")
-    return FPA(fam, fam.graph)
-
-
-def fpa_branch(F: FPA, s: int) -> FSA:
+def fpa_branch(F: PredictorFamily, s: int) -> FSA:
     """M(s̄): same automaton with s̄ as the only accepting state."""
-    if s not in F.T:
+    if s not in F.live:
         raise NotAcceptingState(f"state {s} not in T")
     M = F.memo.get(("M", s))
     if M is None:
-        M = F.memo[("M", s)] = restrict_accepting(F.product, [s])
+        M = F.memo[("M", s)] = restrict_accepting(F.graph, [s])
     return M
 
 
-def is_compatible(F: FPA, s: int, v: Word) -> bool:
+def is_compatible(F: PredictorFamily, s: int, v: Word) -> bool:
     """Whether v read from s̄ stays in L, i.e. wv is in L for w in L(s̄)."""
-    if s not in F.T:
+    if s not in F.live:
         raise NotAcceptingState(f"state {s} not in T")
-    return F.product.run(v, start=s) in F.product.accepting
+    return F.graph.run(v, start=s) in F.live
 
 
-def sigma_q_of_state(F: FPA, s: int, v: Word) -> FGAElement:
+def sigma_q_of_state(F: PredictorFamily, s: int, v: Word) -> FGAElement:
     """sigma_q(s̄, v) = sigma_q(w, v) for any w in L(s̄), accumulated as
     a(cur, x) - a(initial-walk, x) along v from automaton readouts only."""
     if not is_compatible(F, s, v):
         raise Incompatible(f"{v!r} is not compatible with state {s}")
     acc = F.ext.pushout_kernel.zero()
-    cur, icur = s, F.product.initial
+    cur, icur = s, F.graph.initial
     for x in v:
         acc = acc + F.a_of(cur, x) - F.a_of(icur, x)
-        cur = F.product.step(cur, x)
-        icur = F.product.step(icur, x)
+        cur = F.graph.step(cur, x)
+        icur = F.graph.step(icur, x)
     return acc
 
 
@@ -148,8 +88,8 @@ class PPA:
     index tuple and solve of the pipeline.
     """
 
-    M1: FPA
-    M2: FPA
+    M1: PredictorFamily
+    M2: PredictorFamily
     ext: CentralExtension
     fsa: FSA
     states: list[Optional[tuple[int, int, ParityElement]]]
@@ -162,9 +102,7 @@ class PPA:
         )
 
 
-def build_ppa(
-    M1: FPA, M2: FPA, ext: CentralExtension, cap: Optional[int] = None
-) -> PPA:
+def build_ppa(M1: PredictorFamily, M2: PredictorFamily, ext: CentralExtension) -> PPA:
     """Run both predictors in lockstep, accumulating the parity of
     sigma_rho(x, x^-1) - sigma_rho(s̄₁, x) - sigma_rho(x^-1, s̄₂).
 
@@ -173,12 +111,12 @@ def build_ppa(
     component is accepting the input families disagree about L and the
     construction aborts.
     """
-    alpha = M1.product.alphabet
-    if alpha != M2.product.alphabet:
+    alpha = M1.graph.alphabet
+    if alpha != M2.graph.alphabet:
         raise ValueError("LFPA and RFPA over different alphabets")
     inverse = alpha.inverse
     sigma_xx = {x: pa(sigma_rho(ext, x, inverse[x])) for x in alpha.letters}
-    T1, T2, step1, step2 = M1.T, M2.T, M1.product.step, M2.product.step
+    T1, T2, step1, step2 = M1.live, M2.live, M1.graph.step, M2.graph.step
     a1, a2 = M1.a_of, M2.a_of
 
     def step(state, x):
@@ -192,8 +130,8 @@ def build_ppa(
         b2 = b + sigma_xx[x] + pa(-a1(s1, x) - a2(s2, inverse[x]))
         return (step1(s1, x), step2(s2, x), b2)
 
-    start = (M1.product.initial, M2.product.initial, ParityElement.zero(ext.kernel))
-    states, rows = explore(alpha, start, step, cap, what="parity automaton")
+    start = (M1.graph.initial, M2.graph.initial, ParityElement.zero(ext.kernel))
+    states, rows = explore(alpha, start, step, what="parity automaton")
     accepting = frozenset(
         i
         for i, st in enumerate(states)
@@ -218,23 +156,25 @@ def ppa_branch(D: PPA, d: ParityElement) -> FSA:
 # -- brute-force harnesses ----------------------------------------------
 
 
-def _language_by_state(F: FPA, R: int):
+def _language_by_state(F: PredictorFamily, R: int):
     """All words of length <= R grouped by their end state, L-words only."""
     groups: dict[int, list[Word]] = {}
-    frontier = [("", F.product.initial)]
+    frontier = [("", F.graph.initial)]
     for _ in range(R + 1):
         nxt = []
         for w, s in frontier:
-            if s in F.product.accepting:
+            if s in F.live:
                 groups.setdefault(s, []).append(w)
             if len(w) < R:
-                for x in F.product.alphabet.letters:
-                    nxt.append((w + x, F.product.step(s, x)))
+                for x in F.graph.alphabet.letters:
+                    nxt.append((w + x, F.graph.step(s, x)))
         frontier = nxt
     return groups
 
 
-def check_fpa_key_property(F: FPA, R: int, R_v: Optional[int] = None) -> CheckReport:
+def check_fpa_key_property(
+    F: PredictorFamily, R: int, R_v: Optional[int] = None
+) -> CheckReport:
     """sigma_q(w1, v) = sigma_q(w2, v) for all w1, w2 in the same L(s̄)
     and every compatible v, exhaustively to |w| <= R, |v| <= R_v.
 
@@ -251,11 +191,11 @@ def check_fpa_key_property(F: FPA, R: int, R_v: Optional[int] = None) -> CheckRe
         for _ in range(R_v + 1):
             nxt = []
             for v, cur in vs:
-                if cur in F.product.accepting:
+                if cur in F.live:
                     compatible.append(v)
                 if len(v) < R_v:
-                    for x in F.product.alphabet.letters:
-                        nxt.append((v + x, F.product.step(cur, x)))
+                    for x in F.graph.alphabet.letters:
+                        nxt.append((v + x, F.graph.step(cur, x)))
             vs = nxt
         baseline = ws[0]
         for v in compatible:

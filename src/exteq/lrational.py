@@ -10,39 +10,45 @@ Synthesis is conjectural by design: states are finite signatures (local
 windows of normal forms, or longest relator-fragment matches) that are
 hypothesized to determine membership and the predicted value, which is
 evaluated by the string route (sigma_q / sigma_rho) at each state's
-representative word.  Every built automaton is then validated against
-all words up to the validation radius and rejected on any mismatch; the
-validated radius is recorded on the artifact.
+representative word.  Two signature graphs are synthesized: the left
+graph, whose live states are L and which carries the q-left and
+rho-left values, and the right graph, which carries the reversed
+values.  The three families on them are the predicting automata: the
+q-left family is the FPA, the other two the LFPA and RFPA.  Every
+family is then validated against all words up to the validation radius
+and rejected on any mismatch; the validated radius is recorded on it.
 
-Validation is one breadth-first walk over the word tree that serves L
-and the three families together (`build_automata`, the only entry
-point).  Each word's membership in L is decided once, from the ball
-indices of its suffixes, so a child only tests its new suffixes against
-integer quasi-geodesic bounds; the walk carries every automaton's
-state as one joint state.  It skips a subtree only where no word can
-disagree: the root is not quasi-geodesic (so no extension is) and every
-automaton sits in a state that reaches no live state.  On every word of L each family's predicted row, one value per
-letter, is compared with the row of values read off the Cayley ball's
-edge labels (BallCocycles), the relator logs its construction already
-computed; only a row that differs, or holds an element those tables
-cannot reach, is checked letter by letter, by the string route where
-the tables read nothing.  Each automaton's mismatches, and their order,
-are those of an exhaustive walk over all words for it alone.
+Validation is one breadth-first walk over the word tree that serves the
+three families together (`build_automata`, the only entry point).  Each
+word's membership in L is decided once, from the ball indices of its
+suffixes, so a child only tests its new suffixes against integer
+quasi-geodesic bounds; the walk carries every family's state as one
+joint state.  It skips a subtree only where no word can disagree: the
+root is not quasi-geodesic (so no extension is) and every family sits
+in a state that reaches no live state.  On every word of L each
+family's predicted row, one value per letter, is compared with the row
+of values read off the Cayley ball's edge labels (BallCocycles), the
+relator logs its construction already computed; only a row that
+differs, or holds an element those tables cannot reach, is checked
+letter by letter, by the string route where the tables read nothing.
+Each family's mismatches, and their order, are those of an exhaustive
+walk over all words for it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import FGAElement
 from .errors import (
     BallTooSmall,
+    NotAcceptingState,
     ResourceBound,
     SynthesisInconsistent,
     ValueSetUnstable,
 )
-from .automata import FSA, coaccessible, explore, restrict_accepting
+from .automata import FSA, coaccessible, explore
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from .words import (
     CayleyBall,
@@ -180,7 +186,8 @@ class _MatchScheme:
             return _DEAD
         return cand
 
-    # the membership signature doubles as the forward value signature
+    # the membership signature without its dead checks: the two agree on
+    # every live state, so pairing them refines nothing
     def vsig_initial(self):
         return ""
 
@@ -249,6 +256,15 @@ class PredictorFamily:
     the (x, a) predictor is the graph accepting the live s with
     values[x][s] = a.  Every kind's graph reads the plain word w; the
     reversed kind's values are sigma_rho(x, w^-1).
+
+    All predictors of a family differ only in their accepting sets, so
+    their product, the paper's predicting automaton, is the graph itself:
+    the q-left family is the FPA F, with T its live states and a(s, x)
+    its values, and the rho-left and reversed families are the LFPA and
+    RFPA.  `memo` holds the constraint automata the reduction reads off
+    F: the branches M(s), the accumulator graphs keyed by s', L(b) and
+    L(e).  Each depends only on its key, so it is built on first use and
+    shared, immutable, by every index tuple and solve of the pipeline.
     """
 
     kind: str
@@ -258,46 +274,56 @@ class PredictorFamily:
     values: dict[str, tuple[Optional[FGAElement], ...]]
     value_sets: dict[str, tuple[FGAElement, ...]]
     validated_radius: int = 0
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def live(self):
         return self.graph.accepting
 
+    def a_of(self, s: int, x: str) -> FGAElement:
+        """The predicted value a(s, x), for s in T."""
+        if s not in self.graph.accepting:
+            raise NotAcceptingState(f"state {s} not in T")
+        return self.values[x][s]
 
-def _synthesize_graph(lspec: LanguageSpec, kind: Optional[str], cap: Optional[int]):
+
+def _synthesize_graph(lspec: LanguageSpec, right: bool):
     """BFS over signatures; returns (FSA with live accepting, reps), where
     reps[s] is the first word found to reach s.
+
+    A state pairs the membership signature with a value signature, and a
+    word whose membership signature is dead steps to the sink.  The left
+    graph (right=False) pairs it with the forward value signature: its
+    live states are L, and it carries the q-left and rho-left values.  The
+    right graph pairs it with the value signature of w^-1, its letters
+    inverted and prepended, and carries the reversed values.  Both read
+    the plain word w.
 
     States are numbered in breadth-first discovery order from the
     initial state, letters in alphabet order, and the dead sink (None)
     where the search first reaches it (`automata.explore`).  A family's
     graph is therefore, state for state, the reachable product of its
-    (x, a) predictors, and as the FPA its numbering fixes the order of
-    the Theta stream and the states s that certificates record.
-
-    The membership signature reads w; the value signature of the
-    reversed kind reads w^-1, its letters inverted and prepended.
+    (x, a) predictors, and the left graph's numbering, as F's, fixes the
+    order of the Theta stream and the states s that certificates record.
     """
     scheme = lspec.scheme()
     alpha = lspec.presentation.alphabet
-    lstep, start = scheme.lsig_step, (scheme.lsig_initial(),)
-    if kind == RHO_RIGHT_REVERSED:
+    lstep = scheme.lsig_step
+    if right:
         inverse, rstep = alpha.inverse, scheme.rsig_step
-        start += (scheme.rsig_initial(),)
+        start = (scheme.lsig_initial(), scheme.rsig_initial())
 
         def vstep(sig, x):
             return rstep(sig, inverse[x])
-    elif kind is not None and not isinstance(scheme, _MatchScheme):
+    else:
         vstep = scheme.vsig_step
-        start += (scheme.vsig_initial(),)
+        start = (scheme.lsig_initial(), scheme.vsig_initial())
 
     def step(state, x):
         l2 = lstep(state[0], x)
-        if l2 == _DEAD:
-            return None
-        return (l2,) if len(state) == 1 else (l2, vstep(state[1], x))
+        return None if l2 == _DEAD else (l2, vstep(state[1], x))
 
-    states, rows = explore(alpha, start, step, cap, what="signature space")
+    states, rows = explore(alpha, start, step, what="signature space")
     # the first word to reach each state: reps[i] + x where i first steps to it
     reps: list = [""] + [None] * (len(states) - 1)
     for i, row in enumerate(rows):
@@ -313,47 +339,38 @@ def build_automata(
     lspec: LanguageSpec,
     R_validate: int,
     ball: CayleyBall,
-    cap: Optional[int] = None,
-) -> tuple[FSA, dict[str, PredictorFamily]]:
-    """L and the three predictor families, validated in one walk over
-    every word of length <= R_validate, which the ball must reach.
+) -> dict[str, PredictorFamily]:
+    """The three predictor families, validated in one walk over every
+    word of length <= R_validate, which the ball must reach.
 
-    Raises on the first failure in this order: L's membership mismatch,
-    then each family in KINDS order, where a family fails by the cap
-    its synthesis exceeded (ResourceBound), a value its synthesis never
-    observed (ValueSetUnstable) or another mismatch (SynthesisInconsistent).
+    The q-left and rho-left families share the left graph, whose live
+    states are L; the reversed family has the right graph.  A left graph
+    beyond the cap raises ResourceBound at once.  Otherwise the first
+    failure raises, each family in KINDS order: the q-left family's
+    membership mismatch is L's.  A family fails by a value its synthesis
+    never observed (ValueSetUnstable), another mismatch
+    (SynthesisInconsistent) or, for the reversed family, the cap its
+    right graph exceeded (ResourceBound).
     """
     if lspec.presentation != ext.base:
         raise ValueError("language spec belongs to a different presentation")
-    L, _ = _synthesize_graph(lspec, None, cap)
-    # a family whose synthesis exceeds a cap fails in its KINDS place,
-    # after L and the families before it
-    fams, failures = {}, {}
-    for kind in KINDS:
-        try:
-            fams[kind] = _synthesize_family(ext, kind, lspec, cap)
-        except ResourceBound as exc:
-            failures[kind] = exc
+    left = _synthesize_graph(lspec, right=False)
+    fams = {kind: _family(ext, kind, lspec, *left) for kind in (Q_LEFT, RHO_LEFT)}
+    # a right graph beyond the cap fails in its KINDS place, after the
+    # left families
+    right_failure = None
+    try:
+        right = _synthesize_graph(lspec, right=True)
+        fams[RHO_RIGHT_REVERSED] = _family(ext, RHO_RIGHT_REVERSED, lspec, *right)
+    except ResourceBound as exc:
+        right_failure = exc
     cocycles = BallCocycles(ext, ball)
-    machines = [(L, L.accepting, (), None)]
-    machines += [_family_machine(f, ext, cocycles) for f in fams.values()]
-    reports = _walk(lspec, R_validate, ball, machines)
-    _raise_for_L(reports[0])
-    report_of = dict(zip(fams, reports[1:]))
-    for kind in KINDS:
-        if kind in failures:
-            raise failures[kind]
-        _raise_for_family(fams[kind], report_of[kind])
-    return L, fams
-
-
-def _raise_for_L(report: ValidationReport) -> None:
-    if not report.passed:
-        raise SynthesisInconsistent(
-            f"membership mismatch at radius {report.radius}: "
-            f"{report.mismatches[0]}",
-            report,
-        )
+    machines = [_family_machine(f, ext, cocycles) for f in fams.values()]
+    for fam, report in zip(fams.values(), _walk(lspec, R_validate, ball, machines)):
+        _raise_for_family(fam, report)
+    if right_failure is not None:
+        raise right_failure
+    return fams
 
 
 def _raise_for_family(fam: PredictorFamily, report: ValidationReport) -> None:
@@ -374,12 +391,12 @@ def _raise_for_family(fam: PredictorFamily, report: ValidationReport) -> None:
     fam.validated_radius = report.radius
 
 
-def _synthesize_family(
-    ext: CentralExtension, kind: str, lspec: LanguageSpec, cap: Optional[int]
+def _family(
+    ext: CentralExtension, kind: str, lspec: LanguageSpec, graph: FSA, reps: tuple
 ) -> PredictorFamily:
-    """The family's graph, with each live state's values evaluated by the
-    string route at its representative word; not yet validated."""
-    graph, reps = _synthesize_graph(lspec, kind, cap)
+    """The family on a synthesized graph, with each live state's values
+    evaluated by the string route at its representative word; not yet
+    validated."""
     alpha = ext.base.alphabet
     values: dict[str, list[Optional[FGAElement]]] = {
         x: [None] * graph.n_states for x in alpha.letters
@@ -410,10 +427,9 @@ def _synthesize_family(
 def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list:
     """The validation walk over all words of length <= R, breadth-first.
 
-    Each machine is (graph, live, tag, check): an automaton whose live
-    states should be exactly the words of L, the prefix of its
-    membership mismatches, and None or check(w, state, element index),
-    which returns the mismatches of a word that is in L and live.
+    Each machine is (graph, check): an automaton whose live (accepting)
+    states should be exactly the words of L, and check(w, state, element
+    index), which returns the mismatches of a word that is in L and live.
 
     Each word w is judged once for all machines: w is in L iff every
     suffix of every prefix passes the quasi-geodesic bound, so a node
@@ -423,11 +439,11 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
     its root is not in L, so neither is any extension, and no machine's
     state can reach a live state, so no extension is accepted either.
 
-    Returns one report per machine, listing tag + (w, in_L, got_live)
-    for a membership mismatch, plus whatever check returns, in the order
-    of a full breadth-first walk.  A machine walked with others reports
-    what it reports alone: below a state that reaches no live state it
-    meets only words that are neither in L nor live.
+    Returns one report per machine, listing ("membership", w, in_L,
+    got_live) for a membership mismatch, plus whatever check returns, in
+    the order of a full breadth-first walk.  A machine walked with others
+    reports what it reports alone: below a state that reaches no live
+    state it meets only words that are neither in L nor live.
     """
     if ball.radius < R:
         n = ball.radius + 1
@@ -438,10 +454,9 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
     need = qg_min_distances(lspec.nu, R)
     dist = ball.distances
     edges = ball.edges
-    rows = [graph.transitions for graph, *_ in machines]
+    rows = [graph.transitions for graph, _ in machines]
     dooms = [
-        frozenset(range(graph.n_states)) - coaccessible(restrict_accepting(graph, live))
-        for graph, live, *_ in machines
+        frozenset(range(graph.n_states)) - coaccessible(graph) for graph, _ in machines
     ]
     out: list = [[] for _ in machines]
     # joint states, interned, each with whether every machine is doomed
@@ -460,17 +475,17 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
 
     # (w, joint state, ball indices of w[i:] for i = 0..|w|) with None for
     # the indices once w has left L
-    frontier: list = [("", intern(tuple(m[0].initial for m in machines)), (0,))]
+    frontier: list = [("", intern(tuple(g.initial for g, _ in machines)), (0,))]
     for depth in range(R + 1):
         nxt: list = []
         for w, p, sfx in frontier:
             in_L = sfx is not None
             for k, s in enumerate(states[p]):
-                _, live, tag, check = machines[k]
-                got = s in live
+                graph, check = machines[k]
+                got = s in graph.accepting
                 if in_L != got:
-                    out[k].append(tag + (w, in_L, got))
-                elif got and check is not None:
+                    out[k].append(("membership", w, in_L, got))
+                elif got:
                     out[k].extend(check(w, s, sfx[0]))
             if depth == R or (not in_L and doomed[p]):
                 continue
@@ -557,5 +572,5 @@ def _family_machine(
                 out.append(("value", w, x, expected, fam.values[x][s]))
         return out
 
-    return (fam.graph, fam.live, ("membership",), check)
+    return (fam.graph, check)
 

@@ -65,12 +65,19 @@ from .extension import (
     sigma_rho,
 )
 from .fpa_ppa import (
-    FPA,
     PPA,
+    build_ppa,
     fpa_branch,
     is_compatible,
     ppa_branch,
     sigma_q_of_state,
+)
+from .lrational import (
+    Q_LEFT,
+    RHO_LEFT,
+    RHO_RIGHT_REVERSED,
+    PredictorFamily,
+    build_automata,
 )
 from .words import (
     CayleyBall,
@@ -139,6 +146,8 @@ class EquationSystem:
         for name in declared:
             if not name or name[0].isupper():
                 raise ValueError(f"declared symbol may not start uppercase: {name!r}")
+            if name == IDENTITY:
+                raise ValueError(f"declared symbol {IDENTITY!r} names the identity")
         for eq in self.equations:
             if not eq:
                 raise EmptyEquation("equation with no symbols")
@@ -391,7 +400,7 @@ class ThetaIndex:
         }
 
 
-def make_theta(F: FPA, c, s, b, d) -> ThetaIndex:
+def make_theta(F: PredictorFamily, c, s, b, d) -> ThetaIndex:
     sp = []
     a = []
     for i in range(len(c)):
@@ -400,7 +409,7 @@ def make_theta(F: FPA, c, s, b, d) -> ThetaIndex:
         for j in range(3):
             # sigma_q_of_state raises unless s̄ is in T and c compatible
             a_row.append(sigma_q_of_state(F, s[i][j], c[i][j]))
-            sp_row.append(F.product.run(c[i][j], start=s[i][j]))
+            sp_row.append(F.graph.run(c[i][j], start=s[i][j]))
         sp.append(tuple(sp_row))
         a.append(tuple(a_row))
     return ThetaIndex(
@@ -422,7 +431,7 @@ def _constant_base_word(value, base: Presentation) -> Word:
 def enumerate_theta(
     tri: TriangularSystem,
     ctx: VGroupContext,
-    F: FPA,
+    F: PredictorFamily,
     ext: CentralExtension,
 ):
     """Deterministic stream of every tuple satisfying the four Theta
@@ -456,7 +465,7 @@ def enumerate_theta(
         c_mats = ((row,) for row in gen_c_rows())
     else:
         c_mats = itertools.product(list(gen_c_rows()), repeat=n)
-    T = sorted(F.T)
+    T = sorted(F.live)
     d_values = list(parity_elements(ext.kernel))
     syms = tri.row_symbols()
     pinned: dict[str, ParityElement] = {}
@@ -480,7 +489,7 @@ def enumerate_theta(
             continue
         for s_flat in itertools.product(*s_opts):
             b_opts = [
-                _accumulator(F, s_flat[k], c_mat[k // 3][k % 3], cap=None).values
+                _accumulator(F, s_flat[k], c_mat[k // 3][k % 3]).values
                 for k in range(3 * n)
             ]
             s_mat = tuple(
@@ -504,7 +513,7 @@ def enumerate_theta(
 def witness_theta(
     tri: TriangularSystem,
     ctx: VGroupContext,
-    F: FPA,
+    F: PredictorFamily,
     ext: CentralExtension,
     gamma: dict[str, Word],
 ) -> tuple[ThetaIndex, dict[str, Word]]:
@@ -515,8 +524,8 @@ def witness_theta(
     and b vanishes; d is the parity of each cell's element.
     """
     base = ctx.base
-    init = F.product.initial
-    if init not in F.T:
+    init = F.graph.initial
+    if init not in F.live:
         raise NotAcceptingState("initial state not accepting; empty word not in L")
     zero_b = ext.pushout_kernel.zero()
     c_rows, d_rows = [], []
@@ -532,7 +541,7 @@ def witness_theta(
                 raise ResourceBound(
                     f"kappa2={ctx.kappa2} too small for witness word {g!r}"
                 )
-            if not F.product.accepts(g):
+            if not F.graph.accepts(g):
                 raise Incompatible(f"normal form {g!r} rejected by L")
             cs.append(g)
             ds.append(pa(sigma_rho(ext, g, base.alphabet.inverse_word(g))))
@@ -563,10 +572,10 @@ class _AbGraph(NamedTuple):
     values: tuple  # the A-set, sorted by coordinates
 
 
-def _ab_graph(F: FPA, sprime: int, cap: Optional[int]) -> _AbGraph:
+def _ab_graph(F: PredictorFamily, sprime: int, cap: Optional[int]) -> _AbGraph:
     """BFS graph over (state-from-s', state-from-initial, accumulator)
     triples; the accumulator is the chain-rule value sigma_q(s', w)."""
-    M, T, a_of, step_M = F.product, F.T, F.a_of, F.product.step
+    M, T, a_of, step_M = F.graph, F.live, F.a_of, F.graph.step
 
     def step(state, x):
         cur, icur, acc = state
@@ -579,22 +588,22 @@ def _ab_graph(F: FPA, sprime: int, cap: Optional[int]) -> _AbGraph:
     states, rows = explore(
         M.alphabet, start, step, cap, AccumulatorBound, "accumulator graph"
     )
-    values = {st[2] for st in states if st is not None and st[0] in M.accepting}
+    values = {st[2] for st in states if st is not None and st[0] in T}
     return _AbGraph(
         sprime, tuple(states), rows, tuple(sorted(values, key=lambda a: a.coords()))
     )
 
 
-def _accumulator(F: FPA, sbar: int, c: Word, cap: Optional[int]) -> _AbGraph:
+def _accumulator(F: PredictorFamily, sbar: int, c: Word) -> _AbGraph:
     """The accumulator graph of s' = c read from sbar, built on the first
     call for that s' and kept on F; a kept graph larger than the cap in
     force now raises as building it would."""
-    if sbar not in F.T:
+    if sbar not in F.live:
         raise NotAcceptingState(f"state {sbar} not in T")
-    sprime = F.product.run(c, start=sbar)
-    if sprime not in F.product.accepting:
+    sprime = F.graph.run(c, start=sbar)
+    if sprime not in F.live:
         raise Incompatible(f"{c!r} not compatible with state {sbar}")
-    cap = state_cap() if cap is None else cap
+    cap = state_cap()
     graph = F.memo.get(("ab", sprime))
     if graph is None:
         graph = F.memo[("ab", sprime)] = _ab_graph(F, sprime, cap)
@@ -604,11 +613,11 @@ def _accumulator(F: FPA, sbar: int, c: Word, cap: Optional[int]) -> _AbGraph:
 
 
 def build_Lb_automaton(
-    F: FPA, sbar: int, c: Word, b: FGAElement, cap: Optional[int] = None
+    F: PredictorFamily, sbar: int, c: Word, b: FGAElement
 ) -> FSA:
     """DFA for L(b) = {w compatible with s' : sigma_q(s', w) = b}, kept
     on F by (s', b)."""
-    graph = _accumulator(F, sbar, c, cap)
+    graph = _accumulator(F, sbar, c)
     Lb = F.memo.get(("Lb", graph.sprime, b))
     if Lb is None:
         if b not in graph.values:
@@ -616,16 +625,16 @@ def build_Lb_automaton(
         accepting = frozenset(
             i
             for i, st in enumerate(graph.states)
-            if st is not None and st[0] in F.product.accepting and st[2] == b
+            if st is not None and st[0] in F.live and st[2] == b
         )
         Lb = F.memo[("Lb", graph.sprime, b)] = FSA(
-            F.product.alphabet, graph.rows, 0, accepting
+            F.graph.alphabet, graph.rows, 0, accepting
         )
     return Lb
 
 
 def build_Le_automaton(
-    F: FPA, ext: CentralExtension, g: Word, ball: CayleyBall
+    F: PredictorFamily, ext: CentralExtension, g: Word, ball: CayleyBall
 ) -> FSA:
     """DFA for the L-representatives of a base-group element.
 
@@ -642,7 +651,7 @@ def build_Le_automaton(
     with the ball it was built over.
     """
     gnf = normal_form(ext.base, g)
-    nu = F.fam.lspec.nu
+    nu = F.lspec.nu
     slack = len(gnf) + nu
     if ball.radius < slack:
         raise BallTooSmall(
@@ -666,7 +675,7 @@ def build_Le_automaton(
                     within.add(j)
                     nxt.append(j)
         frontier = nxt
-    M, edges = F.product, ball.edges
+    M, edges = F.graph, ball.edges
 
     def step(state, x):
         e2 = edges[state[1]].get(x)
@@ -754,11 +763,10 @@ def build_Vt(
     t: ThetaIndex,
     tri: TriangularSystem,
     ctx: VGroupContext,
-    F: FPA,
+    F: PredictorFamily,
     D: PPA,
     ext: CentralExtension,
     ball: CayleyBall,
-    cap: Optional[int] = None,
 ) -> VSystem:
     """Attach all four constraint families of the index tuple:
     p in L(sbar), p_next^-1 in L(b), v in L(d), and v in L(e).
@@ -771,7 +779,7 @@ def build_Vt(
     def add(name, fsa, inverted=False):
         constraints.setdefault(name, []).append((fsa, inverted))
 
-    L_full = F.product
+    L_full = F.graph
     p_names = []
     v_names = []
     for i, row in enumerate(tri.rows):
@@ -779,7 +787,7 @@ def build_Vt(
         v_names.append(tuple(_v_name(sym) for sym in row))
         for j, sym in enumerate(row):
             add(_p_name(i, j), fpa_branch(F, t.s[i][j]))
-            Lb = build_Lb_automaton(F, t.s[i][j], t.c[i][j], t.b[i][j], cap=cap)
+            Lb = build_Lb_automaton(F, t.s[i][j], t.c[i][j], t.b[i][j])
             add(_p_name(i, (j + 1) % 3), Lb, inverted=True)
             add(_v_name(sym), ppa_branch(D, t.d[i][j]))
             if sym in tri.constants:
@@ -1105,12 +1113,13 @@ class SolveOutcome:
 
 @dataclass
 class Pipeline:
-    """The built automaton stack a solve run needs."""
+    """The built automaton stack a solve run needs: F, the validated
+    q-left family, whose live states are L, and the PPA D over the
+    rho-left and reversed families."""
 
     ext: CentralExtension
     ctx: VGroupContext
-    L: FSA
-    F: FPA
+    F: PredictorFamily
     D: PPA
     ball: CayleyBall
 
@@ -1122,28 +1131,19 @@ class Pipeline:
         R_learn: int = 4,
         R_validate: int = 6,
         ball_radius: Optional[int] = None,
-        cap: Optional[int] = None,
     ) -> "Pipeline":
         """Build and validate the stack over the bundled language choice
         (instances.default_language_spec) on one ball of radius
         max(R_validate, ball_radius).  R_learn is accepted and ignored:
         synthesis always closes the signature space."""
-        from .fpa_ppa import build_fpa, build_lfpa, build_ppa, build_rfpa
         from .instances import default_language_spec
-        from .lrational import Q_LEFT, RHO_LEFT, RHO_RIGHT_REVERSED, build_automata
 
         lspec = default_language_spec(ext.base)
         radius = max(R_validate, ball_radius or 0)
-        ball = build_ball(ext.base, radius, cap=cap)
-        L, fams = build_automata(ext, lspec, R_validate, ball, cap=cap)
-        F = build_fpa(fams[Q_LEFT])
-        D = build_ppa(
-            build_lfpa(fams[RHO_LEFT]),
-            build_rfpa(fams[RHO_RIGHT_REVERSED]),
-            ext,
-            cap=cap,
-        )
-        return cls(ext, VGroupContext(ext.base, kappa2), L, F, D, ball)
+        ball = build_ball(ext.base, radius)
+        fams = build_automata(ext, lspec, R_validate, ball)
+        D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED], ext)
+        return cls(ext, VGroupContext(ext.base, kappa2), fams[Q_LEFT], D, ball)
 
 
 def finite_diameter(ball: CayleyBall) -> Optional[int]:

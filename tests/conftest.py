@@ -1,10 +1,10 @@
 """Session-scoped builds of the full automaton stack per instance.
 
 Synthesis plus validation is the expensive part of the suite; building
-each instance's language automaton, predictor families and products once
-keeps the suite fast without weakening any test.  Also holds the
-cross-check helpers that several test files share and the program does
-not use.
+each instance's predictor families and products once keeps the suite
+fast without weakening any test.  Also holds the cross-check helpers
+that several test files share and the program does not use, among them
+the per-automaton synthesis that the two signature graphs replaced.
 """
 
 from collections import deque
@@ -15,8 +15,9 @@ import pytest
 from exteq.abelian import FGAGroup
 from exteq.automata import FSA, coaccessible
 from exteq.errors import AlphabetMismatch
-from exteq.extension import BallCocycles, CentralExtension
-from exteq.fpa_ppa import FPA, PPA, build_fpa, build_lfpa, build_ppa, build_rfpa
+from exteq.automata import explore
+from exteq.extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
+from exteq.fpa_ppa import PPA, build_ppa
 from exteq.instances import (
     default_language_spec,
     dihedral_z,
@@ -26,8 +27,13 @@ from exteq.instances import (
     t1s,
 )
 from exteq.lrational import (
+    _DEAD,
+    Q_LEFT,
+    RHO_LEFT,
+    RHO_RIGHT_REVERSED,
     LanguageSpec,
     PredictorFamily,
+    _MatchScheme,
     _family_machine,
     _walk,
     build_automata,
@@ -133,17 +139,17 @@ def enumerate_language(M: FSA, maxlen: int) -> list[Word]:
     return [w for w in out if len(w) <= maxlen]
 
 
-def shortest_witness(F: FPA, s: int) -> Word:
+def shortest_witness(F: PredictorFamily, s: int) -> Word:
     """Shortlex-least word reaching s from the initial state."""
-    if F.product.initial == s:
+    if F.graph.initial == s:
         return ""
-    seen = {F.product.initial}
-    frontier = [("", F.product.initial)]
+    seen = {F.graph.initial}
+    frontier = [("", F.graph.initial)]
     while frontier:
         nxt = []
         for w, cur in frontier:
-            for x in F.product.alphabet.letters:
-                t = F.product.step(cur, x)
+            for x in F.graph.alphabet.letters:
+                t = F.graph.step(cur, x)
                 if t == s:
                     return w + x
                 if t not in seen:
@@ -155,48 +161,127 @@ def shortest_witness(F: FPA, s: int) -> Word:
 
 def walk_alone(automaton, R: int, ball: CayleyBall, lspec=None, cocycles=None):
     """The validation report of one automaton walked alone to radius R:
-    a language automaton (an FSA, judged against lspec's L) or a
-    predictor family, its expected values read from `cocycles` (the
-    family's extension over the ball, built here unless given)."""
+    a language automaton (an FSA, judged against lspec's L, with no
+    values to check) or a predictor family, its expected values read
+    from `cocycles` (the family's extension over the ball, built here
+    unless given)."""
     if isinstance(automaton, PredictorFamily):
         lspec, ext = automaton.lspec, automaton.ext
         cocycles = cocycles or BallCocycles(ext, ball)
         machine = _family_machine(automaton, ext, cocycles)
     else:
-        machine = (automaton, automaton.accepting, (), None)
+        machine = (automaton, lambda w, s, g: ())
     return _walk(lspec, R, ball, [machine])[0]
 
 
 def validated_L(p: Presentation, R: int, lspec=None) -> FSA:
-    """L of the split extension of p by Z, built by build_automata and
-    validated to radius R (default_language_spec(p) unless given)."""
+    """L of the split extension of p by Z: the left graph, built by
+    build_automata and validated to radius R (default_language_spec(p)
+    unless given)."""
     ext = split(p, FGAGroup(1))
-    L, _ = build_automata(ext, lspec or default_language_spec(p), R, build_ball(p, R))
-    return L
+    fams = build_automata(ext, lspec or default_language_spec(p), R, build_ball(p, R))
+    return fams[Q_LEFT].graph
+
+
+# -- the per-automaton synthesis the two signature graphs replaced --------
+
+
+def reference_graph(lspec: LanguageSpec, kind):
+    """The signature graph of L (kind None) or of one family, synthesized
+    on its own: L on the membership signature alone; the q-left and
+    rho-left families on (membership, forward value), except on the
+    relator-fragment scheme, where they too read membership alone; the
+    reversed family on (membership, value of w^-1).  Returns (FSA, reps),
+    reps[s] the first word found to reach s."""
+    scheme = lspec.scheme()
+    alpha = lspec.presentation.alphabet
+    lstep, start = scheme.lsig_step, (scheme.lsig_initial(),)
+    if kind == RHO_RIGHT_REVERSED:
+        start += (scheme.rsig_initial(),)
+
+        def vstep(sig, x):
+            return scheme.rsig_step(sig, alpha.inverse[x])
+    elif kind is not None and not isinstance(scheme, _MatchScheme):
+        vstep = scheme.vsig_step
+        start += (scheme.vsig_initial(),)
+
+    def step(state, x):
+        l2 = lstep(state[0], x)
+        if l2 == _DEAD:
+            return None
+        return (l2,) if len(state) == 1 else (l2, vstep(state[1], x))
+
+    states, rows = explore(alpha, start, step, what="signature space")
+    reps: list = [""] + [None] * (len(states) - 1)
+    for i, row in enumerate(rows):
+        for x, j in zip(alpha.letters, row):
+            if reps[j] is None:
+                reps[j] = reps[i] + x
+    live = frozenset(i for i, st in enumerate(states) if st is not None)
+    return FSA(alpha, rows, 0, live), tuple(reps)
+
+
+def string_route_value(ext, kind, w, x):
+    """sigma_q(w, x), sigma_rho(w, x) or sigma_rho(x, w^-1), by kind."""
+    if kind == Q_LEFT:
+        return sigma_q(ext, w, x)
+    if kind == RHO_LEFT:
+        return sigma_rho(ext, w, x)
+    return sigma_rho(ext, x, ext.base.alphabet.inverse_word(w))
+
+
+def reference_family(ext, kind, lspec) -> PredictorFamily:
+    """The family on its own reference graph, each live state's values
+    evaluated by the string route at its representative word."""
+    graph, reps = reference_graph(lspec, kind)
+    letters = ext.base.alphabet.letters
+    values = {
+        x: tuple(
+            string_route_value(ext, kind, reps[s], x) if s in graph.accepting else None
+            for s in range(graph.n_states)
+        )
+        for x in letters
+    }
+    value_sets = {
+        x: tuple(
+            sorted({values[x][s] for s in graph.accepting}, key=lambda a: a.coords())
+        )
+        for x in letters
+    }
+    return PredictorFamily(kind, ext, lspec, graph, values, value_sets)
 
 
 @dataclass
 class Stack:
+    """An instance's validated families: fpa, the q-left family, whose
+    graph is L; lfpa and rfpa, the rho-left and reversed families; and
+    the PPA over the last two."""
+
     ext: CentralExtension
     lspec: LanguageSpec
     ball: CayleyBall
-    L: FSA
     fams: dict[str, PredictorFamily]
-    fpa: FPA
-    lfpa: FPA
-    rfpa: FPA
     ppa: PPA
+
+    @property
+    def fpa(self) -> PredictorFamily:
+        return self.fams[Q_LEFT]
+
+    @property
+    def lfpa(self) -> PredictorFamily:
+        return self.fams[RHO_LEFT]
+
+    @property
+    def rfpa(self) -> PredictorFamily:
+        return self.fams[RHO_RIGHT_REVERSED]
 
 
 def _build_stack(ext: CentralExtension, R_validate: int, ball_radius=None) -> Stack:
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, ball_radius or R_validate)
-    L, fams = build_automata(ext, lspec, R_validate, ball)
-    fpa = build_fpa(fams["q-left"])
-    lfpa = build_lfpa(fams["rho-left"])
-    rfpa = build_rfpa(fams["rho-right-reversed"])
-    ppa = build_ppa(lfpa, rfpa, ext)
-    return Stack(ext, lspec, ball, L, fams, fpa, lfpa, rfpa, ppa)
+    fams = build_automata(ext, lspec, R_validate, ball)
+    ppa = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED], ext)
+    return Stack(ext, lspec, ball, fams, ppa)
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from exteq.abelian import (
     smith_normal_form,
     solve_linear_system,
 )
-from conftest import enumerate_language
+from conftest import enumerate_language, reference_graph
 from exteq.automata import words_up_to
 from exteq.extension import central_defect, q_of, sigma_q, sigma_rho
 from exteq.fpa_ppa import (
@@ -60,7 +60,6 @@ def _pipeline_from(stack, kappa2):
     return Pipeline(
         ext=stack.ext,
         ctx=VGroupContext(stack.ext.base, kappa2),
-        L=stack.L,
         F=stack.fpa,
         D=stack.ppa,
         ball=stack.ball,
@@ -153,11 +152,12 @@ def test_parity_lemma_instance():
 
 def test_fpa_acceptance(dihedral_stack):
     start = time.monotonic()
-    F, L = dihedral_stack.fpa, dihedral_stack.L
-    for w in words_up_to(F.product.alphabet, 8):
-        assert F.product.accepts(w) == L.accepts(w), w
+    F = dihedral_stack.fpa
+    L, _ = reference_graph(dihedral_stack.lspec, None)
+    for w in words_up_to(F.graph.alphabet, 8):
+        assert F.graph.accepts(w) == L.accepts(w), w
     full = set(enumerate_language(L, 8))
-    parts = [set(enumerate_language(fpa_branch(F, s), 8)) for s in F.T]
+    parts = [set(enumerate_language(fpa_branch(F, s), 8)) for s in F.live]
     assert set().union(*parts) == full
     assert sum(map(len, parts)) == len(full)
     report = check_fpa_key_property(F, 6, 4)
@@ -167,7 +167,7 @@ def test_fpa_acceptance(dihedral_stack):
 
 def test_ppa_acceptance(dihedral_stack):
     start = time.monotonic()
-    D, L, ext = dihedral_stack.ppa, dihedral_stack.L, dihedral_stack.ext
+    D, L, ext = dihedral_stack.ppa, dihedral_stack.fpa.graph, dihedral_stack.ext
     for w in words_up_to(D.fsa.alphabet, 8):
         assert D.fsa.accepts(w) == L.accepts(w), w
     full = set(enumerate_language(L, 8))

@@ -156,6 +156,7 @@ def test_verify_invariants_radius_zero(capsys):
 
 
 def test_build_automata_writes_file(tmp_path, capsys):
+    # the written L is F's graph, the L that solve uses
     out_path = tmp_path / "L.json"
     code, _ = run_cli(
         "build-automata", str(DATA / "quaternion8.json"),
@@ -164,7 +165,11 @@ def test_build_automata_writes_file(tmp_path, capsys):
     assert code == 0
     M, report = files.automaton_from_json(files.load_json(str(out_path)))
     assert not report["completed_with_sink"]
-    assert M.accepts("")
+    want = Pipeline.build(quaternion8(), kappa2=2, R_validate=6).F.graph
+    assert M.n_states == want.n_states
+    assert M.accepting == want.accepting
+    for w in words_up_to(want.alphabet, 4):
+        assert M.accepts(w) == want.accepts(w), w
 
 
 @pytest.mark.parametrize("command", ["build-fpa", "build-ppa"])
@@ -180,12 +185,12 @@ def test_build_fpa_and_ppa_write_their_automata(tmp_path, capsys, command):
     assert not report["completed_with_sink"]
     pipe = Pipeline.build(quaternion8(), kappa2=2, R_validate=6)
     if command == "build-fpa":
-        want = pipe.F.product
-        assert written["accepting"] == sorted(pipe.F.T)
+        want = pipe.F.graph
+        assert written["accepting"] == sorted(pipe.F.live)
         assert written["readout"] == {
             str(s): {x: files.kernel_element_to_json(pipe.F.a_of(s, x))
                      for x in want.alphabet.letters}
-            for s in sorted(pipe.F.T)
+            for s in sorted(pipe.F.live)
         }
     else:
         want = pipe.D.fsa
@@ -304,6 +309,27 @@ def test_certificate_with_retired_config_keys_verifies(q8_eqs, tmp_path, capsys)
         "--equations", eqs_path, str(cert_path), capsys=capsys,
     )
     assert code == 0 and "verified" in out
+
+
+def test_retired_cap_option_exits_3(capsys):
+    # EXTEQ_CAP_STATES is the one state cap
+    with pytest.raises(SystemExit) as e:
+        cmd_dispatch(["ball", str(DATA / "quaternion8.json"), "--radius", "1",
+                      "--cap", "0"])
+    assert e.value.code == 3
+    assert "--cap" in capsys.readouterr().err
+
+
+def test_declared_identity_symbol_exits_3(q8_eqs, capsys):
+    # "1" pads short rows as the identity, so a declared "1" would be
+    # confused with it: x = 1 with 1 declared as s is not x = 1
+    path = q8_eqs(["x"], {"1": {"g": "s", "a": {"free": [], "torsion": [0]}}})
+    for mode in ("finite-complete", "sound"):
+        code, _ = run_cli("solve", str(DATA / "quaternion8.json"), path,
+                          "--mode", mode)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and "'1'" in err
 
 
 def test_retired_r_learn_option_exits_3(capsys):

@@ -18,9 +18,14 @@ from exteq.abelian import ParityElement, pa
 from exteq.automata import FSA, explore
 from exteq.errors import AccumulatorBound, ResourceBound, SinkOnPrefix
 from exteq.extension import sigma_rho
-from exteq.fpa_ppa import FPA, build_ppa
-from exteq.lrational import Q_LEFT, _synthesize_graph
-from exteq.reduction import _ab_graph, build_Lb_automaton, build_Le_automaton
+from exteq.fpa_ppa import build_ppa
+from exteq.lrational import _synthesize_graph
+from exteq.reduction import (
+    _ab_graph,
+    _accumulator,
+    build_Lb_automaton,
+    build_Le_automaton,
+)
 from exteq.words import Alphabet, state_cap
 
 from conftest import language_equal
@@ -33,9 +38,9 @@ STACKS = ["q8_stack", "modular16_stack", "dihedral_stack", "t1s_stack"]
 
 def reference_ppa(M1, M2, ext, cap):
     """The PPA with its sink pre-registered at state 1: (states, FSA)."""
-    alpha = M1.product.alphabet
+    alpha = M1.graph.alphabet
     sigma_xx = {x: pa(sigma_rho(ext, x, alpha.inverse[x])) for x in alpha.letters}
-    start = (M1.product.initial, M2.product.initial, ParityElement.zero(ext.kernel))
+    start = (M1.graph.initial, M2.graph.initial, ParityElement.zero(ext.kernel))
     states = [start, None]
     index = {start: 0}
     rows = [[], []]
@@ -44,8 +49,8 @@ def reference_ppa(M1, M2, ext, cap):
     while queue:
         i = queue.popleft()
         s1, s2, b = states[i]
-        live = s1 in M1.T and s2 in M2.T
-        if not live and (s1 in M1.T) != (s2 in M2.T):
+        live = s1 in M1.live and s2 in M2.live
+        if not live and (s1 in M1.live) != (s2 in M2.live):
             raise SinkOnPrefix(f"predictors disagree about membership at state {i}")
         row = []
         for x in alpha.letters:
@@ -53,7 +58,7 @@ def reference_ppa(M1, M2, ext, cap):
                 row.append(sink_index)
                 continue
             b2 = b + sigma_xx[x] + pa(-M1.a_of(s1, x) - M2.a_of(s2, alpha.inverse[x]))
-            nxt = (M1.product.step(s1, x), M2.product.step(s2, x), b2)
+            nxt = (M1.graph.step(s1, x), M2.graph.step(s2, x), b2)
             j = index.get(nxt)
             if j is None:
                 if len(states) >= cap:
@@ -69,7 +74,7 @@ def reference_ppa(M1, M2, ext, cap):
     accepting = frozenset(
         i
         for i, st in enumerate(states)
-        if st is not None and st[0] in M1.T and st[1] in M2.T
+        if st is not None and st[0] in M1.live and st[1] in M2.live
     )
     return states, FSA(alpha, tuple(tuple(r) for r in rows), 0, accepting)
 
@@ -77,8 +82,8 @@ def reference_ppa(M1, M2, ext, cap):
 def reference_ab_graph(F, sprime, cap):
     """The accumulator graph with its sink pre-registered at state 1:
     (states, rows, sorted A-set)."""
-    letters = F.product.alphabet.letters
-    start = (sprime, F.product.initial, F.ext.pushout_kernel.zero())
+    letters = F.graph.alphabet.letters
+    start = (sprime, F.graph.initial, F.ext.pushout_kernel.zero())
     states = [start, None]
     index = {start: 0}
     rows = [[], [1] * len(letters)]
@@ -87,16 +92,16 @@ def reference_ab_graph(F, sprime, cap):
     while queue:
         i = queue.popleft()
         cur, icur, acc = states[i]
-        if cur in F.product.accepting:
+        if cur in F.live:
             values.add(acc)
-        dead = cur not in F.T or icur not in F.T
+        dead = cur not in F.live or icur not in F.live
         row = []
         for x in letters:
             if dead:
                 row.append(1)
                 continue
             acc2 = acc + F.a_of(cur, x) - F.a_of(icur, x)
-            nxt = (F.product.step(cur, x), F.product.step(icur, x), acc2)
+            nxt = (F.graph.step(cur, x), F.graph.step(icur, x), acc2)
             j = index.get(nxt)
             if j is None:
                 if len(states) >= cap:
@@ -133,8 +138,8 @@ def bfs_bijection(rows, ref_rows):
 def parent_numbered_rfpa(F):
     """F renumbered as the letter-inverted tape numbered it: breadth-first
     from the initial state, letters in the order of their inverses.
-    Returns (that FPA, F's state -> its state)."""
-    G = F.product
+    Returns (that family, F's state -> its state)."""
+    G = F.graph
     alpha = G.alphabet
     order = sorted(alpha.letters, key=lambda x: alpha.index(alpha.inverse[x]))
     new = {G.initial: 0}
@@ -147,8 +152,8 @@ def parent_numbered_rfpa(F):
                 old.append(t)
     rows = tuple(tuple(new[t] for t in G.transitions[s]) for s in old)
     graph = FSA(alpha, rows, 0, frozenset(new[s] for s in G.accepting))
-    values = {x: tuple(v[s] for s in old) for x, v in F.fam.values.items()}
-    return FPA(replace(F.fam, graph=graph, values=values), graph), new
+    values = {x: tuple(v[s] for s in old) for x, v in F.values.items()}
+    return replace(F, graph=graph, values=values, memo={}), new
 
 
 # -- explore ---------------------------------------------------------------
@@ -188,7 +193,7 @@ def test_ppa_matches_reference(request, stack_name):
     stack = request.getfixturevalue(stack_name)
     D = stack.ppa
     M2, rfpa_state = parent_numbered_rfpa(stack.rfpa)
-    assert language_equal(M2.product, stack.rfpa.product)
+    assert language_equal(M2.graph, stack.rfpa.graph)
     ref_states, ref = reference_ppa(stack.lfpa, M2, stack.ext, state_cap())
     phi = bfs_bijection(D.fsa.transitions, ref.transitions)
     assert {phi[i] for i in D.fsa.accepting} == ref.accepting
@@ -209,7 +214,7 @@ def test_ppa_matches_reference(request, stack_name):
 @pytest.mark.parametrize("stack_name", STACKS)
 def test_ab_graphs_match_reference(request, stack_name):
     F = request.getfixturevalue(stack_name).fpa
-    for sprime in sorted(F.T):
+    for sprime in sorted(F.live):
         graph = _ab_graph(F, sprime, None)
         ref_states, ref_rows, ref_values = reference_ab_graph(F, sprime, state_cap())
         phi = bfs_bijection(graph.rows, ref_rows)
@@ -221,43 +226,46 @@ def test_ab_graphs_match_reference(request, stack_name):
             assert {phi[i] for i in Lb.accepting} == {
                 j
                 for j, st in enumerate(ref_states)
-                if st is not None and st[0] in F.T and st[2] == b
+                if st is not None and st[0] in F.live and st[2] == b
             }
 
 
 def test_constructions_keep_their_cap_errors(q8_stack, monkeypatch):
     # each construction succeeds at its own size and raises its own
-    # error, naming the cap, one state below it
+    # error, naming the cap, one state below it; each reads the cap from
+    # EXTEQ_CAP_STATES
     F, ext = q8_stack.fpa, q8_stack.ext
-    sprime = max(F.T, key=lambda s: len(_ab_graph(F, s, None).states))
+    sprime = max(F.live, key=lambda s: len(_ab_graph(F, s, None).states))
     builds = [
         (ResourceBound, "signature space",
-         lambda cap: _synthesize_graph(F.fam.lspec, Q_LEFT, cap)[0].n_states),
+         lambda: _synthesize_graph(F.lspec, right=False)[0].n_states),
+        (ResourceBound, "signature space",
+         lambda: _synthesize_graph(F.lspec, right=True)[0].n_states),
         (AccumulatorBound, "accumulator graph",
-         lambda cap: len(_ab_graph(F, sprime, cap).states)),
+         lambda: len(_accumulator(replace(F, memo={}), sprime, "").states)),
         (ResourceBound, "parity automaton",
-         lambda cap: build_ppa(q8_stack.lfpa, q8_stack.rfpa, ext, cap).fsa.n_states),
+         lambda: build_ppa(q8_stack.lfpa, q8_stack.rfpa, ext).fsa.n_states),
+        (ResourceBound, "representative automaton",
+         lambda: build_Le_automaton(
+             replace(F, memo={}), ext, "st", q8_stack.ball
+         ).n_states),
     ]
     for error, what, build in builds:
-        n = build(None)
-        assert build(n) == n
+        monkeypatch.delenv("EXTEQ_CAP_STATES", raising=False)
+        n = build()
+        monkeypatch.setenv("EXTEQ_CAP_STATES", str(n))
+        assert build() == n
+        monkeypatch.setenv("EXTEQ_CAP_STATES", str(n - 1))
         with pytest.raises(error, match=f"^{what} exceeds cap {n - 1}$"):
-            build(n - 1)
-    # L(e) has no cap argument: it reads EXTEQ_CAP_STATES
-    n = build_Le_automaton(replace(F, memo={}), ext, "st", q8_stack.ball).n_states
-    monkeypatch.setenv("EXTEQ_CAP_STATES", str(n - 1))
-    message = f"^representative automaton exceeds cap {n - 1}$"
-    with pytest.raises(ResourceBound, match=message):
-        build_Le_automaton(replace(F, memo={}), ext, "st", q8_stack.ball)
+            build()
 
 
 def test_ppa_disagreeing_predictors_raise(q8_stack):
     # an RFPA whose initial state is live but whose s-successor is not:
     # the LFPA reads s into L, so the PPA meets one live component
     rfpa = q8_stack.rfpa
-    G = rfpa.product
+    G = rfpa.graph
     victim = G.step(G.initial, "s")
     graph = FSA(G.alphabet, G.transitions, G.initial, G.accepting - {victim})
-    fam = replace(rfpa.fam, graph=graph)
     with pytest.raises(SinkOnPrefix):
-        build_ppa(q8_stack.lfpa, FPA(fam, fam.graph), q8_stack.ext)
+        build_ppa(q8_stack.lfpa, replace(rfpa, graph=graph, memo={}), q8_stack.ext)

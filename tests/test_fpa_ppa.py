@@ -7,16 +7,14 @@ from conftest import (
     enumerate_language,
     language_equal,
     reference_fpa,
+    reference_graph,
     shortest_witness,
 )
 from exteq.automata import words_up_to
 from exteq.errors import AlphabetMismatch, Incompatible, NotAcceptingState
 from exteq.extension import sigma_q, sigma_rho
 from exteq.fpa_ppa import (
-    build_fpa,
-    build_lfpa,
     build_ppa,
-    build_rfpa,
     check_fpa_key_property,
     check_ppa_key_property,
     fpa_branch,
@@ -39,55 +37,45 @@ from exteq.words import build_ball
 def split_stack():
     ext = split(klein_presentation(), FGAGroup(1))
     lspec = default_language_spec(ext.base)
-    _, fams = build_automata(ext, lspec, 6, build_ball(ext.base, 6))
-    return ext, fams
+    return ext, build_automata(ext, lspec, 6, build_ball(ext.base, 6))
 
 
 # -- FPA ----------------------------------------------------------------
 
 
-def test_kind_checks(dihedral_stack):
-    fams = dihedral_stack.fams
-    with pytest.raises(ValueError):
-        build_fpa(fams[RHO_LEFT])
-    with pytest.raises(ValueError):
-        build_lfpa(fams[Q_LEFT])
-    with pytest.raises(ValueError):
-        build_rfpa(fams[RHO_LEFT])
-
-
 def test_fpa_language_is_L(dihedral_stack):
-    assert language_equal(dihedral_stack.fpa.product, dihedral_stack.L)
+    L, _ = reference_graph(dihedral_stack.lspec, None)
+    assert language_equal(dihedral_stack.fpa.graph, L)
 
 
 def test_split_fpa_trivial(split_stack):
     ext, fams = split_stack
-    F = build_fpa(fams[Q_LEFT])
+    F = fams[Q_LEFT]
     zero = ext.pushout_kernel.zero()
-    for s in F.T:
+    for s in F.live:
         for x in ext.base.alphabet.letters:
             assert F.a_of(s, x) == zero
 
 
 def test_fpa_branches_partition_L(dihedral_stack):
     F = dihedral_stack.fpa
-    full = set(enumerate_language(F.product, 8))
-    parts = [set(enumerate_language(fpa_branch(F, s), 8)) for s in F.T]
+    full = set(enumerate_language(F.graph, 8))
+    parts = [set(enumerate_language(fpa_branch(F, s), 8)) for s in F.live]
     assert set().union(*parts) == full
     assert sum(len(p) for p in parts) == len(full)
 
 
 def test_t1s_fpa_builds(t1s_stack):
     F = t1s_stack.fpa
-    assert len(F.T) >= 1
-    assert language_equal(F.product, t1s_stack.L)
+    assert len(F.live) >= 1
+    assert language_equal(F.graph, reference_graph(t1s_stack.lspec, None)[0])
 
 
 def test_compatibility(dihedral_stack):
     F = dihedral_stack.fpa
-    some = next(iter(F.T))
+    some = next(iter(F.live))
     assert is_compatible(F, some, "")
-    outside_T = next(s for s in range(F.product.n_states) if s not in F.T)
+    outside_T = next(s for s in range(F.graph.n_states) if s not in F.live)
     with pytest.raises(NotAcceptingState):
         fpa_branch(F, outside_T)
     with pytest.raises(NotAcceptingState):
@@ -95,34 +83,34 @@ def test_compatibility(dihedral_stack):
     with pytest.raises(AlphabetMismatch):
         is_compatible(F, some, "q")
     # w in L(s̄) and v compatible imply wv in L, exhaustively
-    for s in F.T:
+    for s in F.live:
         ws = [w for w in enumerate_language(fpa_branch(F, s), 4)]
-        for v in words_up_to(F.product.alphabet, 4):
+        for v in words_up_to(F.graph.alphabet, 4):
             ok = is_compatible(F, s, v)
             for w in ws[:3]:
-                assert F.product.accepts(w + v) == ok, (w, v)
+                assert F.graph.accepts(w + v) == ok, (w, v)
 
 
 def test_sigma_q_of_state_routes(dihedral_stack):
     # the automaton readout against the cocycle at the shortest witness
     F = dihedral_stack.fpa
     ext = dihedral_stack.ext
-    for s in F.T:
+    for s in F.live:
         assert sigma_q_of_state(F, s, "").is_zero()
         w = shortest_witness(F, s)
-        for v in words_up_to(F.product.alphabet, 5):
+        for v in words_up_to(F.graph.alphabet, 5):
             if not is_compatible(F, s, v):
                 continue
             assert sigma_q_of_state(F, s, v) == sigma_q(ext, w, v), (s, v)
     with pytest.raises(Incompatible):
-        s = next(iter(F.T))
+        s = next(iter(F.live))
         v = next(
             v
-            for v in words_up_to(F.product.alphabet, 2)
+            for v in words_up_to(F.graph.alphabet, 2)
             if not is_compatible(F, s, v)
         )
         sigma_q_of_state(F, s, v)
-    outside_T = next(s for s in range(F.product.n_states) if s not in F.T)
+    outside_T = next(s for s in range(F.graph.n_states) if s not in F.live)
     with pytest.raises(NotAcceptingState):
         sigma_q_of_state(F, outside_T, "")
 
@@ -143,17 +131,17 @@ def test_fpa_key_property_q8(q8_stack):
 def test_fpa_matches_reference_product(request, stack_name):
     stack = request.getfixturevalue(stack_name)
     for F in (stack.fpa, stack.lfpa, stack.rfpa):
-        ref, scan = reference_fpa(F.fam)
-        assert F.product.transitions == ref.transitions
-        assert F.product.initial == ref.initial
-        assert F.product.accepting == ref.accepting
-        assert F.T == ref.accepting
-        assert F.T
-        letters = F.product.alphabet.letters
-        for s in F.T:
+        ref, scan = reference_fpa(F)
+        assert F.graph.transitions == ref.transitions
+        assert F.graph.initial == ref.initial
+        assert F.graph.accepting == ref.accepting
+        assert F.live == ref.accepting
+        assert F.live
+        letters = F.graph.alphabet.letters
+        for s in F.live:
             for x in letters:
                 assert [F.a_of(s, x)] == scan[x][s], (s, x)
-        outside = set(range(F.product.n_states)) - F.T
+        outside = set(range(F.graph.n_states)) - F.live
         assert outside
         for s in outside:
             for x in letters:
@@ -161,17 +149,17 @@ def test_fpa_matches_reference_product(request, stack_name):
                     F.a_of(s, x)
     # the RFPA reads the plain word w and predicts sigma_rho(x, w^-1)
     F, inv = stack.rfpa, stack.ext.base.alphabet.inverse_word
-    for s in F.T:
+    for s in F.live:
         w = shortest_witness(F, s)
-        for x in F.product.alphabet.letters:
+        for x in F.graph.alphabet.letters:
             assert F.a_of(s, x) == sigma_rho(stack.ext, x, inv(w)), (w, x)
 
 
 def test_witness_words_land_in_branch(q8_stack):
     F = q8_stack.fpa
-    for s in F.T:
+    for s in F.live:
         w = shortest_witness(F, s)
-        assert F.product.run(w) == s
+        assert F.graph.run(w) == s
 
 
 # -- LFPA / RFPA --------------------------------------------------------
@@ -180,8 +168,8 @@ def test_witness_words_land_in_branch(q8_stack):
 def test_lfpa_readout_matches_sigma_rho(dihedral_stack):
     F = dihedral_stack.lfpa
     ext = dihedral_stack.ext
-    for w in enumerate_language(F.product, 6):
-        s = F.product.run(w)
+    for w in enumerate_language(F.graph, 6):
+        s = F.graph.run(w)
         for x in ext.base.alphabet.letters:
             assert F.a_of(s, x) == sigma_rho(ext, w, x)
 
@@ -189,31 +177,30 @@ def test_lfpa_readout_matches_sigma_rho(dihedral_stack):
 def test_rfpa_accepts_L_inverse(dihedral_stack):
     # L is inverse-closed, so the RFPA language coincides with L
     F = dihedral_stack.rfpa
-    alpha = F.product.alphabet
+    alpha = F.graph.alphabet
     for w in words_up_to(alpha, 6):
-        assert F.product.accepts(w) == dihedral_stack.L.accepts(alpha.inverse_word(w))
+        assert F.graph.accepts(w) == dihedral_stack.fpa.graph.accepts(alpha.inverse_word(w))
 
 
 def test_rfpa_readout_matches_sigma_rho(dihedral_stack):
     F = dihedral_stack.rfpa
     ext = dihedral_stack.ext
-    alpha = F.product.alphabet
-    for w in enumerate_language(dihedral_stack.L, 6):
-        s = F.product.run(w)
-        assert s in F.T
+    alpha = F.graph.alphabet
+    for w in enumerate_language(dihedral_stack.fpa.graph, 6):
+        s = F.graph.run(w)
+        assert s in F.live
         for x in alpha.letters:
             assert F.a_of(s, x) == sigma_rho(ext, x, alpha.inverse_word(w))
 
 
 def test_split_predictors_trivial(split_stack):
     ext, fams = split_stack
-    M1 = build_lfpa(fams[RHO_LEFT])
-    M2 = build_rfpa(fams[RHO_RIGHT_REVERSED])
+    M1, M2 = fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED]
     zero = ext.kernel.zero()
-    for s in M1.T:
+    for s in M1.live:
         for x in ext.base.alphabet.letters:
             assert M1.a_of(s, x) == zero
-    for s in M2.T:
+    for s in M2.live:
         for x in ext.base.alphabet.letters:
             assert M2.a_of(s, x) == zero
 
@@ -222,7 +209,7 @@ def test_split_predictors_trivial(split_stack):
 
 
 def test_ppa_language_is_L(dihedral_stack):
-    assert language_equal(dihedral_stack.ppa.fsa, dihedral_stack.L)
+    assert language_equal(dihedral_stack.ppa.fsa, dihedral_stack.fpa.graph)
 
 
 def test_ppa_branches_partition_L(dihedral_stack):
@@ -244,7 +231,7 @@ def test_ppa_initial_branch_holds_identity(dihedral_stack):
 
 def test_split_ppa_single_branch(split_stack):
     ext, fams = split_stack
-    D = build_ppa(build_lfpa(fams[RHO_LEFT]), build_rfpa(fams[RHO_RIGHT_REVERSED]), ext)
+    D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED], ext)
     zero = ParityElement.zero(ext.kernel)
     assert D.branch_values() == [zero]
     assert language_equal(ppa_branch(D, zero), D.fsa)
@@ -326,7 +313,6 @@ def test_mutated_family_breaks_key_property(dihedral_stack):
             for x in fam.graph.alphabet.letters
         },
     )
-    F = build_fpa(broken)
-    report = check_fpa_key_property(F, 4, 3)
+    report = check_fpa_key_property(broken, 4, 3)
     assert not report.passed
     assert report.counterexamples[0][0] in ("state-route", "pair")

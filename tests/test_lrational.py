@@ -8,6 +8,7 @@ from conftest import (
     free_presentation,
     language_equal,
     predictor,
+    reference_graph,
     validated_L,
     walk_alone,
 )
@@ -41,7 +42,7 @@ def q8_families(q8_stack):
 
 @pytest.fixture
 def t1s_data(t1s_stack):
-    return t1s_stack.ext, t1s_stack.L, t1s_stack.fams[Q_LEFT]
+    return t1s_stack.ext, t1s_stack.fpa.graph, t1s_stack.fams[Q_LEFT]
 
 
 # -- the language L -----------------------------------------------------
@@ -100,8 +101,8 @@ def test_dihedral_branches_partition_L(dihedral_stack):
 def test_split_extension_has_single_trivial_branch():
     ext = split(klein_presentation(), FGAGroup(1))
     spec = default_language_spec(ext.base)
-    L, fams = build_automata(ext, spec, 7, build_ball(ext.base, 7))
-    fam = fams[Q_LEFT]
+    fam = build_automata(ext, spec, 7, build_ball(ext.base, 7))[Q_LEFT]
+    L, _ = reference_graph(spec, None)
     zero = ext.pushout_kernel.zero()
     for x in ext.base.alphabet.letters:
         assert fam.value_sets[x] == (zero,)

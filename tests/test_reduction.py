@@ -84,7 +84,6 @@ def q8_pipe(q8_stack):
     return Pipeline(
         ext=s.ext,
         ctx=VGroupContext(s.ext.base, 2),
-        L=s.L,
         F=s.fpa,
         D=s.ppa,
         ball=s.ball,
@@ -112,6 +111,15 @@ def test_equation_system_validation(q8_stack):
         EquationSystem(("X",), {}, ())
     with pytest.raises(ValueError):
         EquationSystem(("x",), {"x": s}, ())
+
+
+def test_declared_identity_symbol_rejected(q8_stack):
+    # "1" is the identity token triangularize pads rows with
+    s, _ = _q8_systems(q8_stack.ext)
+    with pytest.raises(ValueError, match="'1' names the identity"):
+        EquationSystem(("x",), {"1": s}, ("x",))
+    with pytest.raises(ValueError, match="'1' names the identity"):
+        EquationSystem(("1",), {}, ("1",))
 
 
 def test_triangularize_short_rows_pad(q8_stack):
@@ -181,10 +189,10 @@ def test_project_to_base(q8_stack):
 # -- A sets and level automata ------------------------------------------
 
 
-def compute_A_set(F, sbar, c, cap=None):
+def compute_A_set(F, sbar, c):
     """The finite value set A(sbar, c) = {sigma_q(s', w) : w compatible
     with the end state s' of c read from sbar}."""
-    return frozenset(reduction._accumulator(F, sbar, c, cap).values)
+    return frozenset(reduction._accumulator(F, sbar, c).values)
 
 
 def _checked_sigma_q(F, s, v):
@@ -199,14 +207,14 @@ def test_A_set_matches_enumeration(dihedral_stack):
     # oracle: collect sigma_q(s', w) over explicitly enumerated
     # compatible words, via the independently checked witness route
     F = dihedral_stack.fpa
-    for sbar in sorted(F.T):
+    for sbar in sorted(F.live):
         for c in ("", "s", "st"):
             if not is_compatible(F, sbar, c):
                 continue
-            sprime = F.product.run(c, start=sbar)
+            sprime = F.graph.run(c, start=sbar)
             oracle = {
                 _checked_sigma_q(F, sprime, w)
-                for w in words_up_to(F.product.alphabet, 8)
+                for w in words_up_to(F.graph.alphabet, 8)
                 if is_compatible(F, sprime, w)
             }
             assert compute_A_set(F, sbar, c) == oracle
@@ -214,27 +222,27 @@ def test_A_set_matches_enumeration(dihedral_stack):
 
 def test_A_set_incompatible_raises(dihedral_stack):
     F = dihedral_stack.fpa
-    sbar = next(iter(F.T))
+    sbar = next(iter(F.live))
     bad = next(
-        w for w in words_up_to(F.product.alphabet, 2) if not is_compatible(F, sbar, w)
+        w for w in words_up_to(F.graph.alphabet, 2) if not is_compatible(F, sbar, w)
     )
     with pytest.raises(Incompatible):
         compute_A_set(F, sbar, bad)
-    outside_T = next(s for s in range(F.product.n_states) if s not in F.T)
+    outside_T = next(s for s in range(F.graph.n_states) if s not in F.live)
     with pytest.raises(NotAcceptingState):
         compute_A_set(F, outside_T, "")
 
 
 def test_Lb_automata_partition_by_value(dihedral_stack):
     F = dihedral_stack.fpa
-    sbar = sorted(F.T)[0]
+    sbar = sorted(F.live)[0]
     c = "s"
     if not is_compatible(F, sbar, c):
         c = ""
-    sprime = F.product.run(c, start=sbar)
+    sprime = F.graph.run(c, start=sbar)
     values = compute_A_set(F, sbar, c)
     automata = {b: build_Lb_automaton(F, sbar, c, b) for b in values}
-    for w in words_up_to(F.product.alphabet, 6):
+    for w in words_up_to(F.graph.alphabet, 6):
         if is_compatible(F, sprime, w):
             v = _checked_sigma_q(F, sprime, w)
             for b, M in automata.items():
@@ -246,7 +254,7 @@ def test_Lb_automata_partition_by_value(dihedral_stack):
 def test_Lb_rejects_missing_value(dihedral_stack):
     F = dihedral_stack.fpa
     ext = dihedral_stack.ext
-    sbar = next(iter(F.T))
+    sbar = next(iter(F.live))
     outside = ext.pushout_kernel.element([99])
     assert outside not in compute_A_set(F, sbar, "")
     with pytest.raises(ValueNotInASet):
@@ -259,7 +267,7 @@ def test_Le_accepts_exactly_representatives(q8_stack):
     for g in ("", "s", "st"):
         M = build_Le_automaton(F, ext, g, q8_stack.ball)
         for w in words_up_to(ext.base.alphabet, 5):
-            expect = F.product.accepts(w) and normal_form(ext.base, w) == g
+            expect = F.graph.accepts(w) and normal_form(ext.base, w) == g
             assert M.accepts(w) == expect, (g, w)
 
 
@@ -267,8 +275,8 @@ def reference_Le(F, ext, gs, ball):
     """L(e) for each g of gs as the product of F with the whole ball:
     every walk that stays in the ball is kept alive.  Only the accepting
     states depend on g."""
-    letters = F.product.alphabet.letters
-    start = (F.product.initial, 0)
+    letters = F.graph.alphabet.letters
+    start = (F.graph.initial, 0)
     states = [start, None]
     index = {start: 0}
     rows = [[], [1] * len(letters)]
@@ -282,7 +290,7 @@ def reference_Le(F, ext, gs, ball):
             if e2 is None:
                 row.append(1)
                 continue
-            nxt = (F.product.step(fs, x), e2)
+            nxt = (F.graph.step(fs, x), e2)
             j = index.get(nxt)
             if j is None:
                 j = len(states)
@@ -295,11 +303,11 @@ def reference_Le(F, ext, gs, ball):
     rows = tuple(tuple(r) for r in rows)
     ends: dict[int, list[int]] = {}
     for i, st in enumerate(states):
-        if st is not None and st[0] in F.product.accepting:
+        if st is not None and st[0] in F.graph.accepting:
             ends.setdefault(st[1], []).append(i)
     return {
         g: FSA(
-            F.product.alphabet,
+            F.graph.alphabet,
             rows,
             0,
             frozenset(ends.get(ball.index[normal_form(ext.base, g)], ())),
@@ -323,7 +331,7 @@ def _assert_Le_equals_reference(stack, gs):
 @pytest.mark.parametrize("name", ["q8_stack", "modular16_stack", "dihedral_stack"])
 def test_Le_equals_whole_ball_product(name, request):
     stack = request.getfixturevalue(name)
-    ball, nu = stack.ball, stack.fpa.fam.lspec.nu
+    ball, nu = stack.ball, stack.fpa.lspec.nu
     gs = [w for w, d in zip(ball.words, ball.distances) if d + nu <= ball.radius]
     assert len(gs) > 1
     _assert_Le_equals_reference(stack, gs)
@@ -366,8 +374,8 @@ def _fsa_key(M):
 def _cells(F, kappa2=2):
     return [
         (sbar, c)
-        for sbar in sorted(F.T)
-        for c in words_up_to(F.product.alphabet, kappa2)
+        for sbar in sorted(F.live)
+        for c in words_up_to(F.graph.alphabet, kappa2)
         if is_compatible(F, sbar, c)
     ]
 
@@ -381,7 +389,7 @@ def test_kept_automata_equal_fresh_builds(name, request, monkeypatch):
     # cells with the same end state s'
     for sbar, c in cells:
         compute_A_set(F, sbar, c)
-    sprimes = {F.product.run(c, start=sbar) for sbar, c in cells}
+    sprimes = {F.graph.run(c, start=sbar) for sbar, c in cells}
     assert len(sprimes) < len(cells)
     assert all(("ab", sp) in F.memo for sp in sprimes)
     builds = []
@@ -409,7 +417,7 @@ def test_kept_automata_equal_fresh_builds(name, request, monkeypatch):
         Dd = ppa_branch(D, d)
         assert Dd is ppa_branch(D, d)
         assert _fsa_key(Dd) == _fsa_key(ppa_branch(replace(D, memo={}), d))
-    nu = F.fam.lspec.nu
+    nu = F.lspec.nu
     for c in {normal_form(ext.base, c) for _, c in cells}:
         if len(c) + nu > ball.radius:
             continue
@@ -430,14 +438,14 @@ def _raised(fn):
 
 def test_kept_automata_raise_as_fresh_builds(dihedral_stack):
     F, ext, ball = dihedral_stack.fpa, dihedral_stack.ext, dihedral_stack.ball
-    sbar = sorted(F.T)[0]
+    sbar = sorted(F.live)[0]
     A = compute_A_set(F, sbar, "")
     fpa_branch(F, sbar)
     build_Le_automaton(F, ext, "s", ball)
     fresh = replace(F, memo={})
-    outside_T = next(s for s in range(F.product.n_states) if s not in F.T)
+    outside_T = next(s for s in range(F.graph.n_states) if s not in F.live)
     bad = next(
-        w for w in words_up_to(F.product.alphabet, 2) if not is_compatible(F, sbar, w)
+        w for w in words_up_to(F.graph.alphabet, 2) if not is_compatible(F, sbar, w)
     )
     outside_b = ext.pushout_kernel.element([99])
     assert outside_b not in A
@@ -460,9 +468,9 @@ def test_kept_automata_raise_as_fresh_builds(dihedral_stack):
 
 def test_kept_accumulator_graph_obeys_cap_in_force(dihedral_stack, monkeypatch):
     F = dihedral_stack.fpa
-    sbar = sorted(F.T)[0]
+    sbar = sorted(F.live)[0]
     compute_A_set(F, sbar, "")
-    sprime = F.product.run("", start=sbar)
+    sprime = F.graph.run("", start=sbar)
     n = len(F.memo[("ab", sprime)].states)
     assert n > 2
     b = next(iter(compute_A_set(F, sbar, "")))
@@ -479,7 +487,6 @@ def test_kept_accumulator_graph_obeys_cap_in_force(dihedral_stack, monkeypatch):
     assert ("ab", sprime) not in fresh.memo
     monkeypatch.setenv("EXTEQ_CAP_STATES", str(n))
     assert compute_A_set(F, sbar, "") == compute_A_set(fresh, sbar, "")
-    assert _raised(lambda: compute_A_set(F, sbar, "", cap=n - 1))[0] is AccumulatorBound
 
 
 def test_Le_rebuilt_over_another_ball(q8_stack):
@@ -526,7 +533,7 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
         if normal_form(ext.base, "".join(cs)) != "":
             continue
         s_opts = [
-            [sb for sb in sorted(F.T) if is_compatible(F, sb, cs[j])]
+            [sb for sb in sorted(F.live) if is_compatible(F, sb, cs[j])]
             for j in range(3)
         ]
         for svec in itertools.product(*s_opts):
@@ -703,7 +710,6 @@ def test_finite_complete_guards(q8_pipe):
             Pipeline(
                 ext=q8_pipe.ext,
                 ctx=VGroupContext(q8_pipe.ext.base, 1),
-                L=q8_pipe.L,
                 F=q8_pipe.F,
                 D=q8_pipe.D,
                 ball=q8_pipe.ball,

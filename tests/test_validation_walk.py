@@ -4,9 +4,9 @@ The reference walkers below enumerate every word of length <= R, test
 each one for quasi-geodesicity by walking every subword on the ball and
 evaluate every expected cocycle value by the string route.  The walk in
 `lrational` must report exactly the same mismatches in the same order,
-for each automaton whether it is walked alone or together with L and
-the other families, and the integer cocycle tables it reads must agree
-with the string route.
+for each automaton whether it is walked alone or together with the
+other families, and the integer cocycle tables it reads must agree with
+the string route.
 """
 
 import dataclasses
@@ -48,7 +48,7 @@ from exteq.lrational import (
 from exteq.reduction import Pipeline
 from exteq.words import build_ball
 
-from conftest import walk_alone
+from conftest import string_route_value, walk_alone
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -78,21 +78,12 @@ def reference_validate_L(fsa, lspec, R, ball):
             expected = qg_reference(ball, w, lspec.nu)
             got = s in fsa.accepting
             if expected != got:
-                mismatches.append((w, expected, got))
+                mismatches.append(("membership", w, expected, got))
             for x in alpha.letters:
                 if len(w) < R:
                     nxt.append((w + x, fsa.step(s, x)))
         frontier = nxt
     return ValidationReport(R, tuple(mismatches))
-
-
-def string_route_value(ext, kind, w, x):
-    """sigma_q(w, x), sigma_rho(w, x) or sigma_rho(x, w^-1), by kind."""
-    if kind == Q_LEFT:
-        return sigma_q(ext, w, x)
-    if kind == RHO_LEFT:
-        return sigma_rho(ext, w, x)
-    return sigma_rho(ext, x, ext.base.alphabet.inverse_word(w))
 
 
 def reference_validate_family(fam, ext, R, ball):
@@ -139,12 +130,12 @@ _clean_references: dict = {}
 
 
 def clean_references(stack_name, stack, R):
-    """The reference reports of the stack's L and families, computed once
-    per stack and radius."""
+    """The reference reports of the stack's L (the left graph, judged on
+    membership alone) and families, computed once per stack and radius."""
     key = (stack_name, R)
     if key not in _clean_references:
         _clean_references[key] = (
-            reference_validate_L(stack.L, stack.lspec, R, stack.ball),
+            reference_validate_L(stack.fpa.graph, stack.lspec, R, stack.ball),
             {
                 kind: reference_validate_family(fam, stack.ext, R, stack.ball)
                 for kind, fam in stack.fams.items()
@@ -157,7 +148,7 @@ def clean_references(stack_name, stack, R):
 def test_good_stacks_match_reference(request, stack_name, R):
     stack = request.getfixturevalue(stack_name)
     ref_L, ref_fams = clean_references(stack_name, stack, R)
-    new = walk_alone(stack.L, R, stack.ball, stack.lspec)
+    new = walk_alone(stack.fpa.graph, R, stack.ball, stack.lspec)
     assert new == ref_L
     assert new.passed
     for kind in KINDS:
@@ -167,17 +158,14 @@ def test_good_stacks_match_reference(request, stack_name, R):
         assert new.passed
 
 
-# -- one walk for L and the three families --------------------------------
+# -- one walk for the three families ---------------------------------------
 
 
-def fused_reports(stack, R, L, fams):
-    """The reports of L and of each family in KINDS, from one walk."""
+def fused_reports(stack, R, fams):
+    """The report of each family in KINDS, from one walk."""
     cocycles = BallCocycles(stack.ext, stack.ball)
-    machines = [(L, L.accepting, (), None)] + [
-        _family_machine(fams[kind], stack.ext, cocycles) for kind in KINDS
-    ]
-    reports = _walk(stack.lspec, R, stack.ball, machines)
-    return reports[0], dict(zip(KINDS, reports[1:]))
+    machines = [_family_machine(fams[kind], stack.ext, cocycles) for kind in KINDS]
+    return dict(zip(KINDS, _walk(stack.lspec, R, stack.ball, machines)))
 
 
 def member_word(fsa, n):
@@ -209,19 +197,23 @@ def flip_value(fam, w, x):
 @pytest.mark.parametrize("stack_name,R", STACKS)
 def test_fused_walk_matches_reference(request, stack_name, R):
     stack = request.getfixturevalue(stack_name)
-    ref_L, ref_fams = clean_references(stack_name, stack, R)
-    assert fused_reports(stack, R, stack.L, stack.fams) == (ref_L, ref_fams)
+    _, ref_fams = clean_references(stack_name, stack, R)
+    assert fused_reports(stack, R, stack.fams) == ref_fams
 
-    # faults in every machine at once: a dropped live state of L, a
-    # flipped value in each family, and in the reversed family also the
-    # sink made live, so that machine accepts words outside L below
-    # states where the others are doomed
+    # faults in every machine at once: a dropped live state of L, the
+    # left graph both left families share, a flipped value in each
+    # family, and in the reversed family also the sink made live, so that
+    # machine accepts words outside L below states where the others are
+    # doomed
     letters = stack.ext.base.alphabet.letters
-    L = drop_live_state(stack.L, member_word(stack.L, 2))
+    left = stack.fpa.graph
+    L = drop_live_state(left, member_word(left, 2))
     fams = {
-        kind: flip_value(fam, member_word(stack.L, 1), letters[-1])[0]
+        kind: flip_value(fam, member_word(L, 1), letters[-1])[0]
         for kind, fam in stack.fams.items()
     }
+    for kind in (Q_LEFT, RHO_LEFT):
+        fams[kind] = _replace(fams[kind], graph=L)
     rev = fams[RHO_RIGHT_REVERSED]
     sink = min(set(range(rev.graph.n_states)) - rev.live)
     fams[RHO_RIGHT_REVERSED] = _replace(
@@ -231,30 +223,29 @@ def test_fused_walk_matches_reference(request, stack_name, R):
             rev.graph.accepting | {sink},
         ),
     )
-    new_L, new_fams = fused_reports(stack, R, L, fams)
-    assert new_L.mismatches
-    assert new_L == reference_validate_L(L, stack.lspec, R, stack.ball)
+    new_fams = fused_reports(stack, R, fams)
     for kind in KINDS:
         assert any(m[0] == "value" for m in new_fams[kind].mismatches)
+        assert any(m[0] == "membership" for m in new_fams[kind].mismatches)
         assert new_fams[kind] == reference_validate_family(
             fams[kind], stack.ext, R, stack.ball
         )
-    assert any(m[0] == "membership" for m in new_fams[RHO_RIGHT_REVERSED].mismatches)
 
 
 def _sequential_build(ext, R):
-    """Pipeline.build's automata built and validated one at a time: L,
-    then each family in KINDS order, each synthesized, walked alone and
-    judged before the next is synthesized."""
+    """Pipeline.build's families built and validated one graph at a time:
+    the left graph, then its two families in KINDS order, each walked
+    alone and judged before the next; then the right graph and the
+    reversed family."""
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, R)
-    L, _ = lrational._synthesize_graph(lspec, None, None)
-    lrational._raise_for_L(walk_alone(L, R, ball, lspec))
     cocycles = BallCocycles(ext, ball)
-    for kind in KINDS:
-        fam = lrational._synthesize_family(ext, kind, lspec, None)
-        report = walk_alone(fam, R, ball, cocycles=cocycles)
-        lrational._raise_for_family(fam, report)
+    for right, kinds in ((False, (Q_LEFT, RHO_LEFT)), (True, (RHO_RIGHT_REVERSED,))):
+        graph, reps = lrational._synthesize_graph(lspec, right=right)
+        for kind in kinds:
+            fam = lrational._family(ext, kind, lspec, graph, reps)
+            report = walk_alone(fam, R, ball, cocycles=cocycles)
+            lrational._raise_for_family(fam, report)
 
 
 def _first_error(build):
@@ -276,25 +267,31 @@ def _first_error(build):
         ({("unstable", RHO_RIGHT_REVERSED)}, ValueSetUnstable),
         ({RHO_LEFT, ("unstable", RHO_RIGHT_REVERSED)}, SynthesisInconsistent),
         ({("cap", RHO_LEFT)}, ResourceBound),
-        ({"L", ("cap", Q_LEFT)}, SynthesisInconsistent),
-        ({Q_LEFT, ("cap", RHO_LEFT)}, SynthesisInconsistent),
+        ({"L", ("cap", Q_LEFT)}, ResourceBound),
+        ({Q_LEFT, ("cap", RHO_LEFT)}, ResourceBound),
+        ({("cap", RHO_RIGHT_REVERSED)}, ResourceBound),
+        ({"L", ("cap", RHO_RIGHT_REVERSED)}, SynthesisInconsistent),
+        ({Q_LEFT, ("cap", RHO_RIGHT_REVERSED)}, SynthesisInconsistent),
     ],
     ids=lambda v: "+".join(sorted(map(str, v))) if isinstance(v, set) else v.__name__,
 )
 def test_pipeline_build_raises_as_sequential_builds(monkeypatch, faults, error):
+    # ("cap", kind): the graph that kind's family has exceeds the cap;
+    # "L": the left graph misses a live state
     synthesize_graph = lrational._synthesize_graph
-    synthesize_family = lrational._synthesize_family
+    family_on = lrational._family
 
-    def graph(lspec, kind, cap):
-        fsa, reps = synthesize_graph(lspec, kind, cap)
-        if kind is None and "L" in faults:
+    def graph(lspec, right):
+        kinds = (RHO_RIGHT_REVERSED,) if right else (Q_LEFT, RHO_LEFT)
+        if any(("cap", kind) in faults for kind in kinds):
+            raise ResourceBound("signature space exceeds cap")
+        fsa, reps = synthesize_graph(lspec, right)
+        if not right and "L" in faults:
             fsa = drop_live_state(fsa, member_word(fsa, 2))
         return fsa, reps
 
-    def family(ext, kind, lspec, cap):
-        if ("cap", kind) in faults:
-            raise ResourceBound(f"{kind} signature space exceeds cap")
-        fam = synthesize_family(ext, kind, lspec, cap)
+    def family(ext, kind, lspec, graph, reps):
+        fam = family_on(ext, kind, lspec, graph, reps)
         x = ext.base.alphabet.letters[-1]
         if kind in faults:
             fam, _ = flip_value(fam, "t", x)
@@ -306,7 +303,7 @@ def test_pipeline_build_raises_as_sequential_builds(monkeypatch, faults, error):
         return fam
 
     monkeypatch.setattr(lrational, "_synthesize_graph", graph)
-    monkeypatch.setattr(lrational, "_synthesize_family", family)
+    monkeypatch.setattr(lrational, "_family", family)
     expected = _first_error(lambda: _sequential_build(quaternion8(), 6))
     assert expected[0] is error
     got = _first_error(lambda: Pipeline.build(quaternion8(), kappa2=2, R_validate=6))
@@ -317,8 +314,9 @@ def test_small_radii_match_reference(dihedral_stack, q8_stack):
     for stack in (dihedral_stack, q8_stack):
         for R in range(4):
             ball = build_ball(stack.ext.base, R)
-            assert walk_alone(stack.L, R, ball, stack.lspec) == (
-                reference_validate_L(stack.L, stack.lspec, R, ball)
+            L = stack.fpa.graph
+            assert walk_alone(L, R, ball, stack.lspec) == (
+                reference_validate_L(L, stack.lspec, R, ball)
             )
             for fam in stack.fams.values():
                 new = walk_alone(fam, R, ball)
@@ -404,7 +402,7 @@ def test_narrow_genus2_window_matches_reference():
     # appear at radius 5 and must come out in the same order
     p = genus2_presentation()
     lspec = LanguageSpec(p, nu=0, window=1)
-    fsa, _ = _synthesize_graph(lspec, None, None)
+    fsa, _ = _synthesize_graph(lspec, right=False)
     ball = build_ball(p, 5)
     new = walk_alone(fsa, 5, ball, lspec)
     assert new.mismatches
