@@ -385,7 +385,7 @@ def cmd_lift(args) -> int:
     for x, v in cert["assignment"].items():
         if not (isinstance(v, dict) and isinstance(v.get("g"), str)
                 and isinstance(v.get("a"), list)
-                and all(isinstance(k, int) for k in v["a"])):
+                and all(files.is_integer(k) for k in v["a"])):
             raise ExtEqError(f'{args.certificate}.assignment.{x}: expected '
                              '{"g": word, "a": list of integers}')
     if not args.verify:

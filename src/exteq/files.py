@@ -24,13 +24,21 @@ def _fail(path: str, why: str):
     raise SchemaError(f"{path}: {why}")
 
 
+def is_integer(value) -> bool:
+    """Whether a loaded JSON value is an integer: bool is a subclass of
+    int in Python, but JSON true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(obj, key, kind, path: str):
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
     if key not in obj:
         _fail(f"{path}.{key}", "missing")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (
+        not isinstance(value, kind) or (kind is int and not is_integer(value))
+    ):
         _fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -42,7 +50,7 @@ def _check_version(obj, path: str):
 
 
 def _int_list(value, path: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(is_integer(x) for x in value):
         _fail(path, "expected a list of integers")
     return value
 
@@ -245,7 +253,7 @@ def automaton_from_json(obj, path: str = "automaton") -> tuple[FSA, dict]:
         for x in alpha.letters:
             if x in row:
                 t = row[x]
-                if not isinstance(t, int) or not 0 <= t < n:
+                if not is_integer(t) or not 0 <= t < n:
                     _fail(f"{path}.transitions[{i}].{x}", f"bad target {t!r}")
                 out.append(t)
             else:

@@ -139,12 +139,17 @@ class EquationSystem:
         object.__setattr__(
             self, "equations", tuple(_normalize_equation(e) for e in self.equations)
         )
+        for i, name in enumerate(self.variables):
+            if name in self.variables[:i]:
+                raise ValueError(f"variable {name!r} declared twice")
         declared = set(self.variables) | set(self.constants)
         overlap = set(self.variables) & set(self.constants)
         if overlap:
             raise ValueError(f"symbols both variable and constant: {sorted(overlap)}")
         for name in declared:
-            if not name or name[0].isupper():
+            if not name:
+                raise ValueError("declared symbol has an empty name")
+            if name[0].isupper():
                 raise ValueError(f"declared symbol may not start uppercase: {name!r}")
             if name == IDENTITY:
                 raise ValueError(f"declared symbol {IDENTITY!r} names the identity")
@@ -163,6 +168,11 @@ class TriangularSystem:
     Fresh variables (split products, inverse copies) are recorded with
     defining token words so a solution of the source extends uniquely;
     dropping the fresh variables projects back.
+
+    `memo` holds what build_Wt keeps for this system: each constant's
+    kernel preimage by (symbol, d) and each row's right-hand side by
+    (c, sbar, b, d) row.  It lives as long as the system, which solve
+    builds afresh, and `replace` starts it empty.
     """
 
     source: EquationSystem
@@ -171,6 +181,7 @@ class TriangularSystem:
     fresh_defs: tuple[tuple[str, tuple[str, ...]], ...]
     constants: dict = field(compare=False)
     rows: tuple[tuple[str, str, str], ...] = ()
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         declared = set(self.variables) | set(self.constants)
@@ -400,25 +411,26 @@ class ThetaIndex:
         }
 
 
+def _cell(F: PredictorFamily, s: int, c: Word) -> tuple[FGAElement, int]:
+    """(sigma_q(s̄, c), the state c reaches from s̄), kept on F by the
+    cell; a cell that raises is not kept, so it raises again."""
+    cell = F.memo.get(("cell", s, c))
+    if cell is None:
+        # sigma_q_of_state raises unless s̄ is in T and c compatible
+        cell = (sigma_q_of_state(F, s, c), F.graph.run(c, start=s))
+        F.memo[("cell", s, c)] = cell
+    return cell
+
+
 def make_theta(F: PredictorFamily, c, s, b, d) -> ThetaIndex:
-    sp = []
-    a = []
-    for i in range(len(c)):
-        sp_row = []
-        a_row = []
-        for j in range(3):
-            # sigma_q_of_state raises unless s̄ is in T and c compatible
-            a_row.append(sigma_q_of_state(F, s[i][j], c[i][j]))
-            sp_row.append(F.graph.run(c[i][j], start=s[i][j]))
-        sp.append(tuple(sp_row))
-        a.append(tuple(a_row))
+    cells = [[_cell(F, s[i][j], c[i][j]) for j in range(3)] for i in range(len(c))]
     return ThetaIndex(
         c=tuple(tuple(row) for row in c),
         s=tuple(tuple(row) for row in s),
         b=tuple(tuple(row) for row in b),
         d=tuple(tuple(row) for row in d),
-        s_prime=tuple(sp),
-        a=tuple(a),
+        s_prime=tuple(tuple(sp for _, sp in row) for row in cells),
+        a=tuple(tuple(a for a, _ in row) for row in cells),
     )
 
 
@@ -426,6 +438,43 @@ def _constant_base_word(value, base: Presentation) -> Word:
     if isinstance(value, ExtElement):
         return normal_form(base, value.g)
     return normal_form(base, value)
+
+
+def _c_words(F: PredictorFamily, ctx: VGroupContext):
+    """The freely reduced words of length <= kappa2 and their buckets by
+    normal form, kept on F by kappa2 (ctx's base is F's)."""
+    kept = F.memo.get(("c-words", ctx.kappa2))
+    if kept is None:
+        base = ctx.base
+        words = tuple(
+            w
+            for w in words_up_to(base.alphabet, ctx.kappa2)
+            if base.alphabet.is_freely_reduced(w)
+        )
+        groups: dict[Word, list[Word]] = {}
+        for w in words:
+            groups.setdefault(normal_form(base, w), []).append(w)
+        bucket = {g: tuple(ws) for g, ws in groups.items()}
+        kept = F.memo[("c-words", ctx.kappa2)] = (words, bucket)
+    return kept
+
+
+def _gen_c_rows(base: Presentation, words, bucket):
+    # third component bucketed by its base-group value, so only triples
+    # with trivial row product are ever formed
+    for c1, c2 in itertools.product(words, repeat=2):
+        g12 = normal_form(base, c1 + c2)
+        for c3 in bucket.get(normal_form(base, base.alphabet.inverse_word(g12)), ()):
+            yield (c1, c2, c3)
+
+
+def _compatible_states(F: PredictorFamily, c: Word) -> tuple[int, ...]:
+    """The states of T, ascending, that c is compatible with; kept on F."""
+    opts = F.memo.get(("compatible", c))
+    if opts is None:
+        opts = tuple(sb for sb in sorted(F.live) if is_compatible(F, sb, c))
+        F.memo[("compatible", c)] = opts
+    return opts
 
 
 def enumerate_theta(
@@ -440,32 +489,24 @@ def enumerate_theta(
     their parity datum d (the parity of a cell is a function of the
     cell's group element), and a constant's cells carry its element's
     true parity.
+
+    The c-words, the c-rows of systems of more than one row, each
+    c-word's compatible states and each cell's (a, s') depend on F and
+    kappa2 alone, so F keeps them for every later solve.
     """
     base = ctx.base
     n = len(tri.rows)
-    words = [
-        w
-        for w in words_up_to(base.alphabet, ctx.kappa2)
-        if base.alphabet.is_freely_reduced(w)
-    ]
-    bucket: dict[Word, list[Word]] = {}
-    for w in words:
-        bucket.setdefault(normal_form(base, w), []).append(w)
-
-    def gen_c_rows():
-        # third component bucketed by its base-group value, so only
-        # triples with trivial row product are ever formed
-        for c1, c2 in itertools.product(words, repeat=2):
-            g12 = normal_form(base, c1 + c2)
-            for c3 in bucket.get(normal_form(base, base.alphabet.inverse_word(g12)), ()):
-                yield (c1, c2, c3)
-
+    words, bucket = _c_words(F, ctx)
     if n == 1:
-        # itertools.product would drain the generator up front
-        c_mats = ((row,) for row in gen_c_rows())
+        # one row's c-rows can run to millions (about 10^6 c-words at
+        # kappa2 = 7 on a genus-2 base), so they stay a lazy stream
+        c_mats = ((row,) for row in _gen_c_rows(base, words, bucket))
     else:
-        c_mats = itertools.product(list(gen_c_rows()), repeat=n)
-    T = sorted(F.live)
+        c_rows = F.memo.get(("c-rows", ctx.kappa2))
+        if c_rows is None:
+            c_rows = tuple(_gen_c_rows(base, words, bucket))
+            F.memo[("c-rows", ctx.kappa2)] = c_rows
+        c_mats = itertools.product(c_rows, repeat=n)
     d_values = list(parity_elements(ext.kernel))
     syms = tri.row_symbols()
     pinned: dict[str, ParityElement] = {}
@@ -473,19 +514,10 @@ def enumerate_theta(
         if sym in tri.constants:
             g = _constant_base_word(tri.constants[sym], base)
             pinned[sym] = pa(sigma_rho(ext, g, base.alphabet.inverse_word(g)))
+    d_opts = [(pinned[sym],) if sym in pinned else d_values for sym in syms]
     for c_mat in c_mats:
-        s_opts = []
-        viable = True
-        for i in range(n):
-            for j in range(3):
-                opts = [sb for sb in T if is_compatible(F, sb, c_mat[i][j])]
-                if not opts:
-                    viable = False
-                    break
-                s_opts.append(opts)
-            if not viable:
-                break
-        if not viable:
+        s_opts = [_compatible_states(F, c) for row in c_mat for c in row]
+        if not all(s_opts):
             continue
         for s_flat in itertools.product(*s_opts):
             b_opts = [
@@ -499,9 +531,6 @@ def enumerate_theta(
                 b_mat = tuple(
                     tuple(b_flat[3 * i : 3 * i + 3]) for i in range(n)
                 )
-                d_opts = [
-                    (pinned[sym],) if sym in pinned else d_values for sym in syms
-                ]
                 for d_choice in itertools.product(*d_opts):
                     dmap = dict(zip(syms, d_choice))
                     d_mat = tuple(
@@ -856,13 +885,48 @@ class WSystem:
         return None
 
 
+def _constant_preimage(
+    ext: CentralExtension, sym: str, e: ExtElement, d: ParityElement
+) -> Optional[FGAElement]:
+    """iota1^-1(iota2(e) q(p(e))^-1 iota4(d)), or None where there is no
+    preimage; raises if e's central part leaves the kernel."""
+    central = iota2(e) * q_of(ext, e.g).inverse()
+    if central.g != "":
+        raise LiftVerificationFailed(f"constant {sym!r} drifted off the section")
+    try:
+        return iota1_inverse(central.a + iota4(d))
+    except NotInImage:
+        return None
+
+
+def _row_preimage(t: ThetaIndex, i: int, ext: CentralExtension) -> Optional[FGAElement]:
+    """iota1^-1(sum(a + b + iota4(d)) - sigma_q(pi(c1), pi(c2))) of row
+    i, or None where there is no preimage."""
+    total = ext.pushout_kernel.zero()
+    for j in range(3):
+        total = total + t.a[i][j] + t.b[i][j] + iota4(t.d[i][j])
+    total = total - sigma_q(ext, t.c[i][0], t.c[i][1])
+    try:
+        return iota1_inverse(total)
+    except NotInImage:
+        return None
+
+
+_MISSING = object()
+
+
 def build_Wt(t: ThetaIndex, tri: TriangularSystem, ext: CentralExtension) -> WSystem:
     """One kernel equation per row: the w-variables of the row sum to
     iota1^-1(sum(a + b + iota4(d)) - sigma_q(pi(c1), pi(c2))), with
     constant cells contributing iota1^-1(iota2(e) q(p(e))^-1 iota4(d))
     moved to the right-hand side.  Any missing iota1-preimage makes the
-    whole system the no-solution marker."""
+    whole system the no-solution marker.
+
+    Both preimages are kept on tri.memo, the constant's by (symbol, d)
+    and the row's by its (c, sbar, b, d) row, a being a function of sbar
+    and c; consecutive tuples of the stream share most rows."""
     A = ext.kernel
+    memo = tri.memo
     d_of: dict[str, ParityElement] = {}
     for i, j, sym in tri.cells():
         if sym in d_of and d_of[sym] != t.d[i][j]:
@@ -872,28 +936,23 @@ def build_Wt(t: ThetaIndex, tri: TriangularSystem, ext: CentralExtension) -> WSy
     for sym, d in d_of.items():
         if sym not in tri.constants:
             continue
-        e = tri.constants[sym]
-        central = iota2(e) * q_of(ext, e.g).inverse()
-        if central.g != "":
-            raise LiftVerificationFailed(
-                f"constant {sym!r} drifted off the section"
-            )
-        try:
-            constant_values[sym] = iota1_inverse(central.a + iota4(d))
-        except NotInImage:
+        value = memo.get(("constant", sym, d), _MISSING)
+        if value is _MISSING:
+            value = _constant_preimage(ext, sym, tri.constants[sym], d)
+            memo[("constant", sym, d)] = value
+        if value is None:
             return WSystem(
                 None, {}, f"constant {sym!r} has no kernel preimage"
             )
+        constant_values[sym] = value
     var_syms = [s for s in tri.row_symbols() if s not in tri.constants]
     system = AbelianLinearSystem(A, tuple(_w_name(s) for s in var_syms))
     for i, row in enumerate(tri.rows):
-        total = ext.pushout_kernel.zero()
-        for j in range(3):
-            total = total + t.a[i][j] + t.b[i][j] + iota4(t.d[i][j])
-        total = total - sigma_q(ext, t.c[i][0], t.c[i][1])
-        try:
-            rhs = iota1_inverse(total)
-        except NotInImage:
+        key = ("row", t.c[i], t.s[i], t.b[i], t.d[i])
+        rhs = memo.get(key, _MISSING)
+        if rhs is _MISSING:
+            rhs = memo[key] = _row_preimage(t, i, ext)
+        if rhs is None:
             return WSystem(None, {}, f"row {i} right-hand side has no kernel preimage")
         coeffs: dict[str, int] = {}
         for sym in row:

@@ -366,6 +366,7 @@ def test_usage_errors_exit_above_two(capsys):
     {"x": {"g": "s"}},
     {"x": {"g": 5, "a": [0]}},
     {"x": {"g": "s", "a": ["0"]}},
+    {"x": {"g": "s", "a": [True]}},
 ])
 def test_lift_rejects_malformed_assignment(tmp_path, capsys, assignment):
     cert = {"assignment": assignment, "extension_digest": "",
@@ -399,6 +400,7 @@ def test_solve_rejects_malformed_hints(q8_eqs, tmp_path, capsys, hints):
     ("relators", ["abABcdCD", ""], "relators[1]"),
     ("relators", ["aAbBcdCD"], "relators[0]"),
     ("relators", ["abABcdCDA"], "relators[0]"),
+    ("format_version", True, "format_version"),
 ])
 def test_check_presentation_rejects_malformed_fields(
     tmp_path, capsys, field, value, where
@@ -409,6 +411,38 @@ def test_check_presentation_rejects_malformed_fields(
     path.write_text(json.dumps(obj))
     assert run_cli("check-presentation", str(path)) == (3, "")
     assert f"{path}.presentation.{where}" in capsys.readouterr().err
+
+
+_Q8_Z = {"g": "", "a": {"free": [], "torsion": [1]}}
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("format_version", True, "format_version"),
+    ("constants", {"z": {"g": "", "a": {"free": [], "torsion": [True]}}},
+     "constants.z.a.torsion"),
+    ("variables", ["x", "x"], "variable 'x' declared twice"),
+    ("variables", ["x", ""], "empty name"),
+])
+def test_solve_rejects_malformed_equations(tmp_path, capsys, field, value, where):
+    obj = {"format_version": 1, "variables": ["x"], "constants": {"z": _Q8_Z},
+           "equations": ["x x Z"]}
+    obj[field] = value
+    path = tmp_path / "eqs.json"
+    path.write_text(json.dumps(obj))
+    code, _ = run_cli("solve", str(DATA / "quaternion8.json"), str(path),
+                      "--mode", "finite-complete")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and where in err
+
+
+def test_extension_kernel_rejects_booleans(q8_eqs, tmp_path, capsys):
+    obj = files.load_json(str(DATA / "quaternion8.json"))
+    obj["relator_values"][0]["torsion"] = [True]
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("solve", str(path), q8_eqs(["x x Z"])) == (3, "")
+    assert f"{path}.relator_values[0].torsion" in capsys.readouterr().err
 
 
 def test_schema_error_exit(tmp_path, capsys):

@@ -113,6 +113,19 @@ def test_equation_system_validation(q8_stack):
         EquationSystem(("x",), {"x": s}, ())
 
 
+def test_repeated_and_empty_names_rejected(q8_stack):
+    # a repeated variable would make finite-complete mode enumerate
+    # |E|^2 base assignments for one unknown
+    s, _ = _q8_systems(q8_stack.ext)
+    with pytest.raises(ValueError, match="variable 'x' declared twice"):
+        EquationSystem(("x", "x"), {}, ("x",))
+    with pytest.raises(ValueError, match="variable 'x' declared twice"):
+        EquationSystem(("x", "y", "x"), {"c": s}, ("x y C",))
+    for variables, constants in ((("",), {}), (("x",), {"": s})):
+        with pytest.raises(ValueError, match="empty name"):
+            EquationSystem(variables, constants, ("x",))
+
+
 def test_declared_identity_symbol_rejected(q8_stack):
     # "1" is the identity token triangularize pads rows with
     s, _ = _q8_systems(q8_stack.ext)

@@ -1,0 +1,414 @@
+"""The Theta stream and W_t against the code they replaced.
+
+`enumerate_theta`, `make_theta` and `build_Wt` keep solve-invariant work:
+the c-words, c-rows, compatible states and cells on the pipeline's F, the
+constant preimages and row right-hand sides on the solve's
+TriangularSystem.  The reference_* functions below are the versions that
+recomputed everything for every tuple; the kept versions must yield the
+same tuples and the same W systems, cold, warm and after a stream at
+another kappa2, and must keep nothing that outlives its key.
+"""
+
+import itertools
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from exteq import files, reduction
+from exteq.abelian import (
+    AbelianLinearSystem,
+    iota1_inverse,
+    iota4,
+    pa,
+    parity_elements,
+)
+from exteq.automata import words_up_to
+from exteq.errors import (
+    Incompatible,
+    LiftVerificationFailed,
+    NotAcceptingState,
+    NotInImage,
+)
+from exteq.extension import (
+    RHO,
+    ExtElement,
+    identity,
+    iota2,
+    q_of,
+    sigma_q,
+    sigma_rho,
+)
+from exteq.fpa_ppa import is_compatible, sigma_q_of_state
+from exteq.reduction import (
+    EquationSystem,
+    Pipeline,
+    SolveConfig,
+    ThetaIndex,
+    VGroupContext,
+    WSystem,
+    _accumulator,
+    _constant_base_word,
+    _w_name,
+    build_Wt,
+    enumerate_theta,
+    make_theta,
+    solve,
+    triangularize,
+)
+from exteq.words import normal_form
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+# -- the reference: every tuple recomputed from scratch -------------------
+
+
+def reference_make_theta(F, c, s, b, d) -> ThetaIndex:
+    sp = []
+    a = []
+    for i in range(len(c)):
+        sp_row = []
+        a_row = []
+        for j in range(3):
+            a_row.append(sigma_q_of_state(F, s[i][j], c[i][j]))
+            sp_row.append(F.graph.run(c[i][j], start=s[i][j]))
+        sp.append(tuple(sp_row))
+        a.append(tuple(a_row))
+    return ThetaIndex(
+        c=tuple(tuple(row) for row in c),
+        s=tuple(tuple(row) for row in s),
+        b=tuple(tuple(row) for row in b),
+        d=tuple(tuple(row) for row in d),
+        s_prime=tuple(sp),
+        a=tuple(a),
+    )
+
+
+def reference_c_rows(base, kappa2):
+    words = [
+        w
+        for w in words_up_to(base.alphabet, kappa2)
+        if base.alphabet.is_freely_reduced(w)
+    ]
+    bucket = {}
+    for w in words:
+        bucket.setdefault(normal_form(base, w), []).append(w)
+    for c1, c2 in itertools.product(words, repeat=2):
+        g12 = normal_form(base, c1 + c2)
+        for c3 in bucket.get(normal_form(base, base.alphabet.inverse_word(g12)), ()):
+            yield (c1, c2, c3)
+
+
+def reference_enumerate_theta(tri, ctx, F, ext):
+    base = ctx.base
+    n = len(tri.rows)
+    if n == 1:
+        c_mats = ((row,) for row in reference_c_rows(base, ctx.kappa2))
+    else:
+        c_mats = itertools.product(list(reference_c_rows(base, ctx.kappa2)), repeat=n)
+    T = sorted(F.live)
+    d_values = list(parity_elements(ext.kernel))
+    syms = tri.row_symbols()
+    pinned = {}
+    for sym in syms:
+        if sym in tri.constants:
+            g = _constant_base_word(tri.constants[sym], base)
+            pinned[sym] = pa(sigma_rho(ext, g, base.alphabet.inverse_word(g)))
+    for c_mat in c_mats:
+        s_opts = []
+        viable = True
+        for i in range(n):
+            for j in range(3):
+                opts = [sb for sb in T if is_compatible(F, sb, c_mat[i][j])]
+                if not opts:
+                    viable = False
+                    break
+                s_opts.append(opts)
+            if not viable:
+                break
+        if not viable:
+            continue
+        for s_flat in itertools.product(*s_opts):
+            b_opts = [
+                _accumulator(F, s_flat[k], c_mat[k // 3][k % 3]).values
+                for k in range(3 * n)
+            ]
+            s_mat = tuple(tuple(s_flat[3 * i : 3 * i + 3]) for i in range(n))
+            for b_flat in itertools.product(*b_opts):
+                b_mat = tuple(tuple(b_flat[3 * i : 3 * i + 3]) for i in range(n))
+                d_opts = [
+                    (pinned[sym],) if sym in pinned else d_values for sym in syms
+                ]
+                for d_choice in itertools.product(*d_opts):
+                    dmap = dict(zip(syms, d_choice))
+                    d_mat = tuple(tuple(dmap[sym] for sym in row) for row in tri.rows)
+                    yield reference_make_theta(F, c_mat, s_mat, b_mat, d_mat)
+
+
+def reference_build_Wt(t, tri, ext) -> WSystem:
+    A = ext.kernel
+    d_of = {}
+    for i, j, sym in tri.cells():
+        if sym in d_of and d_of[sym] != t.d[i][j]:
+            return WSystem(None, {}, f"conflicting parity data for {sym!r}")
+        d_of[sym] = t.d[i][j]
+    constant_values = {}
+    for sym, d in d_of.items():
+        if sym not in tri.constants:
+            continue
+        e = tri.constants[sym]
+        central = iota2(e) * q_of(ext, e.g).inverse()
+        if central.g != "":
+            raise LiftVerificationFailed(f"constant {sym!r} drifted off the section")
+        try:
+            constant_values[sym] = iota1_inverse(central.a + iota4(d))
+        except NotInImage:
+            return WSystem(None, {}, f"constant {sym!r} has no kernel preimage")
+    var_syms = [s for s in tri.row_symbols() if s not in tri.constants]
+    system = AbelianLinearSystem(A, tuple(_w_name(s) for s in var_syms))
+    for i, row in enumerate(tri.rows):
+        total = ext.pushout_kernel.zero()
+        for j in range(3):
+            total = total + t.a[i][j] + t.b[i][j] + iota4(t.d[i][j])
+        total = total - sigma_q(ext, t.c[i][0], t.c[i][1])
+        try:
+            rhs = iota1_inverse(total)
+        except NotInImage:
+            return WSystem(None, {}, f"row {i} right-hand side has no kernel preimage")
+        coeffs = {}
+        for sym in row:
+            if sym in tri.constants:
+                rhs = rhs - constant_values[sym]
+            else:
+                name = _w_name(sym)
+                coeffs[name] = coeffs.get(name, 0) + 1
+        system.add(coeffs, rhs)
+    return WSystem(system, constant_values)
+
+
+# -- helpers --------------------------------------------------------------
+
+
+def _corpus(ext_name=None):
+    corpus = files.load_json(str(DATA / "corpus.json"))["systems"]
+    return [e for e in corpus if ext_name in (None, e["extension"])]
+
+
+def _cold(pipe: Pipeline) -> Pipeline:
+    """The pipeline's automata with an empty memo on F."""
+    return replace(pipe, F=replace(pipe.F, memo={}))
+
+
+def _outcome(fn):
+    try:
+        return ("returned", fn())
+    except Exception as e:  # compared by type and message
+        return ("raised", type(e), str(e))
+
+
+def _w_view(W: WSystem):
+    eqs = None if W.system is None else (W.system.variables, W.system.equations)
+    return (eqs, W.constant_values, W.no_solution, W.solve(), W.obstruction())
+
+
+def _w_of(build, t, tri, ext):
+    out = _outcome(lambda: build(t, tri, ext))
+    return out if out[0] == "raised" else ("returned", _w_view(out[1]))
+
+
+@pytest.fixture(scope="module")
+def corpus_pipes(q8_stack, modular16_stack):
+    return {
+        name: Pipeline(s.ext, VGroupContext(s.ext.base, 2), s.fpa, s.ppa, s.ball)
+        for name, s in (("quaternion8", q8_stack), ("modular16", modular16_stack))
+    }
+
+
+# -- the stream and W_t equal the reference --------------------------------
+
+HEAD = 40
+
+
+@pytest.mark.parametrize("ext_name", ["quaternion8", "modular16"])
+def test_stream_and_Wt_equal_reference(corpus_pipes, ext_name):
+    pipe = _cold(corpus_pipes[ext_name])
+    ext, F = pipe.ext, pipe.F
+    ctx, other = pipe.ctx, VGroupContext(ext.base, 1)
+    cases = []
+    for entry in _corpus(ext_name):
+        sys_ = files.equation_system_from_json(entry["system"], ext)
+        tri = triangularize(sys_, identity(ext))
+        for c in (ctx, other):
+            ref = list(itertools.islice(reference_enumerate_theta(tri, c, F, ext), HEAD))
+            ref_W = [_w_of(reference_build_Wt, t, tri, ext) for t in ref]
+            cases.append((tri, c, ref, ref_W))
+    assert any(len(tri.rows) == 1 for tri, _, _, _ in cases)
+    assert any(len(tri.rows) > 1 for tri, _, _, _ in cases)
+
+    def check(label, kappa2):
+        for k, (tri, c, ref, ref_W) in enumerate(cases):
+            if c.kappa2 != kappa2:
+                continue
+            got = list(itertools.islice(enumerate_theta(tri, c, F, ext), HEAD))
+            assert got == ref, (label, k)
+            for t, want in zip(got, ref_W):
+                assert _w_of(build_Wt, t, tri, ext) == want, (label, k, t)
+
+    F.memo.clear()
+    check("cold", 2)
+    check("warm", 2)
+    check("kappa2 = 1 after kappa2 = 2", 1)
+    check("after kappa2 = 1", 2)
+    # the head of a stream reads few c-rows, so compare what F keeps too
+    kinds = {}
+    for key, kept in F.memo.items():
+        kinds.setdefault(key[0], []).append(key[1:])
+        if key[0] == "c-rows":
+            assert kept == tuple(reference_c_rows(ext.base, key[1])), key
+        elif key[0] == "compatible":
+            assert kept == tuple(s for s in sorted(F.live) if is_compatible(F, s, key[1]))
+        elif key[0] == "cell":
+            s, c = key[1:]
+            assert kept == (sigma_q_of_state(F, s, c), F.graph.run(c, start=s)), key
+    assert sorted(kinds["c-rows"]) == [(1,), (2,)]
+    assert {"c-words", "compatible", "cell"} <= set(kinds)
+
+
+def _dihedral_tri(ext):
+    s = ExtElement(ext, RHO, "s", ext.kernel.zero())
+    return triangularize(EquationSystem(("x",), {"c": s}, ("x C",)), identity(ext))
+
+
+def test_dihedral_whole_stream_equals_reference(dihedral_stack):
+    ext = dihedral_stack.ext
+    F = replace(dihedral_stack.fpa, memo={})
+    ctx = VGroupContext(ext.base, 1)
+    tri = _dihedral_tri(ext)
+    ref = list(reference_enumerate_theta(tri, ctx, F, ext))
+    assert len(ref) > HEAD
+    other = VGroupContext(ext.base, 2)
+    ref_other = list(itertools.islice(reference_enumerate_theta(tri, other, F, ext), HEAD))
+    F.memo.clear()
+    assert list(enumerate_theta(tri, ctx, F, ext)) == ref
+    assert list(enumerate_theta(tri, ctx, F, ext)) == ref
+    # kappa2 = 1 once F keeps what a kappa2 = 2 stream left
+    F.memo.clear()
+    assert list(itertools.islice(enumerate_theta(tri, other, F, ext), HEAD)) == ref_other
+    assert list(enumerate_theta(tri, ctx, F, ext)) == ref
+    for t in ref[:HEAD]:
+        assert _w_of(build_Wt, t, tri, ext) == _w_of(reference_build_Wt, t, tri, ext)
+
+
+# -- what is kept, and for how long -----------------------------------------
+
+
+def _renamed(system: dict) -> dict:
+    """The same system with every symbol renamed, tokens inverted alike."""
+
+    def tok(t):
+        return "v" + t if t[0].islower() else "V" + t
+
+    return {
+        **system,
+        "variables": ["v" + v for v in system["variables"]],
+        "constants": {"v" + k: v for k, v in system["constants"].items()},
+        "equations": [" ".join(tok(t) for t in eq.split()) for eq in system["equations"]],
+    }
+
+
+def _flat(key):
+    for part in key:
+        if isinstance(part, tuple):
+            yield from _flat(part)
+        else:
+            yield part
+
+
+def test_memo_lifetimes_over_the_corpus(corpus_pipes, monkeypatch):
+    pipes = {name: _cold(pipe) for name, pipe in corpus_pipes.items()}
+    tris = []
+    original = reduction.triangularize
+
+    def recording(*args, **kwargs):
+        tri = original(*args, **kwargs)
+        tris.append(tri)
+        return tri
+
+    monkeypatch.setattr(reduction, "triangularize", recording)
+    config = SolveConfig(mode="sound", theta_cap=20)
+
+    def solve_corpus(rename=False):
+        tris.clear()
+        reports = []
+        for entry in _corpus():
+            pipe = pipes[entry["extension"]]
+            obj = _renamed(entry["system"]) if rename else entry["system"]
+            out = solve(files.equation_system_from_json(obj, pipe.ext), pipe, config)
+            reports.append(out.report)
+        return reports, {name: set(p.F.memo) for name, p in pipes.items()}
+
+    first, keys = solve_corpus()
+    n_parity = {name: len(list(parity_elements(p.ext.kernel))) for name, p in pipes.items()}
+    for entry, tri, report in zip(_corpus(), tris, first):
+        rows = [k for k in tri.memo if k[0] == "row"]
+        consts = [k for k in tri.memo if k[0] == "constant"]
+        assert len(rows) + len(consts) == len(tri.memo)
+        assert len(rows) <= len(tri.rows) * report["thetas_tried"]
+        assert all(k[1] in tri.constants for k in consts)
+        assert len(consts) <= len(tri.constants) * n_parity[entry["extension"]]
+    again, keys_again = solve_corpus()
+    assert again == first
+    assert keys_again == keys
+    renamed, keys_renamed = solve_corpus(rename=True)
+    assert renamed == first
+    assert keys_renamed == keys
+    symbols = {sym for tri in tris for sym in tri.row_symbols()}
+    for name, pipe in pipes.items():
+        letters = set(pipe.ext.base.alphabet.letters)
+        foreign = {sym for sym in symbols if not set(sym) <= letters}
+        assert foreign
+        for key in keys[name]:
+            assert not foreign & {p for p in _flat(key) if isinstance(p, str)}, key
+
+
+def test_incompatible_cell_raises_every_call(dihedral_stack):
+    F = replace(dihedral_stack.fpa, memo={})
+    sbar = sorted(F.live)[0]
+    bad = next(
+        w for w in words_up_to(F.graph.alphabet, 2) if not is_compatible(F, sbar, w)
+    )
+    outside_T = next(s for s in range(F.graph.n_states) if s not in F.live)
+    zero = F.ext.pushout_kernel.zero()
+    d = next(parity_elements(F.ext.kernel))
+    ok = ("", "", "")
+    for s_row, c_row, err in (
+        ((sbar,) * 3, ("", bad, ""), Incompatible),
+        ((sbar, outside_T, sbar), ok, NotAcceptingState),
+    ):
+        hits = [
+            _outcome(lambda: make_theta(F, [c_row], [s_row], [(zero,) * 3], [(d,) * 3]))
+            for _ in range(2)
+        ]
+        assert hits[0][:2] == ("raised", err)
+        assert hits[1] == hits[0]
+    assert not [k for k in F.memo if k[0] == "cell" and k[2] == bad]
+    assert not [k for k in F.memo if k[0] == "cell" and k[1] == outside_T]
+
+
+def test_drifted_constant_raises_every_call(q8_stack, monkeypatch):
+    ext, F = q8_stack.ext, replace(q8_stack.fpa, memo={})
+    sys_ = EquationSystem(("x",), {"c": ExtElement(ext, RHO, "s", ext.kernel.zero())},
+                          ("x C",))
+    tri = triangularize(sys_, identity(ext))
+    ctx = VGroupContext(ext.base, 2)
+    t = next(enumerate_theta(tri, ctx, F, ext))
+    # a section read off the wrong element leaves the constant's central
+    # part outside the kernel
+    monkeypatch.setattr(reduction, "q_of", lambda ext_, g: q_of(ext_, g + "t"))
+    for _ in range(2):
+        with pytest.raises(LiftVerificationFailed, match="drifted off the section"):
+            build_Wt(t, tri, ext)
+    assert not [k for k in tri.memo if k[0] == "constant"]
+    monkeypatch.undo()
+    assert _w_of(build_Wt, t, tri, ext) == _w_of(reference_build_Wt, t, tri, ext)
