@@ -270,9 +270,17 @@ def automaton_from_json(obj, path: str = "automaton") -> tuple[FSA, dict]:
 
 
 def load_json(path: str):
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaError(f"{path}: key {key!r} repeated in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: not valid JSON ({e})")
     except OSError as e:

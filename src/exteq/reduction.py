@@ -168,11 +168,6 @@ class TriangularSystem:
     Fresh variables (split products, inverse copies) are recorded with
     defining token words so a solution of the source extends uniquely;
     dropping the fresh variables projects back.
-
-    `memo` holds what build_Wt keeps for this system: each constant's
-    kernel preimage by (symbol, d) and each row's right-hand side by
-    (c, sbar, b, d) row.  It lives as long as the system, which solve
-    builds afresh, and `replace` starts it empty.
     """
 
     source: EquationSystem
@@ -181,7 +176,6 @@ class TriangularSystem:
     fresh_defs: tuple[tuple[str, tuple[str, ...]], ...]
     constants: dict = field(compare=False)
     rows: tuple[tuple[str, str, str], ...] = ()
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         declared = set(self.variables) | set(self.constants)
@@ -746,8 +740,9 @@ class VSystem:
     Constraints are (automaton, inverted) pairs; an inverted constraint
     holds when the automaton accepts the inverse of the assigned word.
     The automata are immutable and shared with every other index tuple
-    and solve of the same pipeline.  Cells sharing an equation symbol
-    share their v variable; all p variables are distinct.
+    and solve of the same pipeline, and `memo` is F's, on which the
+    oracle keeps what depends on them alone.  Cells sharing an equation
+    symbol share their v variable; all p variables are distinct.
     """
 
     t: ThetaIndex
@@ -757,6 +752,7 @@ class VSystem:
     p_names: tuple[tuple[str, str, str], ...]
     v_names: tuple[tuple[str, str, str], ...]
     constraints: dict[str, tuple]
+    memo: dict = field(repr=False, compare=False)
 
     def variables(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -832,6 +828,7 @@ def build_Vt(
         p_names=tuple(p_names),
         v_names=tuple(v_names),
         constraints={k: tuple(v) for k, v in constraints.items()},
+        memo=F.memo,
     )
 
 
@@ -915,18 +912,17 @@ def _row_preimage(t: ThetaIndex, i: int, ext: CentralExtension) -> Optional[FGAE
 _MISSING = object()
 
 
-def build_Wt(t: ThetaIndex, tri: TriangularSystem, ext: CentralExtension) -> WSystem:
+def build_Wt(t: ThetaIndex, tri: TriangularSystem, F: PredictorFamily) -> WSystem:
     """One kernel equation per row: the w-variables of the row sum to
     iota1^-1(sum(a + b + iota4(d)) - sigma_q(pi(c1), pi(c2))), with
     constant cells contributing iota1^-1(iota2(e) q(p(e))^-1 iota4(d))
     moved to the right-hand side.  Any missing iota1-preimage makes the
     whole system the no-solution marker.
 
-    Both preimages are kept on tri.memo, the constant's by (symbol, d)
-    and the row's by its (c, sbar, b, d) row, a being a function of sbar
-    and c; consecutive tuples of the stream share most rows."""
-    A = ext.kernel
-    memo = tri.memo
+    Both preimages are kept on F, for every later tuple and solve of the
+    pipeline: the constant's by its (g, a) and d, the row's by its
+    (c, sbar, b, d) row, a being a function of sbar and c."""
+    ext, memo = F.ext, F.memo
     d_of: dict[str, ParityElement] = {}
     for i, j, sym in tri.cells():
         if sym in d_of and d_of[sym] != t.d[i][j]:
@@ -936,17 +932,18 @@ def build_Wt(t: ThetaIndex, tri: TriangularSystem, ext: CentralExtension) -> WSy
     for sym, d in d_of.items():
         if sym not in tri.constants:
             continue
-        value = memo.get(("constant", sym, d), _MISSING)
+        e = tri.constants[sym]
+        key = ("constant", e.g, e.a, d)
+        value = memo.get(key, _MISSING)
         if value is _MISSING:
-            value = _constant_preimage(ext, sym, tri.constants[sym], d)
-            memo[("constant", sym, d)] = value
+            value = memo[key] = _constant_preimage(ext, sym, e, d)
         if value is None:
             return WSystem(
                 None, {}, f"constant {sym!r} has no kernel preimage"
             )
         constant_values[sym] = value
     var_syms = [s for s in tri.row_symbols() if s not in tri.constants]
-    system = AbelianLinearSystem(A, tuple(_w_name(s) for s in var_syms))
+    system = AbelianLinearSystem(ext.kernel, tuple(_w_name(s) for s in var_syms))
     for i, row in enumerate(tri.rows):
         key = ("row", t.c[i], t.s[i], t.b[i], t.d[i])
         rhs = memo.get(key, _MISSING)
@@ -978,6 +975,27 @@ class OracleOutcome:
         return self.status == FOUND
 
 
+def _p_domains(V: VSystem, bound: int) -> dict[str, tuple[Word, ...]]:
+    """Each p-variable's words of length <= bound that meet its
+    constraints, in shortlex order.  A domain is kept on the pipeline by
+    the bound and the variable's (automaton, inverted) constraints; the
+    entry holds those automata, so the ids in its key stay theirs."""
+    candidates = None
+    domains = {}
+    for names in V.p_names:
+        for name in names:
+            cons = V.constraints.get(name, ())
+            key = ("domain", bound, tuple((id(fsa), inv) for fsa, inv in cons))
+            kept = V.memo.get(key)
+            if kept is None:
+                if candidates is None:
+                    candidates = tuple(words_up_to(V.ctx.base.alphabet, bound))
+                domain = tuple(w for w in candidates if V._constraint_ok(name, w))
+                kept = V.memo[key] = (cons, domain)
+            domains[name] = kept[1]
+    return domains
+
+
 def vf_oracle_solve(V: VSystem, bound: int) -> OracleOutcome:
     """Bounded brute force: p-variables range over constrained words of
     length <= bound, v-words are derived from the tripod equations (so
@@ -986,11 +1004,7 @@ def vf_oracle_solve(V: VSystem, bound: int) -> OracleOutcome:
     order; exhaustion is not a nonexistence proof."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    candidates = list(words_up_to(V.ctx.base.alphabet, bound))
-    domains = {}
-    for names in V.p_names:
-        for name in names:
-            domains[name] = [w for w in candidates if V._constraint_ok(name, w)]
+    domains = _p_domains(V, bound)
     v_assign: dict[str, Word] = {}
     p_assign: dict[str, Word] = {}
 
@@ -1218,7 +1232,7 @@ def solve(
     sys: EquationSystem, pipe: Pipeline, config: Optional[SolveConfig] = None
 ) -> SolveOutcome:
     """Drive triangularize -> project -> index tuples -> (V_t, W_t) ->
-    oracle -> lift.
+    V-solution -> lift.
 
     Sound mode scans hint-derived witness tuples, then the generic Theta
     stream up to the cap; every Solved outcome carries a certificate
@@ -1226,7 +1240,10 @@ def solve(
     mode (finite base group, kappa2 and oracle bound at least the
     diameter) exhausts base-group solutions through their witness
     tuples, which is a proof of Unsolvable when none admits a solvable
-    W_t."""
+    W_t.  A witness tuple's V-solution is witness_theta's (p = 1,
+    v = nf(g)), used once V_t accepts it; one that V_t rejects is an
+    anomaly, so the verdict cannot read Unsolvable.  The bounded oracle
+    searches only the Theta stream's tuples."""
     config = config or SolveConfig()
     ext, ctx, F, D, ball = pipe.ext, pipe.ctx, pipe.F, pipe.D, pipe.ball
     tri = triangularize(sys, identity(ext))
@@ -1242,7 +1259,7 @@ def solve(
 
     def attempt(t: ThetaIndex, vsol_hint=None) -> Optional[SolveOutcome]:
         report["thetas_tried"] += 1
-        W = build_Wt(t, tri, ext)
+        W = build_Wt(t, tri, F)
         wsol = W.solve()
         if wsol is None:
             report["w_unsolvable"] += 1
@@ -1252,7 +1269,7 @@ def solve(
                     report["obstructions"].append(ob)
             return None
         V = build_Vt(t, tri, ctx, F, D, ext, ball)
-        if vsol_hint is not None and config.mode != "finite-complete":
+        if vsol_hint is not None:
             if not V.check(vsol_hint):
                 report["anomalies"].append("witness solution rejected by V_t")
                 return None
@@ -1260,14 +1277,9 @@ def solve(
         else:
             res = vf_oracle_solve(V, max(config.oracle_bound, ctx.kappa2))
             if not res.found:
-                if vsol_hint is not None and V.check(vsol_hint):
-                    report["anomalies"].append("oracle missed the witness solution")
-                    vsol = vsol_hint
-                else:
-                    report["oracle_exhausted"] += 1
-                    return None
-            else:
-                vsol = res.assignment
+                report["oracle_exhausted"] += 1
+                return None
+            vsol = res.assignment
         lemma = check_constraint_lemma(V, vsol)
         if not lemma.passed:
             raise LiftVerificationFailed(

@@ -445,6 +445,24 @@ def test_extension_kernel_rejects_booleans(q8_eqs, tmp_path, capsys):
     assert f"{path}.relator_values[0].torsion" in capsys.readouterr().err
 
 
+def test_repeated_key_exits_3(tmp_path, capsys):
+    # z declared twice, first as z, then as the identity: the second
+    # must not silently win (x x Z would solve as x = 1)
+    path = tmp_path / "eqs.json"
+    path.write_text(
+        '{"format_version": 1, "variables": ["x"], "constants": {'
+        '"z": {"g": "", "a": {"free": [], "torsion": [1]}}, '
+        '"z": {"g": "", "a": {"free": [], "torsion": [0]}}}, '
+        '"equations": ["x x Z"]}'
+    )
+    code, _ = run_cli("solve", str(DATA / "quaternion8.json"), str(path))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "'z'" in err and "repeated" in err
+    with pytest.raises(SchemaError, match="repeated"):
+        files.load_json(str(path))
+
+
 def test_schema_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"format_version\": 1}")

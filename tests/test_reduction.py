@@ -622,7 +622,7 @@ def test_lift_roundtrip_and_converse_formula(q8_pipe):
     tri = triangularize(sys, identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
     t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
-    W = build_Wt(t, tri, ext)
+    W = build_Wt(t, tri, q8_pipe.F)
     assert W.no_solution is None
     wsol = W.solve()
     assert wsol is not None
@@ -652,7 +652,7 @@ def test_Wt_obstruction_certificate(q8_pipe):
     tri = triangularize(sys, identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
     t, _ = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
-    W = build_Wt(t, tri, ext)
+    W = build_Wt(t, tri, q8_pipe.F)
     assert W.solve() is None
     ob = W.obstruction()
     assert ob is not None and ob["modulus"] == 2 and ob["value"] % 2 == 1

@@ -1,12 +1,13 @@
-"""The Theta stream and W_t against the code they replaced.
+"""The Theta stream, W_t and the oracle's domains against the code they
+replaced.
 
-`enumerate_theta`, `make_theta` and `build_Wt` keep solve-invariant work:
-the c-words, c-rows, compatible states and cells on the pipeline's F, the
-constant preimages and row right-hand sides on the solve's
-TriangularSystem.  The reference_* functions below are the versions that
-recomputed everything for every tuple; the kept versions must yield the
-same tuples and the same W systems, cold, warm and after a stream at
-another kappa2, and must keep nothing that outlives its key.
+`enumerate_theta`, `make_theta`, `build_Wt` and the oracle keep work that
+depends on the pipeline alone on its F: the c-words, c-rows, compatible
+states and cells, the constant preimages and row right-hand sides, and
+each p-variable's domain.  The reference_* functions below are the
+versions that recomputed everything for every tuple; the kept versions
+must yield the same tuples, W systems and domains, cold, warm and after
+a stream at another kappa2, and must keep nothing that outlives its key.
 """
 
 import itertools
@@ -49,7 +50,9 @@ from exteq.reduction import (
     WSystem,
     _accumulator,
     _constant_base_word,
+    _p_domains,
     _w_name,
+    build_Vt,
     build_Wt,
     enumerate_theta,
     make_theta,
@@ -146,7 +149,8 @@ def reference_enumerate_theta(tri, ctx, F, ext):
                     yield reference_make_theta(F, c_mat, s_mat, b_mat, d_mat)
 
 
-def reference_build_Wt(t, tri, ext) -> WSystem:
+def reference_build_Wt(t, tri, F) -> WSystem:
+    ext = F.ext
     A = ext.kernel
     d_of = {}
     for i, j, sym in tri.cells():
@@ -187,6 +191,26 @@ def reference_build_Wt(t, tri, ext) -> WSystem:
     return WSystem(system, constant_values)
 
 
+def _reference_preimage(F, key):
+    """What build_Wt keeps under a ("row", c, sbar, b, d) or ("constant",
+    g, a, d) key, computed afresh from the key alone."""
+    ext = F.ext
+    if key[0] == "constant":
+        _, g, a, d = key
+        central = iota2(ExtElement(ext, RHO, g, a)) * q_of(ext, g).inverse()
+        total = central.a + iota4(d)
+    else:
+        _, c, s, b, d = key
+        total = ext.pushout_kernel.zero()
+        for j in range(3):
+            total = total + sigma_q_of_state(F, s[j], c[j]) + b[j] + iota4(d[j])
+        total = total - sigma_q(ext, c[0], c[1])
+    try:
+        return iota1_inverse(total)
+    except NotInImage:
+        return None
+
+
 # -- helpers --------------------------------------------------------------
 
 
@@ -212,8 +236,8 @@ def _w_view(W: WSystem):
     return (eqs, W.constant_values, W.no_solution, W.solve(), W.obstruction())
 
 
-def _w_of(build, t, tri, ext):
-    out = _outcome(lambda: build(t, tri, ext))
+def _w_of(build, t, tri, F):
+    out = _outcome(lambda: build(t, tri, F))
     return out if out[0] == "raised" else ("returned", _w_view(out[1]))
 
 
@@ -241,7 +265,7 @@ def test_stream_and_Wt_equal_reference(corpus_pipes, ext_name):
         tri = triangularize(sys_, identity(ext))
         for c in (ctx, other):
             ref = list(itertools.islice(reference_enumerate_theta(tri, c, F, ext), HEAD))
-            ref_W = [_w_of(reference_build_Wt, t, tri, ext) for t in ref]
+            ref_W = [_w_of(reference_build_Wt, t, tri, F) for t in ref]
             cases.append((tri, c, ref, ref_W))
     assert any(len(tri.rows) == 1 for tri, _, _, _ in cases)
     assert any(len(tri.rows) > 1 for tri, _, _, _ in cases)
@@ -253,7 +277,7 @@ def test_stream_and_Wt_equal_reference(corpus_pipes, ext_name):
             got = list(itertools.islice(enumerate_theta(tri, c, F, ext), HEAD))
             assert got == ref, (label, k)
             for t, want in zip(got, ref_W):
-                assert _w_of(build_Wt, t, tri, ext) == want, (label, k, t)
+                assert _w_of(build_Wt, t, tri, F) == want, (label, k, t)
 
     F.memo.clear()
     check("cold", 2)
@@ -297,7 +321,7 @@ def test_dihedral_whole_stream_equals_reference(dihedral_stack):
     assert list(itertools.islice(enumerate_theta(tri, other, F, ext), HEAD)) == ref_other
     assert list(enumerate_theta(tri, ctx, F, ext)) == ref
     for t in ref[:HEAD]:
-        assert _w_of(build_Wt, t, tri, ext) == _w_of(reference_build_Wt, t, tri, ext)
+        assert _w_of(build_Wt, t, tri, F) == _w_of(reference_build_Wt, t, tri, F)
 
 
 # -- what is kept, and for how long -----------------------------------------
@@ -349,14 +373,23 @@ def test_memo_lifetimes_over_the_corpus(corpus_pipes, monkeypatch):
         return reports, {name: set(p.F.memo) for name, p in pipes.items()}
 
     first, keys = solve_corpus()
-    n_parity = {name: len(list(parity_elements(p.ext.kernel))) for name, p in pipes.items()}
+    # W_t keeps at most one right-hand side per row tried and one
+    # preimage per constant value and parity, on F, not per solve
+    row_bound = dict.fromkeys(pipes, 0)
+    values = {name: set() for name in pipes}
     for entry, tri, report in zip(_corpus(), tris, first):
-        rows = [k for k in tri.memo if k[0] == "row"]
-        consts = [k for k in tri.memo if k[0] == "constant"]
-        assert len(rows) + len(consts) == len(tri.memo)
-        assert len(rows) <= len(tri.rows) * report["thetas_tried"]
-        assert all(k[1] in tri.constants for k in consts)
-        assert len(consts) <= len(tri.constants) * n_parity[entry["extension"]]
+        name = entry["extension"]
+        row_bound[name] += len(tri.rows) * report["thetas_tried"]
+        values[name] |= {(e.g, e.a) for e in tri.constants.values()}
+    for name, pipe in pipes.items():
+        rows = [k for k in keys[name] if k[0] == "row"]
+        consts = [k for k in keys[name] if k[0] == "constant"]
+        n_parity = len(list(parity_elements(pipe.ext.kernel)))
+        assert 0 < len(rows) <= row_bound[name]
+        assert 0 < len(consts) <= len(values[name]) * n_parity
+        assert {k[1:3] for k in consts} <= values[name]
+        for key in rows + consts:
+            assert pipe.F.memo[key] == _reference_preimage(pipe.F, key), key
     again, keys_again = solve_corpus()
     assert again == first
     assert keys_again == keys
@@ -403,12 +436,58 @@ def test_drifted_constant_raises_every_call(q8_stack, monkeypatch):
     tri = triangularize(sys_, identity(ext))
     ctx = VGroupContext(ext.base, 2)
     t = next(enumerate_theta(tri, ctx, F, ext))
+    kept = dict(F.memo)
     # a section read off the wrong element leaves the constant's central
     # part outside the kernel
     monkeypatch.setattr(reduction, "q_of", lambda ext_, g: q_of(ext_, g + "t"))
     for _ in range(2):
         with pytest.raises(LiftVerificationFailed, match="drifted off the section"):
-            build_Wt(t, tri, ext)
-    assert not [k for k in tri.memo if k[0] == "constant"]
+            build_Wt(t, tri, F)
+    assert F.memo == kept
     monkeypatch.undo()
-    assert _w_of(build_Wt, t, tri, ext) == _w_of(reference_build_Wt, t, tri, ext)
+    assert _w_of(build_Wt, t, tri, F) == _w_of(reference_build_Wt, t, tri, F)
+
+
+# -- the oracle's domains ----------------------------------------------------
+
+ORACLE_HEAD = 20
+
+
+@pytest.mark.parametrize("ext_name", ["quaternion8", "modular16"])
+def test_oracle_domains_equal_fresh_filter(corpus_pipes, ext_name):
+    pipe = _cold(corpus_pipes[ext_name])
+    ext, F, ctx = pipe.ext, pipe.F, pipe.ctx
+    alphabet = ext.base.alphabet
+    cases = []
+    for entry in _corpus(ext_name):
+        tri = triangularize(files.equation_system_from_json(entry["system"], ext),
+                            identity(ext))
+        thetas = itertools.islice(enumerate_theta(tri, ctx, F, ext), ORACLE_HEAD)
+        cases.extend((tri, t) for t in thetas)
+
+    def fresh(V, name, bound):
+        def ok(w):
+            return all(
+                fsa.accepts(alphabet.inverse_word(w) if inverted else w)
+                for fsa, inverted in V.constraints[name]
+            )
+
+        return tuple(w for w in words_up_to(alphabet, bound) if ok(w))
+
+    def domain_keys():
+        return {k for k in F.memo if k[0] == "domain"}
+
+    F.memo.clear()
+    kept = []
+    for label in ("cold", "warm"):
+        for tri, t in cases:
+            V = build_Vt(t, tri, ctx, F, pipe.D, ext, pipe.ball)
+            for bound in (2, 1):
+                domains = _p_domains(V, bound)
+                names = [name for row in V.p_names for name in row]
+                assert sorted(domains) == sorted(names)
+                for name in names:
+                    assert domains[name] == fresh(V, name, bound), (label, name)
+        kept.append(domain_keys())
+    assert kept[0] and kept[1] == kept[0]
+    assert {k[1] for k in kept[0]} == {1, 2}

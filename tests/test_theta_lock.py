@@ -9,12 +9,14 @@ computed cannot shift a verdict, a counter or a tuple unnoticed.
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from exteq import files, reduction
+from exteq.extension import identity
 from exteq.instances import modular16, quaternion8
 from exteq.reduction import Pipeline, SolveConfig, solve
 
@@ -224,3 +226,69 @@ def test_finite_complete_verdicts_frozen(corpus_pipes):
     assert len(got) == len(FROZEN_FINITE_COMPLETE)
     for i, (row, frozen) in enumerate(zip(got, FROZEN_FINITE_COMPLETE)):
         assert row == frozen, f"case {i}"
+
+
+# -- witness tuples use the witness ---------------------------------------
+#
+# solve takes a witness tuple's V-solution from witness_theta instead of
+# searching for it.  That changes no verdict because the witness is the
+# oracle's first solution on every such tuple, and it needs no oracle;
+# a witness that V_t rejects is an anomaly, never a proof of Unsolvable.
+
+
+def _base_solutions(pipe, sys_):
+    gsys = reduction.project_to_base(sys_)
+    for combo in itertools.product(pipe.ball.words, repeat=len(sys_.variables)):
+        gamma = dict(zip(sys_.variables, combo))
+        if reduction.check_in_base(gsys, pipe.ext.base, gamma):
+            yield gamma
+
+
+def test_witness_is_the_oracles_first_solution(corpus_pipes):
+    n = 0
+    for ext_name, system in _finite_complete_cases():
+        pipe = corpus_pipes[ext_name]
+        ext = pipe.ext
+        sys_ = files.equation_system_from_json(system, ext)
+        tri = reduction.triangularize(sys_, identity(ext))
+        for gamma in _base_solutions(pipe, sys_):
+            gfull = reduction.extend_to_fresh(tri, ext.base, gamma)
+            t, vsol = reduction.witness_theta(tri, pipe.ctx, pipe.F, ext, gfull)
+            V = reduction.build_Vt(t, tri, pipe.ctx, pipe.F, pipe.D, ext, pipe.ball)
+            assert V.check(vsol)
+            res = reduction.vf_oracle_solve(V, 2)
+            assert res.found and res.assignment == vsol
+            n += 1
+    # every solved case has a base solution, and so does case 7
+    assert n == 19
+
+
+def test_finite_complete_verdicts_need_no_oracle(corpus_pipes, monkeypatch):
+    def no_oracle(V, bound):
+        raise AssertionError("oracle called in finite-complete mode")
+
+    monkeypatch.setattr(reduction, "vf_oracle_solve", no_oracle)
+    assert _finite_complete_verdicts(corpus_pipes) == FROZEN_FINITE_COMPLETE
+
+
+def test_rejected_witness_is_an_anomaly_not_unsolvable(corpus_pipes, monkeypatch):
+    # a witness that V_t rejects must not be exhausted away into a proof
+    # of unsolvability, whatever the oracle would say
+    monkeypatch.setattr(reduction.VSystem, "check", lambda self, a: False)
+    monkeypatch.setattr(
+        reduction, "vf_oracle_solve",
+        lambda V, bound: reduction.OracleOutcome(reduction.EXHAUSTED_BOUND),
+    )
+    reached = 0
+    for (ext_name, system), frozen in zip(_finite_complete_cases(), FROZEN_FINITE_COMPLETE):
+        pipe = corpus_pipes[ext_name]
+        sys_ = files.equation_system_from_json(system, pipe.ext)
+        out = solve(sys_, pipe, SolveConfig(mode="finite-complete", oracle_bound=2))
+        r = out.report
+        if r["thetas_tried"] > r["w_unsolvable"]:
+            reached += 1
+            assert out.status == "no-solution-within-bounds"
+            assert "witness solution rejected by V_t" in r["anomalies"]
+        else:
+            assert (out.status, r["anomalies"]) == (frozen[0], [])
+    assert reached
