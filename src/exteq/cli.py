@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands cover the pipeline stages (presentation checks, balls,
-cocycle tables, automaton synthesis, FPA/PPA products, invariant
-verification) and the end-to-end equation driver (reduce, solve, lift).
+Subcommands cover the pipeline stages (check-presentation, ball,
+cocycle-table, build: the FPA and PPA of one pipeline build in one file,
+verify-invariants) and the end-to-end equation driver (reduce, solve,
+lift, demo-t1s).
 
 Exit codes: 0 success, 1 no-solution-within-bounds, 2 unsolvable,
 3 usage or input errors, 4 verification failures.
@@ -48,25 +49,6 @@ _STATUS_EXIT = {
 
 
 @dataclass
-class RunConfig:
-    """Bounds and radii shared by the building subcommands."""
-
-    r_validate: int = 6
-    ball_radius: Optional[int] = None
-    kappa2: int = 2
-    oracle_bound: int = 2
-    mode: str = "sound"
-    theta_cap: int = 1000
-
-    def __post_init__(self):
-        for name in ("r_validate", "kappa2", "oracle_bound", "theta_cap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.mode not in ("sound", "finite-complete"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
-@dataclass
 class Certificate:
     """Replayable record of a Solved run."""
 
@@ -106,18 +88,9 @@ def _load_extension(path: str):
 
 def _load_presentation(path: str):
     obj = files.load_json(path)
-    if "presentation" in obj:
+    if isinstance(obj, dict) and "presentation" in obj:
         return files.presentation_from_json(obj["presentation"], f"{path}.presentation")
     return files.presentation_from_json(obj, path)
-
-
-def _build_pipeline(ext, cfg: RunConfig) -> Pipeline:
-    return Pipeline.build(
-        ext,
-        kappa2=cfg.kappa2,
-        R_validate=cfg.r_validate,
-        ball_radius=cfg.ball_radius,
-    )
 
 
 # -- subcommands --------------------------------------------------------
@@ -189,78 +162,54 @@ def cmd_cocycle_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_build_automata(args) -> int:
-    ext = _load_extension(args.input)
-    cfg = RunConfig(r_validate=args.r_validate)
-    pipe = _build_pipeline(ext, cfg)
-    L = pipe.F.graph
+def cmd_build(args) -> int:
+    # kappa2 bounds only the Theta stream, which no build output reads
+    pipe = Pipeline.build(_load_extension(args.input), kappa2=0,
+                          R_validate=args.r_validate)
+    F, D, R = pipe.F, pipe.D, pipe.F.validated_radius
+    branches = D.branch_values()
     if args.out:
-        files.save_json(args.out, files.automaton_to_json(L))
+        files.save_json(args.out, {
+            "format_version": files.FORMAT_VERSION,
+            "validated_radius": R,
+            "fpa": {
+                "automaton": files.automaton_to_json(F.graph),
+                "accepting": sorted(F.live),
+                "readout": {
+                    str(s): {
+                        x: files.kernel_element_to_json(F.a_of(s, x))
+                        for x in F.graph.alphabet.letters
+                    }
+                    for s in sorted(F.live)
+                },
+            },
+            "ppa": {
+                "automaton": files.automaton_to_json(D.fsa),
+                "branches": [
+                    {"bits": list(d.bits), "torsion": list(d.tors)} for d in branches
+                ],
+            },
+        })
     payload = {
-        "L_states": L.n_states,
-        "validated_radius": cfg.r_validate,
+        "fpa_states": F.graph.n_states,
+        "accepting": len(F.live),
+        "ppa_states": D.fsa.n_states,
+        "branches": len(branches),
+        "validated_radius": R,
         "out": args.out,
     }
     _emit(args, payload, [
-        f"language automaton: {L.n_states} states, "
-        f"validated to radius {cfg.r_validate}"
-        + (f", written to {args.out}" if args.out else ""),
+        f"FPA: {F.graph.n_states} states, {len(F.live)} accepting",
+        f"PPA: {D.fsa.n_states} states, {len(branches)} parity branches",
+        f"validated to radius {R}" + (f", written to {args.out}" if args.out else ""),
     ])
     return EXIT_OK
 
 
-def cmd_build_fpa(args) -> int:
-    ext = _load_extension(args.input)
-    cfg = RunConfig(r_validate=args.r_validate)
-    pipe = _build_pipeline(ext, cfg)
-    F = pipe.F
-    out = {
-        "format_version": files.FORMAT_VERSION,
-        "automaton": files.automaton_to_json(F.graph),
-        "accepting": sorted(F.live),
-        "readout": {
-            str(s): {
-                x: files.kernel_element_to_json(F.a_of(s, x))
-                for x in ext.base.alphabet.letters
-            }
-            for s in sorted(F.live)
-        },
-    }
-    if args.out:
-        files.save_json(args.out, out)
-    _emit(args, {"states": F.graph.n_states, "accepting": len(F.live),
-                 "out": args.out},
-          [f"FPA: {F.graph.n_states} states, {len(F.live)} accepting"
-           + (f", written to {args.out}" if args.out else "")])
-    return EXIT_OK
-
-
-def cmd_build_ppa(args) -> int:
-    ext = _load_extension(args.input)
-    cfg = RunConfig(r_validate=args.r_validate)
-    pipe = _build_pipeline(ext, cfg)
-    D = pipe.D
-    out = {
-        "format_version": files.FORMAT_VERSION,
-        "automaton": files.automaton_to_json(D.fsa),
-        "branches": [
-            {"bits": list(d.bits), "torsion": list(d.tors)}
-            for d in D.branch_values()
-        ],
-    }
-    if args.out:
-        files.save_json(args.out, out)
-    _emit(args, {"states": D.fsa.n_states, "branches": len(D.branch_values()),
-                 "out": args.out},
-          [f"PPA: {D.fsa.n_states} states, {len(D.branch_values())} parity branches"
-           + (f", written to {args.out}" if args.out else "")])
-    return EXIT_OK
-
-
 def cmd_verify_invariants(args) -> int:
-    ext = _load_extension(args.input)
-    cfg = RunConfig(r_validate=args.r_validate)
-    pipe = _build_pipeline(ext, cfg)
+    # kappa2 bounds only the Theta stream, which the checks never read
+    pipe = Pipeline.build(_load_extension(args.input), kappa2=0,
+                          R_validate=args.r_validate)
     R = args.radius
     fpa_report = check_fpa_key_property(pipe.F, R, max(R - 2, 0))
     ppa_report = check_ppa_key_property(pipe.D, R=R)
@@ -324,22 +273,15 @@ def cmd_solve(args) -> int:
     ext = files.extension_from_json(ext_obj, args.input)
     eqs_obj = files.load_json(args.equations)
     sys_ = files.equation_system_from_json(eqs_obj, ext, args.equations)
-    cfg = RunConfig(
-        r_validate=args.r_validate,
-        ball_radius=args.ball_radius,
-        kappa2=args.kappa2,
+    config = SolveConfig(
         oracle_bound=args.oracle_bound,
         mode=args.mode,
         theta_cap=args.theta_cap,
+        gamma_hints=_load_hints(args.hints, ext.base.alphabet),
     )
-    hints = _load_hints(args.hints, ext.base.alphabet)
-    pipe = _build_pipeline(ext, cfg)
-    out = solve(sys_, pipe, SolveConfig(
-        oracle_bound=cfg.oracle_bound,
-        mode=cfg.mode,
-        theta_cap=cfg.theta_cap,
-        gamma_hints=hints,
-    ))
+    pipe = Pipeline.build(ext, kappa2=args.kappa2, R_validate=args.r_validate,
+                          ball_radius=args.ball_radius)
+    out = solve(sys_, pipe, config)
     payload = {"status": out.status, "report": out.report}
     lines = [f"verdict: {out.status}"]
     if out.status == SOLVED:
@@ -355,8 +297,15 @@ def cmd_solve(args) -> int:
             cert = Certificate(
                 extension_digest=_digest(ext_obj),
                 equations_digest=_digest(eqs_obj),
-                config=asdict(cfg),
-                validation={"r_validate": cfg.r_validate},
+                config={
+                    "r_validate": args.r_validate,
+                    "ball_radius": args.ball_radius,
+                    "kappa2": args.kappa2,
+                    "oracle_bound": args.oracle_bound,
+                    "mode": args.mode,
+                    "theta_cap": args.theta_cap,
+                },
+                validation={"r_validate": args.r_validate},
                 t=out.certificate["t"],
                 vsol=out.certificate["vsol"],
                 wsol=out.certificate["wsol"],
@@ -441,7 +390,7 @@ def cmd_demo_t1s(args) -> int:
         "central defect of [a,b][c d^n, d] for |n| <= 4: "
         + ", ".join(str(defects[n]) for n in range(-4, 5))
     )
-    pipe = _build_pipeline(ext, RunConfig(r_validate=5, kappa2=7))
+    pipe = Pipeline.build(ext, kappa2=7, R_validate=5)
     sys_ = t1s_commutator_system(ext, 0)
     hints = tuple(
         {"x": "c" + ("d" * n if n >= 0 else "D" * (-n))} for n in range(-4, 5)
@@ -482,15 +431,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def radius(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"radius must be >= 0, got {value}")
-    return value
+def _nonnegative(what: str):
+    """An argparse type for an integer option that must be >= 0; argparse
+    names the option in the error, exit 3."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 0, got {value}")
+        return value
+
+    parse.__name__ = what
+    return parse
 
 
-def _add_build_args(p):
-    p.add_argument("--r-validate", type=int, default=6)
+radius = _nonnegative("radius")
+bound = _nonnegative("bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,19 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=radius, default=2)
     p.set_defaults(fn=cmd_cocycle_table)
 
-    for name, fn in (("build-automata", cmd_build_automata),
-                     ("build-fpa", cmd_build_fpa),
-                     ("build-ppa", cmd_build_ppa)):
-        p = sub.add_parser(name)
-        p.add_argument("input")
-        p.add_argument("--out", default=None)
-        _add_build_args(p)
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("build")
+    p.add_argument("input")
+    p.add_argument("--out", default=None)
+    p.add_argument("--r-validate", type=bound, default=6)
+    p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("verify-invariants")
     p.add_argument("input")
     p.add_argument("--radius", type=radius, required=True)
-    _add_build_args(p)
+    p.add_argument("--r-validate", type=bound, default=6)
     p.set_defaults(fn=cmd_verify_invariants)
 
     p = sub.add_parser("reduce")
@@ -538,17 +491,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve")
     p.add_argument("input")
     p.add_argument("equations")
-    p.add_argument("--kappa2", type=int, default=2)
-    p.add_argument("--oracle-bound", type=int, default=2)
+    p.add_argument("--kappa2", type=bound, default=2)
+    p.add_argument("--oracle-bound", type=bound, default=2)
     p.add_argument("--mode", choices=("sound", "finite-complete"),
                    default="sound")
-    p.add_argument("--theta-cap", type=int, default=1000)
+    p.add_argument("--theta-cap", type=bound, default=1000)
     p.add_argument("--ball-radius", type=radius, default=None)
     p.add_argument("--hints", default=None,
                    help="JSON list of base-group assignments to try first")
     p.add_argument("--cert", default=None,
                    help="write the certificate here when solved")
-    _add_build_args(p)
+    p.add_argument("--r-validate", type=bound, default=6)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("lift")

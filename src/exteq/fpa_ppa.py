@@ -90,10 +90,13 @@ class PPA:
 
     M1: PredictorFamily
     M2: PredictorFamily
-    ext: CentralExtension
     fsa: FSA
     states: list[Optional[tuple[int, int, ParityElement]]]
     memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def ext(self) -> CentralExtension:
+        return self.M1.ext
 
     def branch_values(self):
         return sorted(
@@ -102,7 +105,7 @@ class PPA:
         )
 
 
-def build_ppa(M1: PredictorFamily, M2: PredictorFamily, ext: CentralExtension) -> PPA:
+def build_ppa(M1: PredictorFamily, M2: PredictorFamily) -> PPA:
     """Run both predictors in lockstep, accumulating the parity of
     sigma_rho(x, x^-1) - sigma_rho(s̄₁, x) - sigma_rho(x^-1, s̄₂).
 
@@ -111,7 +114,7 @@ def build_ppa(M1: PredictorFamily, M2: PredictorFamily, ext: CentralExtension) -
     component is accepting the input families disagree about L and the
     construction aborts.
     """
-    alpha = M1.graph.alphabet
+    ext, alpha = M1.ext, M1.graph.alphabet
     if alpha != M2.graph.alphabet:
         raise ValueError("LFPA and RFPA over different alphabets")
     inverse = alpha.inverse
@@ -137,7 +140,7 @@ def build_ppa(M1: PredictorFamily, M2: PredictorFamily, ext: CentralExtension) -
         for i, st in enumerate(states)
         if st is not None and st[0] in T1 and st[1] in T2
     )
-    return PPA(M1, M2, ext, FSA(alpha, rows, 0, accepting), states)
+    return PPA(M1, M2, FSA(alpha, rows, 0, accepting), states)
 
 
 def ppa_branch(D: PPA, d: ParityElement) -> FSA:

@@ -365,7 +365,7 @@ def build_automata(
     except ResourceBound as exc:
         right_failure = exc
     cocycles = BallCocycles(ext, ball)
-    machines = [_family_machine(f, ext, cocycles) for f in fams.values()]
+    machines = [_family_machine(f, cocycles) for f in fams.values()]
     for fam, report in zip(fams.values(), _walk(lspec, R_validate, ball, machines)):
         _raise_for_family(fam, report)
     if right_failure is not None:
@@ -517,9 +517,7 @@ def _direct_value(ext: CentralExtension, kind: str, w: Word, x: str):
     return sigma_rho(ext, x, ext.base.alphabet.inverse_word(w))
 
 
-def _family_machine(
-    fam: PredictorFamily, ext: CentralExtension, cocycles: BallCocycles
-) -> tuple:
+def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
     """The family as a machine of _walk, its check comparing predicted
     and expected values for every letter.
 
@@ -529,7 +527,7 @@ def _family_machine(
     reach, are the letters checked one by one, by the string route where
     the row reads None.
     """
-    kind = fam.kind
+    kind, ext = fam.kind, fam.ext
     letters = ext.base.alphabet.letters
     group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
     if kind == Q_LEFT:

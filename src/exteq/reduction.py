@@ -355,32 +355,6 @@ def extend_to_fresh(
     return {v: values[v] for v in tri.variables if v in values}
 
 
-# -- the V-group context ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VGroupContext:
-    """The free group on the base generators, in which V_t is solved.
-
-    Group arithmetic is free reduction over base.alphabet; a V-word's
-    base-group element is its normal form.  kappa2 bounds the c-words of
-    Theta.
-    """
-
-    base: Presentation
-    kappa2: int
-
-    def __post_init__(self):
-        if self.kappa2 < 0:
-            raise ValueError("kappa2 must be >= 0")
-
-    def reduce(self, w: Word) -> Word:
-        return self.base.alphabet.free_reduce(w)
-
-    def inverse(self, w: Word) -> Word:
-        return self.base.alphabet.inverse_word(w)
-
-
 # -- Theta --------------------------------------------------------------
 
 
@@ -434,22 +408,22 @@ def _constant_base_word(value, base: Presentation) -> Word:
     return normal_form(base, value)
 
 
-def _c_words(F: PredictorFamily, ctx: VGroupContext):
+def _c_words(F: PredictorFamily, kappa2: int):
     """The freely reduced words of length <= kappa2 and their buckets by
-    normal form, kept on F by kappa2 (ctx's base is F's)."""
-    kept = F.memo.get(("c-words", ctx.kappa2))
+    normal form, kept on F by kappa2."""
+    kept = F.memo.get(("c-words", kappa2))
     if kept is None:
-        base = ctx.base
+        base = F.ext.base
         words = tuple(
             w
-            for w in words_up_to(base.alphabet, ctx.kappa2)
+            for w in words_up_to(base.alphabet, kappa2)
             if base.alphabet.is_freely_reduced(w)
         )
         groups: dict[Word, list[Word]] = {}
         for w in words:
             groups.setdefault(normal_form(base, w), []).append(w)
         bucket = {g: tuple(ws) for g, ws in groups.items()}
-        kept = F.memo[("c-words", ctx.kappa2)] = (words, bucket)
+        kept = F.memo[("c-words", kappa2)] = (words, bucket)
     return kept
 
 
@@ -471,12 +445,7 @@ def _compatible_states(F: PredictorFamily, c: Word) -> tuple[int, ...]:
     return opts
 
 
-def enumerate_theta(
-    tri: TriangularSystem,
-    ctx: VGroupContext,
-    F: PredictorFamily,
-    ext: CentralExtension,
-):
+def enumerate_theta(tri: TriangularSystem, pipe: Pipeline):
     """Deterministic stream of every tuple satisfying the four Theta
     conditions, with two identification rules, since differing choices
     leave V_t unsatisfiable: cells sharing an equation symbol share
@@ -488,18 +457,20 @@ def enumerate_theta(
     c-word's compatible states and each cell's (a, s') depend on F and
     kappa2 alone, so F keeps them for every later solve.
     """
-    base = ctx.base
+    F, kappa2 = pipe.F, pipe.kappa2
+    ext = F.ext
+    base = ext.base
     n = len(tri.rows)
-    words, bucket = _c_words(F, ctx)
+    words, bucket = _c_words(F, kappa2)
     if n == 1:
         # one row's c-rows can run to millions (about 10^6 c-words at
         # kappa2 = 7 on a genus-2 base), so they stay a lazy stream
         c_mats = ((row,) for row in _gen_c_rows(base, words, bucket))
     else:
-        c_rows = F.memo.get(("c-rows", ctx.kappa2))
+        c_rows = F.memo.get(("c-rows", kappa2))
         if c_rows is None:
             c_rows = tuple(_gen_c_rows(base, words, bucket))
-            F.memo[("c-rows", ctx.kappa2)] = c_rows
+            F.memo[("c-rows", kappa2)] = c_rows
         c_mats = itertools.product(c_rows, repeat=n)
     d_values = list(parity_elements(ext.kernel))
     syms = tri.row_symbols()
@@ -534,11 +505,7 @@ def enumerate_theta(
 
 
 def witness_theta(
-    tri: TriangularSystem,
-    ctx: VGroupContext,
-    F: PredictorFamily,
-    ext: CentralExtension,
-    gamma: dict[str, Word],
+    tri: TriangularSystem, pipe: Pipeline, gamma: dict[str, Word]
 ) -> tuple[ThetaIndex, dict[str, Word]]:
     """The index tuple read off a base-group solution with the trivial
     tripod decomposition p = 1, c = nf(g), plus the matching V-solution.
@@ -546,7 +513,9 @@ def witness_theta(
     With that decomposition every sbar is the initial state and every a
     and b vanishes; d is the parity of each cell's element.
     """
-    base = ctx.base
+    F, kappa2 = pipe.F, pipe.kappa2
+    ext = F.ext
+    base = ext.base
     init = F.graph.initial
     if init not in F.live:
         raise NotAcceptingState("initial state not accepting; empty word not in L")
@@ -560,9 +529,9 @@ def witness_theta(
                 g = _constant_base_word(tri.constants[sym], base)
             else:
                 g = normal_form(base, gamma[sym])
-            if len(g) > ctx.kappa2:
+            if len(g) > kappa2:
                 raise ResourceBound(
-                    f"kappa2={ctx.kappa2} too small for witness word {g!r}"
+                    f"kappa2={kappa2} too small for witness word {g!r}"
                 )
             if not F.graph.accepts(g):
                 raise Incompatible(f"normal form {g!r} rejected by L")
@@ -656,9 +625,7 @@ def build_Lb_automaton(
     return Lb
 
 
-def build_Le_automaton(
-    F: PredictorFamily, ext: CentralExtension, g: Word, ball: CayleyBall
-) -> FSA:
+def build_Le_automaton(F: PredictorFamily, g: Word, ball: CayleyBall) -> FSA:
     """DFA for the L-representatives of a base-group element.
 
     Tracks the walked element through the slack set S(g) of the ball
@@ -673,7 +640,7 @@ def build_Le_automaton(
     L-word w for g has |w| <= d(g) + nu.  Kept on F by nf(g) together
     with the ball it was built over.
     """
-    gnf = normal_form(ext.base, g)
+    gnf = normal_form(F.ext.base, g)
     nu = F.lspec.nu
     slack = len(gnf) + nu
     if ball.radius < slack:
@@ -740,19 +707,18 @@ class VSystem:
     Constraints are (automaton, inverted) pairs; an inverted constraint
     holds when the automaton accepts the inverse of the assigned word.
     The automata are immutable and shared with every other index tuple
-    and solve of the same pipeline, and `memo` is F's, on which the
-    oracle keeps what depends on them alone.  Cells sharing an equation
-    symbol share their v variable; all p variables are distinct.
+    and solve of the same pipeline, and the oracle keeps what depends on
+    them alone on F's memo.  Group arithmetic is free reduction over F's
+    base alphabet.  Cells sharing an equation symbol share their v
+    variable; all p variables are distinct.
     """
 
     t: ThetaIndex
     tri: TriangularSystem
-    ctx: VGroupContext
-    ext: CentralExtension
+    F: PredictorFamily = field(repr=False)
     p_names: tuple[tuple[str, str, str], ...]
     v_names: tuple[tuple[str, str, str], ...]
     constraints: dict[str, tuple]
-    memo: dict = field(repr=False, compare=False)
 
     def variables(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -763,42 +729,39 @@ class VSystem:
         return tuple(seen)
 
     def _constraint_ok(self, name: str, word: Word) -> bool:
+        inverse_word = self.F.ext.base.alphabet.inverse_word
         for fsa, inverted in self.constraints.get(name, ()):
-            probe = self.ctx.inverse(word) if inverted else word
-            if not fsa.accepts(probe):
+            if not fsa.accepts(inverse_word(word) if inverted else word):
                 return False
         return True
 
     def check(self, assignment: dict[str, Word]) -> bool:
+        alphabet = self.F.ext.base.alphabet
+        free_reduce, inverse_word = alphabet.free_reduce, alphabet.inverse_word
+        c, p_names = self.t.c, self.p_names
         for i in range(len(self.tri.rows)):
             for j in range(3):
-                lhs = self.ctx.reduce(
-                    assignment[self.p_names[i][j]]
-                    + self.t.c[i][j]
-                    + self.ctx.inverse(assignment[self.p_names[i][(j + 1) % 3]])
+                lhs = free_reduce(
+                    assignment[p_names[i][j]]
+                    + c[i][j]
+                    + inverse_word(assignment[p_names[i][(j + 1) % 3]])
                 )
-                if lhs != self.ctx.reduce(assignment[self.v_names[i][j]]):
+                if lhs != free_reduce(assignment[self.v_names[i][j]]):
                     return False
         return all(
             self._constraint_ok(name, assignment[name]) for name in self.variables()
         )
 
 
-def build_Vt(
-    t: ThetaIndex,
-    tri: TriangularSystem,
-    ctx: VGroupContext,
-    F: PredictorFamily,
-    D: PPA,
-    ext: CentralExtension,
-    ball: CayleyBall,
-) -> VSystem:
+def build_Vt(t: ThetaIndex, tri: TriangularSystem, pipe: Pipeline) -> VSystem:
     """Attach all four constraint families of the index tuple:
     p in L(sbar), p_next^-1 in L(b), v in L(d), and v in L(e).
 
     Each automaton is built on its first use and kept on F or D, so the
     index tuples and solves of one pipeline share it; it is immutable.
     """
+    F, D, ball = pipe.F, pipe.D, pipe.ball
+    base = F.ext.base
     constraints: dict[str, list] = {}
 
     def add(name, fsa, inverted=False):
@@ -816,19 +779,17 @@ def build_Vt(
             add(_p_name(i, (j + 1) % 3), Lb, inverted=True)
             add(_v_name(sym), ppa_branch(D, t.d[i][j]))
             if sym in tri.constants:
-                g = _constant_base_word(tri.constants[sym], ctx.base)
-                add(_v_name(sym), build_Le_automaton(F, ext, g, ball))
+                g = _constant_base_word(tri.constants[sym], base)
+                add(_v_name(sym), build_Le_automaton(F, g, ball))
             else:
                 add(_v_name(sym), L_full)
     return VSystem(
         t=t,
         tri=tri,
-        ctx=ctx,
-        ext=ext,
+        F=F,
         p_names=tuple(p_names),
         v_names=tuple(v_names),
         constraints={k: tuple(v) for k, v in constraints.items()},
-        memo=F.memo,
     )
 
 
@@ -986,12 +947,12 @@ def _p_domains(V: VSystem, bound: int) -> dict[str, tuple[Word, ...]]:
         for name in names:
             cons = V.constraints.get(name, ())
             key = ("domain", bound, tuple((id(fsa), inv) for fsa, inv in cons))
-            kept = V.memo.get(key)
+            kept = V.F.memo.get(key)
             if kept is None:
                 if candidates is None:
-                    candidates = tuple(words_up_to(V.ctx.base.alphabet, bound))
+                    candidates = tuple(words_up_to(V.F.ext.base.alphabet, bound))
                 domain = tuple(w for w in candidates if V._constraint_ok(name, w))
-                kept = V.memo[key] = (cons, domain)
+                kept = V.F.memo[key] = (cons, domain)
             domains[name] = kept[1]
     return domains
 
@@ -1005,11 +966,14 @@ def vf_oracle_solve(V: VSystem, bound: int) -> OracleOutcome:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     domains = _p_domains(V, bound)
+    alphabet = V.F.ext.base.alphabet
+    free_reduce, inverse_word = alphabet.free_reduce, alphabet.inverse_word
+    constraint_ok, c, n_rows = V._constraint_ok, V.t.c, len(V.tri.rows)
     v_assign: dict[str, Word] = {}
     p_assign: dict[str, Word] = {}
 
     def fill_row(i: int) -> bool:
-        if i == len(V.tri.rows):
+        if i == n_rows:
             return True
         pn = V.p_names[i]
         for trip in itertools.product(
@@ -1018,15 +982,13 @@ def vf_oracle_solve(V: VSystem, bound: int) -> OracleOutcome:
             added = []
             ok = True
             for j in range(3):
-                w = V.ctx.reduce(
-                    trip[j] + V.t.c[i][j] + V.ctx.inverse(trip[(j + 1) % 3])
-                )
+                w = free_reduce(trip[j] + c[i][j] + inverse_word(trip[(j + 1) % 3]))
                 name = V.v_names[i][j]
                 if name in v_assign:
                     if v_assign[name] != w:
                         ok = False
                         break
-                elif V._constraint_ok(name, w):
+                elif constraint_ok(name, w):
                     v_assign[name] = w
                     added.append(name)
                 else:
@@ -1063,8 +1025,9 @@ def check_constraint_lemma(V: VSystem, vsol: dict[str, Word]) -> LemmaReport:
     V-solution: (1) sigma_q(pi(p), pi(c)) = a; (2) sigma_q(pi(p c),
     pi(p_next^-1)) = b; (3) Pa(sigma_rho(pi(v), pi(v)^-1)) = d;
     (4) pi(v) = p(e) for constant cells."""
-    ext, t = V.ext, V.t
-    base = V.ctx.base
+    ext, t = V.F.ext, V.t
+    base = ext.base
+    inverse_word = base.alphabet.inverse_word
     failures = []
     for i, row in enumerate(V.tri.rows):
         for j, sym in enumerate(row):
@@ -1074,9 +1037,9 @@ def check_constraint_lemma(V: VSystem, vsol: dict[str, Word]) -> LemmaReport:
             vw = vsol[V.v_names[i][j]]
             if sigma_q(ext, pw, cw) != t.a[i][j]:
                 failures.append((1, i, j))
-            if sigma_q(ext, pw + cw, base.alphabet.inverse_word(pnext)) != t.b[i][j]:
+            if sigma_q(ext, pw + cw, inverse_word(pnext)) != t.b[i][j]:
                 failures.append((2, i, j))
-            if pa(sigma_rho(ext, vw, base.alphabet.inverse_word(vw))) != t.d[i][j]:
+            if pa(sigma_rho(ext, vw, inverse_word(vw))) != t.d[i][j]:
                 failures.append((3, i, j))
             if sym in V.tri.constants:
                 g = _constant_base_word(V.tri.constants[sym], base)
@@ -1102,13 +1065,13 @@ def lift_solution(
     each row multiplies to the identity, every element lies in the
     embedded copy of E, and constant cells reproduce their constants.
     Returns the E-assignment of the source variables."""
-    ext, ctx, t, tri = V.ext, V.ctx, V.t, V.tri
+    ext, t, tri = V.F.ext, V.t, V.tri
     per_sym: dict[str, ExtElement] = {}
     transcript = []
     for i, row in enumerate(tri.rows):
         row_elts = []
         for j, sym in enumerate(row):
-            gword = normal_form(ctx.base, vsol[V.v_names[i][j]])
+            gword = normal_form(ext.base, vsol[V.v_names[i][j]])
             if sym in tri.constants:
                 wval = W.constant_values[sym]
             else:
@@ -1186,15 +1149,24 @@ class SolveOutcome:
 
 @dataclass
 class Pipeline:
-    """The built automaton stack a solve run needs: F, the validated
-    q-left family, whose live states are L, and the PPA D over the
-    rho-left and reversed families."""
+    """The built automaton stack, the one handle every solve and every
+    per-tuple step reads: F, the validated q-left family, whose live
+    states are L; the PPA D over the rho-left and reversed families; the
+    ball they were validated on; and kappa2, the bound on the c-words of
+    Theta.  The extension is F's."""
 
-    ext: CentralExtension
-    ctx: VGroupContext
     F: PredictorFamily
     D: PPA
     ball: CayleyBall
+    kappa2: int
+
+    def __post_init__(self):
+        if self.kappa2 < 0:
+            raise ValueError("kappa2 must be >= 0")
+
+    @property
+    def ext(self) -> CentralExtension:
+        return self.F.ext
 
     @classmethod
     def build(
@@ -1215,8 +1187,8 @@ class Pipeline:
         radius = max(R_validate, ball_radius or 0)
         ball = build_ball(ext.base, radius)
         fams = build_automata(ext, lspec, R_validate, ball)
-        D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED], ext)
-        return cls(ext, VGroupContext(ext.base, kappa2), fams[Q_LEFT], D, ball)
+        D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
+        return cls(fams[Q_LEFT], D, ball, kappa2)
 
 
 def finite_diameter(ball: CayleyBall) -> Optional[int]:
@@ -1237,15 +1209,28 @@ def solve(
     Sound mode scans hint-derived witness tuples, then the generic Theta
     stream up to the cap; every Solved outcome carries a certificate
     whose lift was verified by direct multiplication.  Finite-complete
-    mode (finite base group, kappa2 and oracle bound at least the
-    diameter) exhausts base-group solutions through their witness
-    tuples, which is a proof of Unsolvable when none admits a solvable
-    W_t.  A witness tuple's V-solution is witness_theta's (p = 1,
-    v = nf(g)), used once V_t accepts it; one that V_t rejects is an
-    anomaly, so the verdict cannot read Unsolvable.  The bounded oracle
-    searches only the Theta stream's tuples."""
+    mode (finite base group, kappa2 at least the diameter, both checked
+    before any witness is tried) goes on from the hints to every
+    base-group solution, through its witness tuple, which is a proof of
+    Unsolvable when none admits a solvable W_t.  A witness tuple's
+    V-solution is witness_theta's (p = 1, v = nf(g)), used once V_t
+    accepts it; one that V_t rejects is an anomaly, so the verdict
+    cannot read Unsolvable.  The bounded oracle searches only the Theta
+    stream's tuples."""
     config = config or SolveConfig()
-    ext, ctx, F, D, ball = pipe.ext, pipe.ctx, pipe.F, pipe.D, pipe.ball
+    ext, F, ball = pipe.ext, pipe.F, pipe.ball
+    base = ext.base
+    finite = config.mode == "finite-complete"
+    if finite:
+        diam = finite_diameter(ball)
+        if diam is None:
+            raise ValueError(
+                "finite-complete mode needs a finite base group (closed ball)"
+            )
+        if pipe.kappa2 < diam:
+            raise ValueError(
+                f"finite-complete mode needs kappa2 >= diameter {diam}"
+            )
     tri = triangularize(sys, identity(ext))
     gsys = project_to_base(sys)
     report: dict = {
@@ -1268,14 +1253,14 @@ def solve(
                 if len(report["obstructions"]) < 20:
                     report["obstructions"].append(ob)
             return None
-        V = build_Vt(t, tri, ctx, F, D, ext, ball)
+        V = build_Vt(t, tri, pipe)
         if vsol_hint is not None:
             if not V.check(vsol_hint):
                 report["anomalies"].append("witness solution rejected by V_t")
                 return None
             vsol = vsol_hint
         else:
-            res = vf_oracle_solve(V, max(config.oracle_bound, ctx.kappa2))
+            res = vf_oracle_solve(V, max(config.oracle_bound, pipe.kappa2))
             if not res.found:
                 report["oracle_exhausted"] += 1
                 return None
@@ -1297,42 +1282,34 @@ def solve(
         certificate["report"] = report
         return SolveOutcome(SOLVED, lift.assignment, certificate, report)
 
-    for gamma in config.gamma_hints:
-        gnf = {v: normal_form(ext.base, w) for v, w in gamma.items()}
-        if set(gnf) != set(sys.variables) or not check_in_base(gsys, ext.base, gnf):
-            report["anomalies"].append(f"hint {gamma} does not solve the base system")
-            continue
-        gfull = extend_to_fresh(tri, ext.base, gnf)
-        t, vsol = witness_theta(tri, ctx, F, ext, gfull)
+    nsol = 0
+
+    def base_solutions():
+        # the hints, then in finite-complete mode every solution over the
+        # ball, nsol counting the latter
+        nonlocal nsol
+        for gamma in config.gamma_hints:
+            gnf = {v: normal_form(base, w) for v, w in gamma.items()}
+            if set(gnf) == set(sys.variables) and check_in_base(gsys, base, gnf):
+                yield gnf
+            else:
+                report["anomalies"].append(
+                    f"hint {gamma} does not solve the base system"
+                )
+        if finite:
+            for combo in itertools.product(ball.words, repeat=len(sys.variables)):
+                gamma = dict(zip(sys.variables, combo))
+                if check_in_base(gsys, base, gamma):
+                    nsol += 1
+                    yield gamma
+
+    for gamma in base_solutions():
+        t, vsol = witness_theta(tri, pipe, extend_to_fresh(tri, base, gamma))
         out = attempt(t, vsol)
         if out is not None:
             return out
 
-    if config.mode == "finite-complete":
-        diam = finite_diameter(ball)
-        if diam is None:
-            raise ValueError(
-                "finite-complete mode needs a finite base group (closed ball)"
-            )
-        if ctx.kappa2 < diam:
-            raise ValueError(
-                f"finite-complete mode needs kappa2 >= diameter {diam}"
-            )
-        if config.oracle_bound < diam:
-            raise ValueError(
-                f"finite-complete mode needs oracle_bound >= diameter {diam}"
-            )
-        nsol = 0
-        for combo in itertools.product(ball.words, repeat=len(sys.variables)):
-            gamma = dict(zip(sys.variables, combo))
-            if not check_in_base(gsys, ext.base, gamma):
-                continue
-            nsol += 1
-            gfull = extend_to_fresh(tri, ext.base, gamma)
-            t, vsol = witness_theta(tri, ctx, F, ext, gfull)
-            out = attempt(t, vsol)
-            if out is not None:
-                return out
+    if finite:
         report["gamma_solutions"] = nsol
         if report["anomalies"]:
             return SolveOutcome(NO_SOLUTION_WITHIN_BOUNDS, report=report)
@@ -1349,7 +1326,7 @@ def solve(
         report["theta_truncated"] = False
         return SolveOutcome(NO_SOLUTION_WITHIN_BOUNDS, report=report)
 
-    stream = enumerate_theta(tri, ctx, F, ext)
+    stream = enumerate_theta(tri, pipe)
     truncated = False
     try:
         for t in itertools.islice(stream, config.theta_cap):

@@ -168,7 +168,7 @@ def walk_alone(automaton, R: int, ball: CayleyBall, lspec=None, cocycles=None):
     if isinstance(automaton, PredictorFamily):
         lspec, ext = automaton.lspec, automaton.ext
         cocycles = cocycles or BallCocycles(ext, ball)
-        machine = _family_machine(automaton, ext, cocycles)
+        machine = _family_machine(automaton, cocycles)
     else:
         machine = (automaton, lambda w, s, g: ())
     return _walk(lspec, R, ball, [machine])[0]
@@ -280,7 +280,7 @@ def _build_stack(ext: CentralExtension, R_validate: int, ball_radius=None) -> St
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, ball_radius or R_validate)
     fams = build_automata(ext, lspec, R_validate, ball)
-    ppa = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED], ext)
+    ppa = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
     return Stack(ext, lspec, ball, fams, ppa)
 
 

@@ -37,7 +37,6 @@ from exteq.instances import t1s_commutator_system
 from exteq.reduction import (
     Pipeline,
     SolveConfig,
-    VGroupContext,
     check_in_extension,
     solve,
 )
@@ -57,13 +56,7 @@ def _sigma_cache(fn, ext):
 
 
 def _pipeline_from(stack, kappa2):
-    return Pipeline(
-        ext=stack.ext,
-        ctx=VGroupContext(stack.ext.base, kappa2),
-        F=stack.fpa,
-        D=stack.ppa,
-        ball=stack.ball,
-    )
+    return Pipeline(F=stack.fpa, D=stack.ppa, ball=stack.ball, kappa2=kappa2)
 
 
 # -- 1: cocycle condition -----------------------------------------------

@@ -1,12 +1,13 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from exteq import cli, files
+from exteq import files
 from exteq.automata import words_up_to
 from exteq.cli import cmd_dispatch
 from exteq.errors import SchemaError
@@ -155,36 +156,41 @@ def test_verify_invariants_radius_zero(capsys):
     assert code == 0
 
 
+def _build_file(tmp_path, capsys):
+    """Run `exteq build` on Q8 and return the written file with the stack
+    that Pipeline.build gives for the same bounds."""
+    out_path = tmp_path / "pipeline.json"
+    code, _ = run_cli("build", str(DATA / "quaternion8.json"),
+                      "--out", str(out_path), capsys=capsys)
+    assert code == 0
+    written = files.load_json(str(out_path))
+    assert written["validated_radius"] == 6
+    return written, Pipeline.build(quaternion8(), kappa2=2, R_validate=6)
+
+
 def test_build_automata_writes_file(tmp_path, capsys):
     # the written L is F's graph, the L that solve uses
-    out_path = tmp_path / "L.json"
-    code, _ = run_cli(
-        "build-automata", str(DATA / "quaternion8.json"),
-        "--out", str(out_path), capsys=capsys,
-    )
-    assert code == 0
-    M, report = files.automaton_from_json(files.load_json(str(out_path)))
+    written, pipe = _build_file(tmp_path, capsys)
+    M, report = files.automaton_from_json(written["fpa"]["automaton"])
     assert not report["completed_with_sink"]
-    want = Pipeline.build(quaternion8(), kappa2=2, R_validate=6).F.graph
+    want = pipe.F.graph
     assert M.n_states == want.n_states
     assert M.accepting == want.accepting
     for w in words_up_to(want.alphabet, 4):
         assert M.accepts(w) == want.accepts(w), w
 
 
-@pytest.mark.parametrize("command", ["build-fpa", "build-ppa"])
-def test_build_fpa_and_ppa_write_their_automata(tmp_path, capsys, command):
+# the ids name the retired commands whose output is now one part of the
+# file that `exteq build` writes
+@pytest.mark.parametrize("part", ["fpa", "ppa"], ids=["build-fpa", "build-ppa"])
+def test_build_fpa_and_ppa_write_their_automata(tmp_path, capsys, part):
     # languages, not numbering: the same stack as Pipeline.build, compared
     # by state count, accepting set or branches, and words up to length 4
-    out_path = tmp_path / "out.json"
-    code, _ = run_cli(command, str(DATA / "quaternion8.json"),
-                      "--out", str(out_path), capsys=capsys)
-    assert code == 0
-    written = files.load_json(str(out_path))
+    build, pipe = _build_file(tmp_path, capsys)
+    written = build[part]
     M, report = files.automaton_from_json(written["automaton"])
     assert not report["completed_with_sink"]
-    pipe = Pipeline.build(quaternion8(), kappa2=2, R_validate=6)
-    if command == "build-fpa":
+    if part == "fpa":
         want = pipe.F.graph
         assert written["accepting"] == sorted(pipe.F.live)
         assert written["readout"] == {
@@ -202,6 +208,46 @@ def test_build_fpa_and_ppa_write_their_automata(tmp_path, capsys, command):
     assert M.accepting == want.accepting
     for w in words_up_to(want.alphabet, 4):
         assert M.accepts(w) == want.accepts(w), w
+
+
+@pytest.mark.parametrize("command", ["build-automata", "build-fpa", "build-ppa"])
+def test_retired_build_commands_exit_3(capsys, command):
+    # `exteq build` writes what the three wrote, from one build
+    with pytest.raises(SystemExit) as e:
+        cmd_dispatch([command, str(DATA / "quaternion8.json")])
+    assert e.value.code == 3
+    assert command in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The argument lists of the `exteq` lines in the README's Command
+    line block, and the eqs.json its heredoc writes."""
+    text = (DATA.parent / "README.md").read_text()
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    eqs = block.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:]
+            for line in lines if line.startswith("exteq ")], eqs
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # a removed or renamed subcommand or option exits 3; demo-t1s exits
+    # 1 by design
+    commands, eqs = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "check-presentation", "ball", "cocycle-table", "build",
+        "verify-invariants", "solve", "lift", "demo-t1s",
+    ]
+    (tmp_path / "eqs.json").write_text(eqs)
+    (tmp_path / "data").symlink_to(DATA)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        try:
+            code = cmd_dispatch(argv)
+        except SystemExit as e:
+            code = e.code
+        assert code != 3, argv
 
 
 def test_python_m_runs_the_cli():
@@ -232,10 +278,10 @@ def test_empty_state_cap_variable_means_default(monkeypatch):
 def test_solve_rejects_hint_letters_outside_alphabet(
     q8_eqs, tmp_path, capsys, monkeypatch
 ):
-    def no_build(*args):
+    def no_build(*args, **kwargs):
         raise AssertionError("hints must be checked before the build")
 
-    monkeypatch.setattr(cli, "_build_pipeline", no_build)
+    monkeypatch.setattr(Pipeline, "build", no_build)
     path = tmp_path / "hints.json"
     path.write_text(json.dumps([{"x": "st"}, {"x": "sq"}]))
     code, _ = run_cli("solve", str(DATA / "quaternion8.json"), q8_eqs(["x x Z"]),
@@ -358,6 +404,19 @@ def test_usage_errors_exit_above_two(capsys):
             cmd_dispatch(argv)
         assert e.value.code == 3, argv
         assert "radius must be >= 0" in capsys.readouterr().err
+    # rejected while parsing: neither file exists, and a missing file
+    # would exit 3 without SystemExit
+    for argv, option in (
+        (["build", "missing.json", "--r-validate", "-1"], "--r-validate"),
+        (["solve", "missing.json", "eqs.json", "--kappa2", "-1"], "--kappa2"),
+        (["solve", "missing.json", "eqs.json", "--oracle-bound", "-1"],
+         "--oracle-bound"),
+        (["solve", "missing.json", "eqs.json", "--theta-cap", "-1"], "--theta-cap"),
+    ):
+        with pytest.raises(SystemExit) as e:
+            cmd_dispatch(argv)
+        assert e.value.code == 3, argv
+        assert f"argument {option}: bound must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("assignment", [
@@ -461,6 +520,15 @@ def test_repeated_key_exits_3(tmp_path, capsys):
     assert str(path) in err and "'z'" in err and "repeated" in err
     with pytest.raises(SchemaError, match="repeated"):
         files.load_json(str(path))
+
+
+@pytest.mark.parametrize("text", ["3", "true", "null"])
+@pytest.mark.parametrize("command", [["check-presentation"], ["ball", "--radius", "1"]])
+def test_non_object_presentation_exits_3(tmp_path, capsys, text, command):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli(command[0], str(path), *command[1:]) == (3, "")
+    assert str(path) in capsys.readouterr().err
 
 
 def test_schema_error_exit(tmp_path, capsys):

@@ -204,7 +204,7 @@ def test_ppa_matches_reference(request, stack_name):
         {ref_states[i][2] for i in ref.accepting}, key=lambda p: (p.bits, p.tors)
     )
     # the same automaton over the renumbered RFPA, labels mapped back
-    D2 = build_ppa(stack.lfpa, M2, stack.ext)
+    D2 = build_ppa(stack.lfpa, M2)
     assert D2.fsa == D.fsa
     assert D2.states == [
         None if st is None else (st[0], rfpa_state[st[1]], st[2]) for st in D.states
@@ -244,10 +244,10 @@ def test_constructions_keep_their_cap_errors(q8_stack, monkeypatch):
         (AccumulatorBound, "accumulator graph",
          lambda: len(_accumulator(replace(F, memo={}), sprime, "").states)),
         (ResourceBound, "parity automaton",
-         lambda: build_ppa(q8_stack.lfpa, q8_stack.rfpa, ext).fsa.n_states),
+         lambda: build_ppa(q8_stack.lfpa, q8_stack.rfpa).fsa.n_states),
         (ResourceBound, "representative automaton",
          lambda: build_Le_automaton(
-             replace(F, memo={}), ext, "st", q8_stack.ball
+             replace(F, memo={}), "st", q8_stack.ball
          ).n_states),
     ]
     for error, what, build in builds:
@@ -268,4 +268,4 @@ def test_ppa_disagreeing_predictors_raise(q8_stack):
     victim = G.step(G.initial, "s")
     graph = FSA(G.alphabet, G.transitions, G.initial, G.accepting - {victim})
     with pytest.raises(SinkOnPrefix):
-        build_ppa(q8_stack.lfpa, replace(rfpa, graph=graph, memo={}), q8_stack.ext)
+        build_ppa(q8_stack.lfpa, replace(rfpa, graph=graph, memo={}))

@@ -231,7 +231,7 @@ def test_ppa_initial_branch_holds_identity(dihedral_stack):
 
 def test_split_ppa_single_branch(split_stack):
     ext, fams = split_stack
-    D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED], ext)
+    D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
     zero = ParityElement.zero(ext.kernel)
     assert D.branch_values() == [zero]
     assert language_equal(ppa_branch(D, zero), D.fsa)

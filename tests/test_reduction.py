@@ -44,7 +44,6 @@ from exteq.reduction import (
     EquationSystem,
     Pipeline,
     SolveConfig,
-    VGroupContext,
     build_Lb_automaton,
     build_Le_automaton,
     build_Vt,
@@ -81,13 +80,7 @@ def test_pipeline_builds_one_cocycle_table(monkeypatch):
 @pytest.fixture(scope="module")
 def q8_pipe(q8_stack):
     s = q8_stack
-    return Pipeline(
-        ext=s.ext,
-        ctx=VGroupContext(s.ext.base, 2),
-        F=s.fpa,
-        D=s.ppa,
-        ball=s.ball,
-    )
+    return Pipeline(F=s.fpa, D=s.ppa, ball=s.ball, kappa2=2)
 
 
 def _q8_systems(ext):
@@ -278,7 +271,7 @@ def test_Le_accepts_exactly_representatives(q8_stack):
     F = q8_stack.fpa
     ext = q8_stack.ext
     for g in ("", "s", "st"):
-        M = build_Le_automaton(F, ext, g, q8_stack.ball)
+        M = build_Le_automaton(F, g, q8_stack.ball)
         for w in words_up_to(ext.base.alphabet, 5):
             expect = F.graph.accepts(w) and normal_form(ext.base, w) == g
             assert M.accepts(w) == expect, (g, w)
@@ -335,7 +328,7 @@ def _assert_Le_equals_reference(stack, gs):
     F, ext, ball = stack.fpa, stack.ext, stack.ball
     sizes = {}
     for g, ref in reference_Le(F, ext, gs, ball).items():
-        Le = build_Le_automaton(replace(F, memo={}), ext, g, ball)
+        Le = build_Le_automaton(replace(F, memo={}), g, ball)
         assert language_equal(Le, ref), g
         sizes[g] = Le.n_states
     return sizes
@@ -373,7 +366,7 @@ def test_Le_of_demo_constants_is_small(t1s_stack):
         }
     assert "" in gs and "a" in gs
     for g in sorted(gs):
-        Le = build_Le_automaton(replace(F, memo={}), ext, g, ball)
+        Le = build_Le_automaton(replace(F, memo={}), g, ball)
         assert Le.n_states <= 20, (g, Le.n_states)
 
 
@@ -434,12 +427,12 @@ def test_kept_automata_equal_fresh_builds(name, request, monkeypatch):
     for c in {normal_form(ext.base, c) for _, c in cells}:
         if len(c) + nu > ball.radius:
             continue
-        Le = build_Le_automaton(F, ext, c, ball)
+        Le = build_Le_automaton(F, c, ball)
         # a word with the same normal form reads the same automaton
         x = ext.base.alphabet.letters[0]
         padded = c + x + ext.base.alphabet.inverse[x]
-        assert build_Le_automaton(F, ext, padded, ball) is Le
-        fresh_Le = build_Le_automaton(replace(F, memo={}), ext, padded, ball)
+        assert build_Le_automaton(F, padded, ball) is Le
+        fresh_Le = build_Le_automaton(replace(F, memo={}), padded, ball)
         assert _fsa_key(fresh_Le) == _fsa_key(Le)
 
 
@@ -454,7 +447,7 @@ def test_kept_automata_raise_as_fresh_builds(dihedral_stack):
     sbar = sorted(F.live)[0]
     A = compute_A_set(F, sbar, "")
     fpa_branch(F, sbar)
-    build_Le_automaton(F, ext, "s", ball)
+    build_Le_automaton(F, "s", ball)
     fresh = replace(F, memo={})
     outside_T = next(s for s in range(F.graph.n_states) if s not in F.live)
     bad = next(
@@ -470,7 +463,7 @@ def test_kept_automata_raise_as_fresh_builds(dihedral_stack):
         (Incompatible, lambda G: compute_A_set(G, sbar, bad)),
         (Incompatible, lambda G: build_Lb_automaton(G, sbar, bad, next(iter(A)))),
         (ValueNotInASet, lambda G: build_Lb_automaton(G, sbar, "", outside_b)),
-        (BallTooSmall, lambda G: build_Le_automaton(G, ext, "s", small)),
+        (BallTooSmall, lambda G: build_Le_automaton(G, "s", small)),
     ]
     for err, call in calls:
         hit = _raised(lambda: call(F))
@@ -504,12 +497,12 @@ def test_kept_accumulator_graph_obeys_cap_in_force(dihedral_stack, monkeypatch):
 
 def test_Le_rebuilt_over_another_ball(q8_stack):
     F, ext = q8_stack.fpa, q8_stack.ext
-    Le = build_Le_automaton(F, ext, "st", q8_stack.ball)
+    Le = build_Le_automaton(F, "st", q8_stack.ball)
     other = build_ball(ext.base, q8_stack.ball.radius)
-    again = build_Le_automaton(F, ext, "st", other)
+    again = build_Le_automaton(F, "st", other)
     assert again is not Le
     assert _fsa_key(again) == _fsa_key(Le)
-    assert build_Le_automaton(F, ext, "st", other) is again
+    assert build_Le_automaton(F, "st", other) is again
 
 
 # -- Theta enumeration --------------------------------------------------
@@ -526,12 +519,12 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
     # conditions checked one by one, each constant's d pinned to the
     # parity of its element
     ext, F = dihedral_stack.ext, dihedral_stack.fpa
-    ctx = VGroupContext(ext.base, 1)
+    pipe = Pipeline(F=F, D=dihedral_stack.ppa, ball=dihedral_stack.ball, kappa2=1)
     sys = _dihedral_system(ext)
     tri = triangularize(sys, identity(ext))
-    got = list(enumerate_theta(tri, ctx, F, ext))
+    got = list(enumerate_theta(tri, pipe))
     # deterministic stream
-    again = list(enumerate_theta(tri, ctx, F, ext))
+    again = list(enumerate_theta(tri, pipe))
     assert [t.c for t in got] == [t.c for t in again]
     assert [t.b for t in got] == [t.b for t in again]
 
@@ -567,11 +560,11 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
 
 def test_witness_tuple_is_in_stream(dihedral_stack):
     ext, F = dihedral_stack.ext, dihedral_stack.fpa
-    ctx = VGroupContext(ext.base, 1)
+    pipe = Pipeline(F=F, D=dihedral_stack.ppa, ball=dihedral_stack.ball, kappa2=1)
     tri = triangularize(_dihedral_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": "s"})
-    t, _ = witness_theta(tri, ctx, F, ext, gamma)
-    assert t in enumerate_theta(tri, ctx, F, ext)
+    t, _ = witness_theta(tri, pipe, gamma)
+    assert t in enumerate_theta(tri, pipe)
 
 
 # -- witness tuples, V_t, W_t, lifting ----------------------------------
@@ -586,29 +579,29 @@ def test_witness_theta_solves_Vt(q8_pipe):
     ext = q8_pipe.ext
     tri = triangularize(_twisted_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
-    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
+    t, vsol = witness_theta(tri, q8_pipe, gamma)
     assert all(a.is_zero() for row in t.a for a in row)
     assert all(b.is_zero() for row in t.b for b in row)
-    V = build_Vt(t, tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, q8_pipe.ball)
+    V = build_Vt(t, tri, q8_pipe)
     assert V.check(vsol)
     assert check_constraint_lemma(V, vsol).passed
 
 
 def test_witness_theta_kappa_too_small(q8_pipe):
     ext = q8_pipe.ext
-    ctx = VGroupContext(ext.base, 0)
+    pipe = replace(q8_pipe, kappa2=0)
     tri = triangularize(_twisted_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": "s"})
     with pytest.raises(ResourceBound):
-        witness_theta(tri, ctx, q8_pipe.F, ext, gamma)
+        witness_theta(tri, pipe, gamma)
 
 
 def test_oracle_finds_witness_solution(q8_pipe):
     ext = q8_pipe.ext
     tri = triangularize(_twisted_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
-    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
-    V = build_Vt(t, tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, q8_pipe.ball)
+    t, vsol = witness_theta(tri, q8_pipe, gamma)
+    V = build_Vt(t, tri, q8_pipe)
     res = vf_oracle_solve(V, 2)
     assert res.found
     assert V.check(res.assignment)
@@ -621,12 +614,12 @@ def test_lift_roundtrip_and_converse_formula(q8_pipe):
     sys = _twisted_system(ext)
     tri = triangularize(sys, identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
-    t, vsol = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
+    t, vsol = witness_theta(tri, q8_pipe, gamma)
     W = build_Wt(t, tri, q8_pipe.F)
     assert W.no_solution is None
     wsol = W.solve()
     assert wsol is not None
-    V = build_Vt(t, tri, q8_pipe.ctx, q8_pipe.F, q8_pipe.D, ext, q8_pipe.ball)
+    V = build_Vt(t, tri, q8_pipe)
     lift = lift_solution(V, W, vsol, wsol)
     assert check_in_extension(sys, ext, lift.assignment)
     # converse: reading the kernel datum back off each lifted element
@@ -651,7 +644,7 @@ def test_Wt_obstruction_certificate(q8_pipe):
     sys = EquationSystem(("x",), {"z": z}, ("x x x x Z",))
     tri = triangularize(sys, identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
-    t, _ = witness_theta(tri, q8_pipe.ctx, q8_pipe.F, ext, gamma)
+    t, _ = witness_theta(tri, q8_pipe, gamma)
     W = build_Wt(t, tri, q8_pipe.F)
     assert W.solve() is None
     ob = W.obstruction()
@@ -717,20 +710,20 @@ def test_solve_hint_path(q8_pipe):
 
 def test_finite_complete_guards(q8_pipe):
     sys = _twisted_system(q8_pipe.ext)
+    small = Pipeline(F=q8_pipe.F, D=q8_pipe.D, ball=q8_pipe.ball, kappa2=1)
     with pytest.raises(ValueError):
-        solve(
-            sys,
-            Pipeline(
-                ext=q8_pipe.ext,
-                ctx=VGroupContext(q8_pipe.ext.base, 1),
-                F=q8_pipe.F,
-                D=q8_pipe.D,
-                ball=q8_pipe.ball,
-            ),
-            SolveConfig(mode="finite-complete", oracle_bound=2),
-        )
-    with pytest.raises(ValueError):
-        solve(sys, q8_pipe, SolveConfig(mode="finite-complete", oracle_bound=1))
+        solve(sys, small, SolveConfig(mode="finite-complete", oracle_bound=2))
+    # no oracle runs in finite-complete mode, so its bound guards nothing
+    out = solve(sys, q8_pipe, SolveConfig(mode="finite-complete", oracle_bound=1))
+    want = solve(sys, q8_pipe, SolveConfig(mode="finite-complete", oracle_bound=2))
+    assert out.status == want.status == "solved"
+    assert out.assignment == want.assignment
+    # the kappa2 guard runs before any hint: x = 1 solves at kappa2 = 1
+    # in sound mode, but finite-complete mode still refuses the pipeline
+    hint = ({"x": ""},)
+    assert solve(sys, small, SolveConfig(gamma_hints=hint)).status == "solved"
+    with pytest.raises(ValueError, match="kappa2"):
+        solve(sys, small, SolveConfig(mode="finite-complete", gamma_hints=hint))
 
 
 def test_finite_diameter(q8_stack, dihedral_stack):

@@ -57,7 +57,7 @@ def test_families_and_ppa_match_reference(request, stack_name):
         assert same_table(fam.graph, ref[kind].graph), kind
         assert fam.values == ref[kind].values, kind
         assert fam.value_sets == ref[kind].value_sets, kind
-    D = build_ppa(ref[RHO_LEFT], ref[RHO_RIGHT_REVERSED], stack.ext)
+    D = build_ppa(ref[RHO_LEFT], ref[RHO_RIGHT_REVERSED])
     assert D.fsa == stack.ppa.fsa
     assert D.states == stack.ppa.states
 

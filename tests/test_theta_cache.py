@@ -13,6 +13,7 @@ a stream at another kappa2, and must keep nothing that outlives its key.
 import itertools
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,7 +47,6 @@ from exteq.reduction import (
     Pipeline,
     SolveConfig,
     ThetaIndex,
-    VGroupContext,
     WSystem,
     _accumulator,
     _constant_base_word,
@@ -244,7 +244,7 @@ def _w_of(build, t, tri, F):
 @pytest.fixture(scope="module")
 def corpus_pipes(q8_stack, modular16_stack):
     return {
-        name: Pipeline(s.ext, VGroupContext(s.ext.base, 2), s.fpa, s.ppa, s.ball)
+        name: Pipeline(s.fpa, s.ppa, s.ball, 2)
         for name, s in (("quaternion8", q8_stack), ("modular16", modular16_stack))
     }
 
@@ -258,7 +258,8 @@ HEAD = 40
 def test_stream_and_Wt_equal_reference(corpus_pipes, ext_name):
     pipe = _cold(corpus_pipes[ext_name])
     ext, F = pipe.ext, pipe.F
-    ctx, other = pipe.ctx, VGroupContext(ext.base, 1)
+    # what the reference stream reads of a kappa2: the base and the bound
+    ctx, other = (SimpleNamespace(base=ext.base, kappa2=k) for k in (pipe.kappa2, 1))
     cases = []
     for entry in _corpus(ext_name):
         sys_ = files.equation_system_from_json(entry["system"], ext)
@@ -274,7 +275,9 @@ def test_stream_and_Wt_equal_reference(corpus_pipes, ext_name):
         for k, (tri, c, ref, ref_W) in enumerate(cases):
             if c.kappa2 != kappa2:
                 continue
-            got = list(itertools.islice(enumerate_theta(tri, c, F, ext), HEAD))
+            got = list(itertools.islice(
+                enumerate_theta(tri, replace(pipe, kappa2=c.kappa2)), HEAD
+            ))
             assert got == ref, (label, k)
             for t, want in zip(got, ref_W):
                 assert _w_of(build_Wt, t, tri, F) == want, (label, k, t)
@@ -307,19 +310,22 @@ def _dihedral_tri(ext):
 def test_dihedral_whole_stream_equals_reference(dihedral_stack):
     ext = dihedral_stack.ext
     F = replace(dihedral_stack.fpa, memo={})
-    ctx = VGroupContext(ext.base, 1)
+    ctx = SimpleNamespace(base=ext.base, kappa2=1)
+    pipe = Pipeline(F, dihedral_stack.ppa, dihedral_stack.ball, 1)
     tri = _dihedral_tri(ext)
     ref = list(reference_enumerate_theta(tri, ctx, F, ext))
     assert len(ref) > HEAD
-    other = VGroupContext(ext.base, 2)
+    other = SimpleNamespace(base=ext.base, kappa2=2)
     ref_other = list(itertools.islice(reference_enumerate_theta(tri, other, F, ext), HEAD))
     F.memo.clear()
-    assert list(enumerate_theta(tri, ctx, F, ext)) == ref
-    assert list(enumerate_theta(tri, ctx, F, ext)) == ref
+    assert list(enumerate_theta(tri, pipe)) == ref
+    assert list(enumerate_theta(tri, pipe)) == ref
     # kappa2 = 1 once F keeps what a kappa2 = 2 stream left
     F.memo.clear()
-    assert list(itertools.islice(enumerate_theta(tri, other, F, ext), HEAD)) == ref_other
-    assert list(enumerate_theta(tri, ctx, F, ext)) == ref
+    assert list(itertools.islice(
+        enumerate_theta(tri, replace(pipe, kappa2=2)), HEAD
+    )) == ref_other
+    assert list(enumerate_theta(tri, pipe)) == ref
     for t in ref[:HEAD]:
         assert _w_of(build_Wt, t, tri, F) == _w_of(reference_build_Wt, t, tri, F)
 
@@ -434,8 +440,7 @@ def test_drifted_constant_raises_every_call(q8_stack, monkeypatch):
     sys_ = EquationSystem(("x",), {"c": ExtElement(ext, RHO, "s", ext.kernel.zero())},
                           ("x C",))
     tri = triangularize(sys_, identity(ext))
-    ctx = VGroupContext(ext.base, 2)
-    t = next(enumerate_theta(tri, ctx, F, ext))
+    t = next(enumerate_theta(tri, Pipeline(F, q8_stack.ppa, q8_stack.ball, 2)))
     kept = dict(F.memo)
     # a section read off the wrong element leaves the constant's central
     # part outside the kernel
@@ -456,13 +461,13 @@ ORACLE_HEAD = 20
 @pytest.mark.parametrize("ext_name", ["quaternion8", "modular16"])
 def test_oracle_domains_equal_fresh_filter(corpus_pipes, ext_name):
     pipe = _cold(corpus_pipes[ext_name])
-    ext, F, ctx = pipe.ext, pipe.F, pipe.ctx
+    ext, F = pipe.ext, pipe.F
     alphabet = ext.base.alphabet
     cases = []
     for entry in _corpus(ext_name):
         tri = triangularize(files.equation_system_from_json(entry["system"], ext),
                             identity(ext))
-        thetas = itertools.islice(enumerate_theta(tri, ctx, F, ext), ORACLE_HEAD)
+        thetas = itertools.islice(enumerate_theta(tri, pipe), ORACLE_HEAD)
         cases.extend((tri, t) for t in thetas)
 
     def fresh(V, name, bound):
@@ -481,7 +486,7 @@ def test_oracle_domains_equal_fresh_filter(corpus_pipes, ext_name):
     kept = []
     for label in ("cold", "warm"):
         for tri, t in cases:
-            V = build_Vt(t, tri, ctx, F, pipe.D, ext, pipe.ball)
+            V = build_Vt(t, tri, pipe)
             for bound in (2, 1):
                 domains = _p_domains(V, bound)
                 names = [name for row in V.p_names for name in row]

@@ -253,8 +253,8 @@ def test_witness_is_the_oracles_first_solution(corpus_pipes):
         tri = reduction.triangularize(sys_, identity(ext))
         for gamma in _base_solutions(pipe, sys_):
             gfull = reduction.extend_to_fresh(tri, ext.base, gamma)
-            t, vsol = reduction.witness_theta(tri, pipe.ctx, pipe.F, ext, gfull)
-            V = reduction.build_Vt(t, tri, pipe.ctx, pipe.F, pipe.D, ext, pipe.ball)
+            t, vsol = reduction.witness_theta(tri, pipe, gfull)
+            V = reduction.build_Vt(t, tri, pipe)
             assert V.check(vsol)
             res = reduction.vf_oracle_solve(V, 2)
             assert res.found and res.assignment == vsol

@@ -164,7 +164,7 @@ def test_good_stacks_match_reference(request, stack_name, R):
 def fused_reports(stack, R, fams):
     """The report of each family in KINDS, from one walk."""
     cocycles = BallCocycles(stack.ext, stack.ball)
-    machines = [_family_machine(fams[kind], stack.ext, cocycles) for kind in KINDS]
+    machines = [_family_machine(fams[kind], cocycles) for kind in KINDS]
     return dict(zip(KINDS, _walk(stack.lspec, R, stack.ball, machines)))
 
 
