@@ -43,6 +43,14 @@ class FGAGroup:
             self.__dict__["_pushout"] = g
         return g
 
+    def parity(self) -> "FGAGroup":
+        """Pa(A) = Z_2^rank + torsion, the codomain of the parity map, as a
+        rank-0 group; built on the first call and kept like pushout()."""
+        g = self.__dict__.get("_parity")
+        if g is None:
+            g = self.__dict__["_parity"] = FGAGroup(0, (2,) * self.rank + self.torsion)
+        return g
+
     def elements(self, free_range: range = range(0, 1)):
         """All elements, iterating free coordinates over free_range."""
         from itertools import product
@@ -133,59 +141,10 @@ class FGAElement:
         return self.free + self.tors
 
 
-@dataclass(frozen=True)
-class ParityElement:
-    """Element of Z_2^n + Z_d1 + ... + Z_dm, the codomain of the parity map."""
-
-    group: FGAGroup  # the source group A; bits live over its free part
-    bits: tuple[int, ...]
-    tors: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) != self.group.rank or len(self.tors) != len(self.group.torsion):
-            raise ValueError("coordinate count mismatch")
-        object.__setattr__(self, "bits", tuple(b % 2 for b in self.bits))
-        object.__setattr__(
-            self,
-            "tors",
-            tuple(t % d for t, d in zip(self.tors, self.group.torsion)),
-        )
-
-    def _check(self, other: "ParityElement"):
-        if self.group != other.group:
-            raise GroupMismatch(f"{self.group} vs {other.group}")
-
-    def __add__(self, other: "ParityElement") -> "ParityElement":
-        self._check(other)
-        return ParityElement(
-            self.group,
-            tuple(x + y for x, y in zip(self.bits, other.bits)),
-            tuple(x + y for x, y in zip(self.tors, other.tors)),
-        )
-
-    def __neg__(self) -> "ParityElement":
-        return ParityElement(self.group, self.bits, tuple(-t for t in self.tors))
-
-    def is_zero(self) -> bool:
-        return not any(self.bits) and not any(self.tors)
-
-    @classmethod
-    def zero(cls, group: FGAGroup) -> "ParityElement":
-        return cls(group, (0,) * group.rank, (0,) * len(group.torsion))
-
-
-def parity_elements(group: FGAGroup):
-    """All parity values for the given source group."""
-    from itertools import product
-
-    for bits in product(range(2), repeat=group.rank):
-        for ts in product(*[range(d) for d in group.torsion]):
-            yield ParityElement(group, bits, ts)
-
-
-def pa(a: FGAElement) -> ParityElement:
-    """Parity map: free coordinates mod 2, torsion passed through."""
-    return ParityElement(a.group, tuple(x % 2 for x in a.free), a.tors)
+def pa(a: FGAElement) -> FGAElement:
+    """Parity map into A.parity(): free coordinates mod 2, torsion passed
+    through."""
+    return FGAElement._of(a.group.parity(), (), a.free + a.tors)
 
 
 def iota1(a: FGAElement) -> FGAElement:
@@ -222,10 +181,12 @@ def iota3(a: FGAElement) -> FGAElement:
     return FGAElement._of(a.group.pushout(), a.free, a.tors)
 
 
-def iota4(p: ParityElement) -> FGAElement:
-    """Coordinate-wise reinterpretation of a parity value inside A' (not a
-    homomorphism)."""
-    return p.group.pushout().element(p.bits, p.tors)
+def iota4(d: FGAElement, kernel: FGAGroup) -> FGAElement:
+    """Coordinate-wise reinterpretation of a parity value of the kernel
+    inside its pushout A' (not a homomorphism).  The kernel is passed, not
+    read off d: a rank-0 kernel is its own parity group."""
+    r = kernel.rank
+    return FGAElement._of(kernel.pushout(), d.tors[:r], d.tors[r:])
 
 
 # -- Smith normal form and linear systems -------------------------------

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import files
 from .errors import ExtEqError
-from .extension import RHO, ExtElement, sigma_q, sigma_rho
+from .extension import sigma_q, sigma_rho
 from .fpa_ppa import check_fpa_key_property, check_ppa_key_property
 from .reduction import (
     NO_SOLUTION_WITHIN_BOUNDS,
@@ -29,11 +29,10 @@ from .reduction import (
     Pipeline,
     SolveConfig,
     check_in_extension,
-    project_to_base,
     solve,
     triangularize,
 )
-from .words import build_ball, check_small_cancellation, normal_form
+from .words import build_ball, check_small_cancellation
 
 EXIT_OK = 0
 EXIT_NO_SOLUTION = 1
@@ -168,6 +167,7 @@ def cmd_build(args) -> int:
                           R_validate=args.r_validate)
     F, D, R = pipe.F, pipe.D, pipe.F.validated_radius
     branches = D.branch_values()
+    rank = pipe.ext.kernel.rank
     if args.out:
         files.save_json(args.out, {
             "format_version": files.FORMAT_VERSION,
@@ -186,7 +186,8 @@ def cmd_build(args) -> int:
             "ppa": {
                 "automaton": files.automaton_to_json(D.fsa),
                 "branches": [
-                    {"bits": list(d.bits), "torsion": list(d.tors)} for d in branches
+                    {"bits": list(d.coords()[:rank]), "torsion": list(d.coords()[rank:])}
+                    for d in branches
                 ],
             },
         })
@@ -207,12 +208,13 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify_invariants(args) -> int:
-    # kappa2 bounds only the Theta stream, which the checks never read
-    pipe = Pipeline.build(_load_extension(args.input), kappa2=0,
-                          R_validate=args.r_validate)
+    # kappa2 bounds only the Theta stream, which the checks never read;
+    # the PPA check reads the pipeline's ball, so it must reach the radius
     R = args.radius
+    pipe = Pipeline.build(_load_extension(args.input), kappa2=0,
+                          R_validate=args.r_validate, ball_radius=R)
     fpa_report = check_fpa_key_property(pipe.F, R, max(R - 2, 0))
-    ppa_report = check_ppa_key_property(pipe.D, R=R)
+    ppa_report = check_ppa_key_property(pipe.D, pipe.ball, R)
     ok = fpa_report.passed and ppa_report.passed
     payload = {
         "radius": R,
@@ -235,18 +237,18 @@ def cmd_reduce(args) -> int:
     from .extension import identity
 
     tri = triangularize(sys_, identity(ext))
-    gsys = project_to_base(sys_)
+    base_constants = {k: e.g for k, e in sys_.constants.items()}
     payload = {
         "rows": [list(r) for r in tri.rows],
         "fresh": list(tri.fresh),
         "fresh_defs": [[n, list(d)] for n, d in tri.fresh_defs],
-        "base_constants": dict(gsys.constants),
+        "base_constants": base_constants,
     }
     lines = ["triangular rows:"]
     lines += ["  " + " ".join(r) for r in tri.rows]
     lines.append(f"fresh variables: {', '.join(tri.fresh) or '(none)'}")
     lines.append("base-group constants: "
-                 + ", ".join(f"{k}={v or '1'}" for k, v in gsys.constants.items()))
+                 + ", ".join(f"{k}={v or '1'}" for k, v in base_constants.items()))
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -351,14 +353,15 @@ def cmd_lift(args) -> int:
         problems.append("extension digest mismatch")
     if _digest(eqs_obj) != cert["equations_digest"]:
         problems.append("equation digest mismatch")
-    assignment = {}
-    for x, v in cert["assignment"].items():
-        a = files.kernel_element_from_json(
-            {"free": v["a"][: ext.kernel.rank], "torsion": v["a"][ext.kernel.rank:]},
-            ext.kernel,
-            f"assignment.{x}",
+    rank = ext.kernel.rank
+    assignment = {
+        x: files.ext_element_from_json(
+            {"g": v["g"], "a": {"free": v["a"][:rank], "torsion": v["a"][rank:]}},
+            ext,
+            f"{args.certificate}.assignment.{x}",
         )
-        assignment[x] = ExtElement(ext, RHO, normal_form(ext.base, v["g"]), a)
+        for x, v in cert["assignment"].items()
+    }
     if set(assignment) != set(sys_.variables):
         problems.append("assignment variables do not match the system")
     elif not check_in_extension(sys_, ext, assignment):

@@ -22,16 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .abelian import FGAElement, ParityElement, pa
+from .abelian import FGAElement, pa
 from .automata import FSA, explore, restrict_accepting
 from .errors import (
+    BallTooSmall,
     Incompatible,
     NotAcceptingState,
     SinkOnPrefix,
 )
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from .lrational import PredictorFamily
-from .words import Word, build_ball
+from .words import CayleyBall, Word
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class PPA:
     M1: PredictorFamily
     M2: PredictorFamily
     fsa: FSA
-    states: list[Optional[tuple[int, int, ParityElement]]]
+    states: list[Optional[tuple[int, int, FGAElement]]]
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -101,7 +102,7 @@ class PPA:
     def branch_values(self):
         return sorted(
             {st[2] for i, st in enumerate(self.states) if i in self.fsa.accepting},
-            key=lambda p: (p.bits, p.tors),
+            key=FGAElement.coords,
         )
 
 
@@ -133,7 +134,7 @@ def build_ppa(M1: PredictorFamily, M2: PredictorFamily) -> PPA:
         b2 = b + sigma_xx[x] + pa(-a1(s1, x) - a2(s2, inverse[x]))
         return (step1(s1, x), step2(s2, x), b2)
 
-    start = (M1.graph.initial, M2.graph.initial, ParityElement.zero(ext.kernel))
+    start = (M1.graph.initial, M2.graph.initial, ext.kernel.parity().zero())
     states, rows = explore(alpha, start, step, what="parity automaton")
     accepting = frozenset(
         i
@@ -143,7 +144,7 @@ def build_ppa(M1: PredictorFamily, M2: PredictorFamily) -> PPA:
     return PPA(M1, M2, FSA(alpha, rows, 0, accepting), states)
 
 
-def ppa_branch(D: PPA, d: ParityElement) -> FSA:
+def ppa_branch(D: PPA, d: FGAElement) -> FSA:
     """D(d): accepting states restricted to accumulator value d."""
     M = D.memo.get(d)
     if M is None:
@@ -212,16 +213,19 @@ def check_fpa_key_property(
     return CheckReport(R, tuple(counterexamples))
 
 
-def check_ppa_key_property(D: PPA, R: int = 6) -> CheckReport:
+def check_ppa_key_property(D: PPA, ball: CayleyBall, R: int) -> CheckReport:
     """Pa(sigma_rho(w, w^-1)) equals the accumulator branch of every
     accepted w with |w| <= R; L-prefixes never reach the sink.
 
-    sigma_rho(w, w^-1) is read from the cocycle tables over the radius-R
-    ball, and evaluated by the string route where they read None."""
+    sigma_rho(w, w^-1) is read from the cocycle tables over the given
+    ball, which must reach radius R, and evaluated by the string route
+    where they read None."""
+    if ball.radius < R:
+        raise BallTooSmall(f"PPA check to radius {R} needs a ball of radius "
+                           f">= {R}, ball has {ball.radius}")
     ext = D.ext
     kernel = ext.kernel
     alpha = D.fsa.alphabet
-    ball = build_ball(ext.base, R)
     table = BallCocycles(ext, ball).sigma_inverse
     counterexamples = []
     # (w, state, ball index of w)
@@ -238,7 +242,7 @@ def check_ppa_key_property(D: PPA, R: int = 6) -> CheckReport:
                     direct = (
                         pa(sigma_rho(ext, w, alpha.inverse_word(w)))
                         if v is None
-                        else ParityElement(kernel, v[: kernel.rank], v[kernel.rank :])
+                        else pa(kernel.element(v[: kernel.rank], v[kernel.rank :]))
                     )
                     if direct != d:
                         counterexamples.append(("branch", w, direct, d))

@@ -24,19 +24,17 @@ no-solution-within-bounds report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .abelian import (
     AbelianLinearSystem,
     FGAElement,
-    ParityElement,
     coordinate_systems,
     iota1,
     iota1_inverse,
     iota4,
     pa,
-    parity_elements,
     smith_normal_form,
     solve_linear_system,
 )
@@ -125,9 +123,8 @@ class EquationSystem:
     """Finite system of equations w_i = 1 over variables and constants.
 
     Equations are sequences of tokens (a plain string is split on
-    whitespace); constants map symbol names to group elements of
-    whichever group the system lives over (ExtElement for E, normal-form
-    words for the base group).
+    whitespace); constants map symbol names to elements of E
+    (ExtElement), whose base-group value is their normal form `.g`.
     """
 
     variables: tuple[str, ...]
@@ -146,6 +143,12 @@ class EquationSystem:
         overlap = set(self.variables) & set(self.constants)
         if overlap:
             raise ValueError(f"symbols both variable and constant: {sorted(overlap)}")
+        for name, value in self.constants.items():
+            if not isinstance(value, ExtElement):
+                raise ValueError(
+                    f"constant {name!r} is not an extension element: "
+                    f"{type(value).__name__}"
+                )
         for name in declared:
             if not name:
                 raise ValueError("declared symbol has an empty name")
@@ -199,15 +202,6 @@ class TriangularSystem:
         return tuple(seen)
 
 
-def _invert_constant(value):
-    if isinstance(value, ExtElement):
-        return value.inverse()
-    raise TypeError(
-        "triangularize needs extension-element constants; "
-        f"got {type(value).__name__}"
-    )
-
-
 def triangularize(
     sys: EquationSystem, identity_element: Optional[ExtElement] = None
 ) -> TriangularSystem:
@@ -250,7 +244,7 @@ def triangularize(
             while name in used and name not in constants:
                 name += "'"
             if name not in constants:
-                constants[name] = _invert_constant(constants[base])
+                constants[name] = constants[base].inverse()
                 used.add(name)
             return name
         if base not in inverse_vars:
@@ -298,14 +292,6 @@ def triangularize(
     )
 
 
-def project_to_base(sys):
-    """Replace extension-element constants by base normal forms."""
-    newconsts = {
-        name: normal_form(e.ext.base, e.g) for name, e in sys.constants.items()
-    }
-    return replace(sys, constants=newconsts)
-
-
 def _resolve_token(tok: str, values: dict, invert):
     base = base_token(tok)
     value = values[base]
@@ -326,8 +312,9 @@ def check_in_extension(sys, ext: CentralExtension, assignment: dict) -> bool:
 
 
 def check_in_base(sys, p: Presentation, assignment: dict) -> bool:
-    """Normal-form check of every equation in the base group."""
-    values = {**sys.constants, **assignment}
+    """Normal-form check of every equation in the base group, where each
+    constant e reads as its base part e.g."""
+    values = {**{name: e.g for name, e in sys.constants.items()}, **assignment}
     equations = sys.rows if isinstance(sys, TriangularSystem) else sys.equations
     for eq in equations:
         w = "".join(
@@ -343,10 +330,8 @@ def extend_to_fresh(
 ) -> dict[str, Word]:
     """Extend a base-group solution of the source over the fresh variables
     by evaluating their defining words."""
-    gconsts = {
-        name: normal_form(e.ext.base, e.g) for name, e in tri.constants.items()
-    }
-    values = {**gconsts, **{v: normal_form(p, w) for v, w in gamma.items()}}
+    values = {name: e.g for name, e in tri.constants.items()}
+    values.update((v, normal_form(p, w)) for v, w in gamma.items())
     for name, toks in tri.fresh_defs:
         w = "".join(
             _resolve_token(tok, values, p.alphabet.inverse_word) for tok in toks
@@ -360,22 +345,20 @@ def extend_to_fresh(
 
 @dataclass(frozen=True)
 class ThetaIndex:
-    """One index tuple (c, sbar, b, d) with the derived end states and
-    cocycle constants a = sigma_q(sbar, c)."""
+    """One index tuple (c, sbar, b, d), d in the kernel's parity group.
+    Each cell's a = sigma_q(sbar, c) and end state are F's (_cell)."""
 
     c: tuple[tuple[Word, Word, Word], ...]
     s: tuple[tuple[int, int, int], ...]
     b: tuple[tuple[FGAElement, ...], ...]
-    d: tuple[tuple[ParityElement, ...], ...]
-    s_prime: tuple[tuple[int, int, int], ...]
-    a: tuple[tuple[FGAElement, ...], ...]
+    d: tuple[tuple[FGAElement, ...], ...]
 
     def to_jsonable(self):
         return {
             "c": [list(row) for row in self.c],
             "s": [list(row) for row in self.s],
             "b": [[list(x.coords()) for x in row] for row in self.b],
-            "d": [[list(x.bits) + list(x.tors) for x in row] for row in self.d],
+            "d": [[list(x.coords()) for x in row] for row in self.d],
         }
 
 
@@ -388,24 +371,6 @@ def _cell(F: PredictorFamily, s: int, c: Word) -> tuple[FGAElement, int]:
         cell = (sigma_q_of_state(F, s, c), F.graph.run(c, start=s))
         F.memo[("cell", s, c)] = cell
     return cell
-
-
-def make_theta(F: PredictorFamily, c, s, b, d) -> ThetaIndex:
-    cells = [[_cell(F, s[i][j], c[i][j]) for j in range(3)] for i in range(len(c))]
-    return ThetaIndex(
-        c=tuple(tuple(row) for row in c),
-        s=tuple(tuple(row) for row in s),
-        b=tuple(tuple(row) for row in b),
-        d=tuple(tuple(row) for row in d),
-        s_prime=tuple(tuple(sp for _, sp in row) for row in cells),
-        a=tuple(tuple(a for a, _ in row) for row in cells),
-    )
-
-
-def _constant_base_word(value, base: Presentation) -> Word:
-    if isinstance(value, ExtElement):
-        return normal_form(base, value.g)
-    return normal_form(base, value)
 
 
 def _c_words(F: PredictorFamily, kappa2: int):
@@ -453,9 +418,9 @@ def enumerate_theta(tri: TriangularSystem, pipe: Pipeline):
     cell's group element), and a constant's cells carry its element's
     true parity.
 
-    The c-words, the c-rows of systems of more than one row, each
-    c-word's compatible states and each cell's (a, s') depend on F and
-    kappa2 alone, so F keeps them for every later solve.
+    The c-words, the c-rows of systems of more than one row and each
+    c-word's compatible states depend on F and kappa2 alone, so F keeps
+    them for every later solve.
     """
     F, kappa2 = pipe.F, pipe.kappa2
     ext = F.ext
@@ -472,12 +437,12 @@ def enumerate_theta(tri: TriangularSystem, pipe: Pipeline):
             c_rows = tuple(_gen_c_rows(base, words, bucket))
             F.memo[("c-rows", kappa2)] = c_rows
         c_mats = itertools.product(c_rows, repeat=n)
-    d_values = list(parity_elements(ext.kernel))
+    d_values = list(ext.kernel.parity().elements())
     syms = tri.row_symbols()
-    pinned: dict[str, ParityElement] = {}
+    pinned: dict[str, FGAElement] = {}
     for sym in syms:
         if sym in tri.constants:
-            g = _constant_base_word(tri.constants[sym], base)
+            g = tri.constants[sym].g
             pinned[sym] = pa(sigma_rho(ext, g, base.alphabet.inverse_word(g)))
     d_opts = [(pinned[sym],) if sym in pinned else d_values for sym in syms]
     for c_mat in c_mats:
@@ -501,7 +466,7 @@ def enumerate_theta(tri: TriangularSystem, pipe: Pipeline):
                     d_mat = tuple(
                         tuple(dmap[sym] for sym in row) for row in tri.rows
                     )
-                    yield make_theta(F, c_mat, s_mat, b_mat, d_mat)
+                    yield ThetaIndex(c_mat, s_mat, b_mat, d_mat)
 
 
 def witness_theta(
@@ -526,7 +491,7 @@ def witness_theta(
         cs, ds = [], []
         for j, sym in enumerate(row):
             if sym in tri.constants:
-                g = _constant_base_word(tri.constants[sym], base)
+                g = tri.constants[sym].g
             else:
                 g = normal_form(base, gamma[sym])
             if len(g) > kappa2:
@@ -544,12 +509,8 @@ def witness_theta(
         c_rows.append(tuple(cs))
         d_rows.append(tuple(ds))
     n = len(tri.rows)
-    t = make_theta(
-        F,
-        c_rows,
-        [(init,) * 3] * n,
-        [(zero_b,) * 3] * n,
-        d_rows,
+    t = ThetaIndex(
+        tuple(c_rows), ((init,) * 3,) * n, ((zero_b,) * 3,) * n, tuple(d_rows)
     )
     return t, vsol
 
@@ -761,7 +722,6 @@ def build_Vt(t: ThetaIndex, tri: TriangularSystem, pipe: Pipeline) -> VSystem:
     index tuples and solves of one pipeline share it; it is immutable.
     """
     F, D, ball = pipe.F, pipe.D, pipe.ball
-    base = F.ext.base
     constraints: dict[str, list] = {}
 
     def add(name, fsa, inverted=False):
@@ -779,8 +739,7 @@ def build_Vt(t: ThetaIndex, tri: TriangularSystem, pipe: Pipeline) -> VSystem:
             add(_p_name(i, (j + 1) % 3), Lb, inverted=True)
             add(_v_name(sym), ppa_branch(D, t.d[i][j]))
             if sym in tri.constants:
-                g = _constant_base_word(tri.constants[sym], base)
-                add(_v_name(sym), build_Le_automaton(F, g, ball))
+                add(_v_name(sym), build_Le_automaton(F, tri.constants[sym].g, ball))
             else:
                 add(_v_name(sym), L_full)
     return VSystem(
@@ -844,7 +803,7 @@ class WSystem:
 
 
 def _constant_preimage(
-    ext: CentralExtension, sym: str, e: ExtElement, d: ParityElement
+    ext: CentralExtension, sym: str, e: ExtElement, d: FGAElement
 ) -> Optional[FGAElement]:
     """iota1^-1(iota2(e) q(p(e))^-1 iota4(d)), or None where there is no
     preimage; raises if e's central part leaves the kernel."""
@@ -852,17 +811,19 @@ def _constant_preimage(
     if central.g != "":
         raise LiftVerificationFailed(f"constant {sym!r} drifted off the section")
     try:
-        return iota1_inverse(central.a + iota4(d))
+        return iota1_inverse(central.a + iota4(d, ext.kernel))
     except NotInImage:
         return None
 
 
-def _row_preimage(t: ThetaIndex, i: int, ext: CentralExtension) -> Optional[FGAElement]:
+def _row_preimage(t: ThetaIndex, i: int, F: PredictorFamily) -> Optional[FGAElement]:
     """iota1^-1(sum(a + b + iota4(d)) - sigma_q(pi(c1), pi(c2))) of row
     i, or None where there is no preimage."""
+    ext = F.ext
     total = ext.pushout_kernel.zero()
     for j in range(3):
-        total = total + t.a[i][j] + t.b[i][j] + iota4(t.d[i][j])
+        a = _cell(F, t.s[i][j], t.c[i][j])[0]
+        total = total + a + t.b[i][j] + iota4(t.d[i][j], ext.kernel)
     total = total - sigma_q(ext, t.c[i][0], t.c[i][1])
     try:
         return iota1_inverse(total)
@@ -884,7 +845,7 @@ def build_Wt(t: ThetaIndex, tri: TriangularSystem, F: PredictorFamily) -> WSyste
     pipeline: the constant's by its (g, a) and d, the row's by its
     (c, sbar, b, d) row, a being a function of sbar and c."""
     ext, memo = F.ext, F.memo
-    d_of: dict[str, ParityElement] = {}
+    d_of: dict[str, FGAElement] = {}
     for i, j, sym in tri.cells():
         if sym in d_of and d_of[sym] != t.d[i][j]:
             return WSystem(None, {}, f"conflicting parity data for {sym!r}")
@@ -909,7 +870,7 @@ def build_Wt(t: ThetaIndex, tri: TriangularSystem, F: PredictorFamily) -> WSyste
         key = ("row", t.c[i], t.s[i], t.b[i], t.d[i])
         rhs = memo.get(key, _MISSING)
         if rhs is _MISSING:
-            rhs = memo[key] = _row_preimage(t, i, ext)
+            rhs = memo[key] = _row_preimage(t, i, F)
         if rhs is None:
             return WSystem(None, {}, f"row {i} right-hand side has no kernel preimage")
         coeffs: dict[str, int] = {}
@@ -1035,15 +996,14 @@ def check_constraint_lemma(V: VSystem, vsol: dict[str, Word]) -> LemmaReport:
             pnext = vsol[V.p_names[i][(j + 1) % 3]]
             cw = t.c[i][j]
             vw = vsol[V.v_names[i][j]]
-            if sigma_q(ext, pw, cw) != t.a[i][j]:
+            if sigma_q(ext, pw, cw) != _cell(V.F, t.s[i][j], cw)[0]:
                 failures.append((1, i, j))
             if sigma_q(ext, pw + cw, inverse_word(pnext)) != t.b[i][j]:
                 failures.append((2, i, j))
             if pa(sigma_rho(ext, vw, inverse_word(vw))) != t.d[i][j]:
                 failures.append((3, i, j))
             if sym in V.tri.constants:
-                g = _constant_base_word(V.tri.constants[sym], base)
-                if normal_form(base, vw) != g:
+                if normal_form(base, vw) != V.tri.constants[sym].g:
                     failures.append((4, i, j))
     return LemmaReport(tuple(failures))
 
@@ -1076,7 +1036,7 @@ def lift_solution(
                 wval = W.constant_values[sym]
             else:
                 wval = wsol[_w_name(sym)]
-            aprime = iota1(wval) - iota4(t.d[i][j])
+            aprime = iota1(wval) - iota4(t.d[i][j], ext.kernel)
             e = q_of(ext, gword) * ExtElement(ext, RHO_PRIME, "", aprime)
             if not in_E(e):
                 raise LiftVerificationFailed(
@@ -1232,7 +1192,6 @@ def solve(
                 f"finite-complete mode needs kappa2 >= diameter {diam}"
             )
     tri = triangularize(sys, identity(ext))
-    gsys = project_to_base(sys)
     report: dict = {
         "mode": config.mode,
         "thetas_tried": 0,
@@ -1290,7 +1249,7 @@ def solve(
         nonlocal nsol
         for gamma in config.gamma_hints:
             gnf = {v: normal_form(base, w) for v, w in gamma.items()}
-            if set(gnf) == set(sys.variables) and check_in_base(gsys, base, gnf):
+            if set(gnf) == set(sys.variables) and check_in_base(sys, base, gnf):
                 yield gnf
             else:
                 report["anomalies"].append(
@@ -1299,7 +1258,7 @@ def solve(
         if finite:
             for combo in itertools.product(ball.words, repeat=len(sys.variables)):
                 gamma = dict(zip(sys.variables, combo))
-                if check_in_base(gsys, base, gamma):
+                if check_in_base(sys, base, gamma):
                     nsol += 1
                     yield gamma
 

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from exteq.abelian import (
     AbelianLinearSystem,
     FGAGroup,
-    ParityElement,
     iota1,
     iota1_inverse,
     iota3,
     iota4,
     in_iota1_image,
     pa,
-    parity_elements,
     smith_normal_form,
     solve_integer_system,
     solve_linear_system,
@@ -74,7 +72,7 @@ def test_fga_group_axioms(data):
 
 def test_pa_examples():
     g = FGAGroup(2, (3,))
-    assert pa(g.element([3, 4], [1])) == ParityElement(g, (1, 0), (1,))
+    assert pa(g.element([3, 4], [1])) == g.parity().element([], [1, 0, 1])
     assert pa(g.zero()).is_zero()
     assert pa(g.element([2, 2], [0])).is_zero()
 
@@ -108,8 +106,8 @@ def test_pushout_built_once_per_group():
 def test_iota3_iota4_examples():
     a = Z_Z3.element([1], [2])
     assert iota3(a) == FGAGroup(1, (6,)).element([1], [2])
-    assert iota4(pa(Z_Z3.zero())).is_zero()
-    total = iota3(a) + iota4(pa(a))
+    assert iota4(pa(Z_Z3.zero()), Z_Z3).is_zero()
+    total = iota3(a) + iota4(pa(a), Z_Z3)
     assert total == FGAGroup(1, (6,)).element([2], [4])
     assert iota1_inverse(total) == a
 
@@ -128,21 +126,30 @@ def test_pa_iota1_homomorphisms(data):
 @settings(max_examples=300)
 def test_parity_correction_lands_in_image(data):
     # iota3(a) + iota4(pa(a)) always has an iota1 preimage
-    _, (a,) = data
-    assert in_iota1_image(iota3(a) + iota4(pa(a)))
+    g, (a,) = data
+    assert in_iota1_image(iota3(a) + iota4(pa(a), g))
 
 
 def test_parity_correction_exhaustive_small():
     g = FGAGroup(2, (4, 6))
     for a in g.elements(free_range=range(-4, 5)):
-        iota1_inverse(iota3(a) + iota4(pa(a)))
+        iota1_inverse(iota3(a) + iota4(pa(a), g))
 
 
 def test_parity_elements_enumeration():
     g = FGAGroup(2, (3,))
-    elems = list(parity_elements(g))
+    par = g.parity()
+    assert par == FGAGroup(0, (2, 2, 3)) and par is g.parity()
+    elems = list(par.elements())
     assert len(elems) == 4 * 3
     assert len(set(elems)) == len(elems)
+    # the order of the Theta stream's d values: parity bits, then torsion
+    assert [e.coords() for e in elems] == [
+        bits + (t,) for bits in itertools.product(range(2), repeat=2) for t in range(3)
+    ]
+    # a rank-0 group is its own parity group, so iota4 takes the kernel
+    assert FGAGroup(0, (2,)).parity() == FGAGroup(0, (2,))
+    assert iota4(par.element([], [1, 1, 2]), g) == g.pushout().element([1, 1], [2])
 
 
 # -- smith normal form --------------------------------------------------

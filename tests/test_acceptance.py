@@ -20,7 +20,6 @@ from exteq.abelian import (
     iota3,
     iota4,
     pa,
-    parity_elements,
     smith_normal_form,
     solve_linear_system,
 )
@@ -133,7 +132,7 @@ def test_parity_lemma_instance():
             for t1 in range(3):
                 for t2 in range(4):
                     a = A.element([f1, f2], [t1, t2])
-                    doubled = iota3(a) + iota4(pa(a))
+                    doubled = iota3(a) + iota4(pa(a), A)
                     back = iota1_inverse(doubled)
                     assert back.group == A
                     assert iota1(back) == doubled
@@ -165,14 +164,14 @@ def test_ppa_acceptance(dihedral_stack):
         assert D.fsa.accepts(w) == L.accepts(w), w
     full = set(enumerate_language(L, 8))
     branches = {d: set(enumerate_language(ppa_branch(D, d), 8))
-                for d in parity_elements(ext.kernel)}
+                for d in ext.kernel.parity().elements()}
     assert set().union(*branches.values()) == full
     assert sum(map(len, branches.values())) == len(full)
     inv = ext.base.alphabet.inverse_word
     for d, words in branches.items():
         for w in words:
             assert pa(sigma_rho(ext, w, inv(w))) == d, w
-    report = check_ppa_key_property(D, R=8)
+    report = check_ppa_key_property(D, dihedral_stack.ball, 8)
     assert report.passed, report.counterexamples[:3]
     assert time.monotonic() - start < 600
 

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -200,8 +202,9 @@ def test_build_fpa_and_ppa_write_their_automata(tmp_path, capsys, part):
         }
     else:
         want = pipe.D.fsa
+        rank = pipe.ext.kernel.rank
         assert written["branches"] == [
-            {"bits": list(d.bits), "torsion": list(d.tors)}
+            {"bits": list(d.coords()[:rank]), "torsion": list(d.coords()[rank:])}
             for d in pipe.D.branch_values()
         ]
     assert M.n_states == want.n_states
@@ -248,6 +251,31 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         except SystemExit as e:
             code = e.code
         assert code != 3, argv
+
+
+def test_verify_invariants_builds_one_ball(monkeypatch, capsys):
+    # the PPA check reads the pipeline's ball instead of building its own
+    import exteq
+    from exteq import words
+
+    original, calls = words.build_ball, []
+
+    def counted(p, radius):
+        calls.append(radius)
+        return original(p, radius)
+
+    for info in pkgutil.iter_modules(exteq.__path__):
+        module = importlib.import_module(f"exteq.{info.name}")
+        if getattr(module, "build_ball", None) is original:
+            monkeypatch.setattr(module, "build_ball", counted)
+    (argv,) = [a for a in _readme_commands()[0] if a[0] == "verify-invariants"]
+    monkeypatch.chdir(DATA.parent)
+    code, out = run_cli(*argv, capsys=capsys)
+    assert (code, calls) == (0, [6])
+    assert out == (
+        "FPA key property to radius 4: passed\n"
+        "PPA key property to radius 4: passed\n"
+    )
 
 
 def test_python_m_runs_the_cli():
@@ -419,21 +447,36 @@ def test_usage_errors_exit_above_two(capsys):
         assert f"argument {option}: bound must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("assignment", [
+MALFORMED_SHAPE = [
     [{"g": "s", "a": [0]}],
     {"x": "s"},
     {"x": {"g": "s"}},
     {"x": {"g": 5, "a": [0]}},
     {"x": {"g": "s", "a": ["0"]}},
     {"x": {"g": "s", "a": [True]}},
-])
-def test_lift_rejects_malformed_assignment(tmp_path, capsys, assignment):
+]
+# well-formed in shape, so only --verify, which reads Q8, rejects them
+WRONG_FOR_Q8 = [
+    {"x": {"g": "s", "a": [1, 2, 3]}},
+    {"x": {"g": "q", "a": [0]}},
+]
+
+
+@pytest.mark.parametrize("assignment", MALFORMED_SHAPE + WRONG_FOR_Q8)
+def test_lift_rejects_malformed_assignment(q8_eqs, tmp_path, capsys, assignment):
     cert = {"assignment": assignment, "extension_digest": "",
             "equations_digest": ""}
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert))
-    assert run_cli("lift", str(path)) == (3, "")
-    assert f"{path}.assignment" in capsys.readouterr().err
+    verify = ("--verify", "--extension", str(DATA / "quaternion8.json"),
+              "--equations", q8_eqs(["x x Z"]))
+    where = f"{path}.assignment"
+    runs = [(), verify]
+    if assignment in WRONG_FOR_Q8:
+        where, runs = f"{path}.assignment.x", [verify]
+    for extra in runs:
+        assert run_cli("lift", str(path), *extra) == (3, ""), extra
+        assert where in capsys.readouterr().err, extra
 
 
 @pytest.mark.parametrize("hints", [{"x": "s"}, [{"x": 5}], ["s"]])

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from exteq.abelian import ParityElement, pa
+from exteq.abelian import pa
 from exteq.automata import FSA, explore
 from exteq.errors import AccumulatorBound, ResourceBound, SinkOnPrefix
 from exteq.extension import sigma_rho
@@ -40,7 +40,7 @@ def reference_ppa(M1, M2, ext, cap):
     """The PPA with its sink pre-registered at state 1: (states, FSA)."""
     alpha = M1.graph.alphabet
     sigma_xx = {x: pa(sigma_rho(ext, x, alpha.inverse[x])) for x in alpha.letters}
-    start = (M1.graph.initial, M2.graph.initial, ParityElement.zero(ext.kernel))
+    start = (M1.graph.initial, M2.graph.initial, ext.kernel.parity().zero())
     states = [start, None]
     index = {start: 0}
     rows = [[], []]
@@ -201,7 +201,7 @@ def test_ppa_matches_reference(request, stack_name):
         mapped = None if st is None else (st[0], rfpa_state[st[1]], st[2])
         assert mapped == ref_states[phi[i]], i
     assert D.branch_values() == sorted(
-        {ref_states[i][2] for i in ref.accepting}, key=lambda p: (p.bits, p.tors)
+        {ref_states[i][2] for i in ref.accepting}, key=lambda p: p.coords()
     )
     # the same automaton over the renumbered RFPA, labels mapped back
     D2 = build_ppa(stack.lfpa, M2)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from exteq.abelian import FGAGroup, ParityElement, pa, parity_elements
+from exteq.abelian import FGAGroup, pa
 from conftest import (
     enumerate_language,
     language_equal,
@@ -11,7 +11,12 @@ from conftest import (
     shortest_witness,
 )
 from exteq.automata import words_up_to
-from exteq.errors import AlphabetMismatch, Incompatible, NotAcceptingState
+from exteq.errors import (
+    AlphabetMismatch,
+    BallTooSmall,
+    Incompatible,
+    NotAcceptingState,
+)
 from exteq.extension import sigma_q, sigma_rho
 from exteq.fpa_ppa import (
     build_ppa,
@@ -217,7 +222,7 @@ def test_ppa_branches_partition_L(dihedral_stack):
     full = set(enumerate_language(D.fsa, 8))
     parts = [
         set(enumerate_language(ppa_branch(D, d), 8))
-        for d in parity_elements(dihedral_stack.ext.kernel)
+        for d in dihedral_stack.ext.kernel.parity().elements()
     ]
     assert set().union(*parts) == full
     assert sum(len(p) for p in parts) == len(full)
@@ -225,30 +230,34 @@ def test_ppa_branches_partition_L(dihedral_stack):
 
 def test_ppa_initial_branch_holds_identity(dihedral_stack):
     D = dihedral_stack.ppa
-    zero = ParityElement.zero(dihedral_stack.ext.kernel)
+    zero = dihedral_stack.ext.kernel.parity().zero()
     assert ppa_branch(D, zero).accepts("")
 
 
 def test_split_ppa_single_branch(split_stack):
     ext, fams = split_stack
     D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
-    zero = ParityElement.zero(ext.kernel)
+    zero = ext.kernel.parity().zero()
     assert D.branch_values() == [zero]
     assert language_equal(ppa_branch(D, zero), D.fsa)
 
 
 def test_ppa_key_property_dihedral(dihedral_stack):
-    report = check_ppa_key_property(dihedral_stack.ppa, R=8)
+    D, ball = dihedral_stack.ppa, dihedral_stack.ball
+    assert ball.radius == 8
+    report = check_ppa_key_property(D, ball, 8)
     assert report.passed
-    assert check_ppa_key_property(dihedral_stack.ppa, R=0).passed
+    assert check_ppa_key_property(D, ball, 0).passed
+    with pytest.raises(BallTooSmall):
+        check_ppa_key_property(D, ball, 9)
 
 
 def test_ppa_key_property_q8(q8_stack):
-    assert check_ppa_key_property(q8_stack.ppa, R=6).passed
+    assert check_ppa_key_property(q8_stack.ppa, q8_stack.ball, 6).passed
 
 
 def test_ppa_key_property_t1s(t1s_stack):
-    assert check_ppa_key_property(t1s_stack.ppa, R=4).passed
+    assert check_ppa_key_property(t1s_stack.ppa, t1s_stack.ball, 4).passed
 
 
 def _string_route_ppa_check(D, R):
@@ -280,14 +289,14 @@ def test_ppa_key_property_tables_match_string_route(dihedral_stack, R):
     # branch flipped and one accepting state sent to the sink
     D = dihedral_stack.ppa
     kernel = D.ext.kernel
-    one = ParityElement(kernel, (1,), ())
+    one = kernel.parity().element([], [1])
     states = list(D.states)
     flipped, sunk = sorted(D.fsa.accepting)[-2:]
     m1, m2, d = states[flipped]
     states[flipped] = (m1, m2, d + one)
     states[sunk] = None
     for ppa in (D, replace(D, states=states, memo={})):
-        report = check_ppa_key_property(ppa, R=R)
+        report = check_ppa_key_property(ppa, dihedral_stack.ball, R)
         assert list(report.counterexamples) == _string_route_ppa_check(ppa, R)
     if R == 6:
         assert {c[0] for c in report.counterexamples} == {"branch", "sink-accepting"}

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from exteq import reduction
-from exteq.abelian import iota1_inverse, iota4, pa, parity_elements
+from exteq.abelian import iota1_inverse, iota4, pa
 from conftest import enumerate_language, language_equal, shortest_witness
 from exteq.automata import FSA, words_up_to
 from exteq.errors import (
@@ -55,7 +55,6 @@ from exteq.reduction import (
     extend_to_fresh,
     finite_diameter,
     lift_solution,
-    project_to_base,
     solve,
     triangularize,
     vf_oracle_solve,
@@ -104,6 +103,9 @@ def test_equation_system_validation(q8_stack):
         EquationSystem(("X",), {}, ())
     with pytest.raises(ValueError):
         EquationSystem(("x",), {"x": s}, ())
+    # a constant is an element of E, never a bare base-group word
+    with pytest.raises(ValueError, match="constant 'c' is not an extension element"):
+        EquationSystem(("x",), {"c": "s"}, ("x C",))
 
 
 def test_repeated_and_empty_names_rejected(q8_stack):
@@ -182,14 +184,13 @@ def test_triangularize_preserves_solutions(q8_stack):
     assert n_src == n_tri > 0
 
 
-def test_project_to_base(q8_stack):
+def test_check_in_base_reads_constant_base_parts(q8_stack):
     ext = q8_stack.ext
     s, z = _q8_systems(ext)
     sys = EquationSystem(("x",), {"c": s * z, "e": z}, ("x C e",))
-    gsys = project_to_base(sys)
-    assert gsys.constants == {"c": "s", "e": ""}
-    assert check_in_base(gsys, ext.base, {"x": "s"})
-    assert not check_in_base(gsys, ext.base, {"x": "t"})
+    assert {k: e.g for k, e in sys.constants.items()} == {"c": "s", "e": ""}
+    assert check_in_base(sys, ext.base, {"x": "s"})
+    assert not check_in_base(sys, ext.base, {"x": "t"})
 
 
 # -- A sets and level automata ------------------------------------------
@@ -360,10 +361,7 @@ def test_Le_of_demo_constants_is_small(t1s_stack):
     gs = set()
     for k in (0, 2):
         tri = triangularize(t1s_commutator_system(ext, k), identity(ext))
-        gs |= {
-            reduction._constant_base_word(v, ext.base)
-            for v in tri.constants.values()
-        }
+        gs |= {v.g for v in tri.constants.values()}
     assert "" in gs and "a" in gs
     for g in sorted(gs):
         Le = build_Le_automaton(replace(F, memo={}), g, ball)
@@ -419,7 +417,7 @@ def test_kept_automata_equal_fresh_builds(name, request, monkeypatch):
         assert M is fpa_branch(F, sbar)
         assert _fsa_key(M) == _fsa_key(fpa_branch(fresh, sbar))
     assert builds == []
-    for d in parity_elements(ext.kernel):
+    for d in ext.kernel.parity().elements():
         Dd = ppa_branch(D, d)
         assert Dd is ppa_branch(D, d)
         assert _fsa_key(Dd) == _fsa_key(ppa_branch(replace(D, memo={}), d))
@@ -549,7 +547,7 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
             for opts in b_opts:
                 n_b *= len(opts)
             free = [sym for sym in syms if sym not in tri.constants]
-            count += n_b * len(list(parity_elements(ext.kernel))) ** len(free)
+            count += n_b * len(list(ext.kernel.parity().elements())) ** len(free)
     assert len(got) == count
     for t in got:
         for i, j, sym in tri.cells():
@@ -580,7 +578,11 @@ def test_witness_theta_solves_Vt(q8_pipe):
     tri = triangularize(_twisted_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": ""})
     t, vsol = witness_theta(tri, q8_pipe, gamma)
-    assert all(a.is_zero() for row in t.a for a in row)
+    assert all(
+        reduction._cell(q8_pipe.F, s, c)[0].is_zero()
+        for s_row, c_row in zip(t.s, t.c)
+        for s, c in zip(s_row, c_row)
+    )
     assert all(b.is_zero() for row in t.b for b in row)
     V = build_Vt(t, tri, q8_pipe)
     assert V.check(vsol)
@@ -631,7 +633,7 @@ def test_lift_roundtrip_and_converse_formula(q8_pipe):
             e = lift.elements[sym]
             central = q_of(ext, e.g).inverse() * e
             assert central.g == ""
-            back = iota1_inverse(central.a + iota4(t.d[i][j]))
+            back = iota1_inverse(central.a + iota4(t.d[i][j], ext.kernel))
             assert back == wsol["w:" + sym]
 
 

@@ -1,9 +1,9 @@
 """The Theta stream, W_t and the oracle's domains against the code they
 replaced.
 
-`enumerate_theta`, `make_theta`, `build_Wt` and the oracle keep work that
-depends on the pipeline alone on its F: the c-words, c-rows, compatible
-states and cells, the constant preimages and row right-hand sides, and
+`enumerate_theta`, `build_Wt` and the oracle keep work that depends on
+the pipeline alone on its F: the c-words, c-rows, compatible states and
+cells, the constant preimages and row right-hand sides, and
 each p-variable's domain.  The reference_* functions below are the
 versions that recomputed everything for every tuple; the kept versions
 must yield the same tuples, W systems and domains, cold, warm and after
@@ -23,7 +23,6 @@ from exteq.abelian import (
     iota1_inverse,
     iota4,
     pa,
-    parity_elements,
 )
 from exteq.automata import words_up_to
 from exteq.errors import (
@@ -49,13 +48,12 @@ from exteq.reduction import (
     ThetaIndex,
     WSystem,
     _accumulator,
-    _constant_base_word,
+    _cell,
     _p_domains,
     _w_name,
     build_Vt,
     build_Wt,
     enumerate_theta,
-    make_theta,
     solve,
     triangularize,
 )
@@ -65,27 +63,6 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 # -- the reference: every tuple recomputed from scratch -------------------
-
-
-def reference_make_theta(F, c, s, b, d) -> ThetaIndex:
-    sp = []
-    a = []
-    for i in range(len(c)):
-        sp_row = []
-        a_row = []
-        for j in range(3):
-            a_row.append(sigma_q_of_state(F, s[i][j], c[i][j]))
-            sp_row.append(F.graph.run(c[i][j], start=s[i][j]))
-        sp.append(tuple(sp_row))
-        a.append(tuple(a_row))
-    return ThetaIndex(
-        c=tuple(tuple(row) for row in c),
-        s=tuple(tuple(row) for row in s),
-        b=tuple(tuple(row) for row in b),
-        d=tuple(tuple(row) for row in d),
-        s_prime=tuple(sp),
-        a=tuple(a),
-    )
 
 
 def reference_c_rows(base, kappa2):
@@ -111,12 +88,12 @@ def reference_enumerate_theta(tri, ctx, F, ext):
     else:
         c_mats = itertools.product(list(reference_c_rows(base, ctx.kappa2)), repeat=n)
     T = sorted(F.live)
-    d_values = list(parity_elements(ext.kernel))
+    d_values = list(ext.kernel.parity().elements())
     syms = tri.row_symbols()
     pinned = {}
     for sym in syms:
         if sym in tri.constants:
-            g = _constant_base_word(tri.constants[sym], base)
+            g = tri.constants[sym].g
             pinned[sym] = pa(sigma_rho(ext, g, base.alphabet.inverse_word(g)))
     for c_mat in c_mats:
         s_opts = []
@@ -146,7 +123,7 @@ def reference_enumerate_theta(tri, ctx, F, ext):
                 for d_choice in itertools.product(*d_opts):
                     dmap = dict(zip(syms, d_choice))
                     d_mat = tuple(tuple(dmap[sym] for sym in row) for row in tri.rows)
-                    yield reference_make_theta(F, c_mat, s_mat, b_mat, d_mat)
+                    yield ThetaIndex(c_mat, s_mat, b_mat, d_mat)
 
 
 def reference_build_Wt(t, tri, F) -> WSystem:
@@ -166,7 +143,7 @@ def reference_build_Wt(t, tri, F) -> WSystem:
         if central.g != "":
             raise LiftVerificationFailed(f"constant {sym!r} drifted off the section")
         try:
-            constant_values[sym] = iota1_inverse(central.a + iota4(d))
+            constant_values[sym] = iota1_inverse(central.a + iota4(d, A))
         except NotInImage:
             return WSystem(None, {}, f"constant {sym!r} has no kernel preimage")
     var_syms = [s for s in tri.row_symbols() if s not in tri.constants]
@@ -174,7 +151,8 @@ def reference_build_Wt(t, tri, F) -> WSystem:
     for i, row in enumerate(tri.rows):
         total = ext.pushout_kernel.zero()
         for j in range(3):
-            total = total + t.a[i][j] + t.b[i][j] + iota4(t.d[i][j])
+            a = sigma_q_of_state(F, t.s[i][j], t.c[i][j])
+            total = total + a + t.b[i][j] + iota4(t.d[i][j], A)
         total = total - sigma_q(ext, t.c[i][0], t.c[i][1])
         try:
             rhs = iota1_inverse(total)
@@ -198,12 +176,13 @@ def _reference_preimage(F, key):
     if key[0] == "constant":
         _, g, a, d = key
         central = iota2(ExtElement(ext, RHO, g, a)) * q_of(ext, g).inverse()
-        total = central.a + iota4(d)
+        total = central.a + iota4(d, ext.kernel)
     else:
         _, c, s, b, d = key
         total = ext.pushout_kernel.zero()
         for j in range(3):
-            total = total + sigma_q_of_state(F, s[j], c[j]) + b[j] + iota4(d[j])
+            a = sigma_q_of_state(F, s[j], c[j])
+            total = total + a + b[j] + iota4(d[j], ext.kernel)
         total = total - sigma_q(ext, c[0], c[1])
     try:
         return iota1_inverse(total)
@@ -390,7 +369,7 @@ def test_memo_lifetimes_over_the_corpus(corpus_pipes, monkeypatch):
     for name, pipe in pipes.items():
         rows = [k for k in keys[name] if k[0] == "row"]
         consts = [k for k in keys[name] if k[0] == "constant"]
-        n_parity = len(list(parity_elements(pipe.ext.kernel)))
+        n_parity = len(list(pipe.ext.kernel.parity().elements()))
         assert 0 < len(rows) <= row_bound[name]
         assert 0 < len(consts) <= len(values[name]) * n_parity
         assert {k[1:3] for k in consts} <= values[name]
@@ -418,17 +397,8 @@ def test_incompatible_cell_raises_every_call(dihedral_stack):
         w for w in words_up_to(F.graph.alphabet, 2) if not is_compatible(F, sbar, w)
     )
     outside_T = next(s for s in range(F.graph.n_states) if s not in F.live)
-    zero = F.ext.pushout_kernel.zero()
-    d = next(parity_elements(F.ext.kernel))
-    ok = ("", "", "")
-    for s_row, c_row, err in (
-        ((sbar,) * 3, ("", bad, ""), Incompatible),
-        ((sbar, outside_T, sbar), ok, NotAcceptingState),
-    ):
-        hits = [
-            _outcome(lambda: make_theta(F, [c_row], [s_row], [(zero,) * 3], [(d,) * 3]))
-            for _ in range(2)
-        ]
+    for s, c, err in ((sbar, bad, Incompatible), (outside_T, "", NotAcceptingState)):
+        hits = [_outcome(lambda: _cell(F, s, c)) for _ in range(2)]
         assert hits[0][:2] == ("raised", err)
         assert hits[1] == hits[0]
     assert not [k for k in F.memo if k[0] == "cell" and k[2] == bad]

@@ -3,9 +3,10 @@
 Each corpus system is solved in sound mode with theta_cap=20 and no
 hints, on pipelines built at the `exteq solve` defaults.  The report
 counters and a sha256 of every Theta tuple the stream yielded (its
-`to_jsonable()` plus the derived end states s' and constants a) must stay
-exactly as recorded, so a change to how the tuples or their automata are
-computed cannot shift a verdict, a counter or a tuple unnoticed.
+`to_jsonable()` plus each cell's end state s' and constant a, read off F)
+must stay exactly as recorded, so a change to how the tuples or their
+automata are computed cannot shift a verdict, a counter or a tuple
+unnoticed.
 """
 
 import hashlib
@@ -86,18 +87,19 @@ FROZEN = [
 ]
 
 
-def _digest(thetas) -> str:
-    blob = json.dumps(
-        [
-            [
-                t.to_jsonable(),
-                [list(row) for row in t.s_prime],
-                [[list(a.coords()) for a in row] for row in t.a],
-            ]
-            for t in thetas
-        ],
-        sort_keys=True,
-    )
+def _digest(thetas, F) -> str:
+    entries = []
+    for t in thetas:
+        cells = [
+            [reduction._cell(F, s, c) for s, c in zip(s_row, c_row)]
+            for s_row, c_row in zip(t.s, t.c)
+        ]
+        entries.append([
+            t.to_jsonable(),
+            [[sp for _, sp in row] for row in cells],
+            [[list(a.coords()) for a, _ in row] for row in cells],
+        ])
+    blob = json.dumps(entries, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -136,7 +138,7 @@ def test_sound_theta_stream_frozen(corpus_pipes, monkeypatch):
             r.get("theta_truncated"),
             len(yielded),
             r["obstructions"],
-            _digest(yielded),
+            _digest(yielded, pipe.F),
         )
         assert got == frozen, f"corpus[{i}]"
 
@@ -237,10 +239,9 @@ def test_finite_complete_verdicts_frozen(corpus_pipes):
 
 
 def _base_solutions(pipe, sys_):
-    gsys = reduction.project_to_base(sys_)
     for combo in itertools.product(pipe.ball.words, repeat=len(sys_.variables)):
         gamma = dict(zip(sys_.variables, combo))
-        if reduction.check_in_base(gsys, pipe.ext.base, gamma):
+        if reduction.check_in_base(sys_, pipe.ext.base, gamma):
             yield gamma
 
 
