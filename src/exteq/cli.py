@@ -29,6 +29,7 @@ from .reduction import (
     Pipeline,
     SolveConfig,
     check_in_extension,
+    finite_diameter,
     solve,
     triangularize,
 )
@@ -128,7 +129,7 @@ def cmd_ball(args) -> int:
     sizes = [
         sum(1 for dd in ball.distances if dd <= r) for r in range(args.radius + 1)
     ]
-    closed = all(t is not None for e in ball.edges for t in e.values())
+    closed = finite_diameter(ball) is not None
     payload = {"radius": args.radius, "sizes": sizes,
                "reduced_edges": ball.reduced_edges, "closed": closed}
     _emit(args, payload, [
@@ -209,12 +210,13 @@ def cmd_build(args) -> int:
 
 def cmd_verify_invariants(args) -> int:
     # kappa2 bounds only the Theta stream, which the checks never read;
-    # the PPA check reads the pipeline's ball, so it must reach the radius
+    # the PPA check reads the cocycle tables over the pipeline's ball, so
+    # the ball must reach the radius
     R = args.radius
     pipe = Pipeline.build(_load_extension(args.input), kappa2=0,
                           R_validate=args.r_validate, ball_radius=R)
     fpa_report = check_fpa_key_property(pipe.F, R, max(R - 2, 0))
-    ppa_report = check_ppa_key_property(pipe.D, pipe.ball, R)
+    ppa_report = check_ppa_key_property(pipe.D, pipe.cocycles, R)
     ok = fpa_report.passed and ppa_report.passed
     payload = {
         "radius": R,

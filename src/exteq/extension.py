@@ -143,7 +143,8 @@ class BallCocycles:
     leaves it.  Kernel values are tuples of coordinates, free ones first,
     torsion normalized.  Elements whose normal form is not prefix-closed
     inside the ball read None; callers evaluate those by the string route.
-    Letters are given by their index in the alphabet.
+    Letters are given by their index in the alphabet, as in the ball's
+    edge rows, which the tables read in place.
 
     The tables hold few distinct values (3 on the t1s ball of radius 5),
     so each is interned: equal values are one tuple object.  A sum or
@@ -163,7 +164,6 @@ class BallCocycles:
         self._memo: dict = {}  # (operator, u, v) -> u op v, normalized
         self.zero = self._intern((0,) * len(self.mods))
         self.inv_letter = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
-        self.succ = [tuple(map(row.__getitem__, alpha.letters)) for row in ball.edges]
         # each distinct relator-count tuple and row is labelled once
         rows = dict.fromkeys(ball.logs)
         lifts, coords = ext._lift_coords, range(len(self.mods))
@@ -202,16 +202,17 @@ class BallCocycles:
         the identity, else None; and the left multiplications lmul[z][h],
         the index of nf(z) h or None."""
         ball = self.ball
-        alpha = self.ext.base.alphabet
+        letters = self.ext.base.alphabet.letters
+        order = {x: k for k, x in enumerate(letters)}
         n = len(ball)
         links: list = [None] * n
         for j in range(1, n):
             p = ball.parents[j]
             if p is not None and (p == 0 or links[p] is not None):
-                links[j] = (alpha.index(ball.words[j][-1]), p)
-        succ = self.succ
+                links[j] = (order[ball.words[j][-1]], p)
+        succ = ball.edges
         lmul = []
-        for z in range(len(alpha.letters)):
+        for z in range(len(letters)):
             row: list = [succ[0][z]] + [None] * (n - 1)
             for j in range(1, n):
                 link = links[j]
@@ -256,7 +257,7 @@ class BallCocycles:
         """sigma_inverse[h] = sigma_rho(h, h^-1), or None."""
         links, _ = self._chain
         rl, inv, rv, ibar = self.rho_left, self.inverse, self.rho_right, self.inv_letter
-        op = self._op
+        op, from_1 = self._op, self.ball.edges[0]
         S: list = [self.zero] + [None] * (len(links) - 1)
         for j, link in enumerate(links):
             if link is None:
@@ -265,7 +266,7 @@ class BallCocycles:
             if p == 0:
                 S[j] = rl[j][ibar[y]]
                 continue
-            sp, sy, ip = S[p], S[self.succ[0][y]], inv[p]
+            sp, sy, ip = S[p], S[from_1[y]], inv[p]
             r = rv[ibar[y]][ip] if ip is not None else None
             if sp is not None and sy is not None and r is not None:
                 S[j] = op(sub, op(add, sp, sy), op(add, rl[p][y], r))
@@ -293,7 +294,7 @@ class BallCocycles:
         S, mods = self.sigma_inverse, self.mods
         torsion = any(mods)
         out = []
-        for xe, l, r in zip(self.succ[0], rl, column):
+        for xe, l, r in zip(self.ball.edges[0], rl, column):
             sx = None if xe is None else S[xe]
             if sx is None or r is None:
                 out.append(None)

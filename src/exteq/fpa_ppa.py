@@ -28,11 +28,12 @@ from .errors import (
     BallTooSmall,
     Incompatible,
     NotAcceptingState,
+    ResourceBound,
     SinkOnPrefix,
 )
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from .lrational import PredictorFamily
-from .words import CayleyBall, Word
+from .words import Word, state_cap
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,22 @@ def _language_by_state(F: PredictorFamily, R: int):
     return groups
 
 
+def _compatible_words(F: PredictorFamily, s: int, R_v: int) -> list[Word]:
+    """All v with |v| <= R_v that read from s̄ into a live state."""
+    compatible: list[Word] = []
+    frontier = [("", s)]
+    for _ in range(R_v + 1):
+        nxt = []
+        for v, cur in frontier:
+            if cur in F.live:
+                compatible.append(v)
+            if len(v) < R_v:
+                for x in F.graph.alphabet.letters:
+                    nxt.append((v + x, F.graph.step(cur, x)))
+        frontier = nxt
+    return compatible
+
+
 def check_fpa_key_property(
     F: PredictorFamily, R: int, R_v: Optional[int] = None
 ) -> CheckReport:
@@ -183,26 +200,25 @@ def check_fpa_key_property(
     and every compatible v, exhaustively to |w| <= R, |v| <= R_v.
 
     Also cross-checks the state-route evaluation against the direct
-    cocycle value.
+    cocycle value.  The check evaluates one sigma_q per (w, v) pair;
+    more pairs than state_cap() raise ResourceBound before any is
+    evaluated.
     """
     ext = F.ext
     R_v = R if R_v is None else R_v
-    counterexamples = []
     groups = _language_by_state(F, R)
+    compatible = {s: _compatible_words(F, s, R_v) for s in groups}
+    pairs = sum(len(ws) * len(compatible[s]) for s, ws in groups.items())
+    cap = state_cap()
+    if pairs > cap:
+        raise ResourceBound(
+            f"FPA key-property check to radius {R} would evaluate {pairs} "
+            f"(w, v) pairs, over the cap {cap}"
+        )
+    counterexamples = []
     for s, ws in groups.items():
-        vs = [("", s)]
-        compatible: list[Word] = []
-        for _ in range(R_v + 1):
-            nxt = []
-            for v, cur in vs:
-                if cur in F.live:
-                    compatible.append(v)
-                if len(v) < R_v:
-                    for x in F.graph.alphabet.letters:
-                        nxt.append((v + x, F.graph.step(cur, x)))
-            vs = nxt
         baseline = ws[0]
-        for v in compatible:
+        for v in compatible[s]:
             expect = sigma_q(ext, baseline, v)
             state_value = sigma_q_of_state(F, s, v)
             if state_value != expect:
@@ -213,20 +229,24 @@ def check_fpa_key_property(
     return CheckReport(R, tuple(counterexamples))
 
 
-def check_ppa_key_property(D: PPA, ball: CayleyBall, R: int) -> CheckReport:
+def check_ppa_key_property(D: PPA, cocycles: BallCocycles, R: int) -> CheckReport:
     """Pa(sigma_rho(w, w^-1)) equals the accumulator branch of every
     accepted w with |w| <= R; L-prefixes never reach the sink.
 
-    sigma_rho(w, w^-1) is read from the cocycle tables over the given
-    ball, which must reach radius R, and evaluated by the string route
-    where they read None."""
+    sigma_rho(w, w^-1) is read from the given cocycle tables of D's
+    extension, whose ball must reach radius R, and evaluated by the
+    string route where they read None."""
+    ball = cocycles.ball
     if ball.radius < R:
         raise BallTooSmall(f"PPA check to radius {R} needs a ball of radius "
                            f">= {R}, ball has {ball.radius}")
     ext = D.ext
+    if cocycles.ext is not ext:
+        raise ValueError("cocycle tables belong to a different extension")
     kernel = ext.kernel
     alpha = D.fsa.alphabet
-    table = BallCocycles(ext, ball).sigma_inverse
+    table = cocycles.sigma_inverse
+    edges = ball.edges
     counterexamples = []
     # (w, state, ball index of w)
     frontier = [("", D.fsa.initial, 0)]
@@ -247,7 +267,7 @@ def check_ppa_key_property(D: PPA, ball: CayleyBall, R: int) -> CheckReport:
                     if direct != d:
                         counterexamples.append(("branch", w, direct, d))
             if len(w) < R:
-                for x in alpha.letters:
-                    nxt.append((w + x, D.fsa.step(s, x), ball.edges[g][x]))
+                for k, x in enumerate(alpha.letters):
+                    nxt.append((w + x, D.fsa.step(s, x), edges[g][k]))
         frontier = nxt
     return CheckReport(R, tuple(counterexamples))

@@ -339,9 +339,12 @@ def build_automata(
     lspec: LanguageSpec,
     R_validate: int,
     ball: CayleyBall,
+    cocycles: Optional[BallCocycles] = None,
 ) -> dict[str, PredictorFamily]:
     """The three predictor families, validated in one walk over every
-    word of length <= R_validate, which the ball must reach.
+    word of length <= R_validate, which the ball must reach.  The walk
+    reads the cocycle tables over the ball: `cocycles` when the caller
+    keeps them, else tables built here.
 
     The q-left and rho-left families share the left graph, whose live
     states are L; the reversed family has the right graph.  A left graph
@@ -364,7 +367,10 @@ def build_automata(
         fams[RHO_RIGHT_REVERSED] = _family(ext, RHO_RIGHT_REVERSED, lspec, *right)
     except ResourceBound as exc:
         right_failure = exc
-    cocycles = BallCocycles(ext, ball)
+    if cocycles is None:
+        cocycles = BallCocycles(ext, ball)
+    elif cocycles.ball is not ball or cocycles.ext is not ext:
+        raise ValueError("cocycle tables belong to a different ball or extension")
     machines = [_family_machine(f, cocycles) for f in fams.values()]
     for fam, report in zip(fams.values(), _walk(lspec, R_validate, ball, machines)):
         _raise_for_family(fam, report)
@@ -498,7 +504,7 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
             for i, x in enumerate(letters):
                 child = None
                 if in_L:
-                    child = (*[edges[j][x] for j in sfx], 0)
+                    child = (*[edges[j][i] for j in sfx], 0)
                     for k, j in enumerate(child[:-1]):
                         if dist[j] < need[depth + 1 - k]:
                             child = None

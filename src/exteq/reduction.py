@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .abelian import (
@@ -52,6 +53,7 @@ from .errors import (
 )
 from .extension import (
     RHO_PRIME,
+    BallCocycles,
     CentralExtension,
     ExtElement,
     identity,
@@ -621,15 +623,16 @@ def build_Le_automaton(F: PredictorFamily, g: Word, ball: CayleyBall) -> FSA:
     for depth in range(1, slack + 1):
         nxt = []
         for i in frontier:
-            for j in ball.edges[i].values():
+            for j in ball.edges[i]:
                 if j is not None and j not in within and dist[j] + depth <= slack:
                     within.add(j)
                     nxt.append(j)
         frontier = nxt
     M, edges = F.graph, ball.edges
+    order = {x: k for k, x in enumerate(ball.presentation.alphabet.letters)}
 
     def step(state, x):
-        e2 = edges[state[1]].get(x)
+        e2 = edges[state[1]][order[x]]
         return (M.step(state[0], x), e2) if e2 in within else None
 
     states, rows = explore(
@@ -1113,7 +1116,9 @@ class Pipeline:
     per-tuple step reads: F, the validated q-left family, whose live
     states are L; the PPA D over the rho-left and reversed families; the
     ball they were validated on; and kappa2, the bound on the c-words of
-    Theta.  The extension is F's."""
+    Theta.  The extension is F's; `cocycles` are its tables over the
+    ball, the ones the validation walk filled when `build` made the
+    pipeline."""
 
     F: PredictorFamily
     D: PPA
@@ -1127,6 +1132,10 @@ class Pipeline:
     @property
     def ext(self) -> CentralExtension:
         return self.F.ext
+
+    @cached_property
+    def cocycles(self) -> BallCocycles:
+        return BallCocycles(self.ext, self.ball)
 
     @classmethod
     def build(
@@ -1146,16 +1155,19 @@ class Pipeline:
         lspec = default_language_spec(ext.base)
         radius = max(R_validate, ball_radius or 0)
         ball = build_ball(ext.base, radius)
-        fams = build_automata(ext, lspec, R_validate, ball)
+        cocycles = BallCocycles(ext, ball)
+        fams = build_automata(ext, lspec, R_validate, ball, cocycles)
         D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
-        return cls(fams[Q_LEFT], D, ball, kappa2)
+        pipe = cls(fams[Q_LEFT], D, ball, kappa2)
+        pipe.cocycles = cocycles
+        return pipe
 
 
 def finite_diameter(ball: CayleyBall) -> Optional[int]:
     """The group diameter if the ball is closed (hence the whole finite
     group), else None."""
-    for edges in ball.edges:
-        if any(t is None for t in edges.values()):
+    for row in ball.edges:
+        if None in row:
             return None
     return max(ball.distances)
 

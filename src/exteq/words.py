@@ -334,14 +334,17 @@ def normal_form(p: Presentation, w: Word) -> Word:
 class CayleyBall:
     """All group elements within a given radius, with shortlex normal forms.
 
-    `edges[i][x]` is the index of element_i * x when that product stays in
-    the ball, else None.  `logs[i][k]` holds the signed relator counts
-    logged while reducing words[i] + letters[k] to its normal form, for
-    every element and letter, boundary edges included: the edge's kernel
-    label.  `parents[i]` is the index of words[i][:-1] when that prefix is
-    itself in the ball and its edge by the last letter leads back to i,
-    else None (always None for the identity).  `reduced_edges` counts
-    the edges whose normal form went through the reducer.
+    `edges[i][k]` is the index of element_i * letters[k] when that
+    product stays in the ball, else None: one tuple per element, indexed
+    by letter position in alphabet order.  `logs[i][k]` holds the signed
+    relator counts logged while reducing words[i] + letters[k] to its
+    normal form, for every element and letter, boundary edges included:
+    the edge's kernel label.  Every logs row with no reduced edge is one
+    shared all-zero row.  `parents[i]` is the index of words[i][:-1] when
+    that prefix is itself in the ball and its edge by the last letter
+    leads back to i, else None (always None for the identity).
+    `reduced_edges` counts the edges whose normal form went through the
+    reducer.
     """
 
     presentation: Presentation
@@ -349,7 +352,7 @@ class CayleyBall:
     words: list[Word]
     index: dict[Word, int]
     distances: list[int]
-    edges: list[dict[str, Optional[int]]]
+    edges: list[tuple[Optional[int], ...]]
     logs: list[tuple[tuple[int, ...], ...]]
     parents: list[Optional[int]]
     reduced_edges: int
@@ -358,9 +361,10 @@ class CayleyBall:
         return len(self.words)
 
     def walk(self, start: int, w: Word) -> int:
+        alpha = self.presentation.alphabet
         cur = start
         for x in w:
-            nxt = self.edges[cur].get(x)
+            nxt = self.edges[cur][alpha.index(x)]
             if nxt is None:
                 raise BallTooSmall(
                     f"walk left the radius-{self.radius} ball at letter {x!r}"
@@ -392,8 +396,9 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
     tested only when the last m letters of wx, m the shortest key
     length, end some key (784 of 178,312 edges on the t1s ball of
     radius 5).  Every other edge goes through the reducer.  Either way
-    the edge's normal form, its relator counts and the presentation's
-    normal-form cache are the ones the reducer would have produced.
+    the edge's normal form and relator counts are the ones the reducer
+    would have produced.  The presentation's normal-form cache gains
+    only the reducer's results; the ball is the one store of the rest.
     """
     cap = cap if cap is not None else state_cap()
     nrel = len(p.relators)
@@ -422,12 +427,12 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
 
     letters = p.alphabet.letters
     inverse = p.alphabet.inverse
-    nf_cache = p._nf_cache
+    zero_row = (zero,) * len(letters)
     words = [""]
     index = {"": 0}
     distances = [0]
     key_free = [is_key_free("")]
-    edges: list[dict[str, Optional[int]]] = []
+    edges: list[tuple[Optional[int], ...]] = []
     logs: list[tuple[tuple[int, ...], ...]] = []
     reduced = 0
     # elements are expanded in index order, so edges[i] and logs[i] line
@@ -439,9 +444,9 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
             w = words[i]
             free = key_free[i]
             back = inverse[w[-1]] if w else None
-            row: dict[str, Optional[int]] = {}
-            row_logs = []
-            for x in letters:
+            row: list[Optional[int]] = []
+            row_logs = None
+            for k, x in enumerate(letters):
                 wx = w + x
                 fast = free
                 if free and x == back:
@@ -449,12 +454,11 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
                 elif free:
                     nf = wx
                     fast = wx[-m:] not in tails or not _ends_in_key(wx, keys, key_lengths)
-                if fast:
-                    nf_cache[wx] = (nf, ())
-                    row_logs.append(zero)
-                else:
+                if not fast:
                     nf, log = normal_form_with_log(p, wx)
-                    row_logs.append(counts(log))
+                    if row_logs is None:
+                        row_logs = list(zero_row)
+                    row_logs[k] = counts(log)
                     reduced += 1
                 j = index.get(nf)
                 if j is None and dist < R:
@@ -466,14 +470,15 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
                     distances.append(dist + 1)
                     key_free.append(fast or is_key_free(nf))
                     nxt_frontier.append(j)
-                row[x] = j
-            edges.append(row)
-            logs.append(tuple(row_logs))
+                row.append(j)
+            edges.append(tuple(row))
+            logs.append(zero_row if row_logs is None else tuple(row_logs))
         frontier = nxt_frontier
+    order = p.alphabet._order
     parents: list[Optional[int]] = [None] * len(words)
     for j in range(1, len(words)):
         i = index.get(words[j][:-1])
-        if i is not None and i < j and edges[i][words[j][-1]] == j:
+        if i is not None and i < j and edges[i][order[words[j][-1]]] == j:
             parents[j] = i
     return CayleyBall(p, R, words, index, distances, edges, logs, parents, reduced)
 

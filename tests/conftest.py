@@ -254,14 +254,16 @@ def reference_family(ext, kind, lspec) -> PredictorFamily:
 @dataclass
 class Stack:
     """An instance's validated families: fpa, the q-left family, whose
-    graph is L; lfpa and rfpa, the rho-left and reversed families; and
-    the PPA over the last two."""
+    graph is L; lfpa and rfpa, the rho-left and reversed families; the
+    PPA over the last two; and the cocycle tables over the ball that the
+    validation walk read."""
 
     ext: CentralExtension
     lspec: LanguageSpec
     ball: CayleyBall
     fams: dict[str, PredictorFamily]
     ppa: PPA
+    cocycles: BallCocycles
 
     @property
     def fpa(self) -> PredictorFamily:
@@ -279,9 +281,10 @@ class Stack:
 def _build_stack(ext: CentralExtension, R_validate: int, ball_radius=None) -> Stack:
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, ball_radius or R_validate)
-    fams = build_automata(ext, lspec, R_validate, ball)
+    cocycles = BallCocycles(ext, ball)
+    fams = build_automata(ext, lspec, R_validate, ball, cocycles)
     ppa = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
-    return Stack(ext, lspec, ball, fams, ppa)
+    return Stack(ext, lspec, ball, fams, ppa, cocycles)
 
 
 @pytest.fixture(scope="session")

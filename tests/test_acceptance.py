@@ -171,7 +171,7 @@ def test_ppa_acceptance(dihedral_stack):
     for d, words in branches.items():
         for w in words:
             assert pa(sigma_rho(ext, w, inv(w))) == d, w
-    report = check_ppa_key_property(D, dihedral_stack.ball, 8)
+    report = check_ppa_key_property(D, dihedral_stack.cocycles, 8)
     assert report.passed, report.counterexamples[:3]
     assert time.monotonic() - start < 600
 

@@ -2,9 +2,12 @@
 
 `build_ball` reduces only the edges where a rewrite key can apply; the
 reference below sends every edge through the reducer.  Both must give
-the same ball, field for field, and leave the same normal-form cache.
+the same ball, field for field.  On a cold cache `build_ball` adds one
+normal-form cache entry per reduced edge, each the reference's entry for
+the same word, and nothing for the edges it resolves without reducing.
 """
 
+import tracemalloc
 from typing import Optional
 
 import pytest
@@ -49,14 +52,14 @@ def reference_build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> 
     words_ = [""]
     index = {"": 0}
     distances = [0]
-    edges: list[dict[str, Optional[int]]] = []
+    edges: list[tuple[Optional[int], ...]] = []
     logs: list[tuple[tuple[int, ...], ...]] = []
     frontier = [0]
     for dist in range(R + 1):
         nxt_frontier = []
         for i in frontier:
             w = words_[i]
-            row: dict[str, Optional[int]] = {}
+            row: list[Optional[int]] = []
             row_logs = []
             for x in p.alphabet.letters:
                 nf, log = normal_form_with_log(p, w + x)
@@ -70,14 +73,14 @@ def reference_build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> 
                     words_.append(nf)
                     distances.append(dist + 1)
                     nxt_frontier.append(j)
-                row[x] = j
-            edges.append(row)
+                row.append(j)
+            edges.append(tuple(row))
             logs.append(tuple(row_logs))
         frontier = nxt_frontier
     parents: list[Optional[int]] = [None] * len(words_)
     for j in range(1, len(words_)):
         i = index.get(words_[j][:-1])
-        if i is not None and i < j and edges[i][words_[j][-1]] == j:
+        if i is not None and i < j and edges[i][p.alphabet.index(words_[j][-1])] == j:
             parents[j] = i
     n_edges = len(edges) * len(p.alphabet.letters)
     return CayleyBall(p, R, words_, index, distances, edges, logs, parents, n_edges)
@@ -101,19 +104,23 @@ def _fresh(p: Presentation) -> Presentation:
 
 
 def _outcome(build, p: Presentation, R: int, cap=None):
-    """The ball's fields and the cache's items in insertion order, or the
-    ResourceBound raised on the way."""
+    """The ball and its fields, or the ResourceBound raised on the way."""
     try:
         ball = build(p, R, cap=cap)
     except ResourceBound as e:
-        return ("raised", str(e))
-    return _fields(ball), list(p._nf_cache.items())
+        return None, ("raised", str(e))
+    return ball, _fields(ball)
 
 
 def _assert_same_as_reference(p: Presentation, R: int, cap=None):
-    got = _outcome(build_ball, _fresh(p), R, cap)
-    want = _outcome(reference_build_ball, _fresh(p), R, cap)
+    got_p, want_p = _fresh(p), _fresh(p)
+    ball, got = _outcome(build_ball, got_p, R, cap)
+    _, want = _outcome(reference_build_ball, want_p, R, cap)
     assert got == want
+    if ball is not None:
+        cache, reference = got_p._nf_cache, want_p._nf_cache
+        assert len(cache) == ball.reduced_edges
+        assert all(cache[w] == reference[w] for w in cache)
 
 
 BUNDLED = {
@@ -201,3 +208,18 @@ def test_t1s_ball_reduces_few_edges(monkeypatch):
     assert len(ball) * len(ball.presentation.alphabet.letters) == 178_312
     assert len(calls) <= 1_700
     assert ball.reduced_edges == len(calls)
+
+
+def test_t1s_ball_memory_is_bounded():
+    # the ball is the one store of its fast edges: no normal-form cache
+    # entry, one tuple row per element, one shared row of zero logs
+    p = _fresh(t1s().base)
+    tracemalloc.start()
+    try:
+        ball = build_ball(p, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 22_289
+    assert peak < 10 * 2**20
+    assert len({id(row) for row in ball.logs}) <= ball.reduced_edges + 1

@@ -45,7 +45,7 @@ def reference_ball_cocycles(ext: CentralExtension, ball) -> SimpleNamespace:
 
     lifts = ext._lift_coords
     inv_letter = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
-    succ = [tuple(row[x] for x in alpha.letters) for row in ball.edges]
+    succ = ball.edges
     E = [
         tuple(
             norm([sum(c * z[i] for c, z in zip(counts, lifts)) for i in range(len(mods))])

@@ -131,6 +131,7 @@ def test_ball_reports_reduced_edges(capsys):
     payload = json.loads(out)
     n_edges = payload["sizes"][-1] * 8
     assert 0 < payload["reduced_edges"] < n_edges // 10
+    assert payload["closed"] is False
     code, out = run_cli(
         "ball", str(DATA / "genus2.json"), "--radius", "4", capsys=capsys
     )
@@ -276,6 +277,44 @@ def test_verify_invariants_builds_one_ball(monkeypatch, capsys):
         "FPA key property to radius 4: passed\n"
         "PPA key property to radius 4: passed\n"
     )
+
+
+def test_verify_invariants_builds_one_cocycle_table(monkeypatch, capsys):
+    # the PPA check reads the tables the validation walk filled
+    from exteq.extension import BallCocycles
+
+    original, built = BallCocycles.__init__, []
+
+    def counted(self, ext, ball):
+        built.append(ball)
+        original(self, ext, ball)
+
+    monkeypatch.setattr(BallCocycles, "__init__", counted)
+    (argv,) = [a for a in _readme_commands()[0] if a[0] == "verify-invariants"]
+    monkeypatch.chdir(DATA.parent)
+    code, out = run_cli(*argv, capsys=capsys)
+    assert (code, len(built)) == (0, 1)
+    assert out.endswith("PPA key property to radius 4: passed\n")
+
+
+def test_verify_invariants_t1s_radius_5_exits_3_at_the_pair_cap(capsys):
+    # the L-words to length 5 against their compatible v to length 3 make
+    # 8,939,113 (w, v) pairs, over the default cap; the check refuses them
+    # before evaluating any
+    code = run_cli("verify-invariants", str(DATA / "t1s.json"),
+                   "--radius", "5", "--r-validate", "5")[0]
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "FPA key-property check" in err and "8939113" in err
+
+
+def test_verify_invariants_q8_exits_3_under_a_small_cap(monkeypatch, capsys):
+    monkeypatch.setenv("EXTEQ_CAP_STATES", "100")
+    code = run_cli("verify-invariants", str(DATA / "quaternion8.json"),
+                   "--radius", "4")[0]
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "FPA key-property check" in err
 
 
 def test_python_m_runs_the_cli():

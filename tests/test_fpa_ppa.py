@@ -243,21 +243,21 @@ def test_split_ppa_single_branch(split_stack):
 
 
 def test_ppa_key_property_dihedral(dihedral_stack):
-    D, ball = dihedral_stack.ppa, dihedral_stack.ball
-    assert ball.radius == 8
-    report = check_ppa_key_property(D, ball, 8)
+    D, cocycles = dihedral_stack.ppa, dihedral_stack.cocycles
+    assert cocycles.ball.radius == 8
+    report = check_ppa_key_property(D, cocycles, 8)
     assert report.passed
-    assert check_ppa_key_property(D, ball, 0).passed
+    assert check_ppa_key_property(D, cocycles, 0).passed
     with pytest.raises(BallTooSmall):
-        check_ppa_key_property(D, ball, 9)
+        check_ppa_key_property(D, cocycles, 9)
 
 
 def test_ppa_key_property_q8(q8_stack):
-    assert check_ppa_key_property(q8_stack.ppa, q8_stack.ball, 6).passed
+    assert check_ppa_key_property(q8_stack.ppa, q8_stack.cocycles, 6).passed
 
 
 def test_ppa_key_property_t1s(t1s_stack):
-    assert check_ppa_key_property(t1s_stack.ppa, t1s_stack.ball, 4).passed
+    assert check_ppa_key_property(t1s_stack.ppa, t1s_stack.cocycles, 4).passed
 
 
 def _string_route_ppa_check(D, R):
@@ -296,7 +296,7 @@ def test_ppa_key_property_tables_match_string_route(dihedral_stack, R):
     states[flipped] = (m1, m2, d + one)
     states[sunk] = None
     for ppa in (D, replace(D, states=states, memo={})):
-        report = check_ppa_key_property(ppa, dihedral_stack.ball, R)
+        report = check_ppa_key_property(ppa, dihedral_stack.cocycles, R)
         assert list(report.counterexamples) == _string_route_ppa_check(ppa, R)
     if R == 6:
         assert {c[0] for c in report.counterexamples} == {"branch", "sink-accepting"}

@@ -283,6 +283,7 @@ def reference_Le(F, ext, gs, ball):
     every walk that stays in the ball is kept alive.  Only the accepting
     states depend on g."""
     letters = F.graph.alphabet.letters
+    order = {x: k for k, x in enumerate(ball.presentation.alphabet.letters)}
     start = (F.graph.initial, 0)
     states = [start, None]
     index = {start: 0}
@@ -293,7 +294,7 @@ def reference_Le(F, ext, gs, ball):
         fs, ei = states[i]
         row = []
         for x in letters:
-            e2 = ball.edges[ei].get(x)
+            e2 = ball.edges[ei][order[x]]
             if e2 is None:
                 row.append(1)
                 continue

@@ -59,10 +59,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def qg_reference(ball, w, nu):
     """d(1, w') >= |w'| - nu for every subword w', each walked on the
     ball from the identity."""
+    alpha = ball.presentation.alphabet
     for i in range(len(w)):
         cur = 0
         for j in range(i + 1, len(w) + 1):
-            cur = ball.edges[cur][w[j - 1]]
+            cur = ball.edges[cur][alpha.index(w[j - 1])]
             if ball.distances[cur] < (j - i) - nu:
                 return False
     return True
