@@ -202,17 +202,16 @@ class BallCocycles:
         the identity, else None; and the left multiplications lmul[z][h],
         the index of nf(z) h or None."""
         ball = self.ball
-        letters = self.ext.base.alphabet.letters
-        order = {x: k for k, x in enumerate(letters)}
+        position = self.ext.base.alphabet.position
         n = len(ball)
         links: list = [None] * n
         for j in range(1, n):
             p = ball.parents[j]
             if p is not None and (p == 0 or links[p] is not None):
-                links[j] = (order[ball.words[j][-1]], p)
+                links[j] = (position[ball.words[j][-1]], p)
         succ = ball.edges
         lmul = []
-        for z in range(len(letters)):
+        for z in range(len(succ[0])):
             row: list = [succ[0][z]] + [None] * (n - 1)
             for j in range(1, n):
                 link = links[j]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import FGAElement, pa
-from .automata import FSA, explore, restrict_accepting
+from .automata import FSA, coaccessible, explore, restrict_accepting
 from .errors import (
     BallTooSmall,
     Incompatible,
@@ -161,36 +161,45 @@ def ppa_branch(D: PPA, d: FGAElement) -> FSA:
 # -- brute-force harnesses ----------------------------------------------
 
 
-def _language_by_state(F: PredictorFamily, R: int):
-    """All words of length <= R grouped by their end state, L-words only."""
-    groups: dict[int, list[Word]] = {}
-    frontier = [("", F.graph.initial)]
+def _pair_count(F: PredictorFamily, R: int, R_v: int) -> int:
+    """The (w, v) pairs check_fpa_key_property evaluates, counted over
+    the graph without listing a word: the sum over live s of the L-words
+    of length <= R that end in s times the v of length <= R_v that read
+    from s into a live state."""
+    rows, live, n = F.graph.transitions, F.live, F.graph.n_states
+    ending, reach = [0] * n, [0] * n
+    reach[F.graph.initial] = 1
     for _ in range(R + 1):
+        nxt = [0] * n
+        for s, c in enumerate(reach):
+            if c:
+                ending[s] += c
+                for t in rows[s]:
+                    nxt[t] += c
+        reach = nxt
+    # tail[s]: the words of length <= k from s into a live state, k -> R_v
+    tail = [int(s in live) for s in range(n)]
+    for _ in range(R_v):
+        tail = [(s in live) + sum(map(tail.__getitem__, rows[s])) for s in range(n)]
+    return sum(ending[s] * tail[s] for s in live)
+
+
+def _live_words(F: PredictorFamily, start: int, R: int, alive) -> list:
+    """(w, s) for every w with |w| <= R that reads from `start` into the
+    live state s, in shortlex order.  A prefix in a state outside
+    `alive`, the states that reach a live one, is not extended."""
+    letters, rows, live = F.graph.alphabet.letters, F.graph.transitions, F.live
+    out = []
+    frontier = [("", start)]
+    for depth in range(R + 1):
         nxt = []
         for w, s in frontier:
-            if s in F.live:
-                groups.setdefault(s, []).append(w)
-            if len(w) < R:
-                for x in F.graph.alphabet.letters:
-                    nxt.append((w + x, F.graph.step(s, x)))
+            if s in live:
+                out.append((w, s))
+            if depth < R:
+                nxt.extend((w + x, t) for x, t in zip(letters, rows[s]) if t in alive)
         frontier = nxt
-    return groups
-
-
-def _compatible_words(F: PredictorFamily, s: int, R_v: int) -> list[Word]:
-    """All v with |v| <= R_v that read from s̄ into a live state."""
-    compatible: list[Word] = []
-    frontier = [("", s)]
-    for _ in range(R_v + 1):
-        nxt = []
-        for v, cur in frontier:
-            if cur in F.live:
-                compatible.append(v)
-            if len(v) < R_v:
-                for x in F.graph.alphabet.letters:
-                    nxt.append((v + x, F.graph.step(cur, x)))
-        frontier = nxt
-    return compatible
+    return out
 
 
 def check_fpa_key_property(
@@ -200,25 +209,28 @@ def check_fpa_key_property(
     and every compatible v, exhaustively to |w| <= R, |v| <= R_v.
 
     Also cross-checks the state-route evaluation against the direct
-    cocycle value.  The check evaluates one sigma_q per (w, v) pair;
-    more pairs than state_cap() raise ResourceBound before any is
-    evaluated.
+    cocycle value.  The check evaluates one sigma_q per (w, v) pair and
+    counts the pairs before it lists any word: more than state_cap()
+    raise ResourceBound.  Words that reach no live state are never
+    extended, so with L prefix-closed the words listed number at most
+    twice the pairs.
     """
     ext = F.ext
     R_v = R if R_v is None else R_v
-    groups = _language_by_state(F, R)
-    compatible = {s: _compatible_words(F, s, R_v) for s in groups}
-    pairs = sum(len(ws) * len(compatible[s]) for s, ws in groups.items())
-    cap = state_cap()
+    pairs, cap = _pair_count(F, R, R_v), state_cap()
     if pairs > cap:
         raise ResourceBound(
             f"FPA key-property check to radius {R} would evaluate {pairs} "
             f"(w, v) pairs, over the cap {cap}"
         )
+    alive = coaccessible(F.graph)
+    groups: dict[int, list[Word]] = {}
+    for w, s in _live_words(F, F.graph.initial, R, alive):
+        groups.setdefault(s, []).append(w)
     counterexamples = []
     for s, ws in groups.items():
         baseline = ws[0]
-        for v in compatible[s]:
+        for v, _ in _live_words(F, s, R_v, alive):
             expect = sigma_q(ext, baseline, v)
             state_value = sigma_q_of_state(F, s, v)
             if state_value != expect:
@@ -235,7 +247,8 @@ def check_ppa_key_property(D: PPA, cocycles: BallCocycles, R: int) -> CheckRepor
 
     sigma_rho(w, w^-1) is read from the given cocycle tables of D's
     extension, whose ball must reach radius R, and evaluated by the
-    string route where they read None."""
+    string route where they read None.  A word in a state that reaches
+    no accepting one is not extended."""
     ball = cocycles.ball
     if ball.radius < R:
         raise BallTooSmall(f"PPA check to radius {R} needs a ball of radius "
@@ -246,7 +259,7 @@ def check_ppa_key_property(D: PPA, cocycles: BallCocycles, R: int) -> CheckRepor
     kernel = ext.kernel
     alpha = D.fsa.alphabet
     table = cocycles.sigma_inverse
-    edges = ball.edges
+    edges, rows, alive = ball.edges, D.fsa.transitions, coaccessible(D.fsa)
     counterexamples = []
     # (w, state, ball index of w)
     frontier = [("", D.fsa.initial, 0)]
@@ -267,7 +280,8 @@ def check_ppa_key_property(D: PPA, cocycles: BallCocycles, R: int) -> CheckRepor
                     if direct != d:
                         counterexamples.append(("branch", w, direct, d))
             if len(w) < R:
-                for k, x in enumerate(alpha.letters):
-                    nxt.append((w + x, D.fsa.step(s, x), edges[g][k]))
+                for x, t, h in zip(alpha.letters, rows[s], edges[g]):
+                    if t in alive:
+                        nxt.append((w + x, t, h))
         frontier = nxt
     return CheckReport(R, tuple(counterexamples))

@@ -338,13 +338,11 @@ def build_automata(
     ext: CentralExtension,
     lspec: LanguageSpec,
     R_validate: int,
-    ball: CayleyBall,
-    cocycles: Optional[BallCocycles] = None,
+    cocycles: BallCocycles,
 ) -> dict[str, PredictorFamily]:
     """The three predictor families, validated in one walk over every
-    word of length <= R_validate, which the ball must reach.  The walk
-    reads the cocycle tables over the ball: `cocycles` when the caller
-    keeps them, else tables built here.
+    word of length <= R_validate.  The walk reads ext's cocycle tables
+    `cocycles`, whose ball must reach R_validate.
 
     The q-left and rho-left families share the left graph, whose live
     states are L; the reversed family has the right graph.  A left graph
@@ -367,12 +365,9 @@ def build_automata(
         fams[RHO_RIGHT_REVERSED] = _family(ext, RHO_RIGHT_REVERSED, lspec, *right)
     except ResourceBound as exc:
         right_failure = exc
-    if cocycles is None:
-        cocycles = BallCocycles(ext, ball)
-    elif cocycles.ball is not ball or cocycles.ext is not ext:
-        raise ValueError("cocycle tables belong to a different ball or extension")
     machines = [_family_machine(f, cocycles) for f in fams.values()]
-    for fam, report in zip(fams.values(), _walk(lspec, R_validate, ball, machines)):
+    walk = _walk(lspec, R_validate, cocycles.ball, machines)
+    for fam, report in zip(fams.values(), walk):
         _raise_for_family(fam, report)
     if right_failure is not None:
         raise right_failure

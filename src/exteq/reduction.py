@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .abelian import (
@@ -629,10 +628,10 @@ def build_Le_automaton(F: PredictorFamily, g: Word, ball: CayleyBall) -> FSA:
                     nxt.append(j)
         frontier = nxt
     M, edges = F.graph, ball.edges
-    order = {x: k for k, x in enumerate(ball.presentation.alphabet.letters)}
+    position = ball.presentation.alphabet.position
 
     def step(state, x):
-        e2 = edges[state[1]][order[x]]
+        e2 = edges[state[1]][position[x]]
         return (M.step(state[0], x), e2) if e2 in within else None
 
     states, rows = explore(
@@ -1115,14 +1114,13 @@ class Pipeline:
     """The built automaton stack, the one handle every solve and every
     per-tuple step reads: F, the validated q-left family, whose live
     states are L; the PPA D over the rho-left and reversed families; the
-    ball they were validated on; and kappa2, the bound on the c-words of
-    Theta.  The extension is F's; `cocycles` are its tables over the
-    ball, the ones the validation walk filled when `build` made the
-    pipeline."""
+    cocycle tables their validation walk read, over the ball it walked;
+    and kappa2, the bound on the c-words of Theta.  The extension is
+    F's."""
 
     F: PredictorFamily
     D: PPA
-    ball: CayleyBall
+    cocycles: BallCocycles
     kappa2: int
 
     def __post_init__(self):
@@ -1133,9 +1131,9 @@ class Pipeline:
     def ext(self) -> CentralExtension:
         return self.F.ext
 
-    @cached_property
-    def cocycles(self) -> BallCocycles:
-        return BallCocycles(self.ext, self.ball)
+    @property
+    def ball(self) -> CayleyBall:
+        return self.cocycles.ball
 
     @classmethod
     def build(
@@ -1154,13 +1152,10 @@ class Pipeline:
 
         lspec = default_language_spec(ext.base)
         radius = max(R_validate, ball_radius or 0)
-        ball = build_ball(ext.base, radius)
-        cocycles = BallCocycles(ext, ball)
-        fams = build_automata(ext, lspec, R_validate, ball, cocycles)
+        cocycles = BallCocycles(ext, build_ball(ext.base, radius))
+        fams = build_automata(ext, lspec, R_validate, cocycles)
         D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
-        pipe = cls(fams[Q_LEFT], D, ball, kappa2)
-        pipe.cocycles = cocycles
-        return pipe
+        return cls(fams[Q_LEFT], D, cocycles, kappa2)
 
 
 def finite_diameter(ball: CayleyBall) -> Optional[int]:

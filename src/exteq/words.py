@@ -37,7 +37,10 @@ def state_cap() -> int:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered symmetric alphabet with a formal-inverse involution."""
+    """Ordered symmetric alphabet with a formal-inverse involution.
+
+    `position[x]` is the index of letter x in `letters`; `index` reads
+    it and rejects a letter outside the alphabet."""
 
     letters: tuple[str, ...]
     inverse: dict[str, str] = field(compare=False)
@@ -54,7 +57,7 @@ class Alphabet:
             if self.inverse[y] != x:
                 raise ValueError(f"involution not an involution at {x!r}")
         object.__setattr__(
-            self, "_order", {x: i for i, x in enumerate(self.letters)}
+            self, "position", {x: i for i, x in enumerate(self.letters)}
         )
 
     @classmethod
@@ -83,13 +86,13 @@ class Alphabet:
 
     def index(self, x: str) -> int:
         try:
-            return self._order[x]
+            return self.position[x]
         except KeyError:
             raise AlphabetMismatch(f"letter {x!r} not in alphabet") from None
 
     def check_word(self, w: Word) -> Word:
         for x in w:
-            if x not in self._order:
+            if x not in self.position:
                 raise AlphabetMismatch(f"letter {x!r} not in alphabet")
         return w
 
@@ -97,14 +100,14 @@ class Alphabet:
         return "".join(self.inverse[x] for x in reversed(w))
 
     def shortlex_key(self, w: Word):
-        return (len(w), tuple(self._order[x] for x in w))
+        return (len(w), tuple(self.position[x] for x in w))
 
     def free_reduce(self, w: Word) -> Word:
         """Unique freely reduced word equal to w in the free group."""
         out: list[str] = []
         inv = self.inverse
         for x in w:
-            if x not in self._order:
+            if x not in self.position:
                 raise AlphabetMismatch(f"letter {x!r} not in alphabet")
             if out and out[-1] == inv[x]:
                 out.pop()
@@ -474,11 +477,11 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
             edges.append(tuple(row))
             logs.append(zero_row if row_logs is None else tuple(row_logs))
         frontier = nxt_frontier
-    order = p.alphabet._order
+    position = p.alphabet.position
     parents: list[Optional[int]] = [None] * len(words)
     for j in range(1, len(words)):
         i = index.get(words[j][:-1])
-        if i is not None and i < j and edges[i][order[words[j][-1]]] == j:
+        if i is not None and i < j and edges[i][position[words[j][-1]]] == j:
             parents[j] = i
     return CayleyBall(p, R, words, index, distances, edges, logs, parents, reduced)
 

@@ -179,7 +179,8 @@ def validated_L(p: Presentation, R: int, lspec=None) -> FSA:
     build_automata and validated to radius R (default_language_spec(p)
     unless given)."""
     ext = split(p, FGAGroup(1))
-    fams = build_automata(ext, lspec or default_language_spec(p), R, build_ball(p, R))
+    lspec = lspec or default_language_spec(p)
+    fams = build_automata(ext, lspec, R, BallCocycles(ext, build_ball(p, R)))
     return fams[Q_LEFT].graph
 
 
@@ -282,7 +283,7 @@ def _build_stack(ext: CentralExtension, R_validate: int, ball_radius=None) -> St
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, ball_radius or R_validate)
     cocycles = BallCocycles(ext, ball)
-    fams = build_automata(ext, lspec, R_validate, ball, cocycles)
+    fams = build_automata(ext, lspec, R_validate, cocycles)
     ppa = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
     return Stack(ext, lspec, ball, fams, ppa, cocycles)
 

@@ -55,7 +55,7 @@ def _sigma_cache(fn, ext):
 
 
 def _pipeline_from(stack, kappa2):
-    return Pipeline(F=stack.fpa, D=stack.ppa, ball=stack.ball, kappa2=kappa2)
+    return Pipeline(F=stack.fpa, D=stack.ppa, cocycles=stack.cocycles, kappa2=kappa2)
 
 
 # -- 1: cocycle condition -----------------------------------------------

@@ -309,12 +309,27 @@ def test_verify_invariants_t1s_radius_5_exits_3_at_the_pair_cap(capsys):
 
 
 def test_verify_invariants_q8_exits_3_under_a_small_cap(monkeypatch, capsys):
+    # all 4^12 words of length 12 would be 16.7M; the pairs are counted
+    # over the FPA's graph, so the check refuses before listing any word
+    from exteq import fpa_ppa
+
+    listed = []
+    monkeypatch.setattr(fpa_ppa, "_live_words", lambda *a: listed.append(a))
     monkeypatch.setenv("EXTEQ_CAP_STATES", "100")
     code = run_cli("verify-invariants", str(DATA / "quaternion8.json"),
-                   "--radius", "4")[0]
+                   "--radius", "12")[0]
     out, err = capsys.readouterr()
-    assert (code, out) == (3, "")
-    assert "FPA key-property check" in err
+    assert (code, out, listed) == (3, "", [])
+    assert "FPA key-property check to radius 12 would evaluate 22073" in err
+
+
+def test_verify_invariants_q8_radius_12_lists_only_live_words(capsys):
+    # 22,073 pairs, under the default cap; both checks extend only words
+    # that can still reach an accepting state, not all 4^12 of length 12
+    code, out = run_cli("verify-invariants", str(DATA / "quaternion8.json"),
+                        "--radius", "12", capsys=capsys)
+    assert (code, out) == (0, "FPA key property to radius 12: passed\n"
+                              "PPA key property to radius 12: passed\n")
 
 
 def test_python_m_runs_the_cli():

@@ -17,8 +17,9 @@ from exteq.errors import (
     Incompatible,
     NotAcceptingState,
 )
-from exteq.extension import sigma_q, sigma_rho
+from exteq.extension import BallCocycles, sigma_q, sigma_rho
 from exteq.fpa_ppa import (
+    _pair_count,
     build_ppa,
     check_fpa_key_property,
     check_ppa_key_property,
@@ -42,7 +43,8 @@ from exteq.words import build_ball
 def split_stack():
     ext = split(klein_presentation(), FGAGroup(1))
     lspec = default_language_spec(ext.base)
-    return ext, build_automata(ext, lspec, 6, build_ball(ext.base, 6))
+    cocycles = BallCocycles(ext, build_ball(ext.base, 6))
+    return ext, build_automata(ext, lspec, 6, cocycles)
 
 
 # -- FPA ----------------------------------------------------------------
@@ -128,6 +130,23 @@ def test_fpa_key_property_dihedral(dihedral_stack):
 
 def test_fpa_key_property_q8(q8_stack):
     assert check_fpa_key_property(q8_stack.fpa, 5, 3).passed
+
+
+@pytest.mark.parametrize("stack_name, R, R_v, pairs", [
+    ("dihedral_stack", 6, 4, 7873), ("q8_stack", 5, 3, 11577),
+    ("t1s_stack", 3, 1, 3657), ("t1s_stack", 4, 2, 182225),
+])
+def test_fpa_pair_count_matches_enumeration(request, stack_name, R, R_v, pairs):
+    # the count over the graph equals the pairs of every word, unpruned
+    F = request.getfixturevalue(stack_name).fpa
+    alpha, live = F.graph.alphabet, F.live
+    ends = [F.graph.run(w) for w in words_up_to(alpha, R)]
+    tails = {
+        s: sum(F.graph.run(v, s) in live for v in words_up_to(alpha, R_v))
+        for s in set(ends) & live
+    }
+    assert _pair_count(F, R, R_v) == pairs
+    assert sum(tails[s] for s in ends if s in live) == pairs
 
 
 @pytest.mark.parametrize(

@@ -54,12 +54,13 @@ def test_spec_parameter_validation():
         LanguageSpec(p, nu=1, window=None)
     with pytest.raises(ValueError):
         LanguageSpec(p, nu=0, window=0)
+    ext = split(p, FGAGroup(1))
     with pytest.raises(ValueError):
         build_automata(
-            split(p, FGAGroup(1)),
+            ext,
             default_language_spec(klein_presentation()),
             5,
-            build_ball(p, 5),
+            BallCocycles(ext, build_ball(p, 5)),
         )
 
 
@@ -101,7 +102,8 @@ def test_dihedral_branches_partition_L(dihedral_stack):
 def test_split_extension_has_single_trivial_branch():
     ext = split(klein_presentation(), FGAGroup(1))
     spec = default_language_spec(ext.base)
-    fam = build_automata(ext, spec, 7, build_ball(ext.base, 7))[Q_LEFT]
+    cocycles = BallCocycles(ext, build_ball(ext.base, 7))
+    fam = build_automata(ext, spec, 7, cocycles)[Q_LEFT]
     L, _ = reference_graph(spec, None)
     zero = ext.pushout_kernel.zero()
     for x in ext.base.alphabet.letters:

@@ -79,7 +79,7 @@ def test_pipeline_builds_one_cocycle_table(monkeypatch):
 @pytest.fixture(scope="module")
 def q8_pipe(q8_stack):
     s = q8_stack
-    return Pipeline(F=s.fpa, D=s.ppa, ball=s.ball, kappa2=2)
+    return Pipeline(F=s.fpa, D=s.ppa, cocycles=s.cocycles, kappa2=2)
 
 
 def _q8_systems(ext):
@@ -518,7 +518,7 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
     # conditions checked one by one, each constant's d pinned to the
     # parity of its element
     ext, F = dihedral_stack.ext, dihedral_stack.fpa
-    pipe = Pipeline(F=F, D=dihedral_stack.ppa, ball=dihedral_stack.ball, kappa2=1)
+    pipe = Pipeline(F=F, D=dihedral_stack.ppa, cocycles=dihedral_stack.cocycles, kappa2=1)
     sys = _dihedral_system(ext)
     tri = triangularize(sys, identity(ext))
     got = list(enumerate_theta(tri, pipe))
@@ -559,7 +559,7 @@ def test_enumerate_theta_matches_direct_filter(dihedral_stack):
 
 def test_witness_tuple_is_in_stream(dihedral_stack):
     ext, F = dihedral_stack.ext, dihedral_stack.fpa
-    pipe = Pipeline(F=F, D=dihedral_stack.ppa, ball=dihedral_stack.ball, kappa2=1)
+    pipe = Pipeline(F=F, D=dihedral_stack.ppa, cocycles=dihedral_stack.cocycles, kappa2=1)
     tri = triangularize(_dihedral_system(ext), identity(ext))
     gamma = extend_to_fresh(tri, ext.base, {"x": "s"})
     t, _ = witness_theta(tri, pipe, gamma)
@@ -713,7 +713,7 @@ def test_solve_hint_path(q8_pipe):
 
 def test_finite_complete_guards(q8_pipe):
     sys = _twisted_system(q8_pipe.ext)
-    small = Pipeline(F=q8_pipe.F, D=q8_pipe.D, ball=q8_pipe.ball, kappa2=1)
+    small = Pipeline(F=q8_pipe.F, D=q8_pipe.D, cocycles=q8_pipe.cocycles, kappa2=1)
     with pytest.raises(ValueError):
         solve(sys, small, SolveConfig(mode="finite-complete", oracle_bound=2))
     # no oracle runs in finite-complete mode, so its bound guards nothing

@@ -223,7 +223,7 @@ def _w_of(build, t, tri, F):
 @pytest.fixture(scope="module")
 def corpus_pipes(q8_stack, modular16_stack):
     return {
-        name: Pipeline(s.fpa, s.ppa, s.ball, 2)
+        name: Pipeline(s.fpa, s.ppa, s.cocycles, 2)
         for name, s in (("quaternion8", q8_stack), ("modular16", modular16_stack))
     }
 
@@ -290,7 +290,7 @@ def test_dihedral_whole_stream_equals_reference(dihedral_stack):
     ext = dihedral_stack.ext
     F = replace(dihedral_stack.fpa, memo={})
     ctx = SimpleNamespace(base=ext.base, kappa2=1)
-    pipe = Pipeline(F, dihedral_stack.ppa, dihedral_stack.ball, 1)
+    pipe = Pipeline(F, dihedral_stack.ppa, dihedral_stack.cocycles, 1)
     tri = _dihedral_tri(ext)
     ref = list(reference_enumerate_theta(tri, ctx, F, ext))
     assert len(ref) > HEAD
@@ -410,7 +410,7 @@ def test_drifted_constant_raises_every_call(q8_stack, monkeypatch):
     sys_ = EquationSystem(("x",), {"c": ExtElement(ext, RHO, "s", ext.kernel.zero())},
                           ("x C",))
     tri = triangularize(sys_, identity(ext))
-    t = next(enumerate_theta(tri, Pipeline(F, q8_stack.ppa, q8_stack.ball, 2)))
+    t = next(enumerate_theta(tri, Pipeline(F, q8_stack.ppa, q8_stack.cocycles, 2)))
     kept = dict(F.memo)
     # a section read off the wrong element leaves the constant's central
     # part outside the kernel

@@ -450,6 +450,7 @@ def test_klein_L_normal_form_count_ignores_hash_seed():
     script = (
         "import exteq.words as words\n"
         "from exteq.instances import default_language_spec, quaternion8\n"
+        "from exteq.extension import BallCocycles\n"
         "from exteq.lrational import build_automata\n"
         "calls = []\n"
         "original = words.normal_form_with_log\n"
@@ -459,7 +460,8 @@ def test_klein_L_normal_form_count_ignores_hash_seed():
         "words.normal_form_with_log = counted\n"
         "ext = quaternion8()\n"
         "p = ext.base\n"
-        "build_automata(ext, default_language_spec(p), 6, words.build_ball(p, 6))\n"
+        "ball = words.build_ball(p, 6)\n"
+        "build_automata(ext, default_language_spec(p), 6, BallCocycles(ext, ball))\n"
         "print(len(calls), len(p._nf_cache))\n"
     )
     counts = []
