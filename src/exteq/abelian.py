@@ -51,14 +51,12 @@ class FGAGroup:
             g = self.__dict__["_parity"] = FGAGroup(0, (2,) * self.rank + self.torsion)
         return g
 
-    def elements(self, free_range: range = range(0, 1)):
-        """All elements, iterating free coordinates over free_range."""
+    def elements(self):
+        """Every element with free coordinates 0: all of a finite group."""
         from itertools import product
 
-        fres = product(free_range, repeat=self.rank)
-        for fr in fres:
-            for ts in product(*[range(d) for d in self.torsion]):
-                yield self.element(fr, ts)
+        for ts in product(*[range(d) for d in self.torsion]):
+            yield self.element([0] * self.rank, ts)
 
     @property
     def order(self) -> Optional[int]:
@@ -280,24 +278,28 @@ def smith_normal_form(M: Sequence[Sequence[int]]):
 
 
 def solve_integer_system(M, b):
-    """One integer solution x of M x = b, or None; free parameters are 0."""
+    """Decide M x = b over the integers by one Smith form U M V = D.
+
+    Returns (x, None) with x one solution, free parameters 0; or, when
+    there is none, (None, (u, value, d)) for the first row i where
+    d = D[i][i] does not divide value = (U b)[i] (d = 0 and value != 0
+    included): u = U[i] combines the equations into u M x = value, whose
+    left side is a multiple of d for every integer x.
+    """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     if rows == 0:
-        return [0] * cols
+        return [0] * cols, None
     U, D, V = smith_normal_form(M)
     c = [sum(U[i][k] * b[k] for k in range(rows)) for i in range(rows)]
     y = [0] * cols
     for i in range(rows):
         d = D[i][i] if i < cols else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
+        if (c[i] % d) if d else c[i]:
+            return None, (U[i], c[i], d)
+        if d:
             y[i] = c[i] // d
-    return [sum(V[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+    return [sum(V[i][k] * y[k] for k in range(cols)) for i in range(cols)], None
 
 
 @dataclass
@@ -352,22 +354,38 @@ def coordinate_systems(sys: AbelianLinearSystem):
         yield c, M, b
 
 
-def solve_linear_system(sys: AbelianLinearSystem) -> Optional[dict[str, FGAElement]]:
-    """One satisfying assignment, or None.
+def solve_linear_system(
+    sys: AbelianLinearSystem,
+) -> tuple[Optional[dict[str, FGAElement]], Optional[dict]]:
+    """(assignment, None) for one satisfying assignment, or (None,
+    obstruction) when there is none.
 
     Each coordinate of the group splits off an independent integer system
-    (coordinate_systems).
+    (coordinate_systems), decided by one Smith form.  The obstruction is
+    the failing row of the first coordinate without a solution
+    (solve_integer_system): an integer combination of the equations with
+    zero variable part and nonzero value, reported with the value
+    negative and modulus None; or one whose variable part is always a
+    multiple of the modulus, which does not divide the value.
     """
     g = sys.group
     nvars = len(sys.variables)
     values: list[list[int]] = [[0] * (g.rank + len(g.torsion)) for _ in range(nvars)]
     for c, M, b in coordinate_systems(sys):
-        x = solve_integer_system(M, b)
+        x, failure = solve_integer_system(M, b)
         if x is None:
-            return None
+            combination, value, d = failure
+            if d == 0 and value > 0:
+                combination, value = [-k for k in combination], -value
+            return None, {
+                "coordinate": c,
+                "combination": list(combination),
+                "value": value,
+                "modulus": d or None,
+            }
         for i in range(nvars):
             values[i][c] = x[i]
     return {
         v: g.element(values[i][: g.rank], values[i][g.rank :])
         for i, v in enumerate(sys.variables)
-    }
+    }, None

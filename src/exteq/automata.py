@@ -54,7 +54,7 @@ class FSA:
 
 
 def explore(
-    alphabet: Alphabet, start, step, cap=None, error=ResourceBound, what="automaton"
+    alphabet: Alphabet, start, step, error=ResourceBound, what="automaton"
 ) -> tuple[list, tuple[tuple[int, ...], ...]]:
     """The states reachable from `start` under step(state, letter).
 
@@ -62,10 +62,10 @@ def explore(
     letters taken in alphabet order, and rows[i][k] the index of the
     state reached from states[i] by the k-th letter.  None is an ordinary
     state, the sink: it is numbered where first reached and steps to
-    itself without calling `step`.  Discovering a state beyond `cap`
-    (default: state_cap()) raises `error`, "{what} exceeds cap {cap}".
+    itself without calling `step`.  Discovering a state beyond the cap
+    state_cap() raises `error`, "{what} exceeds cap {cap}".
     """
-    cap = state_cap() if cap is None else cap
+    cap = state_cap()
     letters = alphabet.letters
     index = {start: 0}
     states = [start]

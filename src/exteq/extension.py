@@ -3,9 +3,9 @@
 An extension is specified by a presentation of the base group and one
 kernel element per relator (the value the relator word takes in E).  The
 section rho lifts shortlex normal forms letterwise; its cocycle sigma_rho
-is computed from logged relator applications.  The pushout extension E'
-doubles the kernel's torsion so that the symmetric section q and its
-cocycle sigma_q are expressible.
+is computed from the reducer's relator-count vectors.  The pushout
+extension E' doubles the kernel's torsion so that the symmetric section
+q and its cocycle sigma_q are expressible.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ class CentralExtension:
         for z in self.relator_lifts:
             if z.group != self.kernel:
                 raise ValueError("relator lift outside the kernel group")
-        object.__setattr__(
-            self, "_lift_coords", tuple(z.coords() for z in self.relator_lifts)
-        )
         object.__setattr__(self, "_sigma_cache", {})
         object.__setattr__(self, "_sigma_q_cache", {})
         object.__setattr__(self, "_q_part_cache", {})
@@ -59,20 +56,22 @@ class CentralExtension:
         return self.base.alphabet.inverse_word(w)
 
 
+def kernel_value(ext: CentralExtension, counts: tuple[int, ...]) -> FGAElement:
+    """sum_k counts[k] * z_k: the relator lifts weighted by a
+    relator-count vector."""
+    return sum((c * z for c, z in zip(counts, ext.relator_lifts)), ext.kernel.zero())
+
+
 def central_defect(ext: CentralExtension, w: Word) -> FGAElement:
     """The kernel element represented by a base-trivial word.
 
-    Sums the signed relator lifts along the logged reduction; the kernel
+    The kernel value of the relator counts of w's reduction; the kernel
     being central makes the value independent of the reduction order.
     """
-    nf, log = normal_form_with_log(ext.base, w)
+    nf, counts = normal_form_with_log(ext.base, w)
     if nf != "":
         raise NotTrivialInBase(f"{w!r} reduces to {nf!r}, not the identity")
-    acc = [0] * (ext.kernel.rank + len(ext.kernel.torsion))
-    for k, sign, _pos in log:
-        for i, v in enumerate(ext._lift_coords[k]):
-            acc[i] += sign * v
-    return ext.kernel.element(acc[: ext.kernel.rank], acc[ext.kernel.rank :])
+    return kernel_value(ext, counts)
 
 
 def sigma_rho(ext: CentralExtension, g: Word, h: Word) -> FGAElement:
@@ -127,9 +126,9 @@ def sigma_q(ext: CentralExtension, g: Word, h: Word) -> FGAElement:
 class BallCocycles:
     """sigma_rho, sigma_q and sigma_rho(x, h) as integer tables over a ball.
 
-    Every edge g --x--> gx of a Cayley ball carries the relator counts
-    logged while reducing nf(g) x; read in the kernel they give the label
-    E(g, x), and rho(g) x = rho(gx) E(g, x) in E.  With normal forms
+    Every edge g --x--> gx of a Cayley ball carries the relator-count
+    vector of reducing nf(g) x; its kernel value is the label E(g, x),
+    and rho(g) x = rho(gx) E(g, x) in E.  With normal forms
     prefix-closed, h = h'y gives rho(h) = rho(h') y, hence
 
         sigma_rho(g, nf(x)) = E(g, x) - E(1, x)
@@ -164,11 +163,10 @@ class BallCocycles:
         self._memo: dict = {}  # (operator, u, v) -> u op v, normalized
         self.zero = self._intern((0,) * len(self.mods))
         self.inv_letter = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
-        # each distinct relator-count tuple and row is labelled once
+        # each distinct relator-count vector and row is labelled once
         rows = dict.fromkeys(ball.logs)
-        lifts, coords = ext._lift_coords, range(len(self.mods))
         label = {
-            counts: self._norm([sum(c * z[i] for c, z in zip(counts, lifts)) for i in coords])
+            counts: self._intern(kernel_value(ext, counts).coords())
             for counts in {c for row in rows for c in row}
         }
         for row in rows:

@@ -3,7 +3,8 @@ automata and certificates.
 
 Every artifact carries a "format_version" field; loaders validate the
 schema and report failures with the JSON path of the offending field.
-Saving then loading is the identity on every bundled file.
+Writers exist only for what the program saves: the automata and kernel
+elements of an `exteq build` file, and certificates through save_json.
 """
 
 from __future__ import annotations
@@ -58,10 +59,6 @@ def _int_list(value, path: str) -> list[int]:
 # -- abelian groups and elements ----------------------------------------
 
 
-def group_to_json(g: FGAGroup) -> dict:
-    return {"rank": g.rank, "torsion": list(g.torsion)}
-
-
 def group_from_json(obj, path: str = "kernel") -> FGAGroup:
     rank = _expect(obj, "rank", int, path)
     torsion = _int_list(_expect(obj, "torsion", list, path), f"{path}.torsion")
@@ -85,19 +82,6 @@ def kernel_element_from_json(obj, group: FGAGroup, path: str) -> FGAElement:
 
 
 # -- presentations and extensions ---------------------------------------
-
-
-def presentation_to_json(p: Presentation) -> dict:
-    out = {
-        "format_version": FORMAT_VERSION,
-        "generators": [x for x in p.alphabet.letters if x == x.lower()],
-        "relators": list(p.relators),
-    }
-    if p.delta is not None:
-        out["delta"] = str(p.delta)
-    if p.sc_fraction is not None:
-        out["sc_fraction"] = str(p.sc_fraction)
-    return out
 
 
 def _fraction(obj, key: str, path: str):
@@ -136,15 +120,6 @@ def presentation_from_json(obj, path: str = "presentation") -> Presentation:
     )
 
 
-def extension_to_json(ext: CentralExtension) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "presentation": presentation_to_json(ext.base),
-        "kernel": group_to_json(ext.kernel),
-        "relator_values": [kernel_element_to_json(a) for a in ext.relator_lifts],
-    }
-
-
 def extension_from_json(obj, path: str = "extension") -> CentralExtension:
     _check_version(obj, path)
     base = presentation_from_json(
@@ -165,10 +140,6 @@ def extension_from_json(obj, path: str = "extension") -> CentralExtension:
 # -- equation systems ---------------------------------------------------
 
 
-def ext_element_to_json(e: ExtElement) -> dict:
-    return {"g": e.g, "a": kernel_element_to_json(e.a)}
-
-
 def ext_element_from_json(obj, ext: CentralExtension, path: str) -> ExtElement:
     g = _expect(obj, "g", str, path)
     for ch in g:
@@ -176,15 +147,6 @@ def ext_element_from_json(obj, ext: CentralExtension, path: str) -> ExtElement:
             _fail(f"{path}.g", f"letter {ch!r} not in alphabet")
     a = kernel_element_from_json(_expect(obj, "a", dict, path), ext.kernel, f"{path}.a")
     return ExtElement(ext, RHO, g, a)
-
-
-def equation_system_to_json(sys) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "variables": list(sys.variables),
-        "constants": {k: ext_element_to_json(e) for k, e in sys.constants.items()},
-        "equations": [" ".join(eq) for eq in sys.equations],
-    }
 
 
 def equation_system_from_json(obj, ext: CentralExtension, path: str = "equations"):

@@ -60,11 +60,6 @@ def modular16() -> CentralExtension:
     return CentralExtension(klein_presentation(), kernel, (z, z, 2 * z))
 
 
-def split(base: Presentation, kernel: FGAGroup) -> CentralExtension:
-    """Split extension: every relator lifts to the kernel identity."""
-    return CentralExtension(base, kernel, tuple(kernel.zero() for _ in base.relators))
-
-
 def letter_constant(ext: CentralExtension, x: str) -> ExtElement:
     """The canonical lift of a generator: section coordinates (x, 0)."""
     return ExtElement(ext, RHO, x, ext.kernel.zero())

@@ -25,17 +25,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .abelian import (
     AbelianLinearSystem,
     FGAElement,
-    coordinate_systems,
     iota1,
     iota1_inverse,
     iota4,
     pa,
-    smith_normal_form,
     solve_linear_system,
 )
 from .automata import FSA, explore, words_up_to
@@ -203,16 +202,14 @@ class TriangularSystem:
         return tuple(seen)
 
 
-def triangularize(
-    sys: EquationSystem, identity_element: Optional[ExtElement] = None
-) -> TriangularSystem:
+def triangularize(sys: EquationSystem, identity_element: ExtElement) -> TriangularSystem:
     """Rewrite every equation into rows of exactly three plain symbols.
 
     Long equations are split with fresh product variables; because rows
     carry no inverse tokens, each fresh product comes with an inverse
     copy and a linking row (t, t', 1) = 1, and likewise each variable
     that occurs inverted.  Short rows are padded with the identity
-    constant.  Solution sets biject: forget the fresh variables one way,
+    constant, identity_element.  Solution sets biject: forget the fresh variables one way,
     evaluate their defining words the other.
     """
     constants = dict(sys.constants)
@@ -276,12 +273,6 @@ def triangularize(
         rows.append(tuple(es))
     rows.extend(link_rows)
     if needs_identity and IDENTITY not in constants:
-        if identity_element is None:
-            for value in constants.values():
-                identity_element = identity(value.ext)
-                break
-        if identity_element is None:
-            raise ValueError("padding needs an identity constant; none derivable")
         constants[IDENTITY] = identity_element
     return TriangularSystem(
         source=sys,
@@ -526,7 +517,7 @@ class _AbGraph(NamedTuple):
     values: tuple  # the A-set, sorted by coordinates
 
 
-def _ab_graph(F: PredictorFamily, sprime: int, cap: Optional[int]) -> _AbGraph:
+def _ab_graph(F: PredictorFamily, sprime: int) -> _AbGraph:
     """BFS graph over (state-from-s', state-from-initial, accumulator)
     triples; the accumulator is the chain-rule value sigma_q(s', w)."""
     M, T, a_of, step_M = F.graph, F.live, F.a_of, F.graph.step
@@ -540,7 +531,7 @@ def _ab_graph(F: PredictorFamily, sprime: int, cap: Optional[int]) -> _AbGraph:
 
     start = (sprime, M.initial, F.ext.pushout_kernel.zero())
     states, rows = explore(
-        M.alphabet, start, step, cap, AccumulatorBound, "accumulator graph"
+        M.alphabet, start, step, AccumulatorBound, "accumulator graph"
     )
     values = {st[2] for st in states if st is not None and st[0] in T}
     return _AbGraph(
@@ -560,7 +551,7 @@ def _accumulator(F: PredictorFamily, sbar: int, c: Word) -> _AbGraph:
     cap = state_cap()
     graph = F.memo.get(("ab", sprime))
     if graph is None:
-        graph = F.memo[("ab", sprime)] = _ab_graph(F, sprime, cap)
+        graph = F.memo[("ab", sprime)] = _ab_graph(F, sprime)
     elif len(graph.states) > cap:
         raise AccumulatorBound(f"accumulator graph exceeds cap {cap}")
     return graph
@@ -757,51 +748,28 @@ def build_Vt(t: ThetaIndex, tri: TriangularSystem, pipe: Pipeline) -> VSystem:
 @dataclass
 class WSystem:
     """Abelian linear system over the kernel, or the distinguished
-    no-solution marker when some iota1-preimage does not exist."""
+    no-solution marker when some iota1-preimage does not exist.
+
+    One call of solve_linear_system, one Smith form per coordinate,
+    gives both the assignment and the obstruction, a certificate of
+    unsolvability: the failing row of the first coordinate without a
+    solution, or {"reason": ...} for the marker."""
 
     system: Optional[AbelianLinearSystem]
     constant_values: dict[str, FGAElement]
     no_solution: Optional[str] = None
 
-    def solve(self) -> Optional[dict[str, FGAElement]]:
+    @cached_property
+    def _outcome(self) -> tuple[Optional[dict[str, FGAElement]], Optional[dict]]:
         if self.no_solution is not None:
-            return None
+            return None, {"reason": self.no_solution}
         return solve_linear_system(self.system)
 
+    def solve(self) -> Optional[dict[str, FGAElement]]:
+        return self._outcome[0]
+
     def obstruction(self) -> Optional[dict]:
-        """A certificate of unsolvability: an integer combination of
-        equations with zero variable part and nonzero value (reported
-        with the value normalized negative), or a divisibility failure
-        on a torsion coordinate."""
-        if self.no_solution is not None:
-            return {"reason": self.no_solution}
-        neq = len(self.system.equations)
-        for coord, M, bvec in coordinate_systems(self.system):
-            if not M:
-                continue
-            ncols = len(M[0])
-            U, Dg, _ = smith_normal_form(M)
-            c = [sum(U[i][k] * bvec[k] for k in range(neq)) for i in range(neq)]
-            for i in range(neq):
-                dd = Dg[i][i] if i < ncols else 0
-                if dd == 0 and c[i] != 0:
-                    combo, value = U[i], c[i]
-                    if value > 0:
-                        combo, value = [-x for x in combo], -value
-                    return {
-                        "coordinate": coord,
-                        "combination": list(combo),
-                        "value": value,
-                        "modulus": None,
-                    }
-                if dd != 0 and c[i] % dd:
-                    return {
-                        "coordinate": coord,
-                        "combination": list(U[i]),
-                        "value": c[i],
-                        "modulus": dd,
-                    }
-        return None
+        return self._outcome[1]
 
 
 def _constant_preimage(

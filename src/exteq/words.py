@@ -3,7 +3,8 @@
 Words are plain strings; each letter is one character and the alphabet's
 involution gives its formal inverse (by convention uppercase inverts
 lowercase, but any fixed-point-free or order-2 pairing is allowed).
-Equality in a presented group is decided by a logged rewriting engine:
+Equality in a presented group is decided by a rewriting engine that
+counts the relators it applies:
 greedy replacement of over-half relator subwords by their shorter
 complements, plus a breadth-first search over equal-length half-relator
 swaps for presentations where pure shortening is not confluent.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import AlphabetMismatch, BallTooSmall, ExtEqError, ResourceBound
+from .errors import AlphabetMismatch, ExtEqError, ResourceBound
 
 Word = str
 
@@ -120,19 +121,9 @@ class Alphabet:
         return all(w[i + 1] != inv[w[i]] for i in range(len(w) - 1))
 
 
-def free_reduce(alphabet: Alphabet, w: Word) -> Word:
-    return alphabet.free_reduce(w)
-
-
 def _rotations(w: Word):
     for j in range(len(w)):
         yield w[j:] + w[:j]
-
-
-# A relator application is recorded as (relator index, sign, position):
-# replacing u by v at `position` multiplied the represented kernel element
-# by sign * z_relator.
-RelatorLog = list[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -156,6 +147,8 @@ class Presentation:
                 raise ValueError(f"relator {r!r} not cyclically reduced")
         object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "_nf_cache", {})
+        # the count vector of every reduction that applies no relator
+        object.__setattr__(self, "zero_counts", (0,) * len(self.relators))
 
     # -- symmetrized rewrite tables ------------------------------------
 
@@ -238,9 +231,8 @@ def check_small_cancellation(p: Presentation, fraction: Fraction) -> SCReport:
 _SWAP_CLOSURE_CAP = 50_000
 
 
-def _find_shorten(table, max_len, min_len, w: Word, policy: str):
-    positions = range(len(w)) if policy == "leftmost" else range(len(w) - 1, -1, -1)
-    for i in positions:
+def _find_shorten(table, max_len, min_len, w: Word):
+    for i in range(len(w)):
         top = min(max_len, len(w) - i)
         for length in range(top, min_len - 1, -1):
             hit = table.get(w[i : i + length])
@@ -249,47 +241,51 @@ def _find_shorten(table, max_len, min_len, w: Word, policy: str):
     return None
 
 
-def _reduce_with_log(
-    p: Presentation, w: Word, policy: str = "leftmost"
-) -> tuple[Word, RelatorLog]:
-    """Rewrite w to its canonical shortest form, logging relator uses.
+def _reduce_with_log(p: Presentation, w: Word) -> tuple[Word, tuple[int, ...]]:
+    """Rewrite w to its canonical shortest form, counting relator uses.
 
-    Strategy: freely reduce; greedily apply shortenings; when stuck,
-    breadth-first search the equal-length swap closure for a word that
-    admits a shortening.  At the final fixed point every member of the
-    closure is shortening-free and the shortlex-least member is returned,
-    which makes the result a normal form usable as a section of the group.
+    Returns (nf, counts): counts[k] is the signed number of times
+    relator k was applied, each application replacing u by v and so
+    multiplying the represented kernel element by sign * z_k.  A
+    reduction that applies no relator returns p.zero_counts.
+
+    Strategy: freely reduce; greedily apply the leftmost shortening; when
+    stuck, breadth-first search the equal-length swap closure for a word
+    that admits a shortening.  At the final fixed point every member of
+    the closure is shortening-free and the shortlex-least member is
+    returned, which makes the result a normal form usable as a section of
+    the group.
     """
     alpha = p.alphabet
     shorten, swaps, max_len, min_len, swap_max = p.tables
     n = len(w)
     w = alpha.free_reduce(w)
-    log: RelatorLog = []
+    counts = p.zero_counts
     while True:
         if shorten:
-            hit = _find_shorten(shorten, max_len, min_len, w, policy)
+            hit = _find_shorten(shorten, max_len, min_len, w)
             if hit is not None:
                 i, u, (v, k, sign) = hit
                 w = alpha.free_reduce(w[:i] + v + w[i + len(u) :])
-                log.append((k, sign, i))
+                counts = counts[:k] + (counts[k] + sign,) + counts[k + 1 :]
                 continue
         if not swaps:
-            return w, log
+            return w, counts
         # swap closure at the current length
-        visited: dict[Word, RelatorLog] = {w: log}
+        visited: dict[Word, tuple[int, ...]] = {w: counts}
         queue = deque([w])
         restart = None
         while queue and restart is None:
             cur = queue.popleft()
-            cur_log = visited[cur]
+            at = visited[cur]
             for i in range(len(cur)):
                 top = min(swap_max, len(cur) - i)
                 for length in range(top, 0, -1):
                     for v, k, sign in swaps.get(cur[i : i + length], ()):
                         nxt = alpha.free_reduce(cur[:i] + v + cur[i + length :])
-                        nlog = cur_log + [(k, sign, i)]
+                        ncounts = at[:k] + (at[k] + sign,) + at[k + 1 :]
                         if len(nxt) < len(cur):
-                            restart = (nxt, nlog)
+                            restart = (nxt, ncounts)
                             break
                         if nxt not in visited:
                             if len(visited) > _SWAP_CLOSURE_CAP:
@@ -297,34 +293,30 @@ def _reduce_with_log(
                                     f"swap closure exceeds cap {_SWAP_CLOSURE_CAP}"
                                     f" while reducing a word of length {n}"
                                 )
-                            visited[nxt] = nlog
-                            if shorten:
-                                h = _find_shorten(
-                                    shorten, max_len, min_len, nxt, policy
-                                )
-                                if h is not None:
-                                    restart = (nxt, nlog)
-                                    break
+                            visited[nxt] = ncounts
+                            if shorten and _find_shorten(shorten, max_len, min_len, nxt):
+                                restart = (nxt, ncounts)
+                                break
                             queue.append(nxt)
                     if restart:
                         break
                 if restart:
                     break
         if restart is not None:
-            w, log = restart
+            w, counts = restart
             continue
         if len(visited) == 1:
-            return w, log
+            return w, counts
         best = min(visited, key=alpha.shortlex_key)
         return best, visited[best]
 
 
-def normal_form_with_log(p: Presentation, w: Word) -> tuple[Word, tuple]:
+def normal_form_with_log(p: Presentation, w: Word) -> tuple[Word, tuple[int, ...]]:
+    """(nf, counts) of w as `_reduce_with_log` returns them, kept in the
+    presentation's normal-form cache."""
     cached = p._nf_cache.get(w)
     if cached is None:
-        nf, log = _reduce_with_log(p, w)
-        cached = (nf, tuple(log))
-        p._nf_cache[w] = cached
+        cached = p._nf_cache[w] = _reduce_with_log(p, w)
     return cached
 
 
@@ -339,11 +331,11 @@ class CayleyBall:
 
     `edges[i][k]` is the index of element_i * letters[k] when that
     product stays in the ball, else None: one tuple per element, indexed
-    by letter position in alphabet order.  `logs[i][k]` holds the signed
-    relator counts logged while reducing words[i] + letters[k] to its
-    normal form, for every element and letter, boundary edges included:
-    the edge's kernel label.  Every logs row with no reduced edge is one
-    shared all-zero row.  `parents[i]` is the index of words[i][:-1] when
+    by letter position in alphabet order.  `logs[i][k]` is the
+    relator-count vector of reducing words[i] + letters[k] to its normal
+    form, for every element and letter, boundary edges included: the
+    edge's kernel label.  Every logs row with no reduced edge is one
+    shared row of p.zero_counts.  `parents[i]` is the index of words[i][:-1] when
     that prefix is itself in the ball and its edge by the last letter
     leads back to i, else None (always None for the identity).
     `reduced_edges` counts the edges whose normal form went through the
@@ -363,36 +355,17 @@ class CayleyBall:
     def __len__(self) -> int:
         return len(self.words)
 
-    def walk(self, start: int, w: Word) -> int:
-        alpha = self.presentation.alphabet
-        cur = start
-        for x in w:
-            nxt = self.edges[cur][alpha.index(x)]
-            if nxt is None:
-                raise BallTooSmall(
-                    f"walk left the radius-{self.radius} ball at letter {x!r}"
-                )
-            cur = nxt
-        return cur
-
-    def element(self, w: Word) -> int:
-        nf = normal_form(self.presentation, w)
-        idx = self.index.get(nf)
-        if idx is None:
-            raise BallTooSmall(f"element of {w!r} outside radius {self.radius}")
-        return idx
-
 
 def _ends_in_key(w: Word, keys, key_lengths: list[int]) -> bool:
     """True iff a suffix of w whose length is in key_lengths is a key."""
     return any(w[-n:] in keys for n in key_lengths if n <= len(w))
 
 
-def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall:
+def build_ball(p: Presentation, R: int) -> CayleyBall:
     """BFS enumeration of the ball of radius R around the identity.
 
     A normal form with no subword among the rewrite tables' keys reduces
-    to itself with an empty log.  So an edge out of such a key-free word
+    to itself with p.zero_counts.  So an edge out of such a key-free word
     w by a letter x needs no reduction when x cancels w's last letter
     (the result is w minus that letter) or when no suffix of wx is a
     key (wx is then its own normal form, and key-free).  Suffixes are
@@ -402,21 +375,9 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
     the edge's normal form and relator counts are the ones the reducer
     would have produced.  The presentation's normal-form cache gains
     only the reducer's results; the ball is the one store of the rest.
+    More than state_cap() elements raise ResourceBound.
     """
-    cap = cap if cap is not None else state_cap()
-    nrel = len(p.relators)
-    zero = (0,) * nrel
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def counts(log) -> tuple[int, ...]:
-        if not log:
-            return zero
-        acc = [0] * nrel
-        for k, sign, _pos in log:
-            acc[k] += sign
-        c = tuple(acc)
-        return shared.setdefault(c, c)
-
+    cap = state_cap()
     shorten, swaps, *_ = p.tables
     keys = shorten.keys() | swaps.keys()
     key_lengths = sorted({len(u) for u in keys})
@@ -430,7 +391,7 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
 
     letters = p.alphabet.letters
     inverse = p.alphabet.inverse
-    zero_row = (zero,) * len(letters)
+    zero_row = (p.zero_counts,) * len(letters)
     words = [""]
     index = {"": 0}
     distances = [0]
@@ -458,10 +419,10 @@ def build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall
                     nf = wx
                     fast = wx[-m:] not in tails or not _ends_in_key(wx, keys, key_lengths)
                 if not fast:
-                    nf, log = normal_form_with_log(p, wx)
+                    nf, counts = normal_form_with_log(p, wx)
                     if row_logs is None:
                         row_logs = list(zero_row)
-                    row_logs[k] = counts(log)
+                    row_logs[k] = counts
                     reduced += 1
                 j = index.get(nf)
                 if j is None and dist < R:

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import pytest
 
+from exteq import words
 from exteq.abelian import FGAGroup
 from exteq.automata import FSA, coaccessible
-from exteq.errors import AlphabetMismatch
+from exteq.errors import AlphabetMismatch, ResourceBound
 from exteq.automata import explore
 from exteq.extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from exteq.fpa_ppa import PPA, build_ppa
@@ -23,7 +24,6 @@ from exteq.instances import (
     dihedral_z,
     modular16,
     quaternion8,
-    split,
     t1s,
 )
 from exteq.lrational import (
@@ -38,7 +38,14 @@ from exteq.lrational import (
     _walk,
     build_automata,
 )
-from exteq.words import Alphabet, CayleyBall, Presentation, Word, build_ball
+from exteq.words import (
+    Alphabet,
+    CayleyBall,
+    Presentation,
+    Word,
+    _find_shorten,
+    build_ball,
+)
 
 
 # -- cross-check helpers shared by several test files ---------------------
@@ -46,6 +53,77 @@ from exteq.words import Alphabet, CayleyBall, Presentation, Word, build_ball
 
 def free_presentation(generators=("a", "b")) -> Presentation:
     return Presentation(Alphabet.from_generators(list(generators)), ())
+
+
+def split(base: Presentation, kernel: FGAGroup) -> CentralExtension:
+    """Split extension: every relator lifts to the kernel identity."""
+    return CentralExtension(base, kernel, tuple(kernel.zero() for _ in base.relators))
+
+
+def reference_reduce_with_log(p: Presentation, w: Word) -> tuple[Word, list]:
+    """The reducer as it was when it logged every relator application as
+    (relator index, sign, position): the same rewriting, the log in
+    place of the count vector."""
+    alpha = p.alphabet
+    shorten, swaps, max_len, min_len, swap_max = p.tables
+    n = len(w)
+    w = alpha.free_reduce(w)
+    log: list = []
+    while True:
+        if shorten:
+            hit = _find_shorten(shorten, max_len, min_len, w)
+            if hit is not None:
+                i, u, (v, k, sign) = hit
+                w = alpha.free_reduce(w[:i] + v + w[i + len(u) :])
+                log.append((k, sign, i))
+                continue
+        if not swaps:
+            return w, log
+        visited = {w: log}
+        queue = deque([w])
+        restart = None
+        while queue and restart is None:
+            cur = queue.popleft()
+            cur_log = visited[cur]
+            for i in range(len(cur)):
+                top = min(swap_max, len(cur) - i)
+                for length in range(top, 0, -1):
+                    for v, k, sign in swaps.get(cur[i : i + length], ()):
+                        nxt = alpha.free_reduce(cur[:i] + v + cur[i + length :])
+                        nlog = cur_log + [(k, sign, i)]
+                        if len(nxt) < len(cur):
+                            restart = (nxt, nlog)
+                            break
+                        if nxt not in visited:
+                            if len(visited) > words._SWAP_CLOSURE_CAP:
+                                raise ResourceBound(
+                                    f"swap closure exceeds cap {words._SWAP_CLOSURE_CAP}"
+                                    f" while reducing a word of length {n}"
+                                )
+                            visited[nxt] = nlog
+                            if shorten and _find_shorten(shorten, max_len, min_len, nxt):
+                                restart = (nxt, nlog)
+                                break
+                            queue.append(nxt)
+                    if restart:
+                        break
+                if restart:
+                    break
+        if restart is not None:
+            w, log = restart
+            continue
+        if len(visited) == 1:
+            return w, log
+        best = min(visited, key=alpha.shortlex_key)
+        return best, visited[best]
+
+
+def log_counts(p: Presentation, log) -> tuple[int, ...]:
+    """The per-relator signed sums of a reference log."""
+    acc = [0] * len(p.relators)
+    for k, sign, _pos in log:
+        acc[k] += sign
+    return tuple(acc)
 
 
 def is_empty(M: FSA) -> bool:

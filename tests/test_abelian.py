@@ -132,8 +132,10 @@ def test_parity_correction_lands_in_image(data):
 
 def test_parity_correction_exhaustive_small():
     g = FGAGroup(2, (4, 6))
-    for a in g.elements(free_range=range(-4, 5)):
-        iota1_inverse(iota3(a) + iota4(pa(a), g))
+    for free in itertools.product(range(-4, 5), repeat=g.rank):
+        for tors in itertools.product(*map(range, g.torsion)):
+            a = g.element(free, tors)
+            iota1_inverse(iota3(a) + iota4(pa(a), g))
 
 
 def test_parity_elements_enumeration():
@@ -222,17 +224,18 @@ def test_snf_random_matrices():
 
 
 def test_integer_solver():
-    assert solve_integer_system([[2]], [6]) == [3]
-    assert solve_integer_system([[0]], [-2]) is None
-    x = solve_integer_system([[1, 1], [1, -1]], [4, 2])
-    assert x == [3, 1]
+    assert solve_integer_system([[2]], [6]) == ([3], None)
+    assert solve_integer_system([[0]], [-2]) == (None, ([1], -2, 0))
+    assert solve_integer_system([[2]], [3]) == (None, ([1], 3, 2))
+    x, failure = solve_integer_system([[1, 1], [1, -1]], [4, 2])
+    assert x == [3, 1] and failure is None
     rng = random.Random(6)
     for _ in range(100):
         M = [[rng.randrange(-5, 6) for _ in range(3)] for _ in range(2)]
         xs = [rng.randrange(-4, 5) for _ in range(3)]
         b = [sum(M[i][j] * xs[j] for j in range(3)) for i in range(2)]
-        got = solve_integer_system(M, b)
-        assert got is not None
+        got, failure = solve_integer_system(M, b)
+        assert got is not None and failure is None
         assert [sum(M[i][j] * got[j] for j in range(3)) for i in range(2)] == b
 
 
@@ -243,17 +246,21 @@ def test_solve_linear_examples():
     z = FGAGroup(1)
     sys = AbelianLinearSystem(z, ("x",))
     sys.add({"x": 2}, z.element([6]))
-    assert solve_linear_system(sys) == {"x": z.element([3])}
+    assert solve_linear_system(sys) == ({"x": z.element([3])}, None)
 
     sys2 = AbelianLinearSystem(z, ("x",))
     sys2.add({}, z.element([-2]))
-    assert solve_linear_system(sys2) is None
+    assert solve_linear_system(sys2) == (
+        None, {"coordinate": 0, "combination": [1], "value": -2, "modulus": None}
+    )
+    sys2.equations[0] = ({}, z.element([2]))
+    assert solve_linear_system(sys2)[1]["combination"] == [-1]
 
     z2 = FGAGroup(0, (2,))
     sys3 = AbelianLinearSystem(z2, ("x", "y"))
     sys3.add({"x": 1, "y": 1}, z2.zero())
     sys3.add({"x": 1, "y": -1}, z2.zero())
-    sol = solve_linear_system(sys3)
+    sol, _ = solve_linear_system(sys3)
     assert sol is not None and sys3.check(sol)
 
 
@@ -277,7 +284,8 @@ def test_solve_linear_vs_exhaustive_torsion():
             coeffs = {v: rng.randrange(-3, 4) for v in variables}
             rhs = g.element([], [rng.randrange(d) for d in g.torsion])
             sys.add(coeffs, rhs)
-        got = solve_linear_system(sys)
+        got, obstruction = solve_linear_system(sys)
+        assert (got is None) != (obstruction is None)
         all_elems = list(g.elements())
         brute = None
         for combo in itertools.product(all_elems, repeat=nvars):
@@ -296,5 +304,5 @@ def test_solve_linear_mixed_rank_torsion():
     sys = AbelianLinearSystem(g, ("x", "y"))
     sys.add({"x": 1, "y": 2}, g.element([5], [3]))
     sys.add({"x": 1}, g.element([1], [1]))
-    sol = solve_linear_system(sys)
+    sol, _ = solve_linear_system(sys)
     assert sol is not None and sys.check(sol)

@@ -302,7 +302,7 @@ def test_abelian_solver_and_snf():
             )
             system.add(coeffs, rhs)
             equations.append((coeffs, rhs))
-        solution = solve_linear_system(system)
+        solution, _ = solve_linear_system(system)
         expected = _exhaustive_solvable(group, variables, equations)
         assert (solution is not None) == expected
         if solution is not None:

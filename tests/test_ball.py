@@ -1,10 +1,12 @@
 """The Cayley ball against the reduce-every-edge construction.
 
 `build_ball` reduces only the edges where a rewrite key can apply; the
-reference below sends every edge through the reducer.  Both must give
-the same ball, field for field.  On a cold cache `build_ball` adds one
-normal-form cache entry per reduced edge, each the reference's entry for
-the same word, and nothing for the edges it resolves without reducing.
+reference below sends every edge through the reducer as it was when it
+logged each relator application with its position, and sums the log
+per relator.  Both must give the same ball, field for field.  On a cold
+cache `build_ball` adds one normal-form cache entry per reduced edge,
+each the reference's result for the same word, and nothing for the edges
+it resolves without reducing.
 """
 
 import tracemalloc
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import free_presentation
+from conftest import free_presentation, log_counts, reference_reduce_with_log
 from exteq import words
 from exteq.errors import ResourceBound
 from exteq.instances import (
@@ -35,20 +37,11 @@ from exteq.words import (
 )
 
 
-def reference_build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> CayleyBall:
-    """BFS enumeration of the ball, every edge through the reducer."""
-    cap = cap if cap is not None else state_cap()
-    nrel = len(p.relators)
-    zero = (0,) * nrel
-
-    def counts(log) -> tuple[int, ...]:
-        if not log:
-            return zero
-        acc = [0] * nrel
-        for k, sign, _pos in log:
-            acc[k] += sign
-        return tuple(acc)
-
+def reference_build_ball(p: Presentation, R: int) -> tuple[CayleyBall, dict]:
+    """BFS enumeration of the ball, every edge through the reference
+    reducer; also returns each edge word's (normal form, counts)."""
+    cap = state_cap()
+    reduced = {}
     words_ = [""]
     index = {"": 0}
     distances = [0]
@@ -62,8 +55,9 @@ def reference_build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> 
             row: list[Optional[int]] = []
             row_logs = []
             for x in p.alphabet.letters:
-                nf, log = normal_form_with_log(p, w + x)
-                row_logs.append(counts(log))
+                nf, log = reference_reduce_with_log(p, w + x)
+                reduced[w + x] = nf, log_counts(p, log)
+                row_logs.append(reduced[w + x][1])
                 j = index.get(nf)
                 if j is None and dist < R:
                     if len(words_) >= cap:
@@ -83,7 +77,8 @@ def reference_build_ball(p: Presentation, R: int, cap: Optional[int] = None) -> 
         if i is not None and i < j and edges[i][p.alphabet.index(words_[j][-1])] == j:
             parents[j] = i
     n_edges = len(edges) * len(p.alphabet.letters)
-    return CayleyBall(p, R, words_, index, distances, edges, logs, parents, n_edges)
+    ball = CayleyBall(p, R, words_, index, distances, edges, logs, parents, n_edges)
+    return ball, reduced
 
 
 def _fields(ball: CayleyBall) -> tuple:
@@ -103,24 +98,20 @@ def _fresh(p: Presentation) -> Presentation:
     return Presentation(p.alphabet, p.relators, p.delta, p.sc_fraction)
 
 
-def _outcome(build, p: Presentation, R: int, cap=None):
-    """The ball and its fields, or the ResourceBound raised on the way."""
+def _assert_same_as_reference(p: Presentation, R: int):
+    got_p = _fresh(p)
     try:
-        ball = build(p, R, cap=cap)
+        ball = build_ball(got_p, R)
     except ResourceBound as e:
-        return None, ("raised", str(e))
-    return ball, _fields(ball)
-
-
-def _assert_same_as_reference(p: Presentation, R: int, cap=None):
-    got_p, want_p = _fresh(p), _fresh(p)
-    ball, got = _outcome(build_ball, got_p, R, cap)
-    _, want = _outcome(reference_build_ball, want_p, R, cap)
-    assert got == want
-    if ball is not None:
-        cache, reference = got_p._nf_cache, want_p._nf_cache
-        assert len(cache) == ball.reduced_edges
-        assert all(cache[w] == reference[w] for w in cache)
+        with pytest.raises(ResourceBound) as raised:
+            reference_build_ball(_fresh(p), R)
+        assert str(raised.value) == str(e)
+        return
+    reference, reduced = reference_build_ball(_fresh(p), R)
+    assert _fields(ball) == _fields(reference)
+    cache = got_p._nf_cache
+    assert len(cache) == ball.reduced_edges
+    assert all(cache[w] == reduced[w] for w in cache)
 
 
 BUNDLED = {
@@ -141,11 +132,13 @@ def test_ball_and_cache_equal_reference_on_bundled(name):
 
 
 def test_ball_on_warm_cache_equals_reference():
-    # a cache already filled by the reference is left as it was
+    # a cache already filled by the reducer on every edge is left as it was
     p = genus2_presentation()
-    want = _fields(reference_build_ball(p, 3))
+    ball, reduced = reference_build_ball(p, 3)
+    for w in reduced:
+        normal_form_with_log(p, w)
     cache = list(p._nf_cache.items())
-    assert _fields(build_ball(p, 3)) == want
+    assert _fields(build_ball(p, 3)) == _fields(ball)
     assert list(p._nf_cache.items()) == cache
 
 
@@ -174,17 +167,22 @@ def presentations(draw):
 )
 @given(presentations(), st.integers(0, 4))
 def test_ball_and_cache_equal_reference_on_generated(p, R):
-    _assert_same_as_reference(p, R, cap=3_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("EXTEQ_CAP_STATES", "3000")
+        _assert_same_as_reference(p, R)
 
 
-def test_ball_cap_raises_as_reference():
+def test_ball_cap_raises_as_reference(monkeypatch):
     p = genus2_presentation()
     n = len(build_ball(p, 3))
     for cap in (1, 2, 9, n - 1, n):
-        _assert_same_as_reference(p, 3, cap)
+        monkeypatch.setenv("EXTEQ_CAP_STATES", str(cap))
+        _assert_same_as_reference(p, 3)
+    monkeypatch.setenv("EXTEQ_CAP_STATES", str(n - 1))
     with pytest.raises(ResourceBound):
-        build_ball(_fresh(p), 3, cap=n - 1)
-    build_ball(_fresh(p), 3, cap=n)
+        build_ball(_fresh(p), 3)
+    monkeypatch.setenv("EXTEQ_CAP_STATES", str(n))
+    build_ball(_fresh(p), 3)
 
 
 def test_swap_closure_cap_raises_as_reference(monkeypatch):
@@ -199,9 +197,9 @@ def test_t1s_ball_reduces_few_edges(monkeypatch):
     calls = []
     reduce = words._reduce_with_log
 
-    def counted(p, w, policy="leftmost"):
+    def counted(p, w):
         calls.append(w)
-        return reduce(p, w, policy)
+        return reduce(p, w)
 
     monkeypatch.setattr(words, "_reduce_with_log", counted)
     ball = build_ball(t1s().base, 5)

@@ -43,7 +43,7 @@ def reference_ball_cocycles(ext: CentralExtension, ball) -> SimpleNamespace:
     def norm(v):
         return tuple(a % m if m else a for a, m in zip(v, mods))
 
-    lifts = ext._lift_coords
+    lifts = [z.coords() for z in ext.relator_lifts]
     inv_letter = [alpha.index(alpha.inverse[x]) for x in alpha.letters]
     succ = ball.edges
     E = [
@@ -221,7 +221,9 @@ def test_tables_equal_reference_on_generated(ext, R):
     # generated relator sets need not decide their word problem nor admit
     # the drawn lifts, so only the arithmetic is compared here
     try:
-        ball = build_ball(ext.base, R, cap=1_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("EXTEQ_CAP_STATES", "1000")
+            ball = build_ball(ext.base, R)
     except ResourceBound:
         assume(False)
     bc = BallCocycles(ext, ball)
@@ -241,7 +243,9 @@ def test_tables_equal_reference_on_generated(ext, R):
 @given(extensions(cyclic_free_products()), st.integers(0, 4))
 def test_tables_equal_string_route_on_generated(ext, R):
     try:
-        ball = build_ball(ext.base, R, cap=1_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("EXTEQ_CAP_STATES", "1000")
+            ball = build_ball(ext.base, R)
     except ResourceBound:
         assume(False)
     bc = BallCocycles(ext, ball)

@@ -5,6 +5,7 @@ import pkgutil
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from exteq import files
 from exteq.automata import words_up_to
 from exteq.cli import cmd_dispatch
 from exteq.errors import SchemaError
+from exteq.extension import RHO
 from exteq.instances import quaternion8
 from exteq.reduction import Pipeline
 from exteq.words import DEFAULT_STATE_CAP, state_cap
@@ -47,10 +49,25 @@ def q8_eqs(tmp_path):
 # -- file formats -------------------------------------------------------
 
 
+def _kernel_json(a) -> dict:
+    return {"free": list(a.free), "torsion": list(a.tors)}
+
+
 def test_extension_roundtrip():
+    # every field of each bundled file reads back from the loaded extension
     for name in ("quaternion8", "modular16", "dihedral_z", "t1s"):
         obj = files.load_json(str(DATA / f"{name}.json"))
-        assert files.extension_to_json(files.extension_from_json(obj)) == obj
+        ext = files.extension_from_json(obj)
+        pres = obj["presentation"]
+        assert ext.base.alphabet.letters == tuple(
+            x for g in pres["generators"] for x in (g, g.upper())
+        )
+        assert ext.base.relators == tuple(pres["relators"])
+        for key in ("delta", "sc_fraction"):
+            want = pres.get(key)
+            assert getattr(ext.base, key) == (want and Fraction(want)), (name, key)
+        assert obj["kernel"] == {"rank": ext.kernel.rank, "torsion": list(ext.kernel.torsion)}
+        assert obj["relator_values"] == [_kernel_json(a) for a in ext.relator_lifts]
 
 
 def test_schema_error_names_path():
@@ -73,7 +90,11 @@ def test_equation_system_roundtrip():
         "equations": ["x y C", "x x"],
     }
     sys_ = files.equation_system_from_json(obj, ext)
-    assert files.equation_system_to_json(sys_) == obj
+    assert sys_.variables == ("x", "y")
+    assert sys_.equations == (("x", "y", "C"), ("x", "x"))
+    (name, c), = sys_.constants.items()
+    assert name == "c" and c.ext is ext and c.coords == RHO
+    assert (c.g, _kernel_json(c.a)) == ("st", {"free": [], "torsion": [1]})
 
 
 def test_partial_automaton_completed_with_sink():

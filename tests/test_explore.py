@@ -175,14 +175,14 @@ def test_explore_numbers_sink_where_first_reached():
 
 
 def test_explore_cap(monkeypatch):
-    assert len(explore(AB, 0, count_to(2), cap=4)[0]) == 4
-    with pytest.raises(ResourceBound, match="^automaton exceeds cap 3$"):
-        explore(AB, 0, count_to(2), cap=3)
-    with pytest.raises(AccumulatorBound, match="^graph exceeds cap 2$"):
-        explore(AB, 0, count_to(2), 2, AccumulatorBound, "graph")
+    monkeypatch.setenv("EXTEQ_CAP_STATES", "4")
+    assert len(explore(AB, 0, count_to(2))[0]) == 4
     monkeypatch.setenv("EXTEQ_CAP_STATES", "3")
-    with pytest.raises(ResourceBound, match="cap 3"):
+    with pytest.raises(ResourceBound, match="^automaton exceeds cap 3$"):
         explore(AB, 0, count_to(2))
+    monkeypatch.setenv("EXTEQ_CAP_STATES", "2")
+    with pytest.raises(AccumulatorBound, match="^graph exceeds cap 2$"):
+        explore(AB, 0, count_to(2), AccumulatorBound, "graph")
 
 
 # -- the automata built through it ---------------------------------------
@@ -215,7 +215,7 @@ def test_ppa_matches_reference(request, stack_name):
 def test_ab_graphs_match_reference(request, stack_name):
     F = request.getfixturevalue(stack_name).fpa
     for sprime in sorted(F.live):
-        graph = _ab_graph(F, sprime, None)
+        graph = _ab_graph(F, sprime)
         ref_states, ref_rows, ref_values = reference_ab_graph(F, sprime, state_cap())
         phi = bfs_bijection(graph.rows, ref_rows)
         for i, st in enumerate(graph.states):
@@ -235,7 +235,7 @@ def test_constructions_keep_their_cap_errors(q8_stack, monkeypatch):
     # error, naming the cap, one state below it; each reads the cap from
     # EXTEQ_CAP_STATES
     F, ext = q8_stack.fpa, q8_stack.ext
-    sprime = max(F.live, key=lambda s: len(_ab_graph(F, s, None).states))
+    sprime = max(F.live, key=lambda s: len(_ab_graph(F, s).states))
     builds = [
         (ResourceBound, "signature space",
          lambda: _synthesize_graph(F.lspec, right=False)[0].n_states),

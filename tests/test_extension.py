@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import split
 from exteq.abelian import FGAGroup, iota1, iota1_inverse, iota3
 from exteq.errors import CoordMismatch, NotTrivialInBase
 from exteq.extension import (
@@ -24,7 +25,6 @@ from exteq.instances import (
     klein_presentation,
     modular16,
     quaternion8,
-    split,
     t1s,
 )
 from exteq.words import Alphabet, Presentation, build_ball, normal_form

@@ -9,6 +9,7 @@ from conftest import (
     reference_fpa,
     reference_graph,
     shortest_witness,
+    split,
 )
 from exteq.automata import words_up_to
 from exteq.errors import (
@@ -28,7 +29,7 @@ from exteq.fpa_ppa import (
     ppa_branch,
     sigma_q_of_state,
 )
-from exteq.instances import default_language_spec, klein_presentation, split
+from exteq.instances import default_language_spec, klein_presentation
 from exteq.lrational import (
     Q_LEFT,
     RHO_LEFT,

@@ -6,7 +6,6 @@ the module, including inside a string annotation.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -58,32 +57,87 @@ def test_no_unused_imports(path):
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"
+PACKAGE = {"exteq"} | {p.stem for p in MODULES}
 
 # Module-level names the program does not read yet, with why they stay.
 UNREFERENCED_OK = {
     "files.automaton_from_json": "the reusable pipeline artifact (ROADMAP item 6) loads it",
-    "files.extension_to_json": "the reusable pipeline artifact (ROADMAP item 6) writes it",
-    "files.equation_system_to_json": "the reusable pipeline artifact (ROADMAP item 6) writes it",
     "instances.dihedral_z": "a bundled instance, data/dihedral_z.json's extension",
 }
+
+
+def local_names(fn: ast.AST) -> set[str]:
+    """Every name bound anywhere inside a function or lambda: its
+    parameters and each assignment, loop, import or definition target,
+    less the names it declares global."""
+    bound, declared = set(), set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node is not fn:
+                bound.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared |= set(node.names)
+    return bound - declared
+
+
+def global_references(tree: ast.AST):
+    """(name, line) for each place a module may name a module-level
+    definition: a read of a name no enclosing function binds, an import,
+    an attribute of a package module (`files.load_json`), or a string
+    that is the name or starts "name." (perfbench hooks functions by
+    name).  A local rebinding (`free_reduce = alphabet.free_reduce`) and
+    an attribute of any other object (`eq.split()`) do not count."""
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | local_names(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                yield node.id, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in PACKAGE) or (
+                isinstance(owner, ast.Attribute) and owner.attr in PACKAGE
+            ):
+                yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            head = node.value.split(".")[0]
+            if head.isidentifier():
+                yield head, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, local)
+
+    yield from visit(tree, frozenset())
 
 
 def test_no_definition_only_tests_use():
     """Every module-level function and class of the package is named in
     src/ or perfbench/ outside its own definition, so code that only a
     test calls lives in tests/."""
-    texts = {p: p.read_text() for p in MODULES + sorted(PERFBENCH.glob("*.py"))}
+    refs = {
+        p: list(global_references(ast.parse(p.read_text())))
+        for p in MODULES + sorted(PERFBENCH.glob("*.py"))
+    }
     unused = []
     for path in MODULES:
-        lines = texts[path].splitlines()
-        for node in ast.parse(texts[path]).body:
+        for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            outside = "\n".join(lines[: start - 1] + lines[node.end_lineno :])
-            named = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(
-                named.search(outside if p == path else text) for p, text in texts.items()
-            ) and f"{path.stem}.{node.name}" not in UNREFERENCED_OK:
+            named = any(
+                name == node.name and (p != path or not start <= line <= node.end_lineno)
+                for p, found in refs.items()
+                for name, line in found
+            )
+            if not named and f"{path.stem}.{node.name}" not in UNREFERENCED_OK:
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"defined in src/ but named only by tests: {unused}"

@@ -9,6 +9,7 @@ from conftest import (
     language_equal,
     predictor,
     reference_graph,
+    split,
     validated_L,
     walk_alone,
 )
@@ -19,7 +20,6 @@ from exteq.instances import (
     dihedral_presentation,
     genus2_presentation,
     klein_presentation,
-    split,
 )
 from exteq.lrational import (
     KINDS,

@@ -1,6 +1,10 @@
 """The Theta stream, W_t and the oracle's domains against the code they
 replaced.
 
+W_t's assignment and obstruction come from one Smith form per
+coordinate; `reference_w_outcome` is the solve followed by a second
+Smith-form pass for the obstruction.
+
 `enumerate_theta`, `build_Wt` and the oracle keep work that depends on
 the pipeline alone on its F: the c-words, c-rows, compatible states and
 cells, the constant preimages and row right-hand sides, and
@@ -17,12 +21,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from exteq import files, reduction
+from exteq import abelian, files, reduction
 from exteq.abelian import (
     AbelianLinearSystem,
+    coordinate_systems,
     iota1_inverse,
     iota4,
     pa,
+    smith_normal_form,
 )
 from exteq.automata import words_up_to
 from exteq.errors import (
@@ -169,6 +175,73 @@ def reference_build_Wt(t, tri, F) -> WSystem:
     return WSystem(system, constant_values)
 
 
+def _reference_integer_solution(M, b):
+    """One integer solution x of M x = b, or None; free parameters are 0."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    if rows == 0:
+        return [0] * cols
+    U, D, V = smith_normal_form(M)
+    c = [sum(U[i][k] * b[k] for k in range(rows)) for i in range(rows)]
+    y = [0] * cols
+    for i in range(rows):
+        d = D[i][i] if i < cols else 0
+        if d == 0:
+            if c[i] != 0:
+                return None
+        else:
+            if c[i] % d:
+                return None
+            y[i] = c[i] // d
+    return [sum(V[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+
+
+def reference_w_outcome(W: WSystem):
+    """(assignment or None, obstruction or None): the assignment solved
+    coordinate by coordinate, then the obstruction from a second Smith
+    form of each coordinate's system."""
+    if W.no_solution is not None:
+        return None, {"reason": W.no_solution}
+    g = W.system.group
+    values = {v: [0] * (g.rank + len(g.torsion)) for v in W.system.variables}
+    assignment = None
+    for coord, M, bvec in coordinate_systems(W.system):
+        x = _reference_integer_solution(M, bvec)
+        if x is None:
+            break
+        for i, v in enumerate(W.system.variables):
+            values[v][coord] = x[i]
+    else:
+        assignment = {v: g.element(x[: g.rank], x[g.rank :]) for v, x in values.items()}
+    neq = len(W.system.equations)
+    for coord, M, bvec in coordinate_systems(W.system):
+        if not M:
+            continue
+        ncols = len(M[0])
+        U, Dg, _ = smith_normal_form(M)
+        c = [sum(U[i][k] * bvec[k] for k in range(neq)) for i in range(neq)]
+        for i in range(neq):
+            dd = Dg[i][i] if i < ncols else 0
+            if dd == 0 and c[i] != 0:
+                combo, value = U[i], c[i]
+                if value > 0:
+                    combo, value = [-x for x in combo], -value
+                return assignment, {
+                    "coordinate": coord,
+                    "combination": list(combo),
+                    "value": value,
+                    "modulus": None,
+                }
+            if dd != 0 and c[i] % dd:
+                return assignment, {
+                    "coordinate": coord,
+                    "combination": list(U[i]),
+                    "value": c[i],
+                    "modulus": dd,
+                }
+    return assignment, None
+
+
 def _reference_preimage(F, key):
     """What build_Wt keeps under a ("row", c, sbar, b, d) or ("constant",
     g, a, d) key, computed afresh from the key alone."""
@@ -307,6 +380,51 @@ def test_dihedral_whole_stream_equals_reference(dihedral_stack):
     assert list(enumerate_theta(tri, pipe)) == ref
     for t in ref[:HEAD]:
         assert _w_of(build_Wt, t, tri, F) == _w_of(reference_build_Wt, t, tri, F)
+
+
+@pytest.mark.parametrize("mode", ["sound", "finite-complete"])
+def test_Wt_outcome_equals_reference_one_smith_form_each(corpus_pipes, monkeypatch, mode):
+    # every W_t the corpus solves build: the same assignment and
+    # obstruction as the reference, from one Smith form per coordinate
+    # decided, the failing one last
+    built = []
+    original = reduction.build_Wt
+
+    def recording(*args):
+        W = original(*args)
+        built.append(W)
+        return W
+
+    monkeypatch.setattr(reduction, "build_Wt", recording)
+    config = SolveConfig(mode=mode, theta_cap=20, oracle_bound=2)
+    for entry in _corpus():
+        pipe = corpus_pipes[entry["extension"]]
+        solve(files.equation_system_from_json(entry["system"], pipe.ext), pipe, config)
+    monkeypatch.undo()
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return smith_normal_form(M)
+
+    monkeypatch.setattr(abelian, "smith_normal_form", counted)
+    monkeypatch.setattr(reduction, "smith_normal_form", counted, raising=False)
+    outcomes = set()
+    for kept in built:
+        W = WSystem(kept.system, kept.constant_values, kept.no_solution)
+        calls.clear()
+        got = (W.solve(), W.obstruction())
+        outcomes.add((got[0] is None, got[1] is not None and "coordinate" in got[1]))
+        assert got == reference_w_outcome(W)
+        if W.no_solution is not None or not W.system.equations:
+            decided = 0
+        elif got[1] is not None:
+            decided = got[1]["coordinate"] + 1
+        else:
+            decided = W.system.group.rank + len(W.system.group.torsion)
+        assert len(calls) == decided
+    # solvable systems and Smith-form obstructions both occur
+    assert {(False, False), (True, True)} <= outcomes
 
 
 # -- what is kept, and for how long -----------------------------------------

@@ -6,18 +6,22 @@ from typing import Optional
 
 import pytest
 
-from conftest import validated_L
+from conftest import log_counts, reference_reduce_with_log, validated_L
 from exteq.errors import AlphabetMismatch, BallTooSmall, ExtEqError
+from exteq.instances import (
+    dihedral_presentation,
+    genus2_presentation,
+    klein_presentation,
+)
 from exteq.words import (
     Alphabet,
+    CayleyBall,
     Presentation,
-    RelatorLog,
     Word,
     _find_shorten,
     _reduce_with_log,
     build_ball,
     check_small_cancellation,
-    free_reduce,
     normal_form,
     normal_form_with_log,
 )
@@ -28,34 +32,67 @@ class NotSmallCancellation(ExtEqError):
     needs."""
 
 
-def dehn_reduce(
-    p: Presentation, w: Word, policy: str = "leftmost", search: bool = True
-) -> tuple[Word, RelatorLog]:
-    """Reduce w, returning the reduced word and the relator-application log.
+def _find_shorten_rightmost(table, max_len, min_len, w: Word):
+    """`_find_shorten` scanning start positions from the right."""
+    for i in range(len(w) - 1, -1, -1):
+        for length in range(min(max_len, len(w) - i), min_len - 1, -1):
+            hit = table.get(w[i : i + length])
+            if hit is not None:
+                return i, w[i : i + length], hit
+    return None
 
-    With search enabled (the default) the result is the canonical normal
-    form; with search=False only greedy shortening runs, which is complete
-    for C'(1/6) presentations and rejected otherwise.
+
+def dehn_reduce(
+    p: Presentation, w: Word, search: bool = True, policy: str = "leftmost"
+) -> tuple[Word, tuple[int, ...]]:
+    """Reduce w, returning the reduced word and its relator-count vector.
+
+    With search enabled (the default) this is the program's reducer and
+    the result is the canonical normal form; with search=False only
+    greedy shortening runs, at the leftmost or (policy "rightmost") the
+    rightmost position, which is complete for C'(1/6) presentations and
+    rejected otherwise.
     """
     if search:
-        return _reduce_with_log(p, w, policy)
+        return _reduce_with_log(p, w)
     report = check_small_cancellation(p, Fraction(1, 6))
     if not report.passed:
         raise NotSmallCancellation(
             f"presentation is not C'(1/6): piece {report.violations[0][0]!r}"
         )
+    find = _find_shorten if policy == "leftmost" else _find_shorten_rightmost
     alpha = p.alphabet
     shorten, _, max_len, min_len, _ = p.tables
     w = alpha.free_reduce(w)
-    log: RelatorLog = []
+    counts = [0] * len(p.relators)
     while shorten:
-        hit = _find_shorten(shorten, max_len, min_len, w, policy)
+        hit = find(shorten, max_len, min_len, w)
         if hit is None:
             break
         i, u, (v, k, sign) = hit
         w = alpha.free_reduce(w[:i] + v + w[i + len(u) :])
-        log.append((k, sign, i))
-    return w, log
+        counts[k] += sign
+    return w, tuple(counts)
+
+
+def ball_walk(ball: CayleyBall, start: int, w: Word) -> int:
+    """The index reached from element `start` along the letters of w."""
+    alpha = ball.presentation.alphabet
+    cur = start
+    for x in w:
+        nxt = ball.edges[cur][alpha.index(x)]
+        if nxt is None:
+            raise BallTooSmall(f"walk left the radius-{ball.radius} ball at letter {x!r}")
+        cur = nxt
+    return cur
+
+
+def ball_element(ball: CayleyBall, w: Word) -> int:
+    """The index of w's element in the ball."""
+    idx = ball.index.get(normal_form(ball.presentation, w))
+    if idx is None:
+        raise BallTooSmall(f"element of {w!r} outside radius {ball.radius}")
+    return idx
 
 
 def is_trivial(p: Presentation, w: Word) -> bool:
@@ -145,9 +182,9 @@ def test_alphabet_involution():
 
 def test_free_reduce_examples():
     alpha = Alphabet.from_generators(["a", "b"])
-    assert free_reduce(alpha, "aA") == ""
-    assert free_reduce(alpha, "") == ""
-    assert free_reduce(alpha, "abBa") == "aa"
+    assert alpha.free_reduce("aA") == ""
+    assert alpha.free_reduce("") == ""
+    assert alpha.free_reduce("abBa") == "aa"
 
 
 def test_free_reduce_exhaustive_two_letters():
@@ -156,9 +193,9 @@ def test_free_reduce_exhaustive_two_letters():
     for n in range(13):
         for tup in itertools.product("aA", repeat=n):
             w = "".join(tup)
-            r = free_reduce(alpha, w)
+            r = alpha.free_reduce(w)
             assert len(r) <= len(w)
-            assert free_reduce(alpha, r) == r
+            assert alpha.free_reduce(r) == r
 
 
 def test_inverse_word_involution():
@@ -167,7 +204,7 @@ def test_inverse_word_involution():
     for _ in range(200):
         w = "".join(rng.choice(alpha.letters) for _ in range(rng.randrange(9)))
         assert alpha.inverse_word(alpha.inverse_word(w)) == w
-        assert free_reduce(alpha, w + alpha.inverse_word(w)) == ""
+        assert alpha.free_reduce(w + alpha.inverse_word(w)) == ""
 
 
 # -- small cancellation -------------------------------------------------
@@ -197,15 +234,16 @@ def test_sc_no_relators_vacuous():
 
 def test_dehn_reduce_relator_word():
     p = genus2()
-    w, log = dehn_reduce(p, "abABcdCD")
+    w, counts = dehn_reduce(p, "abABcdCD")
     assert w == ""
-    assert len(log) == 1 and log[0][0] == 0
+    assert counts == (1,)
 
 
 def test_dehn_reduce_free_cases():
     p = free2()
-    assert dehn_reduce(p, "a") == ("a", [])
-    assert dehn_reduce(p, "aAb") == ("b", [])
+    assert dehn_reduce(p, "a") == ("a", ())
+    assert dehn_reduce(p, "aAb") == ("b", ())
+    assert dehn_reduce(p, "a")[1] is p.zero_counts
 
 
 def test_dehn_strict_mode_rejects_non_sc():
@@ -222,7 +260,7 @@ def test_dehn_vs_ball_triviality_genus2():
     for _ in range(300):
         w = "".join(rng.choice(p.alphabet.letters) for _ in range(rng.randrange(5)))
         red, _ = dehn_reduce(p, w)
-        assert (red == "") == (ball.element(w) == 0)
+        assert (red == "") == (ball_element(ball, w) == 0)
     for rot in ("abABcdCD", "cdCDabAB", "baBAdcDC"):
         assert is_trivial(p, rot)
     for u in ["", "a", "cD", "Dba"]:
@@ -231,7 +269,8 @@ def test_dehn_vs_ball_triviality_genus2():
 
 
 def test_defect_log_policy_independent():
-    # summed signed relator counts agree between leftmost and rightmost
+    # greedy shortening from the left and from the right applies the
+    # relator equally often, signs counted, on the C'(1/6) genus-2 group
     p = genus2()
     rng = random.Random(2)
     r = "abABcdCD"
@@ -244,10 +283,33 @@ def test_defect_log_policy_independent():
             continue
         counts = {}
         for policy in ("leftmost", "rightmost"):
-            red, log = dehn_reduce(p, w, policy=policy)
+            red, counts[policy] = dehn_reduce(p, w, search=False, policy=policy)
             assert red == ""
-            counts[policy] = sum(sign for _, sign, _ in log)
         assert counts["leftmost"] == counts["rightmost"]
+
+
+def _freely_reduced_words(alpha: Alphabet, n: int):
+    words = [""]
+    yield ""
+    for _ in range(n):
+        words = [w + x for w in words for x in alpha.letters
+                 if not w or alpha.inverse[w[-1]] != x]
+        yield from words
+
+
+@pytest.mark.parametrize(
+    "make", [genus2_presentation, dihedral_presentation, klein_presentation]
+)
+def test_reducer_counts_equal_reference_on_bundled(make):
+    # both reducers freely reduce first, so the freely reduced words up
+    # to length 6 stand for every word up to length 6
+    p = make()
+    for w in _freely_reduced_words(p.alphabet, 6):
+        nf, counts = _reduce_with_log(p, w)
+        ref_nf, log = reference_reduce_with_log(p, w)
+        assert (nf, counts) == (ref_nf, log_counts(p, log)), w
+        if not log:
+            assert counts is p.zero_counts, w
 
 
 # -- normal forms -------------------------------------------------------
@@ -270,7 +332,7 @@ def test_normal_form_is_canonical_dihedral():
     assert normal_form(p, "S") == "s"
     assert normal_form(p, "TsT") == "tst"
     assert normal_form(p, "stts") == ""
-    assert normal_form_with_log(p, "ss")[1] != ()
+    assert normal_form_with_log(p, "ss")[1] == (1, 0)
 
 
 def test_normal_form_multiplicative_consistency():
@@ -325,9 +387,9 @@ def test_ball_distances_match_nf_and_triangle():
 
 def test_ball_walk_and_bounds():
     ball = build_ball(free2(), 2)
-    assert ball.walk(0, "ab") == ball.index["ab"]
+    assert ball_walk(ball, 0, "ab") == ball.index["ab"]
     with pytest.raises(BallTooSmall):
-        ball.walk(0, "aba")
+        ball_walk(ball, 0, "aba")
 
 
 # -- quasi-geodesics ----------------------------------------------------
