@@ -30,9 +30,14 @@ family's predicted row, one value per letter, is compared with the row
 of values read off the Cayley ball's edge labels (BallCocycles), the
 relator logs its construction already computed; only a row that
 differs, or holds an element those tables cannot reach, is checked
-letter by letter, by the string route where the tables read nothing.
-Each family's mismatches, and their order, are those of an exhaustive
-walk over all words for it alone.
+letter by letter, by the string route at the element's normal form
+where the tables read nothing.  Every check is thus a function of the
+family's state and the word's element, so words of one length with the
+same joint state and suffix elements are one node of the walk, judged
+and expanded once; the longest words are judged as they are generated
+and never stored.  A walk that finds a mismatch is walked again word by
+word, so each family's mismatches, and their order, are those of an
+exhaustive walk over all words for it alone.
 """
 
 from __future__ import annotations
@@ -430,7 +435,8 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
 
     Each machine is (graph, check): an automaton whose live (accepting)
     states should be exactly the words of L, and check(w, state, element
-    index), which returns the mismatches of a word that is in L and live.
+    index), which returns the mismatches of a word that is in L and live
+    and depends on w only through its element.
 
     Each word w is judged once for all machines: w is in L iff every
     suffix of every prefix passes the quasi-geodesic bound, so a node
@@ -439,6 +445,14 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
     carried along as one joint state.  A subtree is skipped only when
     its root is not in L, so neither is any extension, and no machine's
     state can reach a live state, so no extension is accepted either.
+
+    Words of one length with the same joint state and the same suffix
+    elements (or both outside L) are one node: they have the same
+    membership, the same check results and pairwise such children, so
+    the walk keeps the first of them and finds a mismatch iff the walk
+    over every word does.  The words of length R are judged as they are
+    generated and kept in no frontier.  A walk that finds a mismatch is
+    walked again word by word, so that its report names every word.
 
     Returns one report per machine, listing ("membership", w, in_L,
     got_live) for a membership mismatch, plus whatever check returns, in
@@ -459,7 +473,6 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
     dooms = [
         frozenset(range(graph.n_states)) - coaccessible(graph) for graph, _ in machines
     ]
-    out: list = [[] for _ in machines]
     # joint states, interned, each with whether every machine is doomed
     # there and its children, listed on first expansion
     joint: dict = {}
@@ -474,38 +487,56 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
             kids.append(None)
         return p
 
-    # (w, joint state, ball indices of w[i:] for i = 0..|w|) with None for
-    # the indices once w has left L
-    frontier: list = [("", intern(tuple(g.initial for g, _ in machines)), (0,))]
-    for depth in range(R + 1):
-        nxt: list = []
-        for w, p, sfx in frontier:
-            in_L = sfx is not None
-            for k, s in enumerate(states[p]):
-                graph, check = machines[k]
-                got = s in graph.accepting
-                if in_L != got:
-                    out[k].append(("membership", w, in_L, got))
-                elif got:
-                    out[k].extend(check(w, s, sfx[0]))
-            if depth == R or (not in_L and doomed[p]):
-                continue
-            ks = kids[p]
-            if ks is None:
-                ks = kids[p] = [
-                    intern(tuple(rw[s][i] for rw, s in zip(rows, states[p])))
-                    for i in range(len(letters))
-                ]
-            for i, x in enumerate(letters):
-                child = None
-                if in_L:
-                    child = (*[edges[j][i] for j in sfx], 0)
-                    for k, j in enumerate(child[:-1]):
-                        if dist[j] < need[depth + 1 - k]:
-                            child = None
-                            break
-                nxt.append((w + x, ks[i], child))
-        frontier = nxt
+    def judge(w, p, sfx, out):
+        in_L = sfx is not None
+        for k, s in enumerate(states[p]):
+            graph, check = machines[k]
+            got = s in graph.accepting
+            if in_L != got:
+                out[k].append(("membership", w, in_L, got))
+            elif got:
+                out[k].extend(check(w, s, sfx[0]))
+
+    def levels(merge):
+        out: list = [[] for _ in machines]
+        last: list = [[] for _ in machines]
+        # ((joint state, ball indices of w[i:] for i = 0..|w|), w) with
+        # None for the indices once w has left L; merged, a dict from
+        # the pair to its first word
+        root = ((intern(tuple(g.initial for g, _ in machines)), (0,)), "")
+        frontier = dict([root]) if merge else [root]
+        for depth in range(R + 1):
+            nxt = {} if merge else []
+            for (p, sfx), w in frontier.items() if merge else frontier:
+                judge(w, p, sfx, out)
+                if depth == R or (sfx is None and doomed[p]):
+                    continue
+                ks = kids[p]
+                if ks is None:
+                    ks = kids[p] = [
+                        intern(tuple(rw[s][i] for rw, s in zip(rows, states[p])))
+                        for i in range(len(letters))
+                    ]
+                for i, x in enumerate(letters):
+                    child = None
+                    if sfx is not None:
+                        child = (*[edges[j][i] for j in sfx], 0)
+                        for k, j in enumerate(child[:-1]):
+                            if dist[j] < need[depth + 1 - k]:
+                                child = None
+                                break
+                    if depth + 1 == R:
+                        judge(w + x, ks[i], child, last)
+                    elif merge:
+                        nxt.setdefault((ks[i], child), w + x)
+                    else:
+                        nxt.append(((ks[i], child), w + x))
+            frontier = nxt
+        return [a + b for a, b in zip(out, last)]
+
+    out = levels(merge=True)
+    if any(out):
+        out = levels(merge=False)
     return [ValidationReport(R, tuple(m)) for m in out]
 
 
@@ -525,11 +556,13 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
     A word's predicted row (one value per letter, read at its state) is
     compared whole with the expected row at its ball element; only when
     they differ, or the expected row holds an element the tables cannot
-    reach, are the letters checked one by one, by the string route where
-    the row reads None.
+    reach, are the letters checked one by one, by the string route at the
+    element's normal form where the row reads None.  A mismatch names the
+    word w; its values depend only on s and g.
     """
     kind, ext = fam.kind, fam.ext
     letters = ext.base.alphabet.letters
+    words = cocycles.ball.words
     group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
     if kind == Q_LEFT:
         q_rows: list = [None] * len(cocycles.ball)
@@ -563,7 +596,7 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
         for xi, x in enumerate(letters):
             e = exp[xi]
             if e is None:
-                direct = _direct_value(ext, kind, w, x)
+                direct = _direct_value(ext, kind, words[g], x)
                 if direct != fam.values[x][s]:
                     out.append(("value", w, x, direct, fam.values[x][s]))
             elif e != predicted[s][xi]:

@@ -15,6 +15,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -231,6 +233,88 @@ def test_fused_walk_matches_reference(request, stack_name, R):
         assert new_fams[kind] == reference_validate_family(
             fams[kind], stack.ext, R, stack.ball
         )
+
+
+def ball_element(ball, w):
+    """The ball index of w, walked from the identity."""
+    letters = ball.presentation.alphabet.letters
+    g = 0
+    for x in w:
+        g = ball.edges[g][letters.index(x)]
+    return g
+
+
+def merged_tree(stack, R):
+    """The words of L up to length R, and the nodes of the merged walk
+    among them, counted by brute force: the distinct (depth, joint
+    state, suffix elements) below length R, and at length R each such
+    node's children in L, as (node, letter) pairs."""
+    ball, graphs = stack.ball, [stack.fams[kind].graph for kind in KINDS]
+
+    def node(w):
+        sfx = tuple(ball_element(ball, w[i:]) for i in range(len(w) + 1))
+        return len(w), tuple(g.run(w) for g in graphs), sfx
+
+    members = [
+        w for w in words_up_to(stack.ext.base.alphabet, R)
+        if qg_reference(ball, w, stack.lspec.nu)
+    ]
+    below = {node(w) for w in members if len(w) < R}
+    last = {(node(w[:-1]), w[-1]) for w in members if len(w) == R}
+    return members, len(below) + len(last)
+
+
+def test_walk_checks_each_distinct_node_once(q8_stack):
+    stack, R = q8_stack, 6
+    members, nodes = merged_tree(stack, R)
+    cocycles = BallCocycles(stack.ext, stack.ball)
+    calls = Counter()
+
+    def counted(kind, fams):
+        graph, check = _family_machine(fams[kind], cocycles)
+
+        def counted_check(w, s, g):
+            calls[kind] += 1
+            return check(w, s, g)
+        return graph, counted_check
+
+    machines = [counted(kind, stack.fams) for kind in KINDS]
+    assert all(r.passed for r in _walk(stack.lspec, R, stack.ball, machines))
+    # every family is live on every word of L, so each checks every node
+    assert calls == {kind: nodes for kind in KINDS}
+    assert nodes < len(members)
+
+    # a wrong value at the state most words of L reach: the merged walk
+    # meets it at few nodes, the report lists every word
+    fpa = stack.fams[Q_LEFT]
+    s, _ = Counter(fpa.graph.run(w) for w in members).most_common(1)[0]
+    victim = next(w for w in members if fpa.graph.run(w) == s)
+    fams = dict(stack.fams)
+    fams[Q_LEFT], _ = flip_value(fpa, victim, stack.ext.base.alphabet.letters[-1])
+    calls.clear()
+    machines = [counted(kind, fams) for kind in KINDS]
+    reports = dict(zip(KINDS, _walk(stack.lspec, R, stack.ball, machines)))
+    expected = reference_validate_family(fams[Q_LEFT], stack.ext, R, stack.ball)
+    assert reports[Q_LEFT] == expected
+    assert len(expected.mismatches) == sum(fpa.graph.run(w) == s for w in members)
+    assert all(reports[kind].passed for kind in (RHO_LEFT, RHO_RIGHT_REVERSED))
+    assert calls[Q_LEFT] == nodes + len(members)
+
+
+def test_t1s_walk_memory_is_bounded(t1s_stack):
+    # the last level, most of the words, is judged as it is generated and
+    # kept in no frontier
+    stack, R = t1s_stack, 5
+    machines = [_family_machine(stack.fams[kind], stack.cocycles) for kind in KINDS]
+    _walk(stack.lspec, R, stack.ball, machines)  # fills the lazy row tables
+    tracemalloc.start()
+    try:
+        reports = _walk(stack.lspec, R, stack.ball, machines)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak < 2 * 2**20
 
 
 def _sequential_build(ext, R):
