@@ -5,7 +5,9 @@ kernel element per relator (the value the relator word takes in E).  The
 section rho lifts shortlex normal forms letterwise; its cocycle sigma_rho
 is computed from the reducer's relator-count vectors.  The pushout
 extension E' doubles the kernel's torsion so that the symmetric section
-q and its cocycle sigma_q are expressible.
+q and its cocycle sigma_q are expressible.  Over a Cayley ball of radius
+>= 1 with prefix-closed normal forms, BallCocycles holds both cocycles
+as integer tables, defined at every entry.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .abelian import (
     iota1_inverse,
     iota3,
 )
-from .errors import CoordMismatch, NotTrivialInBase
+from .errors import BallTooSmall, CoordMismatch, NotTrivialInBase
 from .words import CayleyBall, Presentation, Word, normal_form_with_log
 
 RHO = "rho"  # E, kernel A
@@ -140,10 +142,18 @@ class BallCocycles:
     q(h) = -iota3 sigma_rho(h, h^-1), the last one evaluated for gx by the
     third identity, so every lookup stays inside the ball even where gx
     leaves it.  Kernel values are tuples of coordinates, free ones first,
-    torsion normalized.  Elements whose normal form is not prefix-closed
-    inside the ball read None; callers evaluate those by the string route.
-    Letters are given by their index in the alphabet, as in the ball's
-    edge rows, which the tables read in place.
+    torsion normalized.  Letters are given by their index in the
+    alphabet, as in the ball's edge rows, which the tables read in place.
+
+    The tables have one requirement, checked once by the constructor: a
+    ball of radius R >= 1 whose normal forms are prefix-closed.  Each
+    element h = h'y other than the identity must have its parent h' in
+    the ball, at a smaller index, with the edge h' --y--> h; a ball of
+    radius 0 raises BallTooSmall, any other ball ValueError naming the
+    word.  The chain from the identity then spells each normal form, and
+    build_ball's normal forms are never longer than their distance, so a
+    parent lies within distance R - 1: nf(z) h' and h'^-1 stay in the
+    ball, every letter is in it, and every table entry is defined.
 
     The tables hold few distinct values (3 on the t1s ball of radius 5),
     so each is interned: equal values are one tuple object.  A sum or
@@ -154,8 +164,19 @@ class BallCocycles:
     def __init__(self, ext: CentralExtension, ball: CayleyBall):
         if ball.presentation != ext.base:
             raise ValueError("ball belongs to a different presentation")
+        if ball.radius < 1:
+            raise BallTooSmall(
+                f"cocycle tables need a ball of radius >= 1, have {ball.radius}"
+            )
         alpha = ext.base.alphabet
         kernel = ext.kernel
+        # (last letter, parent) of each element after the identity
+        self._links: list = []
+        for j, w in enumerate(ball.words[1:], 1):
+            y, p = alpha.position.get(w[-1:]), ball.index.get(w[:-1])
+            if y is None or p is None or p >= j or ball.edges[p][y] != j:
+                raise ValueError(f"normal form {w!r} is not prefix-closed in the ball")
+            self._links.append((y, p))
         self.ext = ext
         self.ball = ball
         self.mods = (0,) * kernel.rank + kernel.torsion
@@ -195,83 +216,56 @@ class BallCocycles:
         return s
 
     @cached_property
-    def _chain(self):
-        """(last letter, parent) per element on a prefix-closed chain to
-        the identity, else None; and the left multiplications lmul[z][h],
-        the index of nf(z) h or None."""
-        ball = self.ball
-        position = self.ext.base.alphabet.position
-        n = len(ball)
-        links: list = [None] * n
-        for j in range(1, n):
-            p = ball.parents[j]
-            if p is not None and (p == 0 or links[p] is not None):
-                links[j] = (position[ball.words[j][-1]], p)
-        succ = ball.edges
-        lmul = []
-        for z in range(len(succ[0])):
-            row: list = [succ[0][z]] + [None] * (n - 1)
-            for j in range(1, n):
-                link = links[j]
-                if link is not None:
-                    k = row[link[1]]
-                    if k is not None:
-                        row[j] = succ[k][link[0]]
-            lmul.append(row)
-        return links, lmul
+    def _lmul(self) -> list:
+        """lmul[z][h], the index of nf(z) h, or None where that leaves the
+        ball, which only an h at distance R can do, never a parent."""
+        succ = self.ball.edges
+        out = []
+        for start in succ[0]:
+            row = [start]
+            for y, p in self._links:
+                row.append(succ[row[p]][y])
+            out.append(row)
+        return out
 
     @cached_property
     def inverse(self) -> list:
-        """inverse[h]: the index of h^-1, or None."""
-        links, lmul = self._chain
-        inv: list = [0] + [None] * (len(links) - 1)
-        for j, link in enumerate(links):
-            if link is not None:
-                k = inv[link[1]]
-                if k is not None:
-                    inv[j] = lmul[self.inv_letter[link[0]]][k]
+        """inverse[h]: the index of h^-1."""
+        lmul, ibar = self._lmul, self.inv_letter
+        inv = [0]
+        for y, p in self._links:
+            inv.append(lmul[ibar[y]][inv[p]])
         return inv
 
     @cached_property
     def rho_right(self) -> list:
-        """rho_right[z][h] = sigma_rho(nf(z), h), or None."""
-        links, lmul = self._chain
+        """rho_right[z][h] = sigma_rho(nf(z), h)."""
         E, op, memo = self.E, self._op, self._memo
         out = []
-        for z, mul in enumerate(lmul):
-            row: list = [self.zero] + [None] * (len(links) - 1)
-            for j, link in enumerate(links):
-                if link is not None:
-                    y, p = link
-                    r, k = row[p], mul[p]
-                    if r is not None and k is not None:
-                        row[j] = memo.get((add, r, E[k][y])) or op(add, r, E[k][y])
+        for mul in self._lmul:
+            row = [self.zero]
+            for y, p in self._links:
+                r, e = row[p], E[mul[p]][y]
+                row.append(memo.get((add, r, e)) or op(add, r, e))
             out.append(row)
         return out
 
     @cached_property
     def sigma_inverse(self) -> list:
-        """sigma_inverse[h] = sigma_rho(h, h^-1), or None."""
-        links, _ = self._chain
+        """sigma_inverse[h] = sigma_rho(h, h^-1)."""
         rl, inv, rv, ibar = self.rho_left, self.inverse, self.rho_right, self.inv_letter
         op, from_1 = self._op, self.ball.edges[0]
-        S: list = [self.zero] + [None] * (len(links) - 1)
-        for j, link in enumerate(links):
-            if link is None:
-                continue
-            y, p = link
+        S = [self.zero]
+        for j, (y, p) in enumerate(self._links, 1):
             if p == 0:
-                S[j] = rl[j][ibar[y]]
-                continue
-            sp, sy, ip = S[p], S[from_1[y]], inv[p]
-            r = rv[ibar[y]][ip] if ip is not None else None
-            if sp is not None and sy is not None and r is not None:
-                S[j] = op(sub, op(add, sp, sy), op(add, rl[p][y], r))
+                S.append(rl[j][ibar[y]])
+            else:
+                sp_sy = op(add, S[p], S[from_1[y]])
+                S.append(op(sub, sp_sy, op(add, rl[p][y], rv[ibar[y]][inv[p]])))
         return S
 
     def q_left_row(self, g: int) -> tuple:
-        """sigma_q(g, nf(x)) in pushout coordinates for every letter x,
-        None where the tables do not reach.
+        """sigma_q(g, nf(x)) in pushout coordinates for every letter x.
 
         The row is a function of rho_left[g], sigma_rho(g, g^-1) and the
         column sigma_rho(nf(x^-1), g^-1) of rho_right, a triple that few
@@ -279,30 +273,20 @@ class BallCocycles:
         so it is computed once per triple and the row is shared.  The
         values are interned, so a key that hits compares equal by identity.
         """
-        ig = self.inverse[g]
-        sg = None if ig is None else self.sigma_inverse[g]
-        if sg is None:
-            return (None,) * len(self.inv_letter)
-        rr = self.rho_right
-        rl, column = self.rho_left[g], tuple([rr[ix][ig] for ix in self.inv_letter])
-        row = self._q_rows.get((rl, sg, column))
-        if row is not None:
-            return row
-        S, mods = self.sigma_inverse, self.mods
-        torsion = any(mods)
-        out = []
-        for xe, l, r in zip(self.ball.edges[0], rl, column):
-            sx = None if xe is None else S[xe]
-            if sx is None or r is None:
-                out.append(None)
-            elif not torsion:
-                out.append(self._intern(tuple(map(sub, l, r))))
-            else:
-                out.append(self._intern(tuple([
+        ig, S, rr = self.inverse[g], self.sigma_inverse, self.rho_right
+        rl, sg = self.rho_left[g], S[g]
+        column = tuple([rr[ix][ig] for ix in self.inv_letter])
+        key = (rl, sg, column)
+        row = self._q_rows.get(key)
+        if row is None:
+            mods = self.mods
+            row = self._q_rows[key] = tuple([
+                self._intern(tuple([
                     (2 * lc - a - b + (a + b - lc - c) % m) % (2 * m) if m else lc - c
-                    for a, b, lc, c, m in zip(sg, sx, l, r, mods)
-                ])))
-        row = self._q_rows[rl, sg, column] = tuple(out)
+                    for a, b, lc, c, m in zip(sg, S[xe], l, r, mods)
+                ]))
+                for xe, l, r in zip(self.ball.edges[0], rl, column)
+            ])
         return row
 
 

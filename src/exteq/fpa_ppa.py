@@ -13,8 +13,8 @@ LFPA and RFPA in lockstep and accumulates the parity of
 sigma_rho(w, w^-1) letter by letter.
 
 Each construction comes with a brute-force harness that re-derives its
-key property from direct cocycle evaluation and reports every
-counterexample.
+key property, the FPA's by direct cocycle evaluation and the PPA's from
+the cocycle tables, and reports every counterexample.
 """
 
 from __future__ import annotations
@@ -246,9 +246,10 @@ def check_ppa_key_property(D: PPA, cocycles: BallCocycles, R: int) -> CheckRepor
     accepted w with |w| <= R; L-prefixes never reach the sink.
 
     sigma_rho(w, w^-1) is read from the given cocycle tables of D's
-    extension, whose ball must reach radius R, and evaluated by the
-    string route where they read None.  A word in a state that reaches
-    no accepting one is not extended."""
+    extension, whose ball must reach radius R.  The words are walked
+    breadth-first, and a word in a state that reaches no accepting one is
+    not extended; the words of length R are judged as they are generated
+    and never stored."""
     ball = cocycles.ball
     if ball.radius < R:
         raise BallTooSmall(f"PPA check to radius {R} needs a ball of radius "
@@ -256,32 +257,34 @@ def check_ppa_key_property(D: PPA, cocycles: BallCocycles, R: int) -> CheckRepor
     ext = D.ext
     if cocycles.ext is not ext:
         raise ValueError("cocycle tables belong to a different extension")
-    kernel = ext.kernel
-    alpha = D.fsa.alphabet
+    rank = ext.kernel.rank
     table = cocycles.sigma_inverse
-    edges, rows, alive = ball.edges, D.fsa.transitions, coaccessible(D.fsa)
-    counterexamples = []
+    parity = {v: pa(ext.kernel.element(v[:rank], v[rank:])) for v in set(table)}
+    letters, edges = D.fsa.alphabet.letters, ball.edges
+    rows, alive = D.fsa.transitions, coaccessible(D.fsa)
+
+    def judge(w, s, g, out):
+        if s in D.fsa.accepting:
+            if D.states[s] is None:
+                out.append(("sink-accepting", w))
+            elif parity[table[g]] != D.states[s][2]:
+                out.append(("branch", w, parity[table[g]], D.states[s][2]))
+
+    counterexamples, last = [], []
     # (w, state, ball index of w)
     frontier = [("", D.fsa.initial, 0)]
-    for _ in range(R + 1):
+    for depth in range(R + 1):
         nxt = []
         for w, s, g in frontier:
-            if s in D.fsa.accepting:
-                if D.states[s] is None:
-                    counterexamples.append(("sink-accepting", w))
+            judge(w, s, g, counterexamples)
+            if depth == R:
+                continue
+            for x, t, h in zip(letters, rows[s], edges[g]):
+                if t not in alive:
+                    continue
+                if depth + 1 == R:
+                    judge(w + x, t, h, last)
                 else:
-                    d = D.states[s][2]
-                    v = table[g]
-                    direct = (
-                        pa(sigma_rho(ext, w, alpha.inverse_word(w)))
-                        if v is None
-                        else pa(kernel.element(v[: kernel.rank], v[kernel.rank :]))
-                    )
-                    if direct != d:
-                        counterexamples.append(("branch", w, direct, d))
-            if len(w) < R:
-                for x, t, h in zip(alpha.letters, rows[s], edges[g]):
-                    if t in alive:
-                        nxt.append((w + x, t, h))
+                    nxt.append((w + x, t, h))
         frontier = nxt
-    return CheckReport(R, tuple(counterexamples))
+    return CheckReport(R, tuple(counterexamples + last))

@@ -28,16 +28,15 @@ root is not quasi-geodesic (so no extension is) and every family sits
 in a state that reaches no live state.  On every word of L each
 family's predicted row, one value per letter, is compared with the row
 of values read off the Cayley ball's edge labels (BallCocycles), the
-relator logs its construction already computed; only a row that
-differs, or holds an element those tables cannot reach, is checked
-letter by letter, by the string route at the element's normal form
-where the tables read nothing.  Every check is thus a function of the
-family's state and the word's element, so words of one length with the
-same joint state and suffix elements are one node of the walk, judged
-and expanded once; the longest words are judged as they are generated
-and never stored.  A walk that finds a mismatch is walked again word by
-word, so each family's mismatches, and their order, are those of an
-exhaustive walk over all words for it alone.
+relator logs its construction already computed, which hold a row for
+every element; only a row that differs is checked letter by letter.
+Every check is thus a function of the family's state and the word's
+element, so words of one length with the same joint state and suffix
+elements are one node of the walk, judged and expanded once; the
+longest words are judged as they are generated and never stored.  A
+walk that finds a mismatch is walked again word by word, so each
+family's mismatches, and their order, are those of an exhaustive walk
+over all words for it alone.
 """
 
 from __future__ import annotations
@@ -191,16 +190,10 @@ class _MatchScheme:
             return _DEAD
         return cand
 
-    # the membership signature without its dead checks: the two agree on
-    # every live state, so pairing them refines nothing
-    def vsig_initial(self):
-        return ""
-
-    def vsig_step(self, sig, x: str):
-        cand = sig + x
-        while cand and cand not in self._prefixes:
-            cand = cand[1:]
-        return cand
+    # the value signature is the membership signature, so pairing them
+    # refines nothing
+    vsig_initial = lsig_initial
+    vsig_step = lsig_step
 
     def rsig_initial(self):
         return ""
@@ -554,33 +547,22 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
     and expected values for every letter.
 
     A word's predicted row (one value per letter, read at its state) is
-    compared whole with the expected row at its ball element; only when
-    they differ, or the expected row holds an element the tables cannot
-    reach, are the letters checked one by one, by the string route at the
-    element's normal form where the row reads None.  A mismatch names the
-    word w; its values depend only on s and g.
+    compared whole with the expected row the tables hold at its ball
+    element; only when they differ are the letters checked one by one.
+    A mismatch names the word w; its values depend only on s and g.
     """
     kind, ext = fam.kind, fam.ext
     letters = ext.base.alphabet.letters
-    words = cocycles.ball.words
     group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
     if kind == Q_LEFT:
-        q_rows: list = [None] * len(cocycles.ball)
-
-        def expected_row(g):
-            row = q_rows[g]
-            if row is None:
-                row = q_rows[g] = cocycles.q_left_row(g)
-            return row
+        expected_row = cocycles.q_left_row
     elif kind == RHO_LEFT:
         expected_row = cocycles.rho_left.__getitem__
     else:
         inverse, rho_right = cocycles.inverse, cocycles.rho_right
-        unreached = (None,) * len(letters)
 
         def expected_row(g):
-            h = inverse[g]
-            return unreached if h is None else tuple([col[h] for col in rho_right])
+            return tuple([col[inverse[g]] for col in rho_right])
     # predicted values as coordinate tuples; a value in the wrong group
     # never equals an expected one
     predicted = [
@@ -590,19 +572,13 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
 
     def check(w, s, g):
         exp = expected_row(g)
-        if exp == predicted[s] and None not in exp:
+        if exp == predicted[s]:
             return ()
-        out = []
-        for xi, x in enumerate(letters):
-            e = exp[xi]
-            if e is None:
-                direct = _direct_value(ext, kind, words[g], x)
-                if direct != fam.values[x][s]:
-                    out.append(("value", w, x, direct, fam.values[x][s]))
-            elif e != predicted[s][xi]:
-                expected = group.element(e[: group.rank], e[group.rank :])
-                out.append(("value", w, x, expected, fam.values[x][s]))
-        return out
+        return [
+            ("value", w, x, group.element(e[: group.rank], e[group.rank :]),
+             fam.values[x][s])
+            for x, e, got in zip(letters, exp, predicted[s])
+            if e != got
+        ]
 
     return (fam.graph, check)
-

@@ -1114,12 +1114,12 @@ class Pipeline:
     ) -> "Pipeline":
         """Build and validate the stack over the bundled language choice
         (instances.default_language_spec) on one ball of radius
-        max(R_validate, ball_radius).  R_learn is accepted and ignored:
+        max(R_validate, ball_radius, 1).  R_learn is accepted and ignored:
         synthesis always closes the signature space."""
         from .instances import default_language_spec
 
         lspec = default_language_spec(ext.base)
-        radius = max(R_validate, ball_radius or 0)
+        radius = max(R_validate, ball_radius or 0, 1)
         cocycles = BallCocycles(ext, build_ball(ext.base, radius))
         fams = build_automata(ext, lspec, R_validate, cocycles)
         D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])

@@ -335,11 +335,8 @@ class CayleyBall:
     relator-count vector of reducing words[i] + letters[k] to its normal
     form, for every element and letter, boundary edges included: the
     edge's kernel label.  Every logs row with no reduced edge is one
-    shared row of p.zero_counts.  `parents[i]` is the index of words[i][:-1] when
-    that prefix is itself in the ball and its edge by the last letter
-    leads back to i, else None (always None for the identity).
-    `reduced_edges` counts the edges whose normal form went through the
-    reducer.
+    shared row of p.zero_counts.  `reduced_edges` counts the edges whose
+    normal form went through the reducer.
     """
 
     presentation: Presentation
@@ -349,7 +346,6 @@ class CayleyBall:
     distances: list[int]
     edges: list[tuple[Optional[int], ...]]
     logs: list[tuple[tuple[int, ...], ...]]
-    parents: list[Optional[int]]
     reduced_edges: int
 
     def __len__(self) -> int:
@@ -438,13 +434,7 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
             edges.append(tuple(row))
             logs.append(zero_row if row_logs is None else tuple(row_logs))
         frontier = nxt_frontier
-    position = p.alphabet.position
-    parents: list[Optional[int]] = [None] * len(words)
-    for j in range(1, len(words)):
-        i = index.get(words[j][:-1])
-        if i is not None and i < j and edges[i][position[words[j][-1]]] == j:
-            parents[j] = i
-    return CayleyBall(p, R, words, index, distances, edges, logs, parents, reduced)
+    return CayleyBall(p, R, words, index, distances, edges, logs, reduced)
 
 
 def qg_min_distances(nu: int, n: int) -> list[int]:

@@ -71,13 +71,8 @@ def reference_build_ball(p: Presentation, R: int) -> tuple[CayleyBall, dict]:
             edges.append(tuple(row))
             logs.append(tuple(row_logs))
         frontier = nxt_frontier
-    parents: list[Optional[int]] = [None] * len(words_)
-    for j in range(1, len(words_)):
-        i = index.get(words_[j][:-1])
-        if i is not None and i < j and edges[i][p.alphabet.index(words_[j][-1])] == j:
-            parents[j] = i
     n_edges = len(edges) * len(p.alphabet.letters)
-    ball = CayleyBall(p, R, words_, index, distances, edges, logs, parents, n_edges)
+    ball = CayleyBall(p, R, words_, index, distances, edges, logs, n_edges)
     return ball, reduced
 
 
@@ -89,7 +84,6 @@ def _fields(ball: CayleyBall) -> tuple:
         ball.distances,
         ball.edges,
         ball.logs,
-        ball.parents,
     )
 
 

@@ -7,7 +7,8 @@ entry, on bundled extensions and on generated presentations with random
 lifts in torsion kernels, and the tables must hold one object per
 distinct value.  On generated free products of cyclic groups, where the
 reducer decides the word problem and any lifts define an extension,
-every entry the tables reach must equal the string route.
+every entry must equal the string route.  On a ball of radius >= 1 the
+tables are total; a ball of radius 0 has none.
 """
 
 from operator import sub
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from exteq import words
 from exteq.abelian import FGAGroup
-from exteq.errors import ResourceBound
+from exteq.errors import BallTooSmall, ResourceBound
 from exteq.extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from exteq.instances import (
     dihedral_z,
@@ -58,9 +59,8 @@ def reference_ball_cocycles(ext: CentralExtension, ball) -> SimpleNamespace:
     n = len(ball)
     links: list = [None] * n
     for j in range(1, n):
-        p = ball.parents[j]
-        if p is not None and (p == 0 or links[p] is not None):
-            links[j] = (alpha.index(ball.words[j][-1]), p)
+        w = ball.words[j]
+        links[j] = (alpha.index(w[-1]), ball.index[w[:-1]])
     lmul = []
     for z in range(len(alpha.letters)):
         row: list = [succ[0][z]] + [None] * (n - 1)
@@ -216,7 +216,7 @@ def extensions(draw, bases):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(extensions(presentations()), st.integers(0, 4))
+@given(extensions(presentations()), st.integers(1, 4))
 def test_tables_equal_reference_on_generated(ext, R):
     # generated relator sets need not decide their word problem nor admit
     # the drawn lifts, so only the arithmetic is compared here
@@ -240,7 +240,7 @@ def test_tables_equal_reference_on_generated(ext, R):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(extensions(cyclic_free_products()), st.integers(0, 4))
+@given(extensions(cyclic_free_products()), st.integers(1, 4))
 def test_tables_equal_string_route_on_generated(ext, R):
     try:
         with pytest.MonkeyPatch.context() as mp:
@@ -253,15 +253,37 @@ def test_tables_equal_string_route_on_generated(ext, R):
     for g, w in enumerate(ball.words):
         q_row = bc.q_left_row(g)
         for xi, x in enumerate(alpha.letters):
-            if bc.rho_left[g][xi] is not None:
-                assert bc.rho_left[g][xi] == sigma_rho(ext, w, x).coords(), (w, x)
-            if bc.rho_right[xi][g] is not None:
-                assert bc.rho_right[xi][g] == sigma_rho(ext, x, w).coords(), (x, w)
-            if q_row[xi] is not None:
-                assert q_row[xi] == sigma_q(ext, w, x).coords(), (w, x)
-        if bc.sigma_inverse[g] is not None:
-            want = sigma_rho(ext, w, alpha.inverse_word(w)).coords()
-            assert bc.sigma_inverse[g] == want, w
+            assert bc.rho_left[g][xi] == sigma_rho(ext, w, x).coords(), (w, x)
+            assert bc.rho_right[xi][g] == sigma_rho(ext, x, w).coords(), (x, w)
+            assert q_row[xi] == sigma_q(ext, w, x).coords(), (w, x)
+        want = sigma_rho(ext, w, alpha.inverse_word(w)).coords()
+        assert bc.sigma_inverse[g] == want, w
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.one_of(extensions(presentations()), extensions(cyclic_free_products())),
+    st.integers(0, 4),
+)
+def test_tables_are_total_from_radius_one(ext, R):
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("EXTEQ_CAP_STATES", "1000")
+            ball = build_ball(ext.base, R)
+    except ResourceBound:
+        assume(False)
+    if R == 0:
+        with pytest.raises(BallTooSmall):
+            BallCocycles(ext, ball)
+        return
+    bc = BallCocycles(ext, ball)
+    rows = [*bc.rho_right, *(bc.q_left_row(g) for g in range(len(ball)))]
+    for table in (bc.inverse, bc.sigma_inverse, *rows):
+        assert None not in table
 
 
 def test_t1s_tables_normalize_few_values(monkeypatch):

@@ -180,6 +180,14 @@ def test_verify_invariants_radius_zero(capsys):
     assert code == 0
 
 
+def test_build_radius_zero(capsys):
+    # the walk judges only the empty word, over a ball of radius 1, the
+    # least the cocycle tables take
+    code, out = run_cli("--json", "build", str(DATA / "quaternion8.json"),
+                        "--r-validate", "0", capsys=capsys)
+    assert (code, json.loads(out)["validated_radius"]) == (0, 0)
+
+
 def _build_file(tmp_path, capsys):
     """Run `exteq build` on Q8 and return the written file with the stack
     that Pipeline.build gives for the same bounds."""

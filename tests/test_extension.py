@@ -280,6 +280,17 @@ def sigma_q_via_chain(ext, g, h):
     return acc
 
 
+def test_t1s_sigma_grows_along_a_periodic_word():
+    # under the shortlex section the genus-2 cocycles are unbounded:
+    # nf((bABDab)^k A) rewrites the whole word and both cocycles read
+    # -4k, so no finite predictor holds beyond the radius validated
+    ext = t1s()
+    for k in range(1, 6):
+        w = "bABDab" * k
+        assert sigma_q(ext, w, "A") == ext.pushout_kernel.element([-4 * k])
+        assert sigma_rho(ext, w, "A") == ext.kernel.element([-4 * k])
+
+
 def test_sigma_q_letter_identity_torsion_free():
     for ext in (dihedral_z(), t1s()):
         R = 3 if ext.kernel.torsion or len(ext.base.alphabet.letters) < 6 else 2

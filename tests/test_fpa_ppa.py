@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -278,6 +279,21 @@ def test_ppa_key_property_q8(q8_stack):
 
 def test_ppa_key_property_t1s(t1s_stack):
     assert check_ppa_key_property(t1s_stack.ppa, t1s_stack.cocycles, 4).passed
+
+
+def test_ppa_key_property_t1s_memory_is_bounded(t1s_stack):
+    # the words of length R, most of the words, are judged as they are
+    # generated and kept in no frontier
+    D, cocycles = t1s_stack.ppa, t1s_stack.cocycles
+    check_ppa_key_property(D, cocycles, 5)  # fills the lazy tables
+    tracemalloc.start()
+    try:
+        report = check_ppa_key_property(D, cocycles, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2**20
 
 
 def _string_route_ppa_check(D, R):

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -398,7 +399,8 @@ def test_pipeline_build_raises_as_sequential_builds(monkeypatch, faults, error):
 def test_small_radii_match_reference(dihedral_stack, q8_stack):
     for stack in (dihedral_stack, q8_stack):
         for R in range(4):
-            ball = build_ball(stack.ext.base, R)
+            # the cocycle tables need a ball of radius >= 1
+            ball = build_ball(stack.ext.base, max(R, 1))
             L = stack.fpa.graph
             assert walk_alone(L, R, ball, stack.lspec) == (
                 reference_validate_L(L, stack.lspec, R, ball)
@@ -409,33 +411,29 @@ def test_small_radii_match_reference(dihedral_stack, q8_stack):
                 assert new.passed
 
 
-def test_unchained_elements_fall_back_to_string_route(q8_stack, dihedral_stack):
-    # with no element on a prefix-closed chain, every sigma_q and reversed
-    # value is evaluated by the string route
-    for stack in (q8_stack, dihedral_stack):
-        ball = build_ball(stack.ext.base, 5)
-        unchained = dataclasses.replace(ball, parents=[None] * len(ball))
-        for fam in stack.fams.values():
-            new = walk_alone(fam, 5, unchained)
-            assert new.passed
-        fam = stack.fams[Q_LEFT]
-        s = fam.graph.run("s")
-        x = fam.graph.alphabet.letters[0]
-        row = list(fam.values[x])
-        row[s] = row[s] + stack.ext.pushout_kernel.element(
-            [1] * stack.ext.kernel.rank, [1] * len(stack.ext.kernel.torsion)
-        )
-        broken = _replace(fam, values=dict(fam.values, **{x: tuple(row)}))
-        new = walk_alone(broken, 5, unchained)
-        assert new.mismatches
-        assert new == reference_validate_family(broken, stack.ext, 5, ball)
-        # a state predicting None for every letter equals the row of an
-        # element the tables cannot reach, yet every value is wrong
-        blank = {x: v[:s] + (None,) + v[s + 1 :] for x, v in fam.values.items()}
-        broken = _replace(fam, values=blank)
-        new = walk_alone(broken, 5, unchained)
-        assert new.mismatches
-        assert new == reference_validate_family(broken, stack.ext, 5, ball)
+def test_ball_without_prefix_closed_normal_forms_is_refused(q8_stack):
+    # the cocycle tables recurse along prefix chains: a ball whose normal
+    # form at some index is not its parent's edge by its last letter has
+    # no tables, and the refusal names the word
+    ball = build_ball(q8_stack.ext.base, 5)
+    words = list(ball.words)
+    words[1], words[2] = words[2], words[1]
+    unchained = dataclasses.replace(ball, words=words)
+    with pytest.raises(ValueError, match=re.escape(repr(words[1]))):
+        walk_alone(q8_stack.fpa, 5, unchained)
+
+
+@pytest.mark.parametrize("stack_name", ["q8_stack", "dihedral_stack"])
+def test_blank_prediction_matches_reference(request, stack_name):
+    # a live state predicting no value is wrong against every letter
+    stack = request.getfixturevalue(stack_name)
+    fam = stack.fams[Q_LEFT]
+    s = fam.graph.run("s")
+    blank = {x: v[:s] + (None,) + v[s + 1 :] for x, v in fam.values.items()}
+    broken = _replace(fam, values=blank)
+    new = walk_alone(broken, 5, stack.ball)
+    assert new.mismatches
+    assert new == reference_validate_family(broken, stack.ext, 5, stack.ball)
 
 
 @pytest.mark.parametrize("kind", KINDS)
