@@ -395,7 +395,8 @@ def cmd_demo_t1s(args) -> int:
         "central defect of [a,b][c d^n, d] for |n| <= 4: "
         + ", ".join(str(defects[n]) for n in range(-4, 5))
     )
-    pipe = Pipeline.build(ext, kappa2=7, R_validate=5)
+    validated, fails = 5, 6  # sigma_q is unbounded under the shortlex section
+    pipe = Pipeline.build(ext, kappa2=7, R_validate=validated)
     sys_ = t1s_commutator_system(ext, 0)
     hints = tuple(
         {"x": "c" + ("d" * n if n >= 0 else "D" * (-n))} for n in range(-4, 5)
@@ -408,6 +409,8 @@ def cmd_demo_t1s(args) -> int:
         f"base-group solutions x = c d^n tried: {out.report['thetas_tried']}",
         f"kernel systems unsolvable: {out.report['w_unsolvable']}",
         f"obstruction: 0 = {obstruction['value']}" if obstruction else "",
+        f"the obstruction rests on predictor families validated to radius {validated};"
+        f" they fail at radius {fails}",
         f"verdict: {out.status}",
         "",
         "Every lift of a solution would need the central equation "
@@ -418,6 +421,7 @@ def cmd_demo_t1s(args) -> int:
         "defects": {str(n): defects[n] for n in defects},
         "status": out.status,
         "obstruction": obstruction,
+        "radius": {"validated": validated, "fails": fails},
         "report": out.report,
     }
     _emit(args, payload, lines)

@@ -12,6 +12,7 @@ as integer tables, defined at every entry.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
@@ -193,7 +194,7 @@ class BallCocycles:
         for row in rows:
             rows[row] = tuple(map(label.__getitem__, row))
         self.E = list(map(rows.__getitem__, ball.logs))
-        self._q_rows: dict = {}  # q_left_row by the triple it depends on
+        self._q_rows: dict = {}  # q_left_row by class
         # rho_left[g][x] = sigma_rho(g, nf(x)) = E(g, x) - E(1, x)
         E1 = self.E[0]
         left = {
@@ -217,15 +218,14 @@ class BallCocycles:
 
     @cached_property
     def _lmul(self) -> list:
-        """lmul[z][h], the index of nf(z) h, or None where that leaves the
-        ball, which only an h at distance R can do, never a parent."""
-        succ = self.ball.edges
-        out = []
-        for start in succ[0]:
-            row = [start]
-            for y, p in self._links:
-                row.append(succ[row[p]][y])
-            out.append(row)
+        """_lmul[h][z], the index of nf(z) h, for the first elements, those
+        below distance R: the parents and their inverses, all it is read at."""
+        ball = self.ball
+        inner = bisect_left(ball.distances, ball.radius)
+        succ = ball.edges
+        out = [succ[0]]
+        for y, p in self._links[: inner - 1]:
+            out.append([succ[g][y] for g in out[p]])
         return out
 
     @cached_property
@@ -234,58 +234,75 @@ class BallCocycles:
         lmul, ibar = self._lmul, self.inv_letter
         inv = [0]
         for y, p in self._links:
-            inv.append(lmul[ibar[y]][inv[p]])
+            inv.append(lmul[inv[p]][ibar[y]])
         return inv
 
     @cached_property
     def rho_right(self) -> list:
-        """rho_right[z][h] = sigma_rho(nf(z), h)."""
-        E, op, memo = self.E, self._op, self._memo
-        out = []
-        for mul in self._lmul:
-            row = [self.zero]
-            for y, p in self._links:
-                r, e = row[p], E[mul[p]][y]
-                row.append(memo.get((add, r, e)) or op(add, r, e))
-            out.append(row)
+        """rho_right[h][z] = sigma_rho(nf(z), h): one interned column per
+        element, its parent's where every added edge label is zero."""
+        E, lmul, op, memo, zero = self.E, self._lmul, self._op, self._memo, self.zero
+        n = len(self.inv_letter)
+        columns: dict = {}
+        out = [columns.setdefault((zero,) * n, (zero,) * n)]
+        for y, p in self._links:
+            col = out[p]
+            labels = [E[g][y] for g in lmul[p]]
+            if labels.count(zero) != n:
+                col = tuple([
+                    r if e is zero else memo.get((add, r, e)) or op(add, r, e)
+                    for r, e in zip(col, labels)
+                ])
+                col = columns.setdefault(col, col)
+            out.append(col)
         return out
 
     @cached_property
     def sigma_inverse(self) -> list:
-        """sigma_inverse[h] = sigma_rho(h, h^-1)."""
+        """sigma_inverse[h] = sigma_rho(h, h^-1), once per step's operands."""
         rl, inv, rv, ibar = self.rho_left, self.inverse, self.rho_right, self.inv_letter
         op, from_1 = self._op, self.ball.edges[0]
+        steps: dict = {}
         S = [self.zero]
         for j, (y, p) in enumerate(self._links, 1):
             if p == 0:
                 S.append(rl[j][ibar[y]])
-            else:
-                sp_sy = op(add, S[p], S[from_1[y]])
-                S.append(op(sub, sp_sy, op(add, rl[p][y], rv[ibar[y]][inv[p]])))
+                continue
+            key = (S[p], S[from_1[y]], rl[p][y], rv[inv[p]][ibar[y]])
+            if key not in steps:
+                a, b, c, d = key
+                steps[key] = op(sub, op(add, a, b), op(add, c, d))
+            S.append(steps[key])
         return S
+
+    @cached_property
+    def classes(self) -> list:
+        """classes[g]: the id of (rho_left[g], sigma_inverse[g],
+        rho_right[g^-1]), which every family's expected row at g is a
+        function of; the t1s ball of radius 5 has 25 classes."""
+        ids: dict = {}
+        columns = map(self.rho_right.__getitem__, self.inverse)
+        triples = zip(self.rho_left, self.sigma_inverse, columns)
+        return [ids.setdefault(t, len(ids)) for t in triples]
 
     def q_left_row(self, g: int) -> tuple:
         """sigma_q(g, nf(x)) in pushout coordinates for every letter x.
 
-        The row is a function of rho_left[g], sigma_rho(g, g^-1) and the
-        column sigma_rho(nf(x^-1), g^-1) of rho_right, a triple that few
-        elements do not share (25 distinct on the t1s ball of radius 5),
-        so it is computed once per triple and the row is shared.  The
-        values are interned, so a key that hits compares equal by identity.
+        The row is a function of g's class (`classes`), so it is computed
+        once per class and shared.  The values are interned, so a key
+        that hits compares equal by identity.
         """
-        ig, S, rr = self.inverse[g], self.sigma_inverse, self.rho_right
-        rl, sg = self.rho_left[g], S[g]
-        column = tuple([rr[ix][ig] for ix in self.inv_letter])
-        key = (rl, sg, column)
-        row = self._q_rows.get(key)
+        cls = self.classes[g]
+        row = self._q_rows.get(cls)
         if row is None:
-            mods = self.mods
-            row = self._q_rows[key] = tuple([
+            mods, S, ibar = self.mods, self.sigma_inverse, self.inv_letter
+            sg, column = S[g], self.rho_right[self.inverse[g]]
+            row = self._q_rows[cls] = tuple([
                 self._intern(tuple([
                     (2 * lc - a - b + (a + b - lc - c) % m) % (2 * m) if m else lc - c
-                    for a, b, lc, c, m in zip(sg, S[xe], l, r, mods)
+                    for a, b, lc, c, m in zip(sg, S[xe], l, column[ix], mods)
                 ]))
-                for xe, l, r in zip(self.ball.edges[0], rl, column)
+                for xe, l, ix in zip(self.ball.edges[0], self.rho_left[g], ibar)
             ])
         return row
 

@@ -19,24 +19,20 @@ family is then validated against all words up to the validation radius
 and rejected on any mismatch; the validated radius is recorded on it.
 
 Validation is one breadth-first walk over the word tree that serves the
-three families together (`build_automata`, the only entry point).  Each
-word's membership in L is decided once, from the ball indices of its
-suffixes, so a child only tests its new suffixes against integer
-quasi-geodesic bounds; the walk carries every family's state as one
-joint state.  It skips a subtree only where no word can disagree: the
-root is not quasi-geodesic (so no extension is) and every family sits
-in a state that reaches no live state.  On every word of L each
-family's predicted row, one value per letter, is compared with the row
-of values read off the Cayley ball's edge labels (BallCocycles), the
-relator logs its construction already computed, which hold a row for
-every element; only a row that differs is checked letter by letter.
-Every check is thus a function of the family's state and the word's
-element, so words of one length with the same joint state and suffix
-elements are one node of the walk, judged and expanded once; the
-longest words are judged as they are generated and never stored.  A
-walk that finds a mismatch is walked again word by word, so each
-family's mismatches, and their order, are those of an exhaustive walk
-over all words for it alone.
+three families together (`build_automata`, the only entry point).  A
+subword's deficiency |u| - d(u) is at most its word's, so a word is in
+L iff its own distance is at least its length minus nu: the walk
+carries each word's ball element, with the families' states as one
+joint state, and a child costs one edge lookup and one comparison.  It
+skips a subtree only where no word can disagree: the root is not in L
+and every family sits in a state that reaches no live state.  On every
+word of L each family's predicted row, one value per letter, is
+compared with the expected row read off the Cayley ball's edge labels
+(BallCocycles), a function of the element's class in the tables.  So a
+first pass that keeps no words judges each distinct (joint state,
+class) once and stops at the first mismatch.  Only after one is the
+tree walked again word by word, so each family's mismatches, and their
+order, are those of an exhaustive walk over all words for it alone.
 """
 
 from __future__ import annotations
@@ -54,13 +50,7 @@ from .errors import (
 )
 from .automata import FSA, coaccessible, explore
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
-from .words import (
-    CayleyBall,
-    Presentation,
-    Word,
-    normal_form,
-    qg_min_distances,
-)
+from .words import CayleyBall, Presentation, Word, normal_form
 
 Q_LEFT = "q-left"
 RHO_LEFT = "rho-left"
@@ -426,26 +416,27 @@ def _family(
 def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list:
     """The validation walk over all words of length <= R, breadth-first.
 
-    Each machine is (graph, check): an automaton whose live (accepting)
-    states should be exactly the words of L, and check(w, state, element
-    index), which returns the mismatches of a word that is in L and live
-    and depends on w only through its element.
+    Each machine is (graph, check, classes): an automaton whose live
+    (accepting) states should be exactly the words of L; check(w, state,
+    element index), which returns the mismatches of a word that is in L
+    and live, and depends on w only through its element g and on g only
+    through classes[g]; and that list, one list shared by all machines.
 
-    Each word w is judged once for all machines: w is in L iff every
-    suffix of every prefix passes the quasi-geodesic bound, so a node
-    carries the ball indices of its suffixes and a child tests only its
-    new suffixes, with integer thresholds.  The machines' states are
-    carried along as one joint state.  A subtree is skipped only when
-    its root is not in L, so neither is any extension, and no machine's
-    state can reach a live state, so no extension is accepted either.
+    A word w is in L iff d(w) >= |w| - nu: for v = p u q, d(u) >= d(v)
+    - |p| - |q|, so a subword's deficiency |u| - d(u) is at most v's.  d
+    is read off the ball, assuming its normal forms decide the word
+    problem.  So a node is (joint state of the machines, element), the
+    element None once the word has left L.  A subtree is skipped only
+    when its root is not in L and no machine's state can reach a live
+    state: then no extension is in L or accepted.
 
-    Words of one length with the same joint state and the same suffix
-    elements (or both outside L) are one node: they have the same
-    membership, the same check results and pairwise such children, so
-    the walk keeps the first of them and finds a mismatch iff the walk
-    over every word does.  The words of length R are judged as they are
-    generated and kept in no frontier.  A walk that finds a mismatch is
-    walked again word by word, so that its report names every word.
+    The first pass keeps no words: it expands each distinct node of a
+    length once, judges each distinct (joint state, class) once, the
+    class None outside L, and stops at the first mismatch.  Alike nodes
+    have alike judgements and children, so it finds a mismatch iff some
+    word has one.  The longest words are judged as they are generated
+    and never stored.  Only after a mismatch does a second pass walk
+    word by word, so that the reports name every word.
 
     Returns one report per machine, listing ("membership", w, in_L,
     got_live) for a membership mismatch, plus whatever check returns, in
@@ -459,17 +450,17 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
             f"word of length {n} needs a ball of radius >= {n}, have {ball.radius}"
         )
     letters = lspec.presentation.alphabet.letters
-    need = qg_min_distances(lspec.nu, R)
     dist = ball.distances
     edges = ball.edges
-    rows = [graph.transitions for graph, _ in machines]
+    rows = [graph.transitions for graph, *_ in machines]
     dooms = [
-        frozenset(range(graph.n_states)) - coaccessible(graph) for graph, _ in machines
+        frozenset(range(graph.n_states)) - coaccessible(graph) for graph, *_ in machines
     ]
+    (classes,) = {id(c): c for *_, c in machines}.values()  # a shared list
     # joint states, interned, each with whether every machine is doomed
     # there and its children, listed on first expansion
     joint: dict = {}
-    states, doomed, kids = [], [], []
+    states, doomed, kids = [], [], {}
 
     def intern(st):
         p = joint.get(st)
@@ -477,59 +468,61 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
             p = joint[st] = len(states)
             states.append(st)
             doomed.append(all(s in d for s, d in zip(st, dooms)))
-            kids.append(None)
         return p
 
-    def judge(w, p, sfx, out):
-        in_L = sfx is not None
+    def judge(w, p, g, out):
+        in_L = g is not None
         for k, s in enumerate(states[p]):
-            graph, check = machines[k]
+            graph, check, _ = machines[k]
             got = s in graph.accepting
             if in_L != got:
                 out[k].append(("membership", w, in_L, got))
             elif got:
-                out[k].extend(check(w, s, sfx[0]))
+                out[k].extend(check(w, s, g))
 
-    def levels(merge):
-        out: list = [[] for _ in machines]
-        last: list = [[] for _ in machines]
-        # ((joint state, ball indices of w[i:] for i = 0..|w|), w) with
-        # None for the indices once w has left L; merged, a dict from
-        # the pair to its first word
-        root = ((intern(tuple(g.initial for g, _ in machines)), (0,)), "")
-        frontier = dict([root]) if merge else [root]
+    def tree(spell):
+        """(w, joint state, element) for each node, breadth-first; w is
+        None unless spelled, and unspelled nodes below length R are
+        listed once per length."""
+        root = intern(tuple(graph.initial for graph, *_ in machines))
+        frontier = [("" if spell else None, root, 0)]
         for depth in range(R + 1):
-            nxt = {} if merge else []
-            for (p, sfx), w in frontier.items() if merge else frontier:
-                judge(w, p, sfx, out)
-                if depth == R or (sfx is None and doomed[p]):
+            yield from frontier
+            nxt = []
+            need = depth + 1 - lspec.nu
+            for w, p, g in frontier if depth < R else ():
+                if g is None and doomed[p]:
                     continue
-                ks = kids[p]
+                ks = kids.get(p)
                 if ks is None:
                     ks = kids[p] = [
                         intern(tuple(rw[s][i] for rw, s in zip(rows, states[p])))
                         for i in range(len(letters))
                     ]
-                for i, x in enumerate(letters):
-                    child = None
-                    if sfx is not None:
-                        child = (*[edges[j][i] for j in sfx], 0)
-                        for k, j in enumerate(child[:-1]):
-                            if dist[j] < need[depth + 1 - k]:
-                                child = None
-                                break
+                for i, q in enumerate(ks):
+                    h = None if g is None else edges[g][i]
+                    if h is not None and dist[h] < need:
+                        h = None
+                    child = (w + letters[i] if spell else None, q, h)
                     if depth + 1 == R:
-                        judge(w + x, ks[i], child, last)
-                    elif merge:
-                        nxt.setdefault((ks[i], child), w + x)
+                        yield child
                     else:
-                        nxt.append(((ks[i], child), w + x))
-            frontier = nxt
-        return [a + b for a, b in zip(out, last)]
+                        nxt.append(child)
+            frontier = nxt if spell else list(dict.fromkeys(nxt))
 
-    out = levels(merge=True)
+    out: list = [[] for _ in machines]
+    judged = set()
+    for _, p, g in tree(spell=False):
+        key = (p, None if g is None else classes[g])
+        if key not in judged:
+            judged.add(key)
+            judge(None, p, g, out)
+            if any(out):
+                break
     if any(out):
-        out = levels(merge=False)
+        out = [[] for _ in machines]
+        for w, p, g in tree(spell=True):
+            judge(w, p, g, out)
     return [ValidationReport(R, tuple(m)) for m in out]
 
 
@@ -549,7 +542,8 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
     A word's predicted row (one value per letter, read at its state) is
     compared whole with the expected row the tables hold at its ball
     element; only when they differ are the letters checked one by one.
-    A mismatch names the word w; its values depend only on s and g.
+    A mismatch names the word w; its values depend only on s and on g's
+    class in the tables, which the machine carries.
     """
     kind, ext = fam.kind, fam.ext
     letters = ext.base.alphabet.letters
@@ -562,7 +556,7 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
         inverse, rho_right = cocycles.inverse, cocycles.rho_right
 
         def expected_row(g):
-            return tuple([col[inverse[g]] for col in rho_right])
+            return rho_right[inverse[g]]
     # predicted values as coordinate tuples; a value in the wrong group
     # never equals an expected one
     predicted = [
@@ -581,4 +575,4 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
             if e != got
         ]
 
-    return (fam.graph, check)
+    return (fam.graph, check, cocycles.classes)

@@ -896,47 +896,47 @@ def vf_oracle_solve(V: VSystem, bound: int) -> OracleOutcome:
     order; exhaustion is not a nonexistence proof."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    domains = _p_domains(V, bound)
-    alphabet = V.F.ext.base.alphabet
-    free_reduce, inverse_word = alphabet.free_reduce, alphabet.inverse_word
-    constraint_ok, c, n_rows = V._constraint_ok, V.t.c, len(V.tri.rows)
-    v_assign: dict[str, Word] = {}
-    p_assign: dict[str, Word] = {}
-
-    def fill_row(i: int) -> bool:
-        if i == n_rows:
-            return True
-        pn = V.p_names[i]
-        for trip in itertools.product(
-            domains[pn[0]], domains[pn[1]], domains[pn[2]]
-        ):
-            added = []
-            ok = True
-            for j in range(3):
-                w = free_reduce(trip[j] + c[i][j] + inverse_word(trip[(j + 1) % 3]))
-                name = V.v_names[i][j]
-                if name in v_assign:
-                    if v_assign[name] != w:
-                        ok = False
-                        break
-                elif constraint_ok(name, w):
-                    v_assign[name] = w
-                    added.append(name)
-                else:
-                    ok = False
-                    break
-            if ok:
-                for j in range(3):
-                    p_assign[pn[j]] = trip[j]
-                if fill_row(i + 1):
-                    return True
-            for name in added:
-                del v_assign[name]
-        return False
-
-    if fill_row(0):
+    v_assign, p_assign = {}, {}
+    if _fill_rows(V, _p_domains(V, bound), 0, v_assign, p_assign):
         return OracleOutcome(FOUND, {**p_assign, **v_assign})
     return OracleOutcome(EXHAUSTED_BOUND)
+
+
+def _fill_rows(
+    V: VSystem, domains: dict, i: int, v_assign: dict, p_assign: dict
+) -> bool:
+    """Fill rows i, i+1, ... of V in shortlex order, extending the
+    assignments in place; True once all are filled.  Its state is in its
+    arguments, so no reference cycle keeps V alive after a search."""
+    if i == len(V.tri.rows):
+        return True
+    alphabet = V.F.ext.base.alphabet
+    free_reduce, inverse_word = alphabet.free_reduce, alphabet.inverse_word
+    constraint_ok, c, pn = V._constraint_ok, V.t.c[i], V.p_names[i]
+    for trip in itertools.product(domains[pn[0]], domains[pn[1]], domains[pn[2]]):
+        added = []
+        ok = True
+        for j in range(3):
+            w = free_reduce(trip[j] + c[j] + inverse_word(trip[(j + 1) % 3]))
+            name = V.v_names[i][j]
+            if name in v_assign:
+                if v_assign[name] != w:
+                    ok = False
+                    break
+            elif constraint_ok(name, w):
+                v_assign[name] = w
+                added.append(name)
+            else:
+                ok = False
+                break
+        if ok:
+            for j in range(3):
+                p_assign[pn[j]] = trip[j]
+            if _fill_rows(V, domains, i + 1, v_assign, p_assign):
+                return True
+        for name in added:
+            del v_assign[name]
+    return False
 
 
 # -- constraint lemma and lifting ---------------------------------------

@@ -371,7 +371,11 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
     the edge's normal form and relator counts are the ones the reducer
     would have produced.  The presentation's normal-form cache gains
     only the reducer's results; the ball is the one store of the rest.
-    More than state_cap() elements raise ResourceBound.
+
+    The reducer never lengthens a word, so no normal form in the ball is
+    longer than R: a key-free word of R letters has no fast edge into the
+    ball but its back edge, and its row visits only the letters that
+    complete a key tail.  More than state_cap() elements raise ResourceBound.
     """
     cap = state_cap()
     shorten, swaps, *_ = p.tables
@@ -379,6 +383,11 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
     key_lengths = sorted({len(u) for u in keys})
     m = key_lengths[0] if key_lengths else 1
     tails = {u[-m:] for u in keys}
+    position = p.alphabet.position
+    # the letters x that make u x a key tail, by u, in alphabet order
+    completing: dict[Word, list[int]] = {}
+    for u in sorted(tails, key=p.alphabet.shortlex_key):
+        completing.setdefault(u[:-1], []).append(position[u[-1]])
 
     def is_key_free(w: Word) -> bool:
         return not any(
@@ -404,9 +413,16 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
             w = words[i]
             free = key_free[i]
             back = inverse[w[-1]] if w else None
-            row: list[Optional[int]] = []
+            row: list[Optional[int]] = [None] * len(letters)
+            todo: Iterable[int] = range(len(letters))
+            if free and len(w) == R:
+                if w:
+                    row[position[back]] = index.get(w[:-1])
+                tail = completing.get(w[R + 1 - m :], ())
+                todo = [k for k in tail if letters[k] != back]
             row_logs = None
-            for k, x in enumerate(letters):
+            for k in todo:
+                x = letters[k]
                 wx = w + x
                 fast = free
                 if free and x == back:
@@ -430,14 +446,8 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
                     distances.append(dist + 1)
                     key_free.append(fast or is_key_free(nf))
                     nxt_frontier.append(j)
-                row.append(j)
+                row[k] = j
             edges.append(tuple(row))
             logs.append(zero_row if row_logs is None else tuple(row_logs))
         frontier = nxt_frontier
     return CayleyBall(p, R, words, index, distances, edges, logs, reduced)
-
-
-def qg_min_distances(nu: int, n: int) -> list[int]:
-    """need[m] for m <= n: the least d(1, w') a subword w' of length m may
-    have in a word of L, m - nu."""
-    return [m - nu for m in range(n + 1)]

@@ -248,7 +248,7 @@ def walk_alone(automaton, R: int, ball: CayleyBall, lspec=None, cocycles=None):
         cocycles = cocycles or BallCocycles(ext, ball)
         machine = _family_machine(automaton, cocycles)
     else:
-        machine = (automaton, lambda w, s, g: ())
+        machine = (automaton, lambda w, s, g: (), [0] * len(ball))
     return _walk(lspec, R, ball, [machine])[0]
 
 

@@ -35,7 +35,8 @@ from test_ball import presentations
 
 def reference_ball_cocycles(ext: CentralExtension, ball) -> SimpleNamespace:
     """E, rho_left, inverse, rho_right, sigma_inverse and q_left (the row
-    of q_left_row for every element), one normalized tuple per entry."""
+    of q_left_row for every element), one normalized tuple per entry;
+    rho_right one column per element, as BallCocycles holds it."""
     alpha = ext.base.alphabet
     kernel = ext.kernel
     mods = (0,) * kernel.rank + kernel.torsion
@@ -121,7 +122,7 @@ def reference_ball_cocycles(ext: CentralExtension, ball) -> SimpleNamespace:
         E=E,
         rho_left=rho_left,
         inverse=inverse,
-        rho_right=rho_right,
+        rho_right=list(zip(*rho_right)),
         sigma_inverse=S,
         q_left=[q_row(g) for g in range(n)],
     )
@@ -254,7 +255,7 @@ def test_tables_equal_string_route_on_generated(ext, R):
         q_row = bc.q_left_row(g)
         for xi, x in enumerate(alpha.letters):
             assert bc.rho_left[g][xi] == sigma_rho(ext, w, x).coords(), (w, x)
-            assert bc.rho_right[xi][g] == sigma_rho(ext, x, w).coords(), (x, w)
+            assert bc.rho_right[g][xi] == sigma_rho(ext, x, w).coords(), (x, w)
             assert q_row[xi] == sigma_q(ext, w, x).coords(), (w, x)
         want = sigma_rho(ext, w, alpha.inverse_word(w)).coords()
         assert bc.sigma_inverse[g] == want, w

@@ -337,6 +337,23 @@ def test_verify_invariants_t1s_radius_5_exits_3_at_the_pair_cap(capsys):
     assert "FPA key-property check" in err and "8939113" in err
 
 
+def test_demo_t1s_names_its_radius(capsys):
+    # the obstruction holds only as far as the families were validated,
+    # and they fail one step further
+    code, out = run_cli("--json", "demo-t1s", capsys=capsys)
+    assert (code, json.loads(out)["radius"]) == (1, {"validated": 5, "fails": 6})
+    code, out = run_cli("demo-t1s", capsys=capsys)
+    assert (
+        "obstruction: 0 = -2\n"
+        "the obstruction rests on predictor families validated to radius 5;"
+        " they fail at radius 6\n"
+    ) in out
+    code = run_cli("build", str(DATA / "t1s.json"), "--r-validate", "6")[0]
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "not observed during synthesis" in err  # ValueSetUnstable
+
+
 def test_verify_invariants_q8_exits_3_under_a_small_cap(monkeypatch, capsys):
     # all 4^12 words of length 12 would be 16.7M; the pairs are counted
     # over the FPA's graph, so the check refuses before listing any word

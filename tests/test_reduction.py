@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from collections import deque
 from dataclasses import replace
 
@@ -610,6 +612,25 @@ def test_oracle_finds_witness_solution(q8_pipe):
     assert V.check(res.assignment)
     # deterministic
     assert vf_oracle_solve(V, 2).assignment == res.assignment
+
+
+def test_oracle_leaves_no_reference_cycle(q8_pipe):
+    # with the cyclic collector off, the V_t of a finished search dies
+    # with its last reference
+    ext = q8_pipe.ext
+    tri = triangularize(_twisted_system(ext), identity(ext))
+    gamma = extend_to_fresh(tri, ext.base, {"x": ""})
+    t, _ = witness_theta(tri, q8_pipe, gamma)
+    gc.collect()
+    gc.disable()
+    try:
+        V = build_Vt(t, tri, q8_pipe)
+        assert vf_oracle_solve(V, 2).found
+        ref = weakref.ref(V)
+        del V
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_lift_roundtrip_and_converse_formula(q8_pipe):

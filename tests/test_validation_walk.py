@@ -245,61 +245,86 @@ def ball_element(ball, w):
     return g
 
 
-def merged_tree(stack, R):
-    """The words of L up to length R, and the nodes of the merged walk
-    among them, counted by brute force: the distinct (depth, joint
-    state, suffix elements) below length R, and at length R each such
-    node's children in L, as (node, letter) pairs."""
+def class_pairs(stack, R, cocycles):
+    """The words of L up to length R, and the number of distinct (joint
+    state, class) pairs among them, counted by brute force."""
     ball, graphs = stack.ball, [stack.fams[kind].graph for kind in KINDS]
-
-    def node(w):
-        sfx = tuple(ball_element(ball, w[i:]) for i in range(len(w) + 1))
-        return len(w), tuple(g.run(w) for g in graphs), sfx
-
     members = [
         w for w in words_up_to(stack.ext.base.alphabet, R)
         if qg_reference(ball, w, stack.lspec.nu)
     ]
-    below = {node(w) for w in members if len(w) < R}
-    last = {(node(w[:-1]), w[-1]) for w in members if len(w) == R}
-    return members, len(below) + len(last)
+    pairs = {
+        (tuple(g.run(w) for g in graphs), cocycles.classes[ball_element(ball, w)])
+        for w in members
+    }
+    return members, len(pairs)
 
 
-def test_walk_checks_each_distinct_node_once(q8_stack):
-    stack, R = q8_stack, 6
-    members, nodes = merged_tree(stack, R)
-    cocycles = BallCocycles(stack.ext, stack.ball)
-    calls = Counter()
+def counted_machines(fams, cocycles, calls):
+    """The families' machines, each check call counted in calls[kind]."""
 
-    def counted(kind, fams):
-        graph, check = _family_machine(fams[kind], cocycles)
+    def counted(kind):
+        graph, check, classes = _family_machine(fams[kind], cocycles)
 
         def counted_check(w, s, g):
             calls[kind] += 1
             return check(w, s, g)
-        return graph, counted_check
+        return graph, counted_check, classes
 
-    machines = [counted(kind, stack.fams) for kind in KINDS]
+    return [counted(kind) for kind in KINDS]
+
+
+def test_walk_checks_each_distinct_node_once(q8_stack):
+    stack, R = q8_stack, 6
+    cocycles = BallCocycles(stack.ext, stack.ball)
+    members, pairs = class_pairs(stack, R, cocycles)
+    calls = Counter()
+    machines = counted_machines(stack.fams, cocycles, calls)
     assert all(r.passed for r in _walk(stack.lspec, R, stack.ball, machines))
-    # every family is live on every word of L, so each checks every node
-    assert calls == {kind: nodes for kind in KINDS}
-    assert nodes < len(members)
+    # every family is live on every word of L, so each checks every
+    # distinct (joint state, class) pair once
+    assert calls == {kind: pairs for kind in KINDS}
+    assert pairs < len(members)
 
-    # a wrong value at the state most words of L reach: the merged walk
-    # meets it at few nodes, the report lists every word
+    # a wrong value at the state most words of L reach: the first pass
+    # stops at the first mismatch, the second lists every word
     fpa = stack.fams[Q_LEFT]
     s, _ = Counter(fpa.graph.run(w) for w in members).most_common(1)[0]
     victim = next(w for w in members if fpa.graph.run(w) == s)
     fams = dict(stack.fams)
     fams[Q_LEFT], _ = flip_value(fpa, victim, stack.ext.base.alphabet.letters[-1])
     calls.clear()
-    machines = [counted(kind, fams) for kind in KINDS]
+    machines = counted_machines(fams, cocycles, calls)
     reports = dict(zip(KINDS, _walk(stack.lspec, R, stack.ball, machines)))
     expected = reference_validate_family(fams[Q_LEFT], stack.ext, R, stack.ball)
     assert reports[Q_LEFT] == expected
     assert len(expected.mismatches) == sum(fpa.graph.run(w) == s for w in members)
     assert all(reports[kind].passed for kind in (RHO_LEFT, RHO_RIGHT_REVERSED))
-    assert calls[Q_LEFT] == nodes + len(members)
+    assert len(members) < calls[Q_LEFT] <= len(members) + pairs
+
+
+def test_t1s_walk_checks_few_classes(t1s_stack):
+    # 22,289 ball elements fall into few classes, and each family checks
+    # each (joint state, class) pair once
+    stack, R = t1s_stack, 5
+    calls = Counter()
+    machines = counted_machines(stack.fams, stack.cocycles, calls)
+    assert all(r.passed for r in _walk(stack.lspec, R, stack.ball, machines))
+    assert 0 < sum(calls.values()) <= 1_000
+
+
+@pytest.mark.parametrize(
+    "stack_name,R",
+    [("q8_stack", 6), ("modular16_stack", 6), ("dihedral_stack", 7), ("t1s_stack", 4)],
+)
+def test_membership_is_one_distance(request, stack_name, R):
+    # a subword's deficiency is at most its word's: every subword is
+    # quasi-geodesic iff the word is
+    stack = request.getfixturevalue(stack_name)
+    ball, nu = stack.ball, stack.lspec.nu
+    for w in words_up_to(stack.ext.base.alphabet, R):
+        one = ball.distances[ball_element(ball, w)] >= len(w) - nu
+        assert qg_reference(ball, w, nu) == one, w
 
 
 def test_t1s_walk_memory_is_bounded(t1s_stack):
@@ -502,7 +527,7 @@ def _check_tables(ext, ball, pairs):
         w, x = ball.words[g], letters[xi]
         assert bc.rho_left[g][xi] == sigma_rho(ext, w, x).coords(), (w, x)
         assert bc.q_left_row(g)[xi] == sigma_q(ext, w, x).coords(), (w, x)
-        assert bc.rho_right[xi][g] == sigma_rho(ext, x, w).coords(), (w, x)
+        assert bc.rho_right[g][xi] == sigma_rho(ext, x, w).coords(), (w, x)
         inv = ext.base.alphabet.inverse_word(w)
         assert ball.words[bc.inverse[g]] == ext.nf(inv), w
 
