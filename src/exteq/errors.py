@@ -49,11 +49,6 @@ class NotAcceptingState(ExtEqError):
     """An operation restricted to accepting states got a non-accepting one."""
 
 
-class SinkOnPrefix(ExtEqError):
-    """A prefix of a valid word reached the sink state; the input automata
-    are inconsistent."""
-
-
 class AccumulatorBound(ExtEqError):
     """The reachable accumulator value set exceeded its cap."""
 

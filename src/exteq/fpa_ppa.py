@@ -7,10 +7,10 @@ letter.  All predictors of a family share the family's graph and differ
 only in their accepting sets, so that product is the graph itself: the
 FPA F is the validated q-left family (`lrational.PredictorFamily`), T
 its live states and a(s̄, x) its values.  The rho-left and reversed
-families are the LFPA and RFPA; all three read the plain word w.  The
-parity predicting automaton (PPA) is the one real product: it runs the
-LFPA and RFPA in lockstep and accumulates the parity of
-sigma_rho(w, w^-1) letter by letter.
+families are the LFPA and RFPA; all three read the plain word w on one
+signature graph.  The parity predicting automaton (PPA), the product of
+LFPA and RFPA, is therefore that graph with a parity register: it
+accumulates the parity of sigma_rho(w, w^-1) letter by letter.
 
 Each construction comes with a brute-force harness that re-derives its
 key property, the FPA's by direct cocycle evaluation and the PPA's from
@@ -24,13 +24,7 @@ from typing import Optional
 
 from .abelian import FGAElement, pa
 from .automata import FSA, coaccessible, explore, restrict_accepting
-from .errors import (
-    BallTooSmall,
-    Incompatible,
-    NotAcceptingState,
-    ResourceBound,
-    SinkOnPrefix,
-)
+from .errors import BallTooSmall, Incompatible, NotAcceptingState, ResourceBound
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
 from .lrational import PredictorFamily
 from .words import Word, state_cap
@@ -82,18 +76,18 @@ def sigma_q_of_state(F: PredictorFamily, s: int, v: Word) -> FGAElement:
 
 @dataclass
 class PPA:
-    """Composite of LFPA and RFPA with the parity accumulator.
+    """The LFPA and RFPA's shared graph with the parity register.
 
-    fsa's states index `states`, whose entries are (LFPA state, RFPA
-    state, accumulator) or None for the absorbing sink.  `memo` holds the
-    branches D(d) by d, built on first use and shared, immutable, by every
-    index tuple and solve of the pipeline.
+    fsa's states index `states`, whose entries are (graph state,
+    register) or None for the absorbing sink.  `memo` holds the branches
+    D(d) by d, built on first use and shared, immutable, by every index
+    tuple and solve of the pipeline.
     """
 
     M1: PredictorFamily
     M2: PredictorFamily
     fsa: FSA
-    states: list[Optional[tuple[int, int, FGAElement]]]
+    states: list[Optional[tuple[int, FGAElement]]]
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -102,57 +96,48 @@ class PPA:
 
     def branch_values(self):
         return sorted(
-            {st[2] for i, st in enumerate(self.states) if i in self.fsa.accepting},
+            {st[1] for i, st in enumerate(self.states) if i in self.fsa.accepting},
             key=FGAElement.coords,
         )
 
 
 def build_ppa(M1: PredictorFamily, M2: PredictorFamily) -> PPA:
-    """Run both predictors in lockstep, accumulating the parity of
-    sigma_rho(x, x^-1) - sigma_rho(s̄₁, x) - sigma_rho(x^-1, s̄₂).
-
-    Composite states whose components are not both accepting step to the
-    absorbing sink; if such a state is reached while exactly one
-    component is accepting the input families disagree about L and the
-    construction aborts.
+    """Run the predictors' shared graph, accumulating the parity of
+    sigma_rho(x, x^-1) - sigma_rho(s̄, x) - sigma_rho(x^-1, s̄) with the
+    first value read from M1 and the second from M2.  A state outside L
+    steps to the absorbing sink.  Families on unequal graphs are
+    refused (ValueError).
     """
-    ext, alpha = M1.ext, M1.graph.alphabet
-    if alpha != M2.graph.alphabet:
-        raise ValueError("LFPA and RFPA over different alphabets")
+    if M1.graph != M2.graph:
+        raise ValueError("LFPA and RFPA on different graphs")
+    ext, graph = M1.ext, M1.graph
+    alpha, T = graph.alphabet, M1.live
     inverse = alpha.inverse
     sigma_xx = {x: pa(sigma_rho(ext, x, inverse[x])) for x in alpha.letters}
-    T1, T2, step1, step2 = M1.live, M2.live, M1.graph.step, M2.graph.step
-    a1, a2 = M1.a_of, M2.a_of
+    a1, a2, gstep = M1.a_of, M2.a_of, graph.step
 
     def step(state, x):
-        s1, s2, b = state
-        if s1 not in T1 or s2 not in T2:
-            if (s1 in T1) != (s2 in T2):
-                raise SinkOnPrefix(
-                    f"predictors disagree about membership at ({s1}, {s2})"
-                )
+        s, b = state
+        if s not in T:
             return None
-        b2 = b + sigma_xx[x] + pa(-a1(s1, x) - a2(s2, inverse[x]))
-        return (step1(s1, x), step2(s2, x), b2)
+        return (gstep(s, x), b + sigma_xx[x] + pa(-a1(s, x) - a2(s, inverse[x])))
 
-    start = (M1.graph.initial, M2.graph.initial, ext.kernel.parity().zero())
+    start = (graph.initial, ext.kernel.parity().zero())
     states, rows = explore(alpha, start, step, what="parity automaton")
     accepting = frozenset(
-        i
-        for i, st in enumerate(states)
-        if st is not None and st[0] in T1 and st[1] in T2
+        i for i, st in enumerate(states) if st is not None and st[0] in T
     )
     return PPA(M1, M2, FSA(alpha, rows, 0, accepting), states)
 
 
 def ppa_branch(D: PPA, d: FGAElement) -> FSA:
-    """D(d): accepting states restricted to accumulator value d."""
+    """D(d): accepting states restricted to register value d."""
     M = D.memo.get(d)
     if M is None:
         keep = [
             i
             for i in D.fsa.accepting
-            if D.states[i] is not None and D.states[i][2] == d
+            if D.states[i] is not None and D.states[i][1] == d
         ]
         M = D.memo[d] = restrict_accepting(D.fsa, keep)
     return M
@@ -267,8 +252,8 @@ def check_ppa_key_property(D: PPA, cocycles: BallCocycles, R: int) -> CheckRepor
         if s in D.fsa.accepting:
             if D.states[s] is None:
                 out.append(("sink-accepting", w))
-            elif parity[table[g]] != D.states[s][2]:
-                out.append(("branch", w, parity[table[g]], D.states[s][2]))
+            elif parity[table[g]] != D.states[s][1]:
+                out.append(("branch", w, parity[table[g]], D.states[s][1]))
 
     counterexamples, last = [], []
     # (w, state, ball index of w)

@@ -10,13 +10,13 @@ Synthesis is conjectural by design: states are finite signatures (local
 windows of normal forms, or longest relator-fragment matches) that are
 hypothesized to determine membership and the predicted value, which is
 evaluated by the string route (sigma_q / sigma_rho) at each state's
-representative word.  Two signature graphs are synthesized: the left
-graph, whose live states are L and which carries the q-left and
-rho-left values, and the right graph, which carries the reversed
-values.  The three families on them are the predicting automata: the
-q-left family is the FPA, the other two the LFPA and RFPA.  Every
-family is then validated against all words up to the validation radius
-and rejected on any mismatch; the validated radius is recorded on it.
+representative word.  One signature graph is synthesized, on
+(membership, forward value) signatures: its live states are L, and it
+carries all three families' values.  The families are the predicting
+automata: the q-left family is the FPA, the other two the LFPA and
+RFPA.  Every family is then validated against all words up to the
+validation radius and rejected on any mismatch; the validated radius is
+recorded on it.
 
 Validation is one breadth-first walk over the word tree that serves the
 three families together (`build_automata`, the only entry point).  A
@@ -38,13 +38,13 @@ order, are those of an exhaustive walk over all words for it alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .abelian import FGAElement
 from .errors import (
     BallTooSmall,
     NotAcceptingState,
-    ResourceBound,
     SynthesisInconsistent,
     ValueSetUnstable,
 )
@@ -114,13 +114,6 @@ class _TailScheme:
         nxt = self._nf(sig + x)
         return nxt[-self.window :] if self.window else ""
 
-    def rsig_initial(self):
-        return ""
-
-    def rsig_step(self, sig, z: str):
-        nxt = self._nf(z + sig)
-        return nxt[: self.window] if self.window else ""
-
 
 class _MatchScheme:
     """Signature machinery for L = geodesic words of a presentation whose
@@ -128,17 +121,14 @@ class _MatchScheme:
     avoiding over-half relator fragments (dense small cancellation).
 
     The membership/value signature is the longest suffix of the word that
-    is a prefix of a cyclic rotation of a (possibly inverted) relator;
-    the reversed value signature mirrors this at the front.
+    is a prefix of a cyclic rotation of a (possibly inverted) relator.
     """
 
     def __init__(self, p: Presentation):
         self.p = p
         self.nu = 0
         prefixes = set()
-        suffixes = set()
-        forbidden_pref = set()
-        forbidden_suf = set()
+        forbidden = set()
         for r in p.relators:
             half = len(r) // 2
             for base in (r, p.alphabet.inverse_word(r)):
@@ -146,23 +136,12 @@ class _MatchScheme:
                     c = base[j:] + base[:j]
                     for cut in range(1, len(c) + 1):
                         prefixes.add(c[:cut])
-                        suffixes.add(c[-cut:])
                         if cut > half:
-                            forbidden_pref.add(c[:cut])
-                            forbidden_suf.add(c[-cut:])
+                            forbidden.add(c[:cut])
         self._prefixes = prefixes
-        self._suffixes = suffixes
-        # a match is fatal if any of its suffixes (resp. prefixes) is an
-        # over-half fragment
+        # a match is fatal if any of its suffixes is an over-half fragment
         self._bad_pref = {
-            u
-            for u in prefixes
-            if any(u[i:] in forbidden_pref for i in range(len(u)))
-        }
-        self._bad_suf = {
-            u
-            for u in suffixes
-            if any(u[: len(u) - i] in forbidden_suf for i in range(len(u)))
+            u for u in prefixes if any(u[i:] in forbidden for i in range(len(u)))
         }
 
     def lsig_initial(self):
@@ -185,15 +164,6 @@ class _MatchScheme:
     vsig_initial = lsig_initial
     vsig_step = lsig_step
 
-    def rsig_initial(self):
-        return ""
-
-    def rsig_step(self, sig, z: str):
-        cand = z + sig
-        while cand and cand not in self._suffixes:
-            cand = cand[:-1]
-        return cand
-
 
 @dataclass(frozen=True)
 class LanguageSpec:
@@ -212,17 +182,12 @@ class LanguageSpec:
             raise ValueError("relator-fragment signatures require nu = 0")
         if self.nu < 0 or (self.window is not None and self.window < 1):
             raise ValueError("need nu >= 0 and window >= 1")
-        object.__setattr__(self, "_scheme_cache", [])
 
+    @cached_property
     def scheme(self):
-        if not self._scheme_cache:
-            if self.window is None:
-                self._scheme_cache.append(_MatchScheme(self.presentation))
-            else:
-                self._scheme_cache.append(
-                    _TailScheme(self.presentation, self.nu, self.window)
-                )
-        return self._scheme_cache[0]
+        if self.window is None:
+            return _MatchScheme(self.presentation)
+        return _TailScheme(self.presentation, self.nu, self.window)
 
 
 @dataclass(frozen=True)
@@ -242,8 +207,8 @@ class PredictorFamily:
     graph's accepting set marks the live (L-member) states; values[x][s]
     is the predicted cocycle value at live state s against letter x, so
     the (x, a) predictor is the graph accepting the live s with
-    values[x][s] = a.  Every kind's graph reads the plain word w; the
-    reversed kind's values are sigma_rho(x, w^-1).
+    values[x][s] = a.  All three kinds share one graph, which reads the
+    plain word w; the reversed kind's values are sigma_rho(x, w^-1).
 
     All predictors of a family differ only in their accepting sets, so
     their product, the paper's predicting automaton, is the graph itself:
@@ -275,42 +240,31 @@ class PredictorFamily:
         return self.values[x][s]
 
 
-def _synthesize_graph(lspec: LanguageSpec, right: bool):
+def _synthesize_graph(lspec: LanguageSpec):
     """BFS over signatures; returns (FSA with live accepting, reps), where
     reps[s] is the first word found to reach s.
 
-    A state pairs the membership signature with a value signature, and a
-    word whose membership signature is dead steps to the sink.  The left
-    graph (right=False) pairs it with the forward value signature: its
-    live states are L, and it carries the q-left and rho-left values.  The
-    right graph pairs it with the value signature of w^-1, its letters
-    inverted and prepended, and carries the reversed values.  Both read
-    the plain word w.
+    A state pairs the membership signature with the forward value
+    signature, and a word whose membership signature is dead steps to
+    the sink.  The live states are L, and the graph carries all three
+    families' values.
 
     States are numbered in breadth-first discovery order from the
     initial state, letters in alphabet order, and the dead sink (None)
     where the search first reaches it (`automata.explore`).  A family's
     graph is therefore, state for state, the reachable product of its
-    (x, a) predictors, and the left graph's numbering, as F's, fixes the
-    order of the Theta stream and the states s that certificates record.
+    (x, a) predictors, and the numbering, as F's, fixes the order of the
+    Theta stream and the states s that certificates record.
     """
-    scheme = lspec.scheme()
-    alpha = lspec.presentation.alphabet
-    lstep = scheme.lsig_step
-    if right:
-        inverse, rstep = alpha.inverse, scheme.rsig_step
-        start = (scheme.lsig_initial(), scheme.rsig_initial())
-
-        def vstep(sig, x):
-            return rstep(sig, inverse[x])
-    else:
-        vstep = scheme.vsig_step
-        start = (scheme.lsig_initial(), scheme.vsig_initial())
+    scheme = lspec.scheme
+    lstep, vstep = scheme.lsig_step, scheme.vsig_step
 
     def step(state, x):
         l2 = lstep(state[0], x)
         return None if l2 == _DEAD else (l2, vstep(state[1], x))
 
+    alpha = lspec.presentation.alphabet
+    start = (scheme.lsig_initial(), scheme.vsig_initial())
     states, rows = explore(alpha, start, step, what="signature space")
     # the first word to reach each state: reps[i] + x where i first steps to it
     reps: list = [""] + [None] * (len(states) - 1)
@@ -328,37 +282,25 @@ def build_automata(
     R_validate: int,
     cocycles: BallCocycles,
 ) -> dict[str, PredictorFamily]:
-    """The three predictor families, validated in one walk over every
-    word of length <= R_validate.  The walk reads ext's cocycle tables
-    `cocycles`, whose ball must reach R_validate.
+    """The three predictor families on the one signature graph, whose
+    live states are L, validated in one walk over every word of length
+    <= R_validate.  The walk reads ext's cocycle tables `cocycles`,
+    whose ball must reach R_validate.
 
-    The q-left and rho-left families share the left graph, whose live
-    states are L; the reversed family has the right graph.  A left graph
-    beyond the cap raises ResourceBound at once.  Otherwise the first
+    A graph beyond the cap raises ResourceBound.  Otherwise the first
     failure raises, each family in KINDS order: the q-left family's
     membership mismatch is L's.  A family fails by a value its synthesis
-    never observed (ValueSetUnstable), another mismatch
-    (SynthesisInconsistent) or, for the reversed family, the cap its
-    right graph exceeded (ResourceBound).
+    never observed (ValueSetUnstable) or another mismatch
+    (SynthesisInconsistent).
     """
     if lspec.presentation != ext.base:
         raise ValueError("language spec belongs to a different presentation")
-    left = _synthesize_graph(lspec, right=False)
-    fams = {kind: _family(ext, kind, lspec, *left) for kind in (Q_LEFT, RHO_LEFT)}
-    # a right graph beyond the cap fails in its KINDS place, after the
-    # left families
-    right_failure = None
-    try:
-        right = _synthesize_graph(lspec, right=True)
-        fams[RHO_RIGHT_REVERSED] = _family(ext, RHO_RIGHT_REVERSED, lspec, *right)
-    except ResourceBound as exc:
-        right_failure = exc
+    graph = _synthesize_graph(lspec)
+    fams = {kind: _family(ext, kind, lspec, *graph) for kind in KINDS}
     machines = [_family_machine(f, cocycles) for f in fams.values()]
     walk = _walk(lspec, R_validate, cocycles.ball, machines)
     for fam, report in zip(fams.values(), walk):
         _raise_for_family(fam, report)
-    if right_failure is not None:
-        raise right_failure
     return fams
 
 

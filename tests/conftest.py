@@ -4,7 +4,7 @@ Synthesis plus validation is the expensive part of the suite; building
 each instance's predictor families and products once keeps the suite
 fast without weakening any test.  Also holds the cross-check helpers
 that several test files share and the program does not use, among them
-the per-automaton synthesis that the two signature graphs replaced.
+the per-automaton synthesis that the one signature graph replaced.
 """
 
 from collections import deque
@@ -262,7 +262,32 @@ def validated_L(p: Presentation, R: int, lspec=None) -> FSA:
     return fams[Q_LEFT].graph
 
 
-# -- the per-automaton synthesis the two signature graphs replaced --------
+# -- the per-automaton synthesis the one signature graph replaced ---------
+
+
+def reversed_step(lspec: LanguageSpec):
+    """The value signature of w^-1, stepped by the letter z prepended to
+    it: the leading window of the normal form, or, on the
+    relator-fragment scheme, the longest prefix that is a suffix of a
+    cyclic rotation of a (possibly inverted) relator."""
+    p = lspec.presentation
+    if lspec.window is not None:
+        return lambda sig, z: words.normal_form(p, z + sig)[: lspec.window]
+    suffixes = {
+        c[-cut:]
+        for r in p.relators
+        for base in (r, p.alphabet.inverse_word(r))
+        for c in (base[j:] + base[:j] for j in range(len(base)))
+        for cut in range(1, len(c) + 1)
+    }
+
+    def step(sig, z):
+        cand = z + sig
+        while cand and cand not in suffixes:
+            cand = cand[:-1]
+        return cand
+
+    return step
 
 
 def reference_graph(lspec: LanguageSpec, kind):
@@ -272,14 +297,15 @@ def reference_graph(lspec: LanguageSpec, kind):
     relator-fragment scheme, where they too read membership alone; the
     reversed family on (membership, value of w^-1).  Returns (FSA, reps),
     reps[s] the first word found to reach s."""
-    scheme = lspec.scheme()
+    scheme = lspec.scheme
     alpha = lspec.presentation.alphabet
     lstep, start = scheme.lsig_step, (scheme.lsig_initial(),)
     if kind == RHO_RIGHT_REVERSED:
-        start += (scheme.rsig_initial(),)
+        start += ("",)
+        rstep = reversed_step(lspec)
 
         def vstep(sig, x):
-            return scheme.rsig_step(sig, alpha.inverse[x])
+            return rstep(sig, alpha.inverse[x])
     elif kind is not None and not isinstance(scheme, _MatchScheme):
         vstep = scheme.vsig_step
         start += (scheme.vsig_initial(),)

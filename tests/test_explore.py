@@ -16,7 +16,7 @@ import pytest
 
 from exteq.abelian import pa
 from exteq.automata import FSA, explore
-from exteq.errors import AccumulatorBound, ResourceBound, SinkOnPrefix
+from exteq.errors import AccumulatorBound, ResourceBound
 from exteq.extension import sigma_rho
 from exteq.fpa_ppa import build_ppa
 from exteq.lrational import _synthesize_graph
@@ -50,8 +50,8 @@ def reference_ppa(M1, M2, ext, cap):
         i = queue.popleft()
         s1, s2, b = states[i]
         live = s1 in M1.live and s2 in M2.live
-        if not live and (s1 in M1.live) != (s2 in M2.live):
-            raise SinkOnPrefix(f"predictors disagree about membership at state {i}")
+        # the predictors must agree about membership
+        assert live or (s1 in M1.live) == (s2 in M2.live), i
         row = []
         for x in alpha.letters:
             if not live:
@@ -198,17 +198,11 @@ def test_ppa_matches_reference(request, stack_name):
     phi = bfs_bijection(D.fsa.transitions, ref.transitions)
     assert {phi[i] for i in D.fsa.accepting} == ref.accepting
     for i, st in enumerate(D.states):
-        mapped = None if st is None else (st[0], rfpa_state[st[1]], st[2])
+        mapped = None if st is None else (st[0], rfpa_state[st[0]], st[1])
         assert mapped == ref_states[phi[i]], i
     assert D.branch_values() == sorted(
         {ref_states[i][2] for i in ref.accepting}, key=lambda p: p.coords()
     )
-    # the same automaton over the renumbered RFPA, labels mapped back
-    D2 = build_ppa(stack.lfpa, M2)
-    assert D2.fsa == D.fsa
-    assert D2.states == [
-        None if st is None else (st[0], rfpa_state[st[1]], st[2]) for st in D.states
-    ]
 
 
 @pytest.mark.parametrize("stack_name", STACKS)
@@ -238,9 +232,7 @@ def test_constructions_keep_their_cap_errors(q8_stack, monkeypatch):
     sprime = max(F.live, key=lambda s: len(_ab_graph(F, s).states))
     builds = [
         (ResourceBound, "signature space",
-         lambda: _synthesize_graph(F.lspec, right=False)[0].n_states),
-        (ResourceBound, "signature space",
-         lambda: _synthesize_graph(F.lspec, right=True)[0].n_states),
+         lambda: _synthesize_graph(F.lspec)[0].n_states),
         (AccumulatorBound, "accumulator graph",
          lambda: len(_accumulator(replace(F, memo={}), sprime, "").states)),
         (ResourceBound, "parity automaton",
@@ -261,11 +253,15 @@ def test_constructions_keep_their_cap_errors(q8_stack, monkeypatch):
 
 
 def test_ppa_disagreeing_predictors_raise(q8_stack):
-    # an RFPA whose initial state is live but whose s-successor is not:
-    # the LFPA reads s into L, so the PPA meets one live component
+    # the PPA runs one graph: an RFPA on another graph is refused, here
+    # one whose initial state is live but whose s-successor is not
     rfpa = q8_stack.rfpa
     G = rfpa.graph
     victim = G.step(G.initial, "s")
     graph = FSA(G.alphabet, G.transitions, G.initial, G.accepting - {victim})
-    with pytest.raises(SinkOnPrefix):
+    with pytest.raises(ValueError, match="^LFPA and RFPA on different graphs$"):
         build_ppa(q8_stack.lfpa, replace(rfpa, graph=graph, memo={}))
+    # an equal copy of the graph is the same graph
+    copy = FSA(G.alphabet, G.transitions, G.initial, frozenset(G.accepting))
+    D = build_ppa(q8_stack.lfpa, replace(rfpa, graph=copy, memo={}))
+    assert D.fsa == q8_stack.ppa.fsa and D.states == q8_stack.ppa.states

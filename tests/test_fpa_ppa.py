@@ -308,7 +308,7 @@ def _string_route_ppa_check(D, R):
                 if D.states[s] is None:
                     counterexamples.append(("sink-accepting", w))
                 else:
-                    d = D.states[s][2]
+                    d = D.states[s][1]
                     direct = pa(sigma_rho(D.ext, w, alpha.inverse_word(w)))
                     if direct != d:
                         counterexamples.append(("branch", w, direct, d))
@@ -328,8 +328,8 @@ def test_ppa_key_property_tables_match_string_route(dihedral_stack, R):
     one = kernel.parity().element([], [1])
     states = list(D.states)
     flipped, sunk = sorted(D.fsa.accepting)[-2:]
-    m1, m2, d = states[flipped]
-    states[flipped] = (m1, m2, d + one)
+    m, d = states[flipped]
+    states[flipped] = (m, d + one)
     states[sunk] = None
     for ppa in (D, replace(D, states=states, memo={})):
         report = check_ppa_key_property(ppa, dihedral_stack.cocycles, R)

@@ -141,3 +141,60 @@ def test_no_definition_only_tests_use():
             if not named and f"{path.stem}.{node.name}" not in UNREFERENCED_OK:
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"defined in src/ but named only by tests: {unused}"
+
+
+def stored_private_attributes(tree: ast.AST) -> dict[str, int]:
+    """Each private attribute a module stores on self, as `self._x = ...`
+    or `object.__setattr__(self, "_x", ...)`, with its first line."""
+    out = {}
+    for node in ast.walk(tree):
+        name = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                name = node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            name = node.args[1].value
+        if name and name.startswith("_") and not name.startswith("__"):
+            out.setdefault(name, node.lineno)
+    return out
+
+
+def read_attributes(tree: ast.AST) -> set[str]:
+    """Every attribute the module reads, as `obj._x` or by name through
+    getattr."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            out.add(node.args[1].value)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_write_only_private_attributes(path):
+    """A private attribute a module stores is read somewhere in that
+    module, so a deletion that leaves its store behind shows up here."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = read_attributes(tree)
+    unread = {
+        name: line
+        for name, line in stored_private_attributes(tree).items()
+        if name not in read
+    }
+    assert not unread, f"{path.name}: stored but never read: {unread}"

@@ -344,19 +344,17 @@ def test_t1s_walk_memory_is_bounded(t1s_stack):
 
 
 def _sequential_build(ext, R):
-    """Pipeline.build's families built and validated one graph at a time:
-    the left graph, then its two families in KINDS order, each walked
-    alone and judged before the next; then the right graph and the
-    reversed family."""
+    """Pipeline.build's families built and validated one at a time: the
+    graph, then its three families in KINDS order, each walked alone and
+    judged before the next."""
     lspec = default_language_spec(ext.base)
     ball = build_ball(ext.base, R)
     cocycles = BallCocycles(ext, ball)
-    for right, kinds in ((False, (Q_LEFT, RHO_LEFT)), (True, (RHO_RIGHT_REVERSED,))):
-        graph, reps = lrational._synthesize_graph(lspec, right=right)
-        for kind in kinds:
-            fam = lrational._family(ext, kind, lspec, graph, reps)
-            report = walk_alone(fam, R, ball, cocycles=cocycles)
-            lrational._raise_for_family(fam, report)
+    graph, reps = lrational._synthesize_graph(lspec)
+    for kind in KINDS:
+        fam = lrational._family(ext, kind, lspec, graph, reps)
+        report = walk_alone(fam, R, ball, cocycles=cocycles)
+        lrational._raise_for_family(fam, report)
 
 
 def _first_error(build):
@@ -380,24 +378,20 @@ def _first_error(build):
         ({("cap", RHO_LEFT)}, ResourceBound),
         ({"L", ("cap", Q_LEFT)}, ResourceBound),
         ({Q_LEFT, ("cap", RHO_LEFT)}, ResourceBound),
-        ({("cap", RHO_RIGHT_REVERSED)}, ResourceBound),
-        ({"L", ("cap", RHO_RIGHT_REVERSED)}, SynthesisInconsistent),
-        ({Q_LEFT, ("cap", RHO_RIGHT_REVERSED)}, SynthesisInconsistent),
     ],
     ids=lambda v: "+".join(sorted(map(str, v))) if isinstance(v, set) else v.__name__,
 )
 def test_pipeline_build_raises_as_sequential_builds(monkeypatch, faults, error):
-    # ("cap", kind): the graph that kind's family has exceeds the cap;
-    # "L": the left graph misses a live state
+    # ("cap", kind): the graph, which that kind's family has, exceeds the
+    # cap; "L": the graph misses a live state
     synthesize_graph = lrational._synthesize_graph
     family_on = lrational._family
 
-    def graph(lspec, right):
-        kinds = (RHO_RIGHT_REVERSED,) if right else (Q_LEFT, RHO_LEFT)
-        if any(("cap", kind) in faults for kind in kinds):
+    def graph(lspec):
+        if any(("cap", kind) in faults for kind in KINDS):
             raise ResourceBound("signature space exceeds cap")
-        fsa, reps = synthesize_graph(lspec, right)
-        if not right and "L" in faults:
+        fsa, reps = synthesize_graph(lspec)
+        if "L" in faults:
             fsa = drop_live_state(fsa, member_word(fsa, 2))
         return fsa, reps
 
@@ -510,7 +504,7 @@ def test_narrow_genus2_window_matches_reference():
     # appear at radius 5 and must come out in the same order
     p = genus2_presentation()
     lspec = LanguageSpec(p, nu=0, window=1)
-    fsa, _ = _synthesize_graph(lspec, right=False)
+    fsa, _ = _synthesize_graph(lspec)
     ball = build_ball(p, 5)
     new = walk_alone(fsa, 5, ball, lspec)
     assert new.mismatches
