@@ -148,8 +148,8 @@ class BallCocycles:
 
     The tables have one requirement, checked once by the constructor: a
     ball of radius R >= 1 whose normal forms are prefix-closed.  Each
-    element h = h'y other than the identity must have its parent h' in
-    the ball, at a smaller index, with the edge h' --y--> h; a ball of
+    element h = h'y other than the identity must have as its link (y, h')
+    a parent h' at a smaller index, with the edge h' --y--> h; a ball of
     radius 0 raises BallTooSmall, any other ball ValueError naming the
     word.  The chain from the identity then spells each normal form, and
     build_ball's normal forms are never longer than their distance, so a
@@ -171,13 +171,10 @@ class BallCocycles:
             )
         alpha = ext.base.alphabet
         kernel = ext.kernel
-        # (last letter, parent) of each element after the identity
-        self._links: list = []
-        for j, w in enumerate(ball.words[1:], 1):
-            y, p = alpha.position.get(w[-1:]), ball.index.get(w[:-1])
-            if y is None or p is None or p >= j or ball.edges[p][y] != j:
-                raise ValueError(f"normal form {w!r} is not prefix-closed in the ball")
-            self._links.append((y, p))
+        nf, edges, letters = ball.words, ball.edges, alpha.letters
+        for j, (y, p) in enumerate(ball.links, 1):
+            if p is None or p >= j or edges[p][y] != j or nf[p] + letters[y] != nf[j]:
+                raise ValueError(f"normal form {nf[j]!r} is not prefix-closed in the ball")
         self.ext = ext
         self.ball = ball
         self.mods = (0,) * kernel.rank + kernel.torsion
@@ -224,7 +221,7 @@ class BallCocycles:
         inner = bisect_left(ball.distances, ball.radius)
         succ = ball.edges
         out = [succ[0]]
-        for y, p in self._links[: inner - 1]:
+        for y, p in self.ball.links[: inner - 1]:
             out.append([succ[g][y] for g in out[p]])
         return out
 
@@ -233,7 +230,7 @@ class BallCocycles:
         """inverse[h]: the index of h^-1."""
         lmul, ibar = self._lmul, self.inv_letter
         inv = [0]
-        for y, p in self._links:
+        for y, p in self.ball.links:
             inv.append(lmul[inv[p]][ibar[y]])
         return inv
 
@@ -245,7 +242,7 @@ class BallCocycles:
         n = len(self.inv_letter)
         columns: dict = {}
         out = [columns.setdefault((zero,) * n, (zero,) * n)]
-        for y, p in self._links:
+        for y, p in self.ball.links:
             col = out[p]
             labels = [E[g][y] for g in lmul[p]]
             if labels.count(zero) != n:
@@ -264,7 +261,7 @@ class BallCocycles:
         op, from_1 = self._op, self.ball.edges[0]
         steps: dict = {}
         S = [self.zero]
-        for j, (y, p) in enumerate(self._links, 1):
+        for j, (y, p) in enumerate(self.ball.links, 1):
             if p == 0:
                 S.append(rl[j][ibar[y]])
                 continue

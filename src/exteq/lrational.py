@@ -8,9 +8,10 @@ the parity construction).  Every automaton reads the plain word w.
 
 Synthesis is conjectural by design: states are finite signatures (local
 windows of normal forms, or longest relator-fragment matches) that are
-hypothesized to determine membership and the predicted value, which is
-evaluated by the string route (sigma_q / sigma_rho) at each state's
-representative word.  One signature graph is synthesized, on
+hypothesized to determine membership and the predicted value, read off
+the cocycle tables (BallCocycles) at each state's representative word;
+the tables are checked against the string route (sigma_q / sigma_rho)
+once per class of those words.  One signature graph is synthesized, on
 (membership, forward value) signatures: its live states are L, and it
 carries all three families' values.  The families are the predicting
 automata: the q-left family is the FPA, the other two the LFPA and
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from .abelian import FGAElement
@@ -57,6 +59,13 @@ RHO_LEFT = "rho-left"
 RHO_RIGHT_REVERSED = "rho-right-reversed"
 
 KINDS = (Q_LEFT, RHO_LEFT, RHO_RIGHT_REVERSED)
+
+# each kind's string-route value at w against x, sigma_* looked up at the call
+_STRING_ROUTE = {
+    Q_LEFT: lambda ext, w, x: sigma_q(ext, w, x),
+    RHO_LEFT: lambda ext, w, x: sigma_rho(ext, w, x),
+    RHO_RIGHT_REVERSED: lambda ext, w, x: sigma_rho(ext, x, ext.inv_word(w)),
+}
 
 _DEAD = "!"
 
@@ -189,6 +198,10 @@ class LanguageSpec:
             return _MatchScheme(self.presentation)
         return _TailScheme(self.presentation, self.nu, self.window)
 
+    @cached_property
+    def graph(self) -> tuple:
+        return _synthesize_graph(self)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -284,19 +297,22 @@ def build_automata(
 ) -> dict[str, PredictorFamily]:
     """The three predictor families on the one signature graph, whose
     live states are L, validated in one walk over every word of length
-    <= R_validate.  The walk reads ext's cocycle tables `cocycles`,
-    whose ball must reach R_validate.
+    <= R_validate, which never judges a state whose representative is
+    longer.  Values are read from ext's cocycle tables `cocycles`, whose
+    ball must reach R_validate and every live state's representative
+    (else BallTooSmall, naming it).
 
-    A graph beyond the cap raises ResourceBound.  Otherwise the first
-    failure raises, each family in KINDS order: the q-left family's
-    membership mismatch is L's.  A family fails by a value its synthesis
-    never observed (ValueSetUnstable) or another mismatch
-    (SynthesisInconsistent).
+    A graph beyond the cap raises ResourceBound, tables that differ from
+    the string route SynthesisInconsistent.  Otherwise the first failure
+    raises, each family in KINDS order: the q-left family's membership
+    mismatch is L's.  A family fails by a value its synthesis never
+    observed (ValueSetUnstable) or another mismatch (SynthesisInconsistent).
     """
     if lspec.presentation != ext.base:
         raise ValueError("language spec belongs to a different presentation")
-    graph = _synthesize_graph(lspec)
-    fams = {kind: _family(ext, kind, lspec, *graph) for kind in KINDS}
+    graph, reps = lspec.graph
+    at = _rep_elements(ext, graph, reps, cocycles)
+    fams = {kind: _family(ext, kind, lspec, graph, at, cocycles) for kind in KINDS}
     machines = [_family_machine(f, cocycles) for f in fams.values()]
     walk = _walk(lspec, R_validate, cocycles.ball, machines)
     for fam, report in zip(fams.values(), walk):
@@ -322,37 +338,41 @@ def _raise_for_family(fam: PredictorFamily, report: ValidationReport) -> None:
     fam.validated_radius = report.radius
 
 
-def _family(
-    ext: CentralExtension, kind: str, lspec: LanguageSpec, graph: FSA, reps: tuple
-) -> PredictorFamily:
-    """The family on a synthesized graph, with each live state's values
-    evaluated by the string route at its representative word; not yet
-    validated."""
-    alpha = ext.base.alphabet
-    values: dict[str, list[Optional[FGAElement]]] = {
-        x: [None] * graph.n_states for x in alpha.letters
-    }
-    for s in graph.accepting:
-        rep = reps[s]
-        for x in alpha.letters:
-            values[x][s] = _direct_value(ext, kind, rep, x)
-    value_sets = {
-        x: tuple(
-            sorted(
-                {values[x][s] for s in graph.accepting},
-                key=lambda a: a.coords(),
-            )
-        )
-        for x in alpha.letters
-    }
+def _rep_elements(ext: CentralExtension, graph: FSA, reps: tuple,
+                  cocycles: BallCocycles) -> list:
+    """at[s], the ball element of live state s's representative, else None.
+    The first representative of each class has every kind's table row
+    compared with the string route."""
+    edges, R, alpha = cocycles.ball.edges, cocycles.ball.radius, ext.base.alphabet
+    at, first = [None] * graph.n_states, {}  # first: each class's first state
+    for s in sorted(graph.accepting):
+        g, w = 0, reps[s]
+        for x in w:
+            g = edges[g][alpha.position[x]]
+            if g is None:
+                raise BallTooSmall(f"representative {w!r} leaves the ball of radius {R}")
+        at[s] = g
+        if first.setdefault(cocycles.classes[g], s) == s:
+            for kind in KINDS:
+                for x, e in zip(alpha.letters, _expected_row(kind, cocycles)(g)):
+                    if _STRING_ROUTE[kind](ext, w, x).coords() != e:
+                        raise SynthesisInconsistent(f"{kind} table differs from the "
+                                                    f"string route at {w!r} against {x!r}")
+    return at
+
+
+def _family(ext: CentralExtension, kind: str, lspec: LanguageSpec, graph: FSA,
+            at: list, cocycles: BallCocycles) -> PredictorFamily:
+    """The family on a synthesized graph, live state s's values the tables'
+    row at at[s], one FGAElement per distinct value; not yet validated."""
+    group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
+    row_at, r = _expected_row(kind, cocycles), group.rank
+    rows = [(None,) * len(graph.alphabet.letters) if g is None else row_at(g) for g in at]
+    made = {t: group.element(t[:r], t[r:]) for t in set(chain(*rows)) - {None}}
+    cols = dict(zip(graph.alphabet.letters, zip(*rows)))
     return PredictorFamily(
-        kind=kind,
-        ext=ext,
-        lspec=lspec,
-        graph=graph,
-        values={x: tuple(v) for x, v in values.items()},
-        value_sets=value_sets,
-    )
+        kind, ext, lspec, graph, {x: tuple(map(made.get, c)) for x, c in cols.items()},
+        {x: tuple(map(made.get, sorted(set(c) - {None}))) for x, c in cols.items()})
 
 
 def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list:
@@ -468,15 +488,6 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
     return [ValidationReport(R, tuple(m)) for m in out]
 
 
-def _direct_value(ext: CentralExtension, kind: str, w: Word, x: str):
-    """Ground-truth cocycle value for the word that reached a state."""
-    if kind == Q_LEFT:
-        return sigma_q(ext, w, x)
-    if kind == RHO_LEFT:
-        return sigma_rho(ext, w, x)
-    return sigma_rho(ext, x, ext.base.alphabet.inverse_word(w))
-
-
 def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
     """The family as a machine of _walk, its check comparing predicted
     and expected values for every letter.
@@ -490,15 +501,7 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
     kind, ext = fam.kind, fam.ext
     letters = ext.base.alphabet.letters
     group = ext.pushout_kernel if kind == Q_LEFT else ext.kernel
-    if kind == Q_LEFT:
-        expected_row = cocycles.q_left_row
-    elif kind == RHO_LEFT:
-        expected_row = cocycles.rho_left.__getitem__
-    else:
-        inverse, rho_right = cocycles.inverse, cocycles.rho_right
-
-        def expected_row(g):
-            return rho_right[inverse[g]]
+    expected_row = _expected_row(kind, cocycles)
     # predicted values as coordinate tuples; a value in the wrong group
     # never equals an expected one
     predicted = [
@@ -518,3 +521,13 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
         ]
 
     return (fam.graph, check, cocycles.classes)
+
+
+def _expected_row(kind: str, cocycles: BallCocycles):
+    """g -> the tables' row of kind's values at element g, by letter."""
+    if kind == Q_LEFT:
+        return cocycles.q_left_row
+    if kind == RHO_LEFT:
+        return cocycles.rho_left.__getitem__
+    inverse, rho_right = cocycles.inverse, cocycles.rho_right
+    return lambda g: rho_right[inverse[g]]

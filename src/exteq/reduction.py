@@ -366,8 +366,8 @@ def _cell(F: PredictorFamily, s: int, c: Word) -> tuple[FGAElement, int]:
 
 
 def _c_words(F: PredictorFamily, kappa2: int):
-    """The freely reduced words of length <= kappa2 and their buckets by
-    normal form, kept on F by kappa2."""
+    """The freely reduced words of length <= kappa2, their buckets by
+    normal form and each one's normal form, kept on F by kappa2."""
     kept = F.memo.get(("c-words", kappa2))
     if kept is None:
         base = F.ext.base
@@ -376,19 +376,20 @@ def _c_words(F: PredictorFamily, kappa2: int):
             for w in words_up_to(base.alphabet, kappa2)
             if base.alphabet.is_freely_reduced(w)
         )
+        nf_of = {w: normal_form(base, w) for w in words}
         groups: dict[Word, list[Word]] = {}
-        for w in words:
-            groups.setdefault(normal_form(base, w), []).append(w)
+        for w, g in nf_of.items():
+            groups.setdefault(g, []).append(w)
         bucket = {g: tuple(ws) for g, ws in groups.items()}
-        kept = F.memo[("c-words", kappa2)] = (words, bucket)
+        kept = F.memo[("c-words", kappa2)] = (words, bucket, nf_of)
     return kept
 
 
-def _gen_c_rows(base: Presentation, words, bucket):
-    # third component bucketed by its base-group value, so only triples
-    # with trivial row product are ever formed
+def _gen_c_rows(base: Presentation, words, bucket, nf_of):
+    # only triples with trivial row product are formed, the third component
+    # bucketed by its value; c1 c2 is reduced from nf(c1): fewer distinct words
     for c1, c2 in itertools.product(words, repeat=2):
-        g12 = normal_form(base, c1 + c2)
+        g12 = normal_form(base, nf_of[c1] + c2)
         for c3 in bucket.get(normal_form(base, base.alphabet.inverse_word(g12)), ()):
             yield (c1, c2, c3)
 
@@ -418,15 +419,15 @@ def enumerate_theta(tri: TriangularSystem, pipe: Pipeline):
     ext = F.ext
     base = ext.base
     n = len(tri.rows)
-    words, bucket = _c_words(F, kappa2)
+    words, bucket, nf_of = _c_words(F, kappa2)
     if n == 1:
         # one row's c-rows can run to millions (about 10^6 c-words at
         # kappa2 = 7 on a genus-2 base), so they stay a lazy stream
-        c_mats = ((row,) for row in _gen_c_rows(base, words, bucket))
+        c_mats = ((row,) for row in _gen_c_rows(base, words, bucket, nf_of))
     else:
         c_rows = F.memo.get(("c-rows", kappa2))
         if c_rows is None:
-            c_rows = tuple(_gen_c_rows(base, words, bucket))
+            c_rows = tuple(_gen_c_rows(base, words, bucket, nf_of))
             F.memo[("c-rows", kappa2)] = c_rows
         c_mats = itertools.product(c_rows, repeat=n)
     d_values = list(ext.kernel.parity().elements())
@@ -1114,12 +1115,15 @@ class Pipeline:
     ) -> "Pipeline":
         """Build and validate the stack over the bundled language choice
         (instances.default_language_spec) on one ball of radius
-        max(R_validate, ball_radius, 1).  R_learn is accepted and ignored:
-        synthesis always closes the signature space."""
+        max(R_validate, ball_radius, 1, each live state's representative's
+        length).  R_learn is accepted and ignored: synthesis always closes
+        the signature space."""
         from .instances import default_language_spec
 
         lspec = default_language_spec(ext.base)
-        radius = max(R_validate, ball_radius or 0, 1)
+        graph, reps = lspec.graph
+        longest = max(len(reps[s]) for s in graph.accepting)
+        radius = max(R_validate, ball_radius or 0, 1, longest)
         cocycles = BallCocycles(ext, build_ball(ext.base, radius))
         fams = build_automata(ext, lspec, R_validate, cocycles)
         D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])

@@ -336,7 +336,9 @@ class CayleyBall:
     form, for every element and letter, boundary edges included: the
     edge's kernel label.  Every logs row with no reduced edge is one
     shared row of p.zero_counts.  `reduced_edges` counts the edges whose
-    normal form went through the reducer.
+    normal form went through the reducer.  `links[j - 1]` is (y, p) for
+    element j >= 1: its normal form's last letter's position and the
+    index of the rest, p None when the rest is not in the ball.
     """
 
     presentation: Presentation
@@ -347,6 +349,7 @@ class CayleyBall:
     edges: list[tuple[Optional[int], ...]]
     logs: list[tuple[tuple[int, ...], ...]]
     reduced_edges: int
+    links: list[tuple[int, Optional[int]]]
 
     def __len__(self) -> int:
         return len(self.words)
@@ -403,6 +406,7 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
     key_free = [is_key_free("")]
     edges: list[tuple[Optional[int], ...]] = []
     logs: list[tuple[tuple[int, ...], ...]] = []
+    links: list[tuple[int, Optional[int]]] = []
     reduced = 0
     # elements are expanded in index order, so edges[i] and logs[i] line
     # up with words[i]; the last level only looks up its outgoing edges
@@ -446,8 +450,10 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
                     distances.append(dist + 1)
                     key_free.append(fast or is_key_free(nf))
                     nxt_frontier.append(j)
+                    link = (position[nf[-1]], index.get(nf[:-1])) if nf != wx else (k, i)
+                    links.append(link)
                 row[k] = j
             edges.append(tuple(row))
             logs.append(zero_row if row_logs is None else tuple(row_logs))
         frontier = nxt_frontier
-    return CayleyBall(p, R, words, index, distances, edges, logs, reduced)
+    return CayleyBall(p, R, words, index, distances, edges, logs, reduced, links)

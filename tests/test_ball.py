@@ -39,7 +39,8 @@ from exteq.words import (
 
 def reference_build_ball(p: Presentation, R: int) -> tuple[CayleyBall, dict]:
     """BFS enumeration of the ball, every edge through the reference
-    reducer; also returns each edge word's (normal form, counts)."""
+    reducer, each element's link looked up from its normal form; also
+    returns each edge word's (normal form, counts)."""
     cap = state_cap()
     reduced = {}
     words_ = [""]
@@ -47,6 +48,7 @@ def reference_build_ball(p: Presentation, R: int) -> tuple[CayleyBall, dict]:
     distances = [0]
     edges: list[tuple[Optional[int], ...]] = []
     logs: list[tuple[tuple[int, ...], ...]] = []
+    links = []
     frontier = [0]
     for dist in range(R + 1):
         nxt_frontier = []
@@ -67,12 +69,13 @@ def reference_build_ball(p: Presentation, R: int) -> tuple[CayleyBall, dict]:
                     words_.append(nf)
                     distances.append(dist + 1)
                     nxt_frontier.append(j)
+                    links.append((p.alphabet.index(nf[-1]), index.get(nf[:-1])))
                 row.append(j)
             edges.append(tuple(row))
             logs.append(tuple(row_logs))
         frontier = nxt_frontier
     n_edges = len(edges) * len(p.alphabet.letters)
-    ball = CayleyBall(p, R, words_, index, distances, edges, logs, n_edges)
+    ball = CayleyBall(p, R, words_, index, distances, edges, logs, n_edges, links)
     return ball, reduced
 
 
@@ -84,6 +87,7 @@ def _fields(ball: CayleyBall) -> tuple:
         ball.distances,
         ball.edges,
         ball.logs,
+        ball.links,
     )
 
 

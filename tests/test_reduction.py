@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from exteq import reduction
+from exteq import reduction, words
 from exteq.abelian import iota1_inverse, iota4, pa
 from conftest import enumerate_language, language_equal, shortest_witness
 from exteq.automata import FSA, words_up_to
@@ -512,6 +512,26 @@ def test_Le_rebuilt_over_another_ball(q8_stack):
 def _dihedral_system(ext):
     s = ExtElement(ext, RHO, "s", ext.kernel.zero())
     return EquationSystem(("x",), {"c": s}, ("x C",))
+
+
+def test_c_rows_reduce_from_normal_forms(monkeypatch):
+    # the c-rows are the triples of c-words with trivial product, in
+    # product order; each pair's product is reduced from nf(c1), so a
+    # fresh Q8 pipeline reduces few words for them (153 when every word
+    # c1 c2 was reduced, after a build that warmed the cache)
+    pipe = Pipeline.build(quaternion8(), kappa2=2)
+    base = pipe.ext.base
+    calls = []
+    reduce = words._reduce_with_log
+    monkeypatch.setattr(words, "_reduce_with_log", lambda p, w: calls.append(w) or reduce(p, w))
+    c_words = reduction._c_words(pipe.F, 2)
+    rows = list(reduction._gen_c_rows(base, *c_words))
+    monkeypatch.undo()
+    assert rows == [
+        cs for cs in itertools.product(c_words[0], repeat=3)
+        if normal_form(base, "".join(cs)) == ""
+    ]
+    assert len(calls) <= 40
 
 
 def test_enumerate_theta_matches_direct_filter(dihedral_stack):

@@ -102,7 +102,11 @@ def test_one_graph_validates_where_three_graphs_do(name, nu, window):
     kernel = FGAGroup(1)
     ext = CentralExtension(p, kernel, tuple(kernel.element([1]) for _ in relators))
     lspec, R = LanguageSpec(p, nu=nu, window=window), 4
-    cocycles = BallCocycles(ext, build_ball(p, R))
+    # the values are read at every live state's representative, and on
+    # (2,3,7) and Z/2*Z/3 some are longer than R
+    graph, reps = lspec.graph
+    longest = max(len(reps[s]) for s in graph.accepting)
+    cocycles = BallCocycles(ext, build_ball(p, max(R, longest)))
     refs = [reference_family(ext, kind, lspec) for kind in KINDS]
     if not all(walk_alone(f, R, cocycles.ball, cocycles=cocycles).passed for f in refs):
         with pytest.raises(ExtEqError):

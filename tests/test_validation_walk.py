@@ -22,9 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from exteq import lrational
+from exteq import lrational, words
 from exteq.automata import FSA, words_up_to
 from exteq.errors import (
+    BallTooSmall,
     ExtEqError,
     ResourceBound,
     SynthesisInconsistent,
@@ -33,11 +34,13 @@ from exteq.errors import (
 from exteq.extension import BallCocycles, sigma_q, sigma_rho
 from exteq.instances import (
     default_language_spec,
+    dihedral_z,
     genus2_presentation,
     quaternion8,
 )
 from exteq.lrational import (
     KINDS,
+    build_automata,
     Q_LEFT,
     RHO_LEFT,
     RHO_RIGHT_REVERSED,
@@ -237,11 +240,14 @@ def test_fused_walk_matches_reference(request, stack_name, R):
 
 
 def ball_element(ball, w):
-    """The ball index of w, walked from the identity."""
+    """The ball index of w, walked from the identity, or None once the
+    walk leaves the ball."""
     letters = ball.presentation.alphabet.letters
     g = 0
     for x in w:
         g = ball.edges[g][letters.index(x)]
+        if g is None:
+            return None
     return g
 
 
@@ -351,8 +357,9 @@ def _sequential_build(ext, R):
     ball = build_ball(ext.base, R)
     cocycles = BallCocycles(ext, ball)
     graph, reps = lrational._synthesize_graph(lspec)
+    at = lrational._rep_elements(ext, graph, reps, cocycles)
     for kind in KINDS:
-        fam = lrational._family(ext, kind, lspec, graph, reps)
+        fam = lrational._family(ext, kind, lspec, graph, at, cocycles)
         report = walk_alone(fam, R, ball, cocycles=cocycles)
         lrational._raise_for_family(fam, report)
 
@@ -395,8 +402,8 @@ def test_pipeline_build_raises_as_sequential_builds(monkeypatch, faults, error):
             fsa = drop_live_state(fsa, member_word(fsa, 2))
         return fsa, reps
 
-    def family(ext, kind, lspec, graph, reps):
-        fam = family_on(ext, kind, lspec, graph, reps)
+    def family(ext, kind, lspec, graph, at, cocycles):
+        fam = family_on(ext, kind, lspec, graph, at, cocycles)
         x = ext.base.alphabet.letters[-1]
         if kind in faults:
             fam, _ = flip_value(fam, "t", x)
@@ -509,6 +516,75 @@ def test_narrow_genus2_window_matches_reference():
     new = walk_alone(fsa, 5, ball, lspec)
     assert new.mismatches
     assert new == reference_validate_L(fsa, lspec, 5, ball)
+
+
+# -- the family values come from the tables ---------------------------------
+
+
+def test_representative_outside_the_ball_is_refused():
+    # dihedral_z's live states have representatives of up to 2 letters,
+    # and its ball of radius 1 holds none of 2 letters
+    ext = dihedral_z()
+    lspec = default_language_spec(ext.base)
+    graph, reps = lspec.graph
+    ball = build_ball(ext.base, 1)
+    outside = [
+        reps[s] for s in sorted(graph.accepting) if ball_element(ball, reps[s]) is None
+    ]
+    assert outside
+    with pytest.raises(BallTooSmall, match=re.escape(repr(outside[0]))):
+        build_automata(ext, lspec, 1, BallCocycles(ext, ball))
+
+
+def test_radius_zero_build_reads_its_values_in_the_ball():
+    # the ball reaches every representative, so a build validated to
+    # radius 0 has the values of the default build
+    zero = Pipeline.build(quaternion8(), kappa2=2, R_validate=0)
+    six = Pipeline.build(quaternion8(), kappa2=2, R_validate=6)
+    assert zero.ball.radius == 6
+    assert (zero.F.validated_radius, six.F.validated_radius) == (0, 6)
+    assert dataclasses.replace(zero.F, validated_radius=6) == six.F
+    assert (zero.D.fsa, zero.D.states) == (six.D.fsa, six.D.states)
+
+
+def test_tables_are_cross_checked_with_the_string_route():
+    # one altered rho-left row puts the element of a representative in a
+    # class of its own whose tables the string route contradicts
+    ext = quaternion8()
+    lspec = default_language_spec(ext.base)
+    graph, reps = lspec.graph
+    w = reps[graph.step(graph.initial, "s")]
+    cocycles = BallCocycles(ext, build_ball(ext.base, 6))
+    g = ball_element(cocycles.ball, w)
+    row = cocycles.rho_left[g]
+    bumped = tuple((a + 1) % m if m else a + 1 for a, m in zip(row[0], cocycles.mods))
+    cocycles.rho_left[g] = (bumped,) + row[1:]
+    with pytest.raises(SynthesisInconsistent, match=f"at {w!r} against"):
+        build_automata(ext, lspec, 6, cocycles)
+    # on Q8 a state fixes the element, so the walk alone finds no mismatch
+    at = [
+        ball_element(cocycles.ball, reps[s]) if s in graph.accepting else None
+        for s in range(graph.n_states)
+    ]
+    fams = [lrational._family(ext, kind, lspec, graph, at, cocycles) for kind in KINDS]
+    machines = [_family_machine(fam, cocycles) for fam in fams]
+    assert all(r.passed for r in _walk(lspec, 6, cocycles.ball, machines))
+
+
+def test_q8_build_reduces_few_words(monkeypatch):
+    # the string route runs once per class of the representatives'
+    # elements, not at every (live state, letter); a build that read its
+    # values by the string route sent 157 words to the reducer
+    calls = []
+    reduce = words._reduce_with_log
+
+    def counted(p, w):
+        calls.append(w)
+        return reduce(p, w)
+
+    monkeypatch.setattr(words, "_reduce_with_log", counted)
+    Pipeline.build(quaternion8(), kappa2=2, R_validate=6)
+    assert 0 < len(calls) <= 40
 
 
 # -- the integer cocycle tables equal the string route ------------------
