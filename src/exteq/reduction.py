@@ -1117,14 +1117,22 @@ class Pipeline:
         (instances.default_language_spec) on one ball of radius
         max(R_validate, ball_radius, 1, each live state's representative's
         length).  R_learn is accepted and ignored: synthesis always closes
-        the signature space."""
+        the signature space.  A ball over its cap names the representative
+        that sized it, when one did."""
         from .instances import default_language_spec
 
         lspec = default_language_spec(ext.base)
         graph, reps = lspec.graph
-        longest = max(len(reps[s]) for s in graph.accepting)
-        radius = max(R_validate, ball_radius or 0, 1, longest)
-        cocycles = BallCocycles(ext, build_ball(ext.base, radius))
+        rep = max((reps[s] for s in sorted(graph.accepting)), key=len)
+        radius = max(R_validate, ball_radius or 0, 1)
+        try:
+            ball = build_ball(ext.base, max(radius, len(rep)))
+        except ResourceBound as e:
+            if len(rep) <= radius:
+                raise
+            why = f"radius {len(rep)} from live representative {rep!r}"
+            raise ResourceBound(f"{e}: {why}, beyond R_validate = {R_validate}") from e
+        cocycles = BallCocycles(ext, ball)
         fams = build_automata(ext, lspec, R_validate, cocycles)
         D = build_ppa(fams[RHO_LEFT], fams[RHO_RIGHT_REVERSED])
         return cls(fams[Q_LEFT], D, cocycles, kappa2)

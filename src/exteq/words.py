@@ -7,12 +7,15 @@ Equality in a presented group is decided by a rewriting engine that
 counts the relators it applies:
 greedy replacement of over-half relator subwords by their shorter
 complements, plus a breadth-first search over equal-length half-relator
-swaps for presentations where pure shortening is not confluent.
+swaps for presentations where pure shortening is not confluent.  Each
+presentation compiles its rewrite keys once; the Cayley ball reads each
+last-level element's back edge from the links it records.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -178,6 +181,14 @@ class Presentation:
         swap_max = max((len(u) for u in swaps), default=0)
         tables = (shorten, swaps, max_len, min_len, swap_max)
         object.__setattr__(self, "_tables", tables)
+        # compiled once: the leftmost shortening key, longest first; swap
+        # key starts and lengths; letters to alphabet positions (shortlex)
+        longest_first = "|".join(map(re.escape, sorted(shorten, key=len, reverse=True)))
+        find = re.compile(longest_first).search if shorten else None
+        starts = re.compile(f"(?=(?:{'|'.join(map(re.escape, swaps))}))").finditer
+        lengths = sorted({len(u) for u in swaps}, reverse=True)
+        order = str.maketrans({x: chr(i) for i, x in enumerate(self.alphabet.letters)})
+        object.__setattr__(self, "_compiled", (find, starts, lengths, order))
         return tables
 
     @property
@@ -231,14 +242,15 @@ def check_small_cancellation(p: Presentation, fraction: Fraction) -> SCReport:
 _SWAP_CLOSURE_CAP = 50_000
 
 
-def _find_shorten(table, max_len, min_len, w: Word):
-    for i in range(len(w)):
-        top = min(max_len, len(w) - i)
-        for length in range(top, min_len - 1, -1):
-            hit = table.get(w[i : i + length])
-            if hit is not None:
-                return i, w[i : i + length], hit
-    return None
+def _splice(inverse, left: Word, v: Word, right: Word) -> Word:
+    """free_reduce(left + v + right) for freely reduced left, v and
+    right: letters cancel only at the two junctions."""
+    for part in (v, right):
+        c = 0
+        while c < len(left) and c < len(part) and left[-1 - c] == inverse[part[c]]:
+            c += 1
+        left = left[: len(left) - c] + part[c:]
+    return left
 
 
 def _reduce_with_log(p: Presentation, w: Word) -> tuple[Word, tuple[int, ...]]:
@@ -254,21 +266,25 @@ def _reduce_with_log(p: Presentation, w: Word) -> tuple[Word, tuple[int, ...]]:
     that admits a shortening.  At the final fixed point every member of
     the closure is shortening-free and the shortlex-least member is
     returned, which makes the result a normal form usable as a section of
-    the group.
+    the group.  Keys are found by patterns the presentation compiles once,
+    in the order of a scan by position, then length descending; a rewrite
+    free-reduces only at its two junctions.
     """
     alpha = p.alphabet
-    shorten, swaps, max_len, min_len, swap_max = p.tables
+    inverse = alpha.inverse
+    shorten, swaps, *_ = p.tables
+    find, starts, lengths, order = p._compiled
     n = len(w)
     w = alpha.free_reduce(w)
     counts = p.zero_counts
     while True:
-        if shorten:
-            hit = _find_shorten(shorten, max_len, min_len, w)
-            if hit is not None:
-                i, u, (v, k, sign) = hit
-                w = alpha.free_reduce(w[:i] + v + w[i + len(u) :])
-                counts = counts[:k] + (counts[k] + sign,) + counts[k + 1 :]
-                continue
+        hit = find and find(w)
+        if hit:
+            i, j = hit.span()
+            v, k, sign = shorten[hit.group()]
+            w = _splice(inverse, w[:i], v, w[j:])
+            counts = counts[:k] + (counts[k] + sign,) + counts[k + 1 :]
+            continue
         if not swaps:
             return w, counts
         # swap closure at the current length
@@ -278,11 +294,13 @@ def _reduce_with_log(p: Presentation, w: Word) -> tuple[Word, tuple[int, ...]]:
         while queue and restart is None:
             cur = queue.popleft()
             at = visited[cur]
-            for i in range(len(cur)):
-                top = min(swap_max, len(cur) - i)
-                for length in range(top, 0, -1):
+            for start in starts(cur):
+                i = start.start()
+                for length in lengths:
+                    if i + length > len(cur):
+                        continue
                     for v, k, sign in swaps.get(cur[i : i + length], ()):
-                        nxt = alpha.free_reduce(cur[:i] + v + cur[i + length :])
+                        nxt = _splice(inverse, cur[:i], v, cur[i + length :])
                         ncounts = at[:k] + (at[k] + sign,) + at[k + 1 :]
                         if len(nxt) < len(cur):
                             restart = (nxt, ncounts)
@@ -294,7 +312,7 @@ def _reduce_with_log(p: Presentation, w: Word) -> tuple[Word, tuple[int, ...]]:
                                     f" while reducing a word of length {n}"
                                 )
                             visited[nxt] = ncounts
-                            if shorten and _find_shorten(shorten, max_len, min_len, nxt):
+                            if find and find(nxt):
                                 restart = (nxt, ncounts)
                                 break
                             queue.append(nxt)
@@ -307,7 +325,7 @@ def _reduce_with_log(p: Presentation, w: Word) -> tuple[Word, tuple[int, ...]]:
             continue
         if len(visited) == 1:
             return w, counts
-        best = min(visited, key=alpha.shortlex_key)
+        best = min(visited, key=lambda u: u.translate(order))
         return best, visited[best]
 
 
@@ -377,19 +395,19 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
 
     The reducer never lengthens a word, so no normal form in the ball is
     longer than R: a key-free word of R letters has no fast edge into the
-    ball but its back edge, and its row visits only the letters that
-    complete a key tail.  More than state_cap() elements raise ResourceBound.
+    ball but its back edge, read from its link, and its row visits only
+    the letters that complete a key tail.  More than state_cap() elements
+    raise ResourceBound.
     """
     cap = state_cap()
     shorten, swaps, *_ = p.tables
     keys = shorten.keys() | swaps.keys()
     key_lengths = sorted({len(u) for u in keys})
     m = key_lengths[0] if key_lengths else 1
-    tails = {u[-m:] for u in keys}
     position = p.alphabet.position
     # the letters x that make u x a key tail, by u, in alphabet order
     completing: dict[Word, list[int]] = {}
-    for u in sorted(tails, key=p.alphabet.shortlex_key):
+    for u in sorted({u[-m:] for u in keys}, key=p.alphabet.shortlex_key):
         completing.setdefault(u[:-1], []).append(position[u[-1]])
 
     def is_key_free(w: Word) -> bool:
@@ -399,6 +417,8 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
 
     letters = p.alphabet.letters
     inverse = p.alphabet.inverse
+    # by a letter's position, the position of its inverse
+    back_of = [position[inverse[x]] for x in letters]
     zero_row = (p.zero_counts,) * len(letters)
     words = [""]
     index = {"": 0}
@@ -409,21 +429,24 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
     links: list[tuple[int, Optional[int]]] = []
     reduced = 0
     # elements are expanded in index order, so edges[i] and logs[i] line
-    # up with words[i]; the last level only looks up its outgoing edges
-    frontier = [0]
+    # up with words[i] and each level is a range of indices; the last
+    # level only looks up its outgoing edges
+    frontier = range(1)
     for dist in range(R + 1):
-        nxt_frontier = []
         for i in frontier:
             w = words[i]
             free = key_free[i]
             back = inverse[w[-1]] if w else None
             row: list[Optional[int]] = [None] * len(letters)
             todo: Iterable[int] = range(len(letters))
-            if free and len(w) == R:
-                if w:
-                    row[position[back]] = index.get(w[:-1])
-                tail = completing.get(w[R + 1 - m :], ())
-                todo = [k for k in tail if letters[k] != back]
+            if free:
+                # the letters x for which wx's last m letters are a key tail
+                tail = completing.get(w[len(w) + 1 - m :], ())
+                if len(w) == R:
+                    if w:
+                        y, parent = links[i - 1]
+                        row[back_of[y]] = parent
+                    todo = tail
             row_logs = None
             for k in todo:
                 x = letters[k]
@@ -433,7 +456,7 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
                     nf = w[:-1]
                 elif free:
                     nf = wx
-                    fast = wx[-m:] not in tails or not _ends_in_key(wx, keys, key_lengths)
+                    fast = k not in tail or not _ends_in_key(wx, keys, key_lengths)
                 if not fast:
                     nf, counts = normal_form_with_log(p, wx)
                     if row_logs is None:
@@ -447,13 +470,12 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
                     j = len(words)
                     index[nf] = j
                     words.append(nf)
-                    distances.append(dist + 1)
                     key_free.append(fast or is_key_free(nf))
-                    nxt_frontier.append(j)
                     link = (position[nf[-1]], index.get(nf[:-1])) if nf != wx else (k, i)
                     links.append(link)
                 row[k] = j
             edges.append(tuple(row))
             logs.append(zero_row if row_logs is None else tuple(row_logs))
-        frontier = nxt_frontier
+        frontier = range(frontier.stop, len(words))
+        distances += [dist + 1] * len(frontier)
     return CayleyBall(p, R, words, index, distances, edges, logs, reduced, links)

@@ -43,7 +43,6 @@ from exteq.words import (
     CayleyBall,
     Presentation,
     Word,
-    _find_shorten,
     build_ball,
 )
 
@@ -58,6 +57,18 @@ def free_presentation(generators=("a", "b")) -> Presentation:
 def split(base: Presentation, kernel: FGAGroup) -> CentralExtension:
     """Split extension: every relator lifts to the kernel identity."""
     return CentralExtension(base, kernel, tuple(kernel.zero() for _ in base.relators))
+
+
+def _find_shorten(table, max_len, min_len, w: Word):
+    """The leftmost shortening key in w, longest first, found by slicing
+    every (position, length) pair: (position, key, table entry) or None."""
+    for i in range(len(w)):
+        top = min(max_len, len(w) - i)
+        for length in range(top, min_len - 1, -1):
+            hit = table.get(w[i : i + length])
+            if hit is not None:
+                return i, w[i : i + length], hit
+    return None
 
 
 def reference_reduce_with_log(p: Presentation, w: Word) -> tuple[Word, list]:

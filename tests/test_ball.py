@@ -202,8 +202,7 @@ def test_t1s_ball_reduces_few_edges(monkeypatch):
     monkeypatch.setattr(words, "_reduce_with_log", counted)
     ball = build_ball(t1s().base, 5)
     assert len(ball) * len(ball.presentation.alphabet.letters) == 178_312
-    assert len(calls) <= 1_700
-    assert ball.reduced_edges == len(calls)
+    assert len(calls) == 1_616 == ball.reduced_edges
 
 
 def test_t1s_ball_memory_is_bounded():

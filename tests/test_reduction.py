@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import weakref
 from collections import deque
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from exteq import reduction, words
-from exteq.abelian import iota1_inverse, iota4, pa
+from exteq.abelian import FGAGroup, iota1_inverse, iota4, pa
 from conftest import enumerate_language, language_equal, shortest_witness
 from exteq.automata import FSA, words_up_to
 from exteq.errors import (
@@ -23,6 +24,7 @@ from exteq.errors import (
 from exteq.extension import (
     RHO,
     BallCocycles,
+    CentralExtension,
     ExtElement,
     identity,
     iota2,
@@ -38,6 +40,7 @@ from exteq.fpa_ppa import (
 )
 from exteq.instances import (
     central_constant,
+    default_language_spec,
     letter_constant,
     quaternion8,
     t1s_commutator_system,
@@ -62,7 +65,7 @@ from exteq.reduction import (
     vf_oracle_solve,
     witness_theta,
 )
-from exteq.words import build_ball, normal_form
+from exteq.words import Alphabet, Presentation, build_ball, normal_form
 
 
 def test_pipeline_builds_one_cocycle_table(monkeypatch):
@@ -76,6 +79,25 @@ def test_pipeline_builds_one_cocycle_table(monkeypatch):
     monkeypatch.setattr(BallCocycles, "__init__", counted)
     pipe = Pipeline.build(quaternion8(), kappa2=2)
     assert len(built) == 1 and built[0] is pipe.ball
+
+
+def test_pipeline_build_names_the_representative_that_sized_its_ball(monkeypatch):
+    # on the Heisenberg group <x, y | [[x,y],x], [[x,y],y]> the signature
+    # graph has live representatives of 18 letters, so a build validated
+    # to radius 4 sizes its ball to 18 and stops at the state cap; the
+    # refusal keeps the ball's own message and says why the ball was large
+    base = Presentation(Alphabet.from_generators(["x", "y"]), ("yXYxyxYX", "xyXyxYXY"))
+    kernel = FGAGroup(1)
+    ext = CentralExtension(base, kernel, (kernel.element([1]), kernel.element([1])))
+    monkeypatch.setenv("EXTEQ_CAP_STATES", "20000")
+    with pytest.raises(ResourceBound) as refusal:
+        Pipeline.build(ext, kappa2=2, R_validate=4)
+    message = str(refusal.value)
+    assert message.startswith("ball exceeds cap 20000: ")
+    assert "radius 18" in message and "R_validate = 4" in message
+    rep = re.search(r"representative '(\w+)'", message).group(1)
+    graph, reps = default_language_spec(base).graph
+    assert len(rep) == 18 and rep in {reps[s] for s in graph.accepting}
 
 
 @pytest.fixture(scope="module")

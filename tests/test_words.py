@@ -6,8 +6,9 @@ from typing import Optional
 
 import pytest
 
-from conftest import log_counts, reference_reduce_with_log, validated_L
-from exteq.errors import AlphabetMismatch, BallTooSmall, ExtEqError
+from conftest import _find_shorten, log_counts, reference_reduce_with_log, validated_L
+from exteq import words
+from exteq.errors import AlphabetMismatch, BallTooSmall, ExtEqError, ResourceBound
 from exteq.instances import (
     dihedral_presentation,
     genus2_presentation,
@@ -18,7 +19,6 @@ from exteq.words import (
     CayleyBall,
     Presentation,
     Word,
-    _find_shorten,
     _reduce_with_log,
     build_ball,
     check_small_cancellation,
@@ -297,19 +297,70 @@ def _freely_reduced_words(alpha: Alphabet, n: int):
         yield from words
 
 
+def two_swap_lengths() -> Presentation:
+    """<a, b | abAB, abbaBB>: swap keys of lengths 2 and 3, so two
+    lengths can start at one position."""
+    return Presentation(Alphabet.from_generators(["a", "b"]), ("abAB", "abbaBB"))
+
+
+def regex_metacharacters() -> Presentation:
+    """Letters that are regular-expression syntax: ( and ), * and +
+    inverse to each other, . its own inverse."""
+    alpha = Alphabet(
+        ("(", ")", "*", "+", "."), {"(": ")", ")": "(", "*": "+", "+": "*", ".": "."}
+    )
+    return Presentation(alpha, ("(*)+", "(**"))
+
+
+def _reduce_or_refuse(reduce, p: Presentation, w: Word):
+    try:
+        return reduce(p, w)
+    except ResourceBound as e:
+        return str(e)
+
+
 @pytest.mark.parametrize(
-    "make", [genus2_presentation, dihedral_presentation, klein_presentation]
+    "make",
+    [
+        genus2_presentation,
+        dihedral_presentation,
+        klein_presentation,
+        two_swap_lengths,
+        regex_metacharacters,
+    ],
 )
-def test_reducer_counts_equal_reference_on_bundled(make):
+def test_reducer_counts_equal_reference_on_bundled(make, monkeypatch):
     # both reducers freely reduce first, so the freely reduced words up
-    # to length 6 stand for every word up to length 6
+    # to length 6 stand for every word up to length 6; seeded random
+    # words of 7-16 letters reach longer rewrites (at most 9 on the
+    # dihedral group, whose swap closures double with each letter); with
+    # the swap-closure cap at 0 both reducers refuse the same words with
+    # the same message
     p = make()
-    for w in _freely_reduced_words(p.alphabet, 6):
-        nf, counts = _reduce_with_log(p, w)
-        ref_nf, log = reference_reduce_with_log(p, w)
-        assert (nf, counts) == (ref_nf, log_counts(p, log)), w
-        if not log:
-            assert counts is p.zero_counts, w
+    rng = random.Random(make.__name__)
+    longest = 9 if make is dihedral_presentation else 16
+    randoms = [
+        "".join(rng.choice(p.alphabet.letters) for _ in range(rng.randint(7, longest)))
+        for _ in range(300)
+    ]
+    refused = 0
+    for cap, batch in (
+        (words._SWAP_CLOSURE_CAP, [*_freely_reduced_words(p.alphabet, 6), *randoms]),
+        (0, randoms),
+    ):
+        monkeypatch.setattr(words, "_SWAP_CLOSURE_CAP", cap)
+        for w in batch:
+            got = _reduce_or_refuse(_reduce_with_log, p, w)
+            ref = _reduce_or_refuse(reference_reduce_with_log, p, w)
+            if isinstance(ref, str):
+                refused += 1
+            else:
+                ref_nf, log = ref
+                ref = (ref_nf, log_counts(p, log))
+                if not log:
+                    assert got[1] is p.zero_counts, w
+            assert got == ref, w
+    assert refused
 
 
 # -- normal forms -------------------------------------------------------
