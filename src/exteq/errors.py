@@ -75,5 +75,5 @@ class SynthesisInconsistent(ExtEqError):
 
 
 class ValueSetUnstable(ExtEqError):
-    """An observed value set kept growing between the learning and the
-    validation radius."""
+    """Validation expected a value, for some letter, that no live state's
+    representative holds: the family's value set for it lacks the value."""

@@ -19,21 +19,22 @@ RFPA.  Every family is then validated against all words up to the
 validation radius and rejected on any mismatch; the validated radius is
 recorded on it.
 
-Validation is one breadth-first walk over the word tree that serves the
-three families together (`build_automata`, the only entry point).  A
-subword's deficiency |u| - d(u) is at most its word's, so a word is in
-L iff its own distance is at least its length minus nu: the walk
-carries each word's ball element, with the families' states as one
-joint state, and a child costs one edge lookup and one comparison.  It
-skips a subtree only where no word can disagree: the root is not in L
-and every family sits in a state that reaches no live state.  On every
-word of L each family's predicted row, one value per letter, is
-compared with the expected row read off the Cayley ball's edge labels
-(BallCocycles), a function of the element's class in the tables.  So a
-first pass that keeps no words judges each distinct (joint state,
-class) once and stops at the first mismatch.  Only after one is the
-tree walked again word by word, so each family's mismatches, and their
-order, are those of an exhaustive walk over all words for it alone.
+Validation is one breadth-first walk over the word tree, through the
+one graph the three families share (`build_automata`, the only entry
+point).  A subword's deficiency |u| - d(u) is at most its word's, so a
+word is in L iff its own distance is at least its length minus nu: the
+walk carries each word's graph state and ball element, and a child
+costs one edge lookup and one comparison.  It skips a subtree only
+where no word can disagree: the root is not in L and its state reaches
+no live state.  Membership is judged once per word, and a mismatch is
+every family's.  On every word of L each family's predicted row, one
+value per letter, is compared with the expected row read off the
+Cayley ball's edge labels (BallCocycles), a function of the element's
+class in the tables.  So a first pass that keeps no words judges each
+distinct (state, class) once and stops at the first mismatch.  Only
+after one is the tree walked again word by word, so each family's
+mismatches, and their order, are those of an exhaustive walk over all
+words.
 """
 
 from __future__ import annotations
@@ -313,8 +314,8 @@ def build_automata(
     graph, reps = lspec.graph
     at = _rep_elements(ext, graph, reps, cocycles)
     fams = {kind: _family(ext, kind, lspec, graph, at, cocycles) for kind in KINDS}
-    machines = [_family_machine(f, cocycles) for f in fams.values()]
-    walk = _walk(lspec, R_validate, cocycles.ball, machines)
+    checks = [_family_check(f, cocycles) for f in fams.values()]
+    walk = _walk(lspec, R_validate, cocycles.ball, graph, checks, cocycles.classes)
     for fam, report in zip(fams.values(), walk):
         _raise_for_family(fam, report)
     return fams
@@ -375,36 +376,36 @@ def _family(ext: CentralExtension, kind: str, lspec: LanguageSpec, graph: FSA,
         {x: tuple(map(made.get, sorted(set(c) - {None}))) for x, c in cols.items()})
 
 
-def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list:
-    """The validation walk over all words of length <= R, breadth-first.
+def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, graph: FSA, checks: list,
+          classes: list) -> list:
+    """The validation walk over all words of length <= R, breadth-first,
+    through one graph whose live (accepting) states should be exactly
+    the words of L.
 
-    Each machine is (graph, check, classes): an automaton whose live
-    (accepting) states should be exactly the words of L; check(w, state,
-    element index), which returns the mismatches of a word that is in L
-    and live, and depends on w only through its element g and on g only
-    through classes[g]; and that list, one list shared by all machines.
+    Each check(w, state, element index) returns the mismatches of a word
+    that is in L and live; it depends on w only through its element g
+    and on g only through classes[g].
 
     A word w is in L iff d(w) >= |w| - nu: for v = p u q, d(u) >= d(v)
     - |p| - |q|, so a subword's deficiency |u| - d(u) is at most v's.  d
     is read off the ball, assuming its normal forms decide the word
-    problem.  So a node is (joint state of the machines, element), the
-    element None once the word has left L.  A subtree is skipped only
-    when its root is not in L and no machine's state can reach a live
-    state: then no extension is in L or accepted.
+    problem.  So a node is (graph state, element), the element None once
+    the word has left L.  A subtree is skipped only when its root is not
+    in L and its state reaches no live state: then no extension is in L
+    or accepted.
 
     The first pass keeps no words: it expands each distinct node of a
-    length once, judges each distinct (joint state, class) once, the
-    class None outside L, and stops at the first mismatch.  Alike nodes
-    have alike judgements and children, so it finds a mismatch iff some
-    word has one.  The longest words are judged as they are generated
-    and never stored.  Only after a mismatch does a second pass walk
-    word by word, so that the reports name every word.
+    length once, judges each distinct (state, class) once, the class
+    None outside L, and stops at the first mismatch.  Alike nodes have
+    alike judgements and children, so it finds a mismatch iff some word
+    has one.  The longest words are judged as they are generated and
+    never stored.  Only after a mismatch does a second pass walk word by
+    word, so that the reports name every word.
 
-    Returns one report per machine, listing ("membership", w, in_L,
-    got_live) for a membership mismatch, plus whatever check returns, in
-    the order of a full breadth-first walk.  A machine walked with others
-    reports what it reports alone: below a state that reaches no live
-    state it meets only words that are neither in L nor live.
+    Returns one report per check, listing ("membership", w, in_L,
+    got_live) for a membership mismatch, which goes into every report,
+    plus whatever the check returns, in the order of a full
+    breadth-first walk.
     """
     if ball.radius < R:
         n = ball.radius + 1
@@ -414,54 +415,31 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
     letters = lspec.presentation.alphabet.letters
     dist = ball.distances
     edges = ball.edges
-    rows = [graph.transitions for graph, *_ in machines]
-    dooms = [
-        frozenset(range(graph.n_states)) - coaccessible(graph) for graph, *_ in machines
-    ]
-    (classes,) = {id(c): c for *_, c in machines}.values()  # a shared list
-    # joint states, interned, each with whether every machine is doomed
-    # there and its children, listed on first expansion
-    joint: dict = {}
-    states, doomed, kids = [], [], {}
+    rows, live = graph.transitions, graph.accepting
+    doomed = frozenset(range(graph.n_states)) - coaccessible(graph)
 
-    def intern(st):
-        p = joint.get(st)
-        if p is None:
-            p = joint[st] = len(states)
-            states.append(st)
-            doomed.append(all(s in d for s, d in zip(st, dooms)))
-        return p
-
-    def judge(w, p, g, out):
-        in_L = g is not None
-        for k, s in enumerate(states[p]):
-            graph, check, _ = machines[k]
-            got = s in graph.accepting
-            if in_L != got:
-                out[k].append(("membership", w, in_L, got))
-            elif got:
-                out[k].extend(check(w, s, g))
+    def judge(w, s, g, out):
+        in_L, got = g is not None, s in live
+        if in_L != got:
+            for m in out:
+                m.append(("membership", w, in_L, got))
+        elif got:
+            for m, check in zip(out, checks):
+                m.extend(check(w, s, g))
 
     def tree(spell):
-        """(w, joint state, element) for each node, breadth-first; w is
-        None unless spelled, and unspelled nodes below length R are
-        listed once per length."""
-        root = intern(tuple(graph.initial for graph, *_ in machines))
-        frontier = [("" if spell else None, root, 0)]
+        """(w, state, element) for each node, breadth-first; w is None
+        unless spelled, and unspelled nodes below length R are listed
+        once per length."""
+        frontier = [("" if spell else None, graph.initial, 0)]
         for depth in range(R + 1):
             yield from frontier
             nxt = []
             need = depth + 1 - lspec.nu
-            for w, p, g in frontier if depth < R else ():
-                if g is None and doomed[p]:
+            for w, s, g in frontier if depth < R else ():
+                if g is None and s in doomed:
                     continue
-                ks = kids.get(p)
-                if ks is None:
-                    ks = kids[p] = [
-                        intern(tuple(rw[s][i] for rw, s in zip(rows, states[p])))
-                        for i in range(len(letters))
-                    ]
-                for i, q in enumerate(ks):
+                for i, q in enumerate(rows[s]):
                     h = None if g is None else edges[g][i]
                     if h is not None and dist[h] < need:
                         h = None
@@ -472,31 +450,31 @@ def _walk(lspec: LanguageSpec, R: int, ball: CayleyBall, machines: list) -> list
                         nxt.append(child)
             frontier = nxt if spell else list(dict.fromkeys(nxt))
 
-    out: list = [[] for _ in machines]
+    out: list = [[] for _ in checks]
     judged = set()
-    for _, p, g in tree(spell=False):
-        key = (p, None if g is None else classes[g])
+    for _, s, g in tree(spell=False):
+        key = (s, None if g is None else classes[g])
         if key not in judged:
             judged.add(key)
-            judge(None, p, g, out)
+            judge(None, s, g, out)
             if any(out):
                 break
     if any(out):
-        out = [[] for _ in machines]
-        for w, p, g in tree(spell=True):
-            judge(w, p, g, out)
+        out = [[] for _ in checks]
+        for w, s, g in tree(spell=True):
+            judge(w, s, g, out)
     return [ValidationReport(R, tuple(m)) for m in out]
 
 
-def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
-    """The family as a machine of _walk, its check comparing predicted
-    and expected values for every letter.
+def _family_check(fam: PredictorFamily, cocycles: BallCocycles):
+    """The family's check for _walk, comparing predicted and expected
+    values for every letter.
 
     A word's predicted row (one value per letter, read at its state) is
     compared whole with the expected row the tables hold at its ball
     element; only when they differ are the letters checked one by one.
     A mismatch names the word w; its values depend only on s and on g's
-    class in the tables, which the machine carries.
+    class in the tables.
     """
     kind, ext = fam.kind, fam.ext
     letters = ext.base.alphabet.letters
@@ -520,7 +498,7 @@ def _family_machine(fam: PredictorFamily, cocycles: BallCocycles) -> tuple:
             if e != got
         ]
 
-    return (fam.graph, check, cocycles.classes)
+    return check
 
 
 def _expected_row(kind: str, cocycles: BallCocycles):

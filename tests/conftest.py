@@ -34,7 +34,7 @@ from exteq.lrational import (
     LanguageSpec,
     PredictorFamily,
     _MatchScheme,
-    _family_machine,
+    _family_check,
     _walk,
     build_automata,
 )
@@ -250,17 +250,18 @@ def shortest_witness(F: PredictorFamily, s: int) -> Word:
 
 def walk_alone(automaton, R: int, ball: CayleyBall, lspec=None, cocycles=None):
     """The validation report of one automaton walked alone to radius R:
-    a language automaton (an FSA, judged against lspec's L, with no
-    values to check) or a predictor family, its expected values read
-    from `cocycles` (the family's extension over the ball, built here
-    unless given)."""
+    a language automaton (an FSA, judged against lspec's L, with one
+    check that finds nothing, so its membership report has a list to go
+    into) or a predictor family, its expected values read from
+    `cocycles` (the family's extension over the ball, built here unless
+    given)."""
     if isinstance(automaton, PredictorFamily):
-        lspec, ext = automaton.lspec, automaton.ext
-        cocycles = cocycles or BallCocycles(ext, ball)
-        machine = _family_machine(automaton, cocycles)
+        lspec, graph = automaton.lspec, automaton.graph
+        cocycles = cocycles or BallCocycles(automaton.ext, ball)
+        check, classes = _family_check(automaton, cocycles), cocycles.classes
     else:
-        machine = (automaton, lambda w, s, g: (), [0] * len(ball))
-    return _walk(lspec, R, ball, [machine])[0]
+        graph, check, classes = automaton, lambda w, s, g: (), [0] * len(ball)
+    return _walk(lspec, R, ball, graph, [check], classes)[0]
 
 
 def validated_L(p: Presentation, R: int, lspec=None) -> FSA:

@@ -3,10 +3,11 @@
 The reference walkers below enumerate every word of length <= R, test
 each one for quasi-geodesicity by walking every subword on the ball and
 evaluate every expected cocycle value by the string route.  The walk in
-`lrational` must report exactly the same mismatches in the same order,
-for each automaton whether it is walked alone or together with the
-other families, and the integer cocycle tables it reads must agree with
-the string route.
+`lrational` steps through one graph, one graph state per node, and
+checks each family on it; it must report exactly the same mismatches in
+the same order, for an automaton walked alone and for the three
+families walked through the graph they share, and the integer cocycle
+tables it reads must agree with the string route.
 """
 
 import dataclasses
@@ -47,7 +48,7 @@ from exteq.lrational import (
     LanguageSpec,
     PredictorFamily,
     ValidationReport,
-    _family_machine,
+    _family_check,
     _synthesize_graph,
     _walk,
 )
@@ -169,10 +170,14 @@ def test_good_stacks_match_reference(request, stack_name, R):
 
 
 def fused_reports(stack, R, fams):
-    """The report of each family in KINDS, from one walk."""
+    """The report of each family in KINDS, from one walk through the
+    graph they share."""
+    graph = fams[Q_LEFT].graph
+    assert all(fam.graph is graph for fam in fams.values())
     cocycles = BallCocycles(stack.ext, stack.ball)
-    machines = [_family_machine(fams[kind], cocycles) for kind in KINDS]
-    return dict(zip(KINDS, _walk(stack.lspec, R, stack.ball, machines)))
+    checks = [_family_check(fams[kind], cocycles) for kind in KINDS]
+    walk = _walk(stack.lspec, R, stack.ball, graph, checks, cocycles.classes)
+    return dict(zip(KINDS, walk))
 
 
 def member_word(fsa, n):
@@ -207,29 +212,16 @@ def test_fused_walk_matches_reference(request, stack_name, R):
     _, ref_fams = clean_references(stack_name, stack, R)
     assert fused_reports(stack, R, stack.fams) == ref_fams
 
-    # faults in every machine at once: a dropped live state of L, the
-    # left graph both left families share, a flipped value in each
-    # family, and in the reversed family also the sink made live, so that
-    # machine accepts words outside L below states where the others are
-    # doomed
+    # faults in every family at once: a dropped live state of the graph
+    # the three share, a membership mismatch in every report, and a
+    # flipped value in each family
     letters = stack.ext.base.alphabet.letters
     left = stack.fpa.graph
     L = drop_live_state(left, member_word(left, 2))
     fams = {
-        kind: flip_value(fam, member_word(L, 1), letters[-1])[0]
+        kind: flip_value(_replace(fam, graph=L), member_word(L, 1), letters[-1])[0]
         for kind, fam in stack.fams.items()
     }
-    for kind in (Q_LEFT, RHO_LEFT):
-        fams[kind] = _replace(fams[kind], graph=L)
-    rev = fams[RHO_RIGHT_REVERSED]
-    sink = min(set(range(rev.graph.n_states)) - rev.live)
-    fams[RHO_RIGHT_REVERSED] = _replace(
-        rev,
-        graph=FSA(
-            rev.graph.alphabet, rev.graph.transitions, rev.graph.initial,
-            rev.graph.accepting | {sink},
-        ),
-    )
     new_fams = fused_reports(stack, R, fams)
     for kind in KINDS:
         assert any(m[0] == "value" for m in new_fams[kind].mismatches)
@@ -252,32 +244,31 @@ def ball_element(ball, w):
 
 
 def class_pairs(stack, R, cocycles):
-    """The words of L up to length R, and the number of distinct (joint
-    state, class) pairs among them, counted by brute force."""
-    ball, graphs = stack.ball, [stack.fams[kind].graph for kind in KINDS]
+    """The words of L up to length R, and the number of distinct (state,
+    class) pairs among them, counted by brute force."""
+    ball, graph = stack.ball, stack.fpa.graph
     members = [
         w for w in words_up_to(stack.ext.base.alphabet, R)
         if qg_reference(ball, w, stack.lspec.nu)
     ]
-    pairs = {
-        (tuple(g.run(w) for g in graphs), cocycles.classes[ball_element(ball, w)])
-        for w in members
-    }
+    pairs = {(graph.run(w), cocycles.classes[ball_element(ball, w)]) for w in members}
     return members, len(pairs)
 
 
-def counted_machines(fams, cocycles, calls):
-    """The families' machines, each check call counted in calls[kind]."""
+def counted_walk(stack, R, fams, cocycles, calls):
+    """The reports of one walk of the families, in KINDS order, each
+    check call counted in calls[kind]."""
 
     def counted(kind):
-        graph, check, classes = _family_machine(fams[kind], cocycles)
+        check = _family_check(fams[kind], cocycles)
 
         def counted_check(w, s, g):
             calls[kind] += 1
             return check(w, s, g)
-        return graph, counted_check, classes
+        return counted_check
 
-    return [counted(kind) for kind in KINDS]
+    checks = [counted(kind) for kind in KINDS]
+    return _walk(stack.lspec, R, stack.ball, stack.fpa.graph, checks, cocycles.classes)
 
 
 def test_walk_checks_each_distinct_node_once(q8_stack):
@@ -285,10 +276,9 @@ def test_walk_checks_each_distinct_node_once(q8_stack):
     cocycles = BallCocycles(stack.ext, stack.ball)
     members, pairs = class_pairs(stack, R, cocycles)
     calls = Counter()
-    machines = counted_machines(stack.fams, cocycles, calls)
-    assert all(r.passed for r in _walk(stack.lspec, R, stack.ball, machines))
+    assert all(r.passed for r in counted_walk(stack, R, stack.fams, cocycles, calls))
     # every family is live on every word of L, so each checks every
-    # distinct (joint state, class) pair once
+    # distinct (state, class) pair once
     assert calls == {kind: pairs for kind in KINDS}
     assert pairs < len(members)
 
@@ -300,8 +290,7 @@ def test_walk_checks_each_distinct_node_once(q8_stack):
     fams = dict(stack.fams)
     fams[Q_LEFT], _ = flip_value(fpa, victim, stack.ext.base.alphabet.letters[-1])
     calls.clear()
-    machines = counted_machines(fams, cocycles, calls)
-    reports = dict(zip(KINDS, _walk(stack.lspec, R, stack.ball, machines)))
+    reports = dict(zip(KINDS, counted_walk(stack, R, fams, cocycles, calls)))
     expected = reference_validate_family(fams[Q_LEFT], stack.ext, R, stack.ball)
     assert reports[Q_LEFT] == expected
     assert len(expected.mismatches) == sum(fpa.graph.run(w) == s for w in members)
@@ -311,12 +300,12 @@ def test_walk_checks_each_distinct_node_once(q8_stack):
 
 def test_t1s_walk_checks_few_classes(t1s_stack):
     # 22,289 ball elements fall into few classes, and each family checks
-    # each (joint state, class) pair once
+    # each of the 85 (state, class) pairs of L's words once
     stack, R = t1s_stack, 5
     calls = Counter()
-    machines = counted_machines(stack.fams, stack.cocycles, calls)
-    assert all(r.passed for r in _walk(stack.lspec, R, stack.ball, machines))
-    assert 0 < sum(calls.values()) <= 1_000
+    reports = counted_walk(stack, R, stack.fams, stack.cocycles, calls)
+    assert all(r.passed for r in reports)
+    assert calls == {kind: 85 for kind in KINDS}
 
 
 @pytest.mark.parametrize(
@@ -337,11 +326,12 @@ def test_t1s_walk_memory_is_bounded(t1s_stack):
     # the last level, most of the words, is judged as it is generated and
     # kept in no frontier
     stack, R = t1s_stack, 5
-    machines = [_family_machine(stack.fams[kind], stack.cocycles) for kind in KINDS]
-    _walk(stack.lspec, R, stack.ball, machines)  # fills the lazy row tables
+    checks = [_family_check(stack.fams[kind], stack.cocycles) for kind in KINDS]
+    args = (stack.lspec, R, stack.ball, stack.fpa.graph, checks, stack.cocycles.classes)
+    _walk(*args)  # fills the lazy row tables
     tracemalloc.start()
     try:
-        reports = _walk(stack.lspec, R, stack.ball, machines)
+        reports = _walk(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -567,8 +557,9 @@ def test_tables_are_cross_checked_with_the_string_route():
         for s in range(graph.n_states)
     ]
     fams = [lrational._family(ext, kind, lspec, graph, at, cocycles) for kind in KINDS]
-    machines = [_family_machine(fam, cocycles) for fam in fams]
-    assert all(r.passed for r in _walk(lspec, 6, cocycles.ball, machines))
+    checks = [_family_check(fam, cocycles) for fam in fams]
+    assert all(r.passed for r in _walk(lspec, 6, cocycles.ball, graph, checks,
+                                       cocycles.classes))
 
 
 def test_q8_build_reduces_few_words(monkeypatch):
