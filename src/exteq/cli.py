@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import files
@@ -46,26 +45,6 @@ _STATUS_EXIT = {
     NO_SOLUTION_WITHIN_BOUNDS: EXIT_NO_SOLUTION,
     UNSOLVABLE: EXIT_UNSOLVABLE,
 }
-
-
-@dataclass
-class Certificate:
-    """Replayable record of a Solved run."""
-
-    extension_digest: str
-    equations_digest: str
-    config: dict
-    validation: dict
-    t: dict
-    vsol: dict
-    wsol: dict
-    cells: list
-    assignment: dict
-
-    def to_jsonable(self) -> dict:
-        out = {"format_version": files.FORMAT_VERSION}
-        out.update(asdict(self))
-        return out
 
 
 def _digest(obj) -> str:
@@ -221,9 +200,9 @@ def cmd_verify_invariants(args) -> int:
     payload = {
         "radius": R,
         "fpa": {"passed": fpa_report.passed,
-                "counterexamples": len(fpa_report.counterexamples)},
+                "counterexamples": len(fpa_report.mismatches)},
         "ppa": {"passed": ppa_report.passed,
-                "counterexamples": len(ppa_report.counterexamples)},
+                "counterexamples": len(ppa_report.mismatches)},
     }
     _emit(args, payload, [
         f"FPA key property to radius {R}: {'passed' if fpa_report.passed else 'FAILED'}",
@@ -298,10 +277,12 @@ def cmd_solve(args) -> int:
             for x, e in sorted(out.assignment.items())
         ]
         if args.cert:
-            cert = Certificate(
-                extension_digest=_digest(ext_obj),
-                equations_digest=_digest(eqs_obj),
-                config={
+            # the replayable record of a solved run
+            cert = {
+                "format_version": files.FORMAT_VERSION,
+                "extension_digest": _digest(ext_obj),
+                "equations_digest": _digest(eqs_obj),
+                "config": {
                     "r_validate": args.r_validate,
                     "ball_radius": args.ball_radius,
                     "kappa2": args.kappa2,
@@ -309,14 +290,11 @@ def cmd_solve(args) -> int:
                     "mode": args.mode,
                     "theta_cap": args.theta_cap,
                 },
-                validation={"r_validate": args.r_validate},
-                t=out.certificate["t"],
-                vsol=out.certificate["vsol"],
-                wsol=out.certificate["wsol"],
-                cells=out.certificate["cells"],
-                assignment=out.certificate["assignment"],
-            )
-            files.save_json(args.cert, cert.to_jsonable())
+                "validation": {"r_validate": args.r_validate},
+            }
+            for key in ("t", "vsol", "wsol", "cells", "assignment"):
+                cert[key] = out.certificate[key]
+            files.save_json(args.cert, cert)
             lines.append(f"certificate written to {args.cert}")
             payload["certificate"] = args.cert
     elif out.report and out.report.get("obstructions"):

@@ -12,9 +12,9 @@ signature graph.  The parity predicting automaton (PPA), the product of
 LFPA and RFPA, is therefore that graph with a parity register: it
 accumulates the parity of sigma_rho(w, w^-1) letter by letter.
 
-Each construction comes with a brute-force harness that re-derives its
-key property, the FPA's by direct cocycle evaluation and the PPA's from
-the cocycle tables, and reports every counterexample.
+Each construction comes with a harness that re-derives its key property
+and reports every counterexample: the FPA's by direct cocycle evaluation,
+the PPA's by the validation walk over the cocycle tables.
 """
 
 from __future__ import annotations
@@ -24,20 +24,10 @@ from typing import Optional
 
 from .abelian import FGAElement, pa
 from .automata import FSA, coaccessible, explore, restrict_accepting
-from .errors import BallTooSmall, Incompatible, NotAcceptingState, ResourceBound
+from .errors import Incompatible, NotAcceptingState, ResourceBound
 from .extension import BallCocycles, CentralExtension, sigma_q, sigma_rho
-from .lrational import PredictorFamily
+from .lrational import PredictorFamily, ValidationReport, _walk
 from .words import Word, state_cap
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    radius: int
-    counterexamples: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
 
 
 def fpa_branch(F: PredictorFamily, s: int) -> FSA:
@@ -189,7 +179,7 @@ def _live_words(F: PredictorFamily, start: int, R: int, alive) -> list:
 
 def check_fpa_key_property(
     F: PredictorFamily, R: int, R_v: Optional[int] = None
-) -> CheckReport:
+) -> ValidationReport:
     """sigma_q(w1, v) = sigma_q(w2, v) for all w1, w2 in the same L(s̄)
     and every compatible v, exhaustively to |w| <= R, |v| <= R_v.
 
@@ -223,53 +213,35 @@ def check_fpa_key_property(
             for w in ws[1:]:
                 if sigma_q(ext, w, v) != expect:
                     counterexamples.append(("pair", s, baseline, w, v))
-    return CheckReport(R, tuple(counterexamples))
+    return ValidationReport(R, tuple(counterexamples))
 
 
-def check_ppa_key_property(D: PPA, cocycles: BallCocycles, R: int) -> CheckReport:
+def check_ppa_key_property(
+    D: PPA, cocycles: BallCocycles, R: int
+) -> ValidationReport:
     """Pa(sigma_rho(w, w^-1)) equals the accumulator branch of every
-    accepted w with |w| <= R; L-prefixes never reach the sink.
+    accepted w with |w| <= R, and D accepts exactly the words of L.
 
-    sigma_rho(w, w^-1) is read from the given cocycle tables of D's
-    extension, whose ball must reach radius R.  The words are walked
-    breadth-first, and a word in a state that reaches no accepting one is
-    not extended; the words of length R are judged as they are generated
-    and never stored."""
-    ball = cocycles.ball
-    if ball.radius < R:
-        raise BallTooSmall(f"PPA check to radius {R} needs a ball of radius "
-                           f">= {R}, ball has {ball.radius}")
+    The validation walk (`lrational._walk`) judges it over the cocycle
+    tables of D's extension, whose ball must reach radius R.
+    sigma_rho(w, w^-1) is part of the class of w's element, so the walk
+    judges each (PPA state, class) once and walks word by word only
+    after a mismatch.  The report lists, breadth-first, ("membership",
+    w, in_L, accepted) where D's acceptance differs from L, and
+    ("sink-accepting", w) or ("branch", w, expected, got) for words of
+    L that D accepts."""
     ext = D.ext
     if cocycles.ext is not ext:
         raise ValueError("cocycle tables belong to a different extension")
     rank = ext.kernel.rank
     table = cocycles.sigma_inverse
     parity = {v: pa(ext.kernel.element(v[:rank], v[rank:])) for v in set(table)}
-    letters, edges = D.fsa.alphabet.letters, ball.edges
-    rows, alive = D.fsa.transitions, coaccessible(D.fsa)
 
-    def judge(w, s, g, out):
-        if s in D.fsa.accepting:
-            if D.states[s] is None:
-                out.append(("sink-accepting", w))
-            elif parity[table[g]] != D.states[s][1]:
-                out.append(("branch", w, parity[table[g]], D.states[s][1]))
+    def check(w, s, g):
+        if D.states[s] is None:
+            return [("sink-accepting", w)]
+        if parity[table[g]] != D.states[s][1]:
+            return [("branch", w, parity[table[g]], D.states[s][1])]
+        return ()
 
-    counterexamples, last = [], []
-    # (w, state, ball index of w)
-    frontier = [("", D.fsa.initial, 0)]
-    for depth in range(R + 1):
-        nxt = []
-        for w, s, g in frontier:
-            judge(w, s, g, counterexamples)
-            if depth == R:
-                continue
-            for x, t, h in zip(letters, rows[s], edges[g]):
-                if t not in alive:
-                    continue
-                if depth + 1 == R:
-                    judge(w + x, t, h, last)
-                else:
-                    nxt.append((w + x, t, h))
-        frontier = nxt
-    return CheckReport(R, tuple(counterexamples + last))
+    return _walk(D.M1.lspec, R, cocycles.ball, D.fsa, [check], cocycles.classes)[0]

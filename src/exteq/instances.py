@@ -96,12 +96,16 @@ def default_language_spec(p: Presentation) -> LanguageSpec:
     groups: geodesics via relator-fragment signatures for the dense
     small-cancellation surface presentation, geodesics via short
     normal-form windows for the dihedral group, and a generous slack with
-    diameter-wide windows for the finite quotients."""
-    if p == genus2_presentation():
+    diameter-wide windows for the finite quotients.  A group is matched
+    by its alphabet and relators; delta and sc_fraction are not read."""
+    def same(q: Presentation) -> bool:
+        return (p.alphabet, p.relators) == (q.alphabet, q.relators)
+
+    if same(genus2_presentation()):
         return LanguageSpec(p, nu=0, window=None)
-    if p == dihedral_presentation():
+    if same(dihedral_presentation()):
         return LanguageSpec(p, nu=0, window=2)
-    if p == klein_presentation():
+    if same(klein_presentation()):
         return LanguageSpec(p, nu=4, window=4)
     if not p.relators:
         return LanguageSpec(p, nu=0, window=1)

@@ -34,7 +34,8 @@ class in the tables.  So a first pass that keeps no words judges each
 distinct (state, class) once and stops at the first mismatch.  Only
 after one is the tree walked again word by word, so each family's
 mismatches, and their order, are those of an exhaustive walk over all
-words.
+words.  The PPA's key-property check (`fpa_ppa`) is one more check on
+the same walk, over the PPA's graph.
 """
 
 from __future__ import annotations

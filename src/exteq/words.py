@@ -176,10 +176,7 @@ class Presentation:
                             bucket = swaps.setdefault(u, [])
                             if entry not in bucket:
                                 bucket.append(entry)
-        max_len = max((len(u) for u in shorten), default=0)
-        min_len = min((len(u) for u in shorten), default=0)
-        swap_max = max((len(u) for u in swaps), default=0)
-        tables = (shorten, swaps, max_len, min_len, swap_max)
+        tables = (shorten, swaps)
         object.__setattr__(self, "_tables", tables)
         # compiled once: the leftmost shortening key, longest first; swap
         # key starts and lengths; letters to alphabet positions (shortlex)
@@ -272,7 +269,7 @@ def _reduce_with_log(p: Presentation, w: Word) -> tuple[Word, tuple[int, ...]]:
     """
     alpha = p.alphabet
     inverse = alpha.inverse
-    shorten, swaps, *_ = p.tables
+    shorten, swaps = p.tables
     find, starts, lengths, order = p._compiled
     n = len(w)
     w = alpha.free_reduce(w)
@@ -400,7 +397,7 @@ def build_ball(p: Presentation, R: int) -> CayleyBall:
     raise ResourceBound.
     """
     cap = state_cap()
-    shorten, swaps, *_ = p.tables
+    shorten, swaps = p.tables
     keys = shorten.keys() | swaps.keys()
     key_lengths = sorted({len(u) for u in keys})
     m = key_lengths[0] if key_lengths else 1

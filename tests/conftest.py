@@ -76,7 +76,10 @@ def reference_reduce_with_log(p: Presentation, w: Word) -> tuple[Word, list]:
     (relator index, sign, position): the same rewriting, the log in
     place of the count vector."""
     alpha = p.alphabet
-    shorten, swaps, max_len, min_len, swap_max = p.tables
+    shorten, swaps = p.tables
+    max_len = max(map(len, shorten), default=0)
+    min_len = min(map(len, shorten), default=0)
+    swap_max = max(map(len, swaps), default=0)
     n = len(w)
     w = alpha.free_reduce(w)
     log: list = []

@@ -153,7 +153,7 @@ def test_fpa_acceptance(dihedral_stack):
     assert set().union(*parts) == full
     assert sum(map(len, parts)) == len(full)
     report = check_fpa_key_property(F, 6, 4)
-    assert report.passed, report.counterexamples[:3]
+    assert report.passed, report.mismatches[:3]
     assert time.monotonic() - start < 600
 
 
@@ -172,7 +172,7 @@ def test_ppa_acceptance(dihedral_stack):
         for w in words:
             assert pa(sigma_rho(ext, w, inv(w))) == d, w
     report = check_ppa_key_property(D, dihedral_stack.cocycles, 8)
-    assert report.passed, report.counterexamples[:3]
+    assert report.passed, report.mismatches[:3]
     assert time.monotonic() - start < 600
 
 

@@ -15,7 +15,7 @@ from exteq.automata import words_up_to
 from exteq.cli import cmd_dispatch
 from exteq.errors import SchemaError
 from exteq.extension import RHO
-from exteq.instances import quaternion8
+from exteq.instances import default_language_spec, quaternion8
 from exteq.reduction import Pipeline
 from exteq.words import DEFAULT_STATE_CAP, state_cap
 
@@ -337,6 +337,25 @@ def test_verify_invariants_t1s_radius_5_exits_3_at_the_pair_cap(capsys):
     assert "FPA key-property check" in err and "8939113" in err
 
 
+@pytest.mark.parametrize("field, value", [("delta", None), ("delta", "7"),
+                                          ("sc_fraction", None)])
+def test_t1s_language_spec_ignores_metadata(tmp_path, capsys, field, value):
+    # the spec is picked by the group, so a file whose delta or sc_fraction
+    # differs from the bundled one builds the same FPA and PPA
+    obj = files.load_json(str(DATA / "t1s.json"))
+    if value is None:
+        del obj["presentation"][field]
+    else:
+        obj["presentation"][field] = value
+    spec = default_language_spec(files.extension_from_json(obj).base)
+    assert (spec.nu, spec.window) == (0, None)
+    path = tmp_path / "t1s.json"
+    path.write_text(json.dumps(obj))
+    built = [run_cli("build", str(f), "--r-validate", "5", capsys=capsys)
+             for f in (path, DATA / "t1s.json")]
+    assert built[0] == built[1] and built[0][0] == 0
+
+
 def test_demo_t1s_names_its_radius(capsys):
     # the obstruction holds only as far as the families were validated,
     # and they fail one step further
@@ -461,6 +480,25 @@ def test_certificate_roundtrip(q8_eqs, tmp_path, capsys):
         "--equations", eqs_path, str(bad), capsys=capsys,
     )
     assert code == 4 and "FAILED" in out
+
+
+def test_certificate_key_set(q8_eqs, tmp_path, capsys):
+    # the keys a certificate is written with, and the config it records
+    cert_path = tmp_path / "cert.json"
+    code, _ = run_cli(
+        "solve", str(DATA / "quaternion8.json"), q8_eqs(["x x Z"]),
+        "--cert", str(cert_path), capsys=capsys,
+    )
+    assert code == 0
+    cert = json.loads(cert_path.read_text())
+    assert set(cert) == {
+        "format_version", "extension_digest", "equations_digest", "config",
+        "validation", "t", "vsol", "wsol", "cells", "assignment",
+    }
+    assert set(cert["config"]) == {
+        "r_validate", "ball_radius", "kappa2", "oracle_bound", "mode", "theta_cap",
+    }
+    assert cert["format_version"] == files.FORMAT_VERSION
 
 
 def test_certificate_with_retired_config_keys_verifies(q8_eqs, tmp_path, capsys):

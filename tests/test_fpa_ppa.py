@@ -12,13 +12,14 @@ from conftest import (
     shortest_witness,
     split,
 )
-from exteq.automata import words_up_to
+from exteq.automata import restrict_accepting, words_up_to
 from exteq.errors import (
     AlphabetMismatch,
     BallTooSmall,
     Incompatible,
     NotAcceptingState,
 )
+from exteq import fpa_ppa
 from exteq.extension import BallCocycles, sigma_q, sigma_rho
 from exteq.fpa_ppa import (
     _pair_count,
@@ -36,6 +37,7 @@ from exteq.lrational import (
     RHO_LEFT,
     RHO_RIGHT_REVERSED,
     PredictorFamily,
+    _walk,
     build_automata,
 )
 from exteq.words import build_ball
@@ -296,6 +298,25 @@ def test_ppa_key_property_t1s_memory_is_bounded(t1s_stack):
     assert peak < 2**20
 
 
+def test_ppa_key_property_t1s_checks_few_classes(t1s_stack, monkeypatch):
+    # the validation walk judges each of the 85 (PPA state, class) pairs
+    # of L's words once, as it does each family's
+    calls = []
+
+    def counted_walk(lspec, R, ball, graph, checks, classes):
+        (check,) = checks
+
+        def counted(w, s, g):
+            calls.append((s, classes[g]))
+            return check(w, s, g)
+
+        return _walk(lspec, R, ball, graph, [counted], classes)
+
+    monkeypatch.setattr(fpa_ppa, "_walk", counted_walk)
+    assert check_ppa_key_property(t1s_stack.ppa, t1s_stack.cocycles, 5).passed
+    assert len(calls) == len(set(calls)) == 85
+
+
 def _string_route_ppa_check(D, R):
     """check_ppa_key_property with sigma_rho(w, w^-1) by the string route."""
     alpha = D.fsa.alphabet
@@ -333,9 +354,20 @@ def test_ppa_key_property_tables_match_string_route(dihedral_stack, R):
     states[sunk] = None
     for ppa in (D, replace(D, states=states, memo={})):
         report = check_ppa_key_property(ppa, dihedral_stack.cocycles, R)
-        assert list(report.counterexamples) == _string_route_ppa_check(ppa, R)
+        assert list(report.mismatches) == _string_route_ppa_check(ppa, R)
     if R == 6:
-        assert {c[0] for c in report.counterexamples} == {"branch", "sink-accepting"}
+        assert {c[0] for c in report.mismatches} == {"branch", "sink-accepting"}
+
+
+def test_ppa_key_property_checks_membership(dihedral_stack):
+    # the check also compares D's acceptance with membership in L
+    D = dihedral_stack.ppa
+    dropped = D.fsa.run("s")
+    fsa = restrict_accepting(D.fsa, D.fsa.accepting - {dropped})
+    report = check_ppa_key_property(replace(D, fsa=fsa, memo={}),
+                                    dihedral_stack.cocycles, 4)
+    assert report.mismatches[0] == ("membership", "s", True, False)
+    assert {m[0] for m in report.mismatches} == {"membership"}
 
 
 def test_mutated_family_breaks_key_property(dihedral_stack):
@@ -360,4 +392,4 @@ def test_mutated_family_breaks_key_property(dihedral_stack):
     )
     report = check_fpa_key_property(broken, 4, 3)
     assert not report.passed
-    assert report.counterexamples[0][0] in ("state-route", "pair")
+    assert report.mismatches[0][0] in ("state-route", "pair")

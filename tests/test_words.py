@@ -62,7 +62,9 @@ def dehn_reduce(
         )
     find = _find_shorten if policy == "leftmost" else _find_shorten_rightmost
     alpha = p.alphabet
-    shorten, _, max_len, min_len, _ = p.tables
+    shorten, _ = p.tables
+    max_len = max(map(len, shorten), default=0)
+    min_len = min(map(len, shorten), default=0)
     w = alpha.free_reduce(w)
     counts = [0] * len(p.relators)
     while shorten:
